@@ -1,13 +1,15 @@
 """worker-boundary: what may cross the ``utils/parallel.py`` process line.
 
-:func:`repro.utils.parallel.parallel_map` defaults to a process pool, so
-whatever is submitted must pickle: lambdas and closures fail outright
-(or, with fork tricks, silently copy the enclosing frame per task).  The
-repo's worker protocol is therefore *module-level functions over
-self-contained task tuples* (``_compress_tile`` / ``_compress_chunk``),
-and halo workers return the documented payload tuple — payload plus
-faces plus context — never a bare ndarray whose meaning the scheduler
-has to guess.
+Work reaches worker processes through
+:func:`repro.utils.parallel.parallel_map`, a pool's ``.map``, or
+:meth:`repro.utils.schedule.WaveExecutor.run_waves`, whose first argument
+is the worker every task of every wave runs through.  Whatever is
+submitted must pickle: lambdas and closures fail outright (or, with fork
+tricks, silently copy the enclosing frame per task).  The repo's worker
+protocol is therefore *module-level functions over self-contained task
+tuples* (``_encode_tile`` / ``_decode_chunk``), and workers return the
+documented payload — a result tuple, a named result object or an entropy
+context — never a bare ndarray whose meaning the scheduler has to guess.
 
 Since the zero-copy refactor, bulk arrays cross the boundary as
 *descriptors*: a :class:`~repro.utils.parallel.SharedArraySpec` names a
@@ -19,9 +21,9 @@ hand, so the checker enforces it alongside the pickle rules.
 
 Flags:
 
-* a ``lambda`` or a nested (closure) function passed as the callable to
-  ``parallel_map`` / a ``WorkerPool``'s ``.map`` / ``memoized_map``'s
-  compute path / ``Executor.submit``;
+* a ``lambda`` or a nested (closure) function passed as the worker to
+  ``parallel_map`` / ``WaveExecutor.run_waves`` / a ``WorkerPool``'s
+  ``.map`` / ``Executor.submit``;
 * ``functools.partial`` over such a callable;
 * ``ProcessPoolExecutor`` construction outside ``utils/parallel.py`` —
   parallelism routes through the one wrapper so worker hygiene has a
@@ -30,8 +32,8 @@ Flags:
   segments route through ``SharedArraySession`` / ``read_shared`` /
   ``write_shared`` so naming, cleanup (unlink on every exit path) and
   the pickle fallback have one enforcement point;
-* inside a worker function (a module-level function submitted to
-  ``parallel_map`` in the same file): ``return np.<...>(...)`` /
+* inside a worker function (a module-level function submitted in the
+  same file): ``return np.<...>(...)`` /
   ``return <x>.astype(...)`` bare-ndarray returns where the protocol
   expects the documented result tuple or a named result object.
 """
@@ -46,7 +48,8 @@ from repro.analysis.core import Checker, FileContext, Finding, dotted_name
 
 __all__ = ["WorkerBoundaryChecker"]
 
-_SUBMIT_FUNCS = {"parallel_map"}
+#: Calls whose first argument is the worker callable.
+_SUBMIT_FUNCS = {"parallel_map", "run_waves"}
 _PARALLEL_MODULE_SUFFIX = os.path.join("utils", "parallel.py")
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "default_cache",
     "clear_default_cache",
     "memoized_map",
+    "merge_counters",
     "run_experiment",
     "run_experiment_on_fields",
     "records_to_table",
@@ -187,6 +188,19 @@ def memoized_map(items, key_fn, compute_many, cache: Optional[ExperimentCache]):
     }
     counters["in_call_duplicates"] = len(duplicates)
     return results, counters
+
+
+def merge_counters(
+    total: Optional[Dict[str, int]], counters: Optional[Dict[str, int]]
+) -> Optional[Dict[str, int]]:
+    """Sum :func:`memoized_map` counters over calls (``None``: no memo)."""
+
+    if counters is None:
+        return total
+    merged = dict(total or {})
+    for key, value in counters.items():
+        merged[key] = merged.get(key, 0) + value
+    return merged
 
 
 _DEFAULT_CACHE = ExperimentCache()

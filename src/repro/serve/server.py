@@ -984,18 +984,12 @@ class ArrayServer:
 
             def build():
                 bounds, _ = snapshot.normalize_region(region)
-                needed: List[int] = []
-                seen = set()
-                for grid_index in snapshot.intersecting_chunks(bounds):
-                    stack = [grid_index]
-                    while stack:
-                        g = stack.pop()
-                        linear = snapshot.linear_index(g)
-                        if linear in seen:
-                            continue
-                        seen.add(linear)
-                        needed.append(linear)
-                        stack.extend(snapshot.halo_dependencies(g))
+                # The read's own plan: intersecting chunks plus the anchors
+                # their halo flags reference.
+                _, slot_of, _ = snapshot._read_plan(
+                    snapshot.intersecting_chunks(bounds)
+                )
+                needed = [snapshot.linear_index(g) for g in slot_of]
 
                 index = snapshot.index
                 payloads = bytearray()
@@ -1018,7 +1012,7 @@ class ArrayServer:
 
                 sentinel = len(payloads)
                 records = []
-                included = sorted(seen)
+                included = sorted(needed)
                 for linear, record in enumerate(index):
                     span = (record.offset, record.length)
                     offset = placed.get(span, sentinel)

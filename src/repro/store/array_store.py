@@ -53,11 +53,11 @@ import math
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.pipeline import ExperimentCache, memoized_map
+from repro.core.pipeline import ExperimentCache, memoized_map, merge_counters
 from repro.obs.metrics import REGISTRY, publish_cache_counters
 from repro.obs.trace import span as obs_span
 from repro.pressio.api import PressioCompressor
@@ -85,7 +85,8 @@ from repro.store.snapshot import (
     meta_float as _meta_float,
 )
 from repro.utils.blocking import grid_offsets
-from repro.utils.parallel import ParallelConfig, parallel_map
+from repro.utils.parallel import ParallelConfig
+from repro.utils.schedule import TilePlan, WaveExecutor
 from repro.utils.validation import ensure_positive
 
 __all__ = [
@@ -204,7 +205,21 @@ def _raw_result(
     )
 
 
-def _compress_chunk(task) -> _ChunkResult:
+class _ChunkTask(NamedTuple):
+    """One chunk of :func:`_compress_chunk`'s work."""
+
+    chunk: np.ndarray
+    error_bound: float
+    policy: CodecPolicy
+    options: Dict[str, Dict]
+    with_stats: bool
+    exact_rows: int
+    halo: Optional[TileHalo]
+    ref_axis: Optional[int]
+    want_faces: bool
+
+
+def _compress_chunk(task: _ChunkTask) -> _ChunkResult:
     """Top-level worker so chunk jobs pickle for process pools.
 
     ``exact_rows`` marks leading axis-0 rows that hold previously-stored
@@ -221,25 +236,17 @@ def _compress_chunk(task) -> _ChunkResult:
     neighbours will borrow (anchor chunks only).
     """
 
-    (
-        chunk,
-        error_bound,
-        policy,
-        options,
-        with_stats,
-        exact_rows,
-        halo,
-        ref_axis,
-        want_faces,
-    ) = task
-    choice = policy.choose(chunk, error_bound)
+    chunk, halo, want_faces = task.chunk, task.halo, task.want_faces
+    choice = task.policy.choose(chunk, task.error_bound)
     best_name = None
     best_compressed = None
     best_metrics = None
     for name in choice.candidates:
         codec = PressioCompressor(
             name,
-            CompressorOptions(error_bound=error_bound, extra=dict(options.get(name, {}))),
+            CompressorOptions(
+                error_bound=task.error_bound, extra=dict(task.options.get(name, {}))
+            ),
         )
         compressed, metrics = codec.compress(
             chunk, halo=halo, collect_context=want_faces
@@ -249,17 +256,18 @@ def _compress_chunk(task) -> _ChunkResult:
             or compressed.compressed_nbytes < best_compressed.compressed_nbytes
         ):
             best_name, best_compressed, best_metrics = name, compressed, metrics
-    if exact_rows:
+    rows = task.exact_rows
+    if rows:
         reconstruction = best_compressed.reconstruction
         if reconstruction is None or not np.array_equal(
-            reconstruction[:exact_rows], chunk[:exact_rows]
+            reconstruction[:rows], chunk[:rows]
         ):
-            return _raw_result(chunk, with_stats, want_faces)
-    stats = _chunk_statistics(chunk) if with_stats else {}
+            return _raw_result(chunk, task.with_stats, want_faces)
+    stats = _chunk_statistics(chunk) if task.with_stats else {}
     stats["max_abs_error"] = float(best_metrics.max_abs_error)
     flags = 0
     if halo is not None and best_compressed.extras.get("halo_coded"):
-        flags = halo_flags(halo.axes_mask, ref_axis)
+        flags = halo_flags(halo.axes_mask, task.ref_axis)
     return _ChunkResult(
         codec=best_name,
         payload=best_compressed.data,
@@ -518,21 +526,31 @@ class ArrayStore:
             f"stats={self._meta['chunk_stats']}:halo={self.halo}"
         )
 
-    def _compress_chunks(
+    def _compress_block(
         self,
+        offsets: List[Tuple[int, ...]],
         chunks: List[np.ndarray],
+        exact_rows: List[int],
         parallel: Optional[ParallelConfig],
         cache: Union[ExperimentCache, bool, None],
-        exact_rows: Optional[List[int]] = None,
-        halos: Optional[List[Optional[TileHalo]]] = None,
-        ref_axes: Optional[List[Optional[int]]] = None,
-        want_faces: bool = False,
-        accumulate_counters: bool = False,
+        chunk_shape: Tuple[int, ...],
     ) -> List[_ChunkResult]:
-        """Compress chunk arrays with memoization + in-call dedup.
+        """Compress one write/append block through its tile plan.
 
-        The shared :func:`repro.core.pipeline.memoized_map` protocol, as
-        in :func:`repro.volumes.pipeline.compress_volume`: ``None`` /
+        Halo-off stores compress every chunk standalone, in one wave.
+        Halo stores follow :meth:`~repro.utils.schedule.TilePlan.parity`:
+        even-parity **anchor** chunks compress standalone, returning
+        their reconstruction faces and entropy context, then the
+        odd-parity **halo** chunks compress against the anchors of *this*
+        block.  Restricting references to the block keeps appends safe —
+        a later append rewrites only the trailing axis-0 slab, and no
+        chunk outside that slab ever references into it (halo planes look
+        toward lower indices only, and a slab's chunks are rewritten
+        together).
+
+        Results go through the shared
+        :func:`repro.core.pipeline.memoized_map` protocol, as in
+        :func:`repro.volumes.pipeline.compress_volume`: ``None`` /
         ``True`` selects the process-wide store cache, ``False`` disables
         memoization.  Memo keys include each chunk's halo digest and the
         faces request, so halo variants never alias.
@@ -546,139 +564,68 @@ class ArrayStore:
         options = {k: dict(v) for k, v in self._meta["compressor_options"].items()}
         with_stats = bool(self._meta["chunk_stats"])
         config_key = self._config_key()
-        if exact_rows is None:
-            exact_rows = [0] * len(chunks)
-        if halos is None:
-            halos = [None] * len(chunks)
-        if ref_axes is None:
-            ref_axes = [None] * len(chunks)
-        items = list(zip(chunks, exact_rows, halos, ref_axes))
+        extents = [chunk.shape for chunk in chunks]
+        if self.halo:
+            plan = TilePlan.parity(offsets, extents, chunk_shape)
+        else:
+            plan = TilePlan.independent(offsets, extents)
+        results: List[Optional[_ChunkResult]] = [None] * len(chunks)
+        counters: Optional[Dict[str, int]] = None
 
-        def key_fn(item) -> str:
-            chunk, rows, halo, ref_axis = item
-            halo_key = halo.digest() if halo is not None else "-"
+        def build(index: int, tile) -> _ChunkTask:
+            halo = None
+            if tile.deps:
+                anchors = executor.results
+                planes = [
+                    None if dep is None else anchors[dep].faces[axis]
+                    for axis, dep in enumerate(tile.planes)
+                ]
+                context = None if tile.context is None else anchors[tile.context].context
+                halo = TileHalo.build(planes, context)
+            return _ChunkTask(
+                chunks[index],
+                self.error_bound,
+                policy,
+                options,
+                with_stats,
+                exact_rows[index],
+                halo,
+                tile.ref_axis,
+                # Parity anchors borrow nothing and lend their faces.
+                self.halo and not tile.planes,
+            )
+
+        def key_fn(task: _ChunkTask) -> str:
+            halo_key = task.halo.digest() if task.halo is not None else "-"
             return ExperimentCache.key(
                 "store-chunk",
-                f"{config_key}:exact={rows}:halo={halo_key}:ref={ref_axis}"
-                f":faces={want_faces}",
-                chunk,
+                f"{config_key}:exact={task.exact_rows}:halo={halo_key}"
+                f":ref={task.ref_axis}:faces={task.want_faces}",
+                task.chunk,
                 "",
             )
 
-        def compute_many(pending) -> List[_ChunkResult]:
-            tasks = [
-                (
-                    chunk,
-                    self.error_bound,
-                    policy,
-                    options,
-                    with_stats,
-                    rows,
-                    halo,
-                    ref_axis,
-                    want_faces,
-                )
-                for chunk, rows, halo, ref_axis in pending
-            ]
-            return parallel_map(_compress_chunk, tasks, parallel)
+        def memo(tasks, compute):
+            nonlocal counters
+            fresh, wave_counters = memoized_map(tasks, key_fn, compute, cache)
+            counters = merge_counters(counters, wave_counters)
+            return fresh
 
-        results, counters = memoized_map(items, key_fn, compute_many, cache)
-        if accumulate_counters and self.last_write_cache_counters and counters:
-            merged = dict(self.last_write_cache_counters)
-            for key, value in counters.items():
-                merged[key] = merged.get(key, 0) + value
-            self.last_write_cache_counters = merged
-        else:
-            self.last_write_cache_counters = counters
-        return results
-
-    def _compress_block(
-        self,
-        offsets: List[Tuple[int, ...]],
-        chunks: List[np.ndarray],
-        exact_rows: Optional[List[int]],
-        parallel: Optional[ParallelConfig],
-        cache: Union[ExperimentCache, bool, None],
-        chunk_shape: Tuple[int, ...],
-    ) -> List[_ChunkResult]:
-        """Compress one write/append block, honouring the halo policy.
-
-        Halo-off stores take the single-pass path.  Halo stores compress
-        in two passes: **anchor** chunks first (grid-index parity even —
-        standalone, returning their reconstruction faces and entropy
-        context), then the odd-parity **halo** chunks against their
-        anchors.  Every face neighbour of an odd chunk is even, so halo
-        references never chain; references are further restricted to
-        chunks of *this* block, which keeps appends safe — a later append
-        rewrites only the trailing axis-0 slab, and no chunk outside that
-        slab ever references into it (halo planes look toward lower
-        indices only, and a slab's chunks are rewritten together).
-        """
-
-        if not self.halo:
-            return self._compress_chunks(
-                chunks, parallel, cache, exact_rows=exact_rows
+        with WaveExecutor(
+            plan,
+            parallel,
+            wave_span="store.encode_wave",
+            tile_span="store.encode_chunk",
+            category="store",
+        ) as executor:
+            executor.run_waves(
+                _compress_chunk,
+                enumerate(plan.waves()),
+                build,
+                memo=memo,
+                done=results.__setitem__,
             )
-        if exact_rows is None:
-            exact_rows = [0] * len(chunks)
-        grid = [
-            tuple(o // e for o, e in zip(offset, chunk_shape)) for offset in offsets
-        ]
-        anchor_ids = [i for i, g in enumerate(grid) if sum(g) % 2 == 0]
-        halo_ids = [i for i, g in enumerate(grid) if sum(g) % 2 == 1]
-
-        results: List[Optional[_ChunkResult]] = [None] * len(chunks)
-        anchor_results = self._compress_chunks(
-            [chunks[i] for i in anchor_ids],
-            parallel,
-            cache,
-            exact_rows=[exact_rows[i] for i in anchor_ids],
-            want_faces=True,
-        )
-        faces: Dict[Tuple[int, ...], Dict[int, np.ndarray]] = {}
-        contexts: Dict[Tuple[int, ...], Optional[object]] = {}
-        for i, result in zip(anchor_ids, anchor_results):
-            results[i] = result
-            faces[offsets[i]] = result.faces
-            contexts[offsets[i]] = result.context
-
-        halos: List[Optional[TileHalo]] = []
-        ref_axes: List[Optional[int]] = []
-        for i in halo_ids:
-            offset = offsets[i]
-            planes: List[Optional[np.ndarray]] = []
-            ref_axis = None
-            for axis in range(len(chunk_shape)):
-                neighbour = tuple(
-                    o - chunk_shape[axis] if a == axis else o
-                    for a, o in enumerate(offset)
-                )
-                if offset[axis] > 0 and neighbour in faces:
-                    planes.append(faces[neighbour][axis])
-                    ref_axis = axis
-                else:
-                    planes.append(None)
-            context = None
-            if ref_axis is not None:
-                neighbour = tuple(
-                    o - chunk_shape[ref_axis] if a == ref_axis else o
-                    for a, o in enumerate(offset)
-                )
-                context = contexts.get(neighbour)
-            halos.append(TileHalo.build(planes, context))
-            ref_axes.append(ref_axis)
-
-        halo_results = self._compress_chunks(
-            [chunks[i] for i in halo_ids],
-            parallel,
-            cache,
-            exact_rows=[exact_rows[i] for i in halo_ids],
-            halos=halos,
-            ref_axes=ref_axes,
-            accumulate_counters=True,
-        )
-        for i, result in zip(halo_ids, halo_results):
-            results[i] = result
+        self.last_write_cache_counters = counters
         return results
 
     def _check_array(self, array: np.ndarray) -> np.ndarray:
@@ -705,30 +652,9 @@ class ArrayStore:
             chunk_shape = _normalize_chunk_shape(
                 self._meta["chunk_shape"], array.ndim
             )
-            offsets = grid_offsets(array.shape, chunk_shape)
-            chunks = [
-                np.ascontiguousarray(
-                    array[
-                        tuple(
-                            slice(o, o + e)
-                            for o, e in zip(offset, chunk_shape)
-                        )
-                    ]
-                )
-                for offset in offsets
-            ]
-            results = self._compress_block(
-                offsets, chunks, None, parallel, cache, chunk_shape
+            self._write_block(
+                array, 0, 0, parallel, cache, chunk_shape, truncate=True
             )
-
-            self._meta["shape"] = [int(s) for s in array.shape]
-            self._meta["chunk_shape"] = [int(c) for c in chunk_shape]
-            index, chunk_meta, data = self._layout_payloads(
-                offsets, chunks, results, base_offset=0, existing_digests={}
-            )
-            self._index = index
-            self._meta["chunks"] = chunk_meta
-            self._flush(data=data, truncate=True)
         REGISTRY.counter(
             "repro_store_writes_total",
             help="Full-array store writes performed by this process.",
@@ -795,6 +721,28 @@ class ArrayStore:
             self._meta["chunks"] = self._meta["chunks"][:n_keep]
         else:
             block = array
+        self._write_block(
+            block, base_row, remainder, parallel, cache, chunk_shape, truncate=False
+        )
+
+    def _write_block(
+        self,
+        block: np.ndarray,
+        base_row: int,
+        exact: int,
+        parallel: Optional[ParallelConfig],
+        cache: Union[ExperimentCache, bool, None],
+        chunk_shape: Tuple[int, ...],
+        *,
+        truncate: bool,
+    ) -> None:
+        """Compress and persist ``block`` as the rows from ``base_row`` on.
+
+        ``truncate`` rewrites the payload file (a full write); otherwise
+        the block's payloads are appended and its chunks follow the kept
+        index records.  The first ``exact`` rows are previously-stored
+        (already once-lossy) data that must reproduce exactly.
+        """
 
         local_offsets = grid_offsets(block.shape, chunk_shape)
         offsets = [(local[0] + base_row,) + tuple(local[1:]) for local in local_offsets]
@@ -804,15 +752,14 @@ class ArrayStore:
             )
             for local in local_offsets
         ]
-        # Chunks of the first slab carry `remainder` previously-stored
-        # (already once-lossy) rows that must reproduce exactly.
-        exact_rows = [remainder if local[0] == 0 else 0 for local in local_offsets]
+        exact_rows = [exact if local[0] == 0 else 0 for local in local_offsets]
         results = self._compress_block(
             offsets, chunks, exact_rows, parallel, cache, chunk_shape
         )
 
-        data_path = os.path.join(self.path, DATA_NAME)
-        base_offset = os.path.getsize(data_path) if os.path.exists(data_path) else 0
+        if truncate:
+            self._index, self._meta["chunks"] = [], []
+        base_offset = 0 if truncate else self.data_file_nbytes
         existing_digests = {
             entry["payload_sha1"]: (record.offset, record.length)
             for entry, record in zip(self._meta["chunks"], self._index)
@@ -827,8 +774,11 @@ class ArrayStore:
         )
         self._index.extend(index)
         self._meta["chunks"].extend(chunk_meta)
-        self._meta["shape"][0] = int(shape[0] + array.shape[0])
-        self._flush(data=data, truncate=False)
+        self._meta["shape"] = [base_row + int(block.shape[0])] + [
+            int(s) for s in block.shape[1:]
+        ]
+        self._meta["chunk_shape"] = [int(c) for c in chunk_shape]
+        self._flush(data=data, truncate=truncate)
 
     def _layout_payloads(
         self,

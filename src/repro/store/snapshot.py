@@ -43,9 +43,11 @@ import json
 import os
 import time
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,14 +56,8 @@ from repro.compressors.halo import TileHalo
 from repro.obs.trace import span as obs_span
 from repro.pressio.api import PressioCompressor
 from repro.pressio.options import CompressorOptions
-from repro.utils.parallel import (
-    ParallelConfig,
-    SharedArraySession,
-    WorkerPool,
-    read_shared,
-    use_shared_arrays,
-    write_shared,
-)
+from repro.utils.parallel import ParallelConfig, read_region, write_region
+from repro.utils.schedule import PlanTile, TilePlan, WaveExecutor
 from repro.store.format import (
     IndexRecord,
     StoreCorruptionError,
@@ -209,65 +205,89 @@ def load_store_state(
     )
 
 
-def _decode_chunk_shm(task):
-    """Zero-copy chunk-decode worker (top-level, picklable).
+def _slot_region(slot: int, extent: Tuple[int, ...]) -> tuple:
+    """A chunk's values inside its slot of a read's scratch array."""
 
-    The submitting side ships the (compressed, CRC-checked) payload bytes
-    plus a :class:`~repro.utils.parallel.SharedArraySpec` of a shared
-    scratch array holding one slot per needed chunk; the worker decodes
-    into its slot in place.  Halo chunks read their anchor neighbours'
-    high faces straight out of the scratch array — wave 1 runs strictly
-    after wave 0, so every referenced slot is complete.  The documented
-    return payload is ``(slot, entropy_context_or_None)``.
+    return (slot,) + tuple(slice(0, e) for e in extent)
+
+
+def _high_face(slot: int, extent: Tuple[int, ...], axis: int) -> tuple:
+    """The scratch region of a decoded chunk's high face along ``axis``."""
+
+    return (slot,) + tuple(
+        e - 1 if a == axis else slice(0, e) for a, e in enumerate(extent)
+    )
+
+
+class _ChunkDecode(NamedTuple):
+    """One chunk of :func:`_decode_chunk`'s work."""
+
+    #: CRC-checked payload bytes, or — on a serial read, where the worker
+    #: runs in the reading process — a call that reads them on demand, so
+    #: cache hits never touch the data and a corrupt chunk fails where the
+    #: decode reaches it.
+    payload: Union[bytes, Callable[[], bytes]]
+    codec: str
+    extent: Tuple[int, ...]
+    error_bound: float
+    dtype: str
+    options: Dict
+    #: The read's scratch array (one slot per decode): ndarray or spec.
+    sink: object
+    slot: int
+    #: Per-axis scratch regions of the anchors' faces; None: standalone.
+    planes: Optional[Tuple]
+    context: Optional[object]
+    want_context: bool
+
+
+def _decode_chunk(task: _ChunkDecode):
+    """The chunk-decode worker of every store read (top-level, picklable).
+
+    Decodes one payload into its slot of the read's scratch sink.  Halo
+    chunks read their anchors' high faces back out of the same sink (the
+    anchors decoded in an earlier wave).  Returns the documented payload:
+    the chunk's entropy context when ``want_context``, else ``None``.
     """
 
-    (
-        payload,
-        codec_name,
-        chunk_extent,
-        error_bound,
-        dtype_str,
-        options,
-        scratch_spec,
-        slot,
-        plane_specs,
-        context,
-        want_context,
-    ) = task
-    dtype = np.dtype(dtype_str)
-    slot_region = (slot,) + tuple(slice(0, e) for e in chunk_extent)
-    if codec_name == RAW_CODEC:
-        values = np.frombuffer(payload, dtype="<f8").reshape(chunk_extent)
-        write_shared(scratch_spec, slot_region, np.asarray(values, dtype=dtype))
-        return slot, None
-    halo = None
-    if plane_specs is not None:
-        planes = [
-            read_shared(scratch_spec, spec) if spec is not None else None
-            for spec in plane_specs
-        ]
-        halo = TileHalo.build(planes, context)
-    codec = PressioCompressor(
-        codec_name,
-        CompressorOptions(error_bound=error_bound, extra=dict(options)),
-    )
-    compressed = CompressedField(
-        data=payload,
-        original_shape=chunk_extent,
-        original_dtype=dtype,
-        compressor=codec_name,
-        error_bound=error_bound,
-    )
-    if want_context:
-        values, own_context = codec.decompress_with_context(compressed, halo=halo)
+    payload = task.payload() if callable(task.payload) else task.payload
+    if task.codec == RAW_CODEC:
+        expected = int(np.prod(task.extent)) * 8
+        if len(payload) != expected:
+            raise StoreCorruptionError(
+                f"raw chunk payload of {len(payload)} bytes, expected {expected}"
+            )
+        values = np.frombuffer(payload, dtype="<f8").reshape(task.extent)
+        context = None
     else:
-        values, own_context = codec.decompress(compressed, halo=halo), None
-    if tuple(values.shape) != tuple(chunk_extent):
-        raise StoreCorruptionError(
-            f"chunk decoded to shape {values.shape}, expected {chunk_extent}"
+        halo = None
+        if task.planes is not None:
+            planes = [
+                None if region is None else read_region(task.sink, region)
+                for region in task.planes
+            ]
+            halo = TileHalo.build(planes, task.context)
+        codec = PressioCompressor(
+            task.codec,
+            CompressorOptions(error_bound=task.error_bound, extra=dict(task.options)),
         )
-    write_shared(scratch_spec, slot_region, np.asarray(values, dtype=dtype))
-    return slot, own_context
+        compressed = CompressedField(
+            data=payload,
+            original_shape=task.extent,
+            original_dtype=np.dtype(task.dtype),
+            compressor=task.codec,
+            error_bound=task.error_bound,
+        )
+        if task.want_context:
+            values, context = codec.decompress_with_context(compressed, halo=halo)
+        else:
+            values, context = codec.decompress(compressed, halo=halo), None
+        if tuple(values.shape) != tuple(task.extent):
+            raise StoreCorruptionError(
+                f"chunk decoded to shape {values.shape}, expected {task.extent}"
+            )
+    write_region(task.sink, _slot_region(task.slot, task.extent), values)
+    return context
 
 
 class StoreSnapshot:
@@ -292,6 +312,14 @@ class StoreSnapshot:
         self._meta = meta
         self._index = list(index)
         self.path = str(path) if path is not None else None
+        # Geometry is immutable for a snapshot: resolve it once, since
+        # region reads consult it per chunk.
+        chunk = meta["chunk_shape"]
+        self._shape = tuple(meta["shape"]) if meta["shape"] is not None else None
+        self._chunk_shape = (
+            None if chunk is None or np.isscalar(chunk) else tuple(chunk)
+        )
+        self._strides: Optional[List[int]] = None
         self._data = data
 
     @classmethod
@@ -312,7 +340,7 @@ class StoreSnapshot:
 
     @property
     def shape(self) -> Optional[Tuple[int, ...]]:
-        return tuple(self._meta["shape"]) if self._meta["shape"] is not None else None
+        return self._shape
 
     @property
     def dtype(self) -> np.dtype:
@@ -320,10 +348,7 @@ class StoreSnapshot:
 
     @property
     def chunk_shape(self) -> Optional[Tuple[int, ...]]:
-        chunk = self._meta["chunk_shape"]
-        if chunk is None or np.isscalar(chunk):
-            return None
-        return tuple(chunk)
+        return self._chunk_shape
 
     @property
     def error_bound(self) -> float:
@@ -377,12 +402,14 @@ class StoreSnapshot:
 
     # -- geometry --------------------------------------------------------
     def _grid_strides(self) -> List[int]:
-        strides: List[int] = []
-        stride = 1
-        for count in reversed(self.grid_shape):
-            strides.append(stride)
-            stride *= count
-        return list(reversed(strides))
+        if self._strides is None:
+            strides: List[int] = []
+            stride = 1
+            for count in reversed(self.grid_shape):
+                strides.append(stride)
+                stride *= count
+            self._strides = list(reversed(strides))
+        return self._strides
 
     def linear_index(self, grid_index: Tuple[int, ...]) -> int:
         return sum(i * s for i, s in zip(grid_index, self._grid_strides()))
@@ -392,11 +419,9 @@ class StoreSnapshot:
     ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Array-space ``(offset, extent)`` of the chunk at ``grid_index``."""
 
-        shape, chunk_shape = self.shape, self.chunk_shape
-        offset = tuple(i * e for i, e in zip(grid_index, chunk_shape))
-        extent = tuple(
-            min(e, s - o) for e, s, o in zip(chunk_shape, shape, offset)
-        )
+        shape, chunk_shape = self._shape, self._chunk_shape
+        offset = tuple([i * e for i, e in zip(grid_index, chunk_shape)])
+        extent = tuple([min(e, s - o) for e, s, o in zip(chunk_shape, shape, offset)])
         return offset, extent
 
     def normalize_region(self, region) -> Tuple[List[Tuple[int, int]], List[int]]:
@@ -487,368 +512,164 @@ class StoreSnapshot:
         (at most one extra standalone decode per axis — reads stay
         partial, never cascading further).
 
+        The read is a :class:`~repro.utils.schedule.TilePlan` over the
+        decodes it needs (:meth:`_read_plan`): anchors in wave 0, halo
+        chunks in wave 1, each decoded into one slot of a scratch array
+        and assembled from there.  ``parallel`` runs the waves over a
+        worker pool (process workers share the scratch segment); the
+        output is bit-identical to a serial read, because halo planes and
+        entropy contexts do not depend on the schedule.
+
         ``chunk_cache`` optionally supplies a shared decoded-chunk cache
         (:class:`repro.serve.cache.HotChunkCache`); hits skip both the
-        payload read and the decode.  Returns ``(values, report)``.
-
-        ``parallel`` opts into the two-wave parallel decode (see
-        :meth:`_read_parallel`); it requires a process pool with working
-        shared memory and is mutually exclusive with ``chunk_cache``
-        (the serve layer's hot path keeps the serial decoder) — either
-        condition failing falls back to the serial path, whose output is
-        bit-identical anyway.
+        payload read and the decode.  A read with a cache stays serial:
+        the serve hot path owns its cache accounting.  Returns
+        ``(values, report)``.
         """
 
-        if use_shared_arrays(parallel) and chunk_cache is None:
-            return self._read_parallel(region, parallel)
-
         bounds, drop_axes = self.normalize_region(region)
-        shape = self.shape
-        grid_strides = self._grid_strides()
-
-        out = np.empty(
-            tuple(stop - start for start, stop in bounds), dtype=self.dtype
-        )
-
-        # Decode caches: payloads of standalone chunks are shared by byte
-        # range (dedup — identical payload bytes determine both the values
-        # and the derived entropy context), halo chunks are keyed by grid
-        # position (identical payloads under different halos decode
-        # differently).
-        payload_cache: Dict[Tuple[int, int, str, Tuple[int, ...]], tuple] = {}
-        values_cache: Dict[int, np.ndarray] = {}
-        context_cache: Dict[int, object] = {}
-        decodes = 0
-        cache_hits = 0
+        grid_indices = self.intersecting_chunks(bounds)
+        plan, slot_of, linears = self._read_plan(grid_indices)
+        if chunk_cache is not None:
+            parallel = None
+        options_of = self._meta.get("compressor_options", {})
+        dtype = str(self.dtype)
         # Everything the decode depends on besides the payload bytes; part
         # of the shared-cache key so two stores serving byte-identical
         # chunks under different bounds/options never alias.
         decode_config = (
             float(self.error_bound),
-            str(self.dtype),
-            repr(
-                sorted(
-                    (k, sorted(v.items()))
-                    for k, v in self._meta.get("compressor_options", {}).items()
-                )
-            ),
+            dtype,
+            repr(sorted((k, sorted(v.items())) for k, v in options_of.items())),
         )
+        error_bound, halo_store = self.error_bound, self.halo
+        # Hot-cache hits keep the cached array; only anchors a halo chunk
+        # borrows from are also copied into the scratch array.
+        resolved: Dict[int, np.ndarray] = {}
+        borrowed = plan.dependent_counts()
+        out = np.empty(tuple(stop - start for start, stop in bounds), dtype=self.dtype)
 
-        def decode_at(handle, grid_index, want_context=False):
-            nonlocal decodes, cache_hits
-            linear = sum(i * s for i, s in zip(grid_index, grid_strides))
-            record = self._index[linear]
-            is_halo, axes_mask, ref_axis = parse_halo_flags(record.flags)
-            # In a halo store, anchors double as entropy-context references;
-            # deriving the context during the first decode (one histogram
-            # pass) avoids a second payload decode if a neighbour needs it.
-            if self.halo and not is_halo:
-                want_context = True
-            if linear in values_cache and (
-                not want_context or linear in context_cache
-            ):
-                return values_cache[linear]
-            _, chunk_extent = self.chunk_box(grid_index)
-            halo = None
-            if is_halo:
-                planes: List[Optional[np.ndarray]] = [None] * len(shape)
-                for axis in range(len(shape)):
-                    if not axes_mask & (1 << axis):
-                        continue
-                    if grid_index[axis] == 0:
-                        raise StoreCorruptionError(
-                            f"halo chunk at grid {grid_index} references a "
-                            f"neighbour beyond the array edge (axis {axis})"
-                        )
-                    neighbour = tuple(
-                        g - 1 if a == axis else g
-                        for a, g in enumerate(grid_index)
-                    )
-                    n_linear = sum(
-                        i * s for i, s in zip(neighbour, grid_strides)
-                    )
-                    if self._index[n_linear].flags:
-                        raise StoreCorruptionError(
-                            f"halo chunk at grid {grid_index} references the "
-                            f"non-anchor chunk at grid {neighbour}"
-                        )
-                    n_values = decode_at(
-                        handle, neighbour, want_context=(axis == ref_axis)
-                    )
-                    planes[axis] = np.ascontiguousarray(
-                        np.take(n_values, -1, axis=axis)
-                    )
-                context = None
-                if ref_axis is not None:
-                    neighbour = tuple(
-                        g - 1 if a == ref_axis else g
-                        for a, g in enumerate(grid_index)
-                    )
-                    n_linear = sum(
-                        i * s for i, s in zip(neighbour, grid_strides)
-                    )
-                    if n_linear not in context_cache:
-                        decode_at(handle, neighbour, want_context=True)
-                    context = context_cache.get(n_linear)
-                halo = TileHalo.build(planes, context)
-            else:
-                # Standalone payloads dedup by byte range; a cached entry
-                # is reusable for a context-needing caller only when its
-                # context was derived too.
-                key = (record.offset, record.length, record.codec, chunk_extent)
-                cached = payload_cache.get(key)
-                if cached is not None and (not want_context or cached[1] is not None):
-                    values_cache[linear] = cached[0]
-                    if want_context:
-                        context_cache[linear] = cached[1]
-                    return cached[0]
-
-            hot_key = None
-            if chunk_cache is not None:
-                sha1 = self.payload_sha1(linear)
-                if sha1 is not None:
-                    hot_key = (
-                        sha1,
-                        record.codec,
-                        chunk_extent,
-                        halo.digest() if halo is not None else None,
-                        decode_config,
-                    )
-                    hot = chunk_cache.get(hot_key, want_context=want_context)
-                    if hot is not None:
-                        values, context = hot
-                        cache_hits += 1
-                        values_cache[linear] = values
-                        if want_context:
-                            context_cache[linear] = context
-                        if not is_halo:
-                            key = (
-                                record.offset,
-                                record.length,
-                                record.codec,
-                                chunk_extent,
-                            )
-                            payload_cache[key] = (values, context)
-                        return values
-
-            values, context = self._decode_chunk(
-                handle, record, chunk_extent, halo=halo, want_context=want_context
-            )
-            decodes += 1
-            values_cache[linear] = values
-            if want_context:
-                context_cache[linear] = context
-            if not is_halo:
-                key = (record.offset, record.length, record.codec, chunk_extent)
-                payload_cache[key] = (values, context)
-            if hot_key is not None:
-                chunk_cache.put(hot_key, values, context)
-            return values
-
-        with self._open_data() as handle:
-            # Same C scan order as grid_offsets — the linear index into
-            # the record list depends on it.
-            grid_indices = self.intersecting_chunks(bounds)
-            for grid_index in grid_indices:
-                chunk_offset, chunk_extent = self.chunk_box(grid_index)
-                values = decode_at(handle, grid_index)
-                # Intersection of the chunk box with the requested region,
-                # in chunk-local and output coordinates.
-                src = []
-                dst = []
-                for (start, stop), o, extent in zip(bounds, chunk_offset, chunk_extent):
-                    lo = max(start, o)
-                    hi = min(stop, o + extent)
-                    src.append(slice(lo - o, hi - o))
-                    dst.append(slice(lo - start, hi - start))
-                out[tuple(dst)] = values[tuple(src)]
-
-        report = ReadReport(
-            region=tuple(bounds),
-            chunks_total=len(self._index),
-            chunks_intersecting=len(grid_indices),
-            chunks_decoded=decodes,
-            cache_hits=cache_hits,
-        )
-        if drop_axes:
-            out = out.reshape(
-                tuple(
-                    s
-                    for axis, s in enumerate(out.shape)
-                    if axis not in drop_axes
-                )
-            )
-        return out, report
-
-    def _read_parallel(
-        self, region, parallel: ParallelConfig
-    ) -> Tuple[np.ndarray, ReadReport]:
-        """Two-wave parallel region decode over a shared scratch array.
-
-        The grid-parity layout makes the halo dependency graph exactly two
-        levels deep: anchors (flags == 0) depend on nothing, halo chunks
-        depend only on anchors.  So the schedule degenerates to two waves
-        — all needed anchors decode concurrently, then all halo chunks —
-        with workers writing into one shared scratch array (a slot per
-        unique chunk) and halo workers reading their neighbours' high
-        faces straight back out of it.  Standalone chunks with dedup-shared
-        payload bytes share a slot and decode once, mirroring the serial
-        payload cache.  Output is bit-identical to the serial path: halo
-        planes and entropy contexts are schedule-independent.
-        """
-
-        bounds, drop_axes = self.normalize_region(region)
-        shape = self.shape
-        chunk_shape = self.chunk_shape
-        grid_indices = self.intersecting_chunks(bounds)
-
-        # Needed set = intersecting chunks plus their anchor dependencies;
-        # unique standalone payloads share a slot.
-        slot_of: Dict[Tuple[int, ...], int] = {}
-        payload_slot: Dict[tuple, int] = {}
-        slot_grids: List[Tuple[int, ...]] = []
-        ordered: List[Tuple[int, ...]] = []
-        seen = set()
-        for grid_index in grid_indices:
-            for dep in self.halo_dependencies(grid_index) + [grid_index]:
-                if dep not in seen:
-                    seen.add(dep)
-                    ordered.append(dep)
-        for grid_index in ordered:
-            record = self._index[self.linear_index(grid_index)]
-            is_halo, _, _ = parse_halo_flags(record.flags)
-            _, extent = self.chunk_box(grid_index)
-            if not is_halo:
-                key = (record.offset, record.length, record.codec, extent)
-                if key in payload_slot:
-                    slot_of[grid_index] = payload_slot[key]
-                    continue
-                payload_slot[key] = len(slot_grids)
-            slot_of[grid_index] = len(slot_grids)
-            slot_grids.append(grid_index)
-
-        options_of = self._meta.get("compressor_options", {})
-        dtype_str = str(self.dtype)
-
-        def build_task(grid_index, payload, scratch_spec, plane_specs, context,
-                       want_context):
-            record = self._index[self.linear_index(grid_index)]
-            _, extent = self.chunk_box(grid_index)
-            return (
-                payload,
-                record.codec,
-                extent,
-                self.error_bound,
-                dtype_str,
-                dict(options_of.get(record.codec, {})),
-                scratch_spec,
-                slot_of[grid_index],
-                plane_specs,
-                context,
-                want_context,
+        with WaveExecutor(
+            plan,
+            parallel,
+            wave_span="store.decode_wave",
+            tile_span="store.decode_chunk",
+            category="store",
+        ) as executor, self._open_data() as handle:
+            sink, scratch = executor.allocate(
+                (len(plan.tiles),) + tuple(self.chunk_shape), self.dtype
             )
 
-        wave0 = []
-        wave1 = []
-        for grid_index in slot_grids:
-            record = self._index[self.linear_index(grid_index)]
-            is_halo, _, _ = parse_halo_flags(record.flags)
-            (wave1 if is_halo else wave0).append(grid_index)
-
-        out = np.empty(
-            tuple(stop - start for start, stop in bounds), dtype=self.dtype
-        )
-        contexts: Dict[int, object] = {}
-        with SharedArraySession() as session, WorkerPool(parallel) as pool:
-            scratch_spec, scratch = session.allocate(
-                (len(slot_grids),) + tuple(chunk_shape), self.dtype
-            )
-            with self._open_data() as handle, obs_span(
-                "store.read.parallel",
-                "store",
-                chunks=len(slot_grids),
-                anchors=len(wave0),
-                halo=len(wave1),
-            ):
-                tasks = []
-                for grid_index in wave0:
-                    record = self._index[self.linear_index(grid_index)]
-                    payload = self._read_payload(handle, record)
+            def build(slot: int, tile: PlanTile) -> _ChunkDecode:
+                planes = None
+                if tile.planes:
+                    planes = tuple(
+                        None
+                        if dep is None
+                        else _high_face(dep, plan.tiles[dep].extent, axis)
+                        for axis, dep in enumerate(tile.planes)
+                    )
+                record = self._index[linears[slot]]
+                read = partial(self._read_payload, handle, record)
+                codec = record.codec
+                return _ChunkDecode(
+                    payload=read() if executor.pooled else read,
+                    codec=codec,
+                    extent=tile.extent,
+                    error_bound=error_bound,
+                    dtype=dtype,
+                    options=dict(options_of.get(codec, {})),
+                    sink=sink,
+                    slot=slot,
+                    planes=planes,
+                    context=None if tile.context is None else executor.results[tile.context],
                     # Anchors double as entropy-context references in a
                     # halo store; deriving the context in the same decode
-                    # avoids a second pass (the serial path's heuristic).
-                    tasks.append(
-                        build_task(
-                            grid_index, payload, scratch_spec, None, None,
-                            self.halo,
-                        )
-                    )
-                with obs_span("store.decode_wave", "store", wave=0, chunks=len(tasks)):
-                    for slot, context in pool.map(_decode_chunk_shm, tasks):
-                        contexts[slot] = context
+                    # avoids a second pass when a halo chunk needs it.
+                    want_context=halo_store and not tile.planes,
+                )
 
-                tasks = []
-                for grid_index in wave1:
-                    record = self._index[self.linear_index(grid_index)]
-                    _, axes_mask, ref_axis = parse_halo_flags(record.flags)
-                    plane_specs: List[Optional[tuple]] = [None] * len(shape)
-                    for axis in range(len(shape)):
-                        if not axes_mask & (1 << axis):
+            def hot(tasks, compute):
+                results = [None] * len(tasks)
+                missed = []
+                for n, task in enumerate(tasks):
+                    key = None
+                    sha1 = self.payload_sha1(linears[task.slot])
+                    if sha1 is not None:
+                        halo = None
+                        if task.planes is not None:
+                            halo = TileHalo.build(
+                                [None if r is None else scratch[r] for r in task.planes],
+                                task.context,
+                            )
+                        key = (
+                            sha1,
+                            task.codec,
+                            task.extent,
+                            None if halo is None else halo.digest(),
+                            decode_config,
+                        )
+                        entry = chunk_cache.get(key, want_context=task.want_context)
+                        if entry is not None:
+                            values, results[n] = entry
+                            resolved[task.slot] = values
+                            if borrowed[task.slot]:
+                                scratch[_slot_region(task.slot, task.extent)] = values
                             continue
-                        if grid_index[axis] == 0:
-                            raise StoreCorruptionError(
-                                f"halo chunk at grid {grid_index} references a "
-                                f"neighbour beyond the array edge (axis {axis})"
-                            )
-                        neighbour = tuple(
-                            g - 1 if a == axis else g
-                            for a, g in enumerate(grid_index)
-                        )
-                        if self._index[self.linear_index(neighbour)].flags:
-                            raise StoreCorruptionError(
-                                f"halo chunk at grid {grid_index} references "
-                                f"the non-anchor chunk at grid {neighbour}"
-                            )
-                        _, n_extent = self.chunk_box(neighbour)
-                        plane_specs[axis] = (slot_of[neighbour],) + tuple(
-                            n_extent[a] - 1 if a == axis else slice(0, n_extent[a])
-                            for a in range(len(shape))
-                        )
-                    context = None
-                    if ref_axis is not None:
-                        neighbour = tuple(
-                            g - 1 if a == ref_axis else g
-                            for a, g in enumerate(grid_index)
-                        )
-                        context = contexts.get(slot_of[neighbour])
-                    payload = self._read_payload(handle, record)
-                    tasks.append(
-                        build_task(
-                            grid_index, payload, scratch_spec, plane_specs,
-                            context, False,
-                        )
-                    )
-                with obs_span("store.decode_wave", "store", wave=1, chunks=len(tasks)):
-                    pool.map(_decode_chunk_shm, tasks)
+                    missed.append((n, key))
+                fresh = compute([tasks[n] for n, _ in missed])
+                for (n, key), context in zip(missed, fresh):
+                    results[n] = context
+                    if key is not None:
+                        task = tasks[n]
+                        values = scratch[_slot_region(task.slot, task.extent)].copy()
+                        chunk_cache.put(key, values, context)
+                return results
+
+            span = (
+                obs_span(
+                    "store.read.parallel",
+                    "store",
+                    chunks=len(plan.tiles),
+                    anchors=sum(1 for tile in plan.tiles if not tile.planes),
+                    halo=sum(1 for tile in plan.tiles if tile.planes),
+                )
+                if executor.pooled
+                else nullcontext()
+            )
+            with span:
+                executor.run_waves(
+                    _decode_chunk,
+                    enumerate(plan.waves()),
+                    build,
+                    memo=hot if chunk_cache is not None else None,
+                )
 
             for grid_index in grid_indices:
-                chunk_offset, chunk_extent = self.chunk_box(grid_index)
                 slot = slot_of[grid_index]
-                src = [slot]
+                # Intersection of the chunk box with the requested region,
+                # in chunk-local and output coordinates (a slot shared by
+                # deduplicated chunks has their common extent).
+                src = []
                 dst = []
-                for (start, stop), o, extent in zip(bounds, chunk_offset, chunk_extent):
+                for (start, stop), g, edge, extent in zip(
+                    bounds, grid_index, self.chunk_shape, plan.tiles[slot].extent
+                ):
+                    o = g * edge
                     lo = max(start, o)
                     hi = min(stop, o + extent)
                     src.append(slice(lo - o, hi - o))
                     dst.append(slice(lo - start, hi - start))
-                out[tuple(dst)] = scratch[tuple(src)]
+                values = resolved[slot] if slot in resolved else scratch[slot]
+                out[tuple(dst)] = values[tuple(src)]
             del scratch
 
         report = ReadReport(
             region=tuple(bounds),
             chunks_total=len(self._index),
             chunks_intersecting=len(grid_indices),
-            chunks_decoded=len(slot_grids),
+            chunks_decoded=len(plan.tiles) - len(resolved),
+            cache_hits=len(resolved),
         )
         if drop_axes:
             out = out.reshape(
@@ -859,6 +680,70 @@ class StoreSnapshot:
                 )
             )
         return out, report
+
+    def _read_plan(
+        self, grid_indices: List[Tuple[int, ...]]
+    ) -> Tuple[TilePlan, Dict[Tuple[int, ...], int], List[int]]:
+        """The decodes a read needs, as a plan over scratch slots.
+
+        Slots cover the intersecting chunks plus the anchors their halo
+        flags reference — at most one per axis, never further, and never
+        another halo chunk.  Standalone chunks with the same payload bytes
+        (dedup) share one slot and decode once.  Returns the plan, the
+        slot of each grid index and the index-record position of each
+        slot.
+        """
+
+        slot_of: Dict[Tuple[int, ...], int] = {}
+        shared: Dict[tuple, int] = {}
+        tiles: List[PlanTile] = []
+        linears: List[int] = []
+
+        def anchor(grid_index: Tuple[int, ...], axis: int) -> int:
+            if not 0 <= axis < len(grid_index) or grid_index[axis] == 0:
+                raise StoreCorruptionError(
+                    f"halo chunk at grid {grid_index} references a "
+                    f"neighbour beyond the array edge (axis {axis})"
+                )
+            neighbour = tuple(
+                g - 1 if a == axis else g for a, g in enumerate(grid_index)
+            )
+            if self._index[self.linear_index(neighbour)].flags:
+                raise StoreCorruptionError(
+                    f"halo chunk at grid {grid_index} references the "
+                    f"non-anchor chunk at grid {neighbour}"
+                )
+            return add(neighbour)
+
+        def add(grid_index: Tuple[int, ...]) -> int:
+            if grid_index in slot_of:
+                return slot_of[grid_index]
+            linear = self.linear_index(grid_index)
+            record = self._index[linear]
+            is_halo, axes_mask, ref_axis = parse_halo_flags(record.flags)
+            offset, extent = self.chunk_box(grid_index)
+            if is_halo:
+                planes = tuple(
+                    anchor(grid_index, axis) if axes_mask & (1 << axis) else None
+                    for axis in range(len(grid_index))
+                )
+                context = None if ref_axis is None else anchor(grid_index, ref_axis)
+                tile = PlanTile(offset, extent, planes, ref_axis, context)
+            else:
+                key = (record.offset, record.length, record.codec, extent)
+                if key in shared:
+                    slot_of[grid_index] = shared[key]
+                    return shared[key]
+                shared[key] = len(tiles)
+                tile = PlanTile(offset, extent)
+            slot_of[grid_index] = len(tiles)
+            tiles.append(tile)
+            linears.append(linear)
+            return slot_of[grid_index]
+
+        for grid_index in grid_indices:
+            add(grid_index)
+        return TilePlan(tuple(tiles)), slot_of, linears
 
     def _read_payload(self, handle, record: IndexRecord) -> bytes:
         """Read and CRC-check one chunk's payload bytes."""
@@ -876,62 +761,6 @@ class StoreSnapshot:
                 f"(codec {record.codec})"
             )
         return payload
-
-    def _decode_chunk(
-        self,
-        handle,
-        record: IndexRecord,
-        chunk_extent: Tuple[int, ...],
-        halo: Optional[TileHalo] = None,
-        want_context: bool = False,
-    ):
-        """Decode one payload; returns ``(values, entropy_context_or_None)``."""
-
-        with obs_span(
-            "store.decode_chunk", "store", codec=record.codec, nbytes=record.length
-        ):
-            return self._decode_chunk_inner(
-                handle, record, chunk_extent, halo, want_context
-            )
-
-    def _decode_chunk_inner(
-        self,
-        handle,
-        record: IndexRecord,
-        chunk_extent: Tuple[int, ...],
-        halo: Optional[TileHalo],
-        want_context: bool,
-    ):
-        payload = self._read_payload(handle, record)
-        if record.codec == RAW_CODEC:
-            expected = int(np.prod(chunk_extent)) * 8
-            if len(payload) != expected:
-                raise StoreCorruptionError(
-                    f"raw chunk payload of {len(payload)} bytes, expected {expected}"
-                )
-            values = np.frombuffer(payload, dtype="<f8").reshape(chunk_extent)
-            return np.asarray(values, dtype=self.dtype), None
-        options = self._meta.get("compressor_options", {}).get(record.codec, {})
-        codec = PressioCompressor(
-            record.codec,
-            CompressorOptions(error_bound=self.error_bound, extra=dict(options)),
-        )
-        compressed = CompressedField(
-            data=payload,
-            original_shape=chunk_extent,
-            original_dtype=self.dtype,
-            compressor=record.codec,
-            error_bound=self.error_bound,
-        )
-        if want_context:
-            values, context = codec.decompress_with_context(compressed, halo=halo)
-        else:
-            values, context = codec.decompress(compressed, halo=halo), None
-        if tuple(values.shape) != chunk_extent:
-            raise StoreCorruptionError(
-                f"chunk decoded to shape {values.shape}, expected {chunk_extent}"
-            )
-        return np.asarray(values, dtype=self.dtype), context
 
     # -- inspection ------------------------------------------------------
     def info(self) -> Dict:

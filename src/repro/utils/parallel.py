@@ -50,6 +50,8 @@ __all__ = [
     "SharedArraySession",
     "read_shared",
     "write_shared",
+    "read_region",
+    "write_region",
     "shared_memory_available",
     "use_shared_arrays",
     "start_method",
@@ -230,8 +232,8 @@ def _attach_segment(name: str):
 def shared_memory_available() -> bool:
     """Whether :mod:`multiprocessing.shared_memory` works here (probed once).
 
-    False on platforms without a usable shared-memory filesystem; callers
-    fall back to the pickle path.
+    False on platforms without a usable shared-memory filesystem; tiled
+    runs then stay serial (see :class:`repro.utils.schedule.WaveExecutor`).
     """
 
     global _shared_memory_probe
@@ -251,7 +253,7 @@ def use_shared_arrays(config: Optional[ParallelConfig]) -> bool:
 
     True only for real process pools (``workers > 1``) with working shared
     memory: serial runs and thread pools see the caller's memory directly,
-    and a platform without shared memory keeps the pickle fallback.
+    and a platform without shared memory runs tiled work serially.
     """
 
     return (
@@ -260,6 +262,20 @@ def use_shared_arrays(config: Optional[ParallelConfig]) -> bool:
         and config.use_processes
         and shared_memory_available()
     )
+
+
+def _close_segment(segment) -> None:
+    try:
+        segment.close()
+    except BufferError:
+        # A view into the segment is still alive in this process; the
+        # mapping is released when the view is collected.  The unlink
+        # below still removes the /dev/shm entry.
+        pass
+    try:
+        segment.unlink()
+    except FileNotFoundError:
+        pass
 
 
 @dataclass(frozen=True)
@@ -320,22 +336,21 @@ class SharedArraySession:
         return spec
 
     # -- lifecycle -------------------------------------------------------
+    def release(self, spec: SharedArraySpec) -> None:
+        """Close and unlink one segment before the session ends."""
+
+        for segment in self._segments:
+            if segment.name == spec.name:
+                self._segments.remove(segment)
+                _close_segment(segment)
+                return
+
     def close(self) -> None:
         """Close and unlink every segment this session created."""
 
         segments, self._segments = self._segments, []
         for segment in segments:
-            try:
-                segment.close()
-            except BufferError:
-                # A view into the segment is still alive in this process;
-                # the mapping is released when the view is collected.  The
-                # unlink below still removes the /dev/shm entry.
-                pass
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
+            _close_segment(segment)
 
     def __enter__(self) -> "SharedArraySession":
         return self
@@ -380,3 +395,25 @@ def write_shared(spec: SharedArraySpec, region, values: np.ndarray) -> None:
         del view
     finally:
         segment.close()
+
+
+def read_region(source, region) -> np.ndarray:
+    """``region`` of a task source, C-contiguous.
+
+    ``source`` is a :class:`SharedArraySpec` (process workers: the region
+    is copied out of the segment) or the in-process array itself (serial
+    runs and thread workers, which share the caller's memory).
+    """
+
+    if isinstance(source, SharedArraySpec):
+        return read_shared(source, region)
+    return np.ascontiguousarray(source[region])
+
+
+def write_region(sink, region, values: np.ndarray) -> None:
+    """Write ``values`` into ``region`` of a task sink (spec or array)."""
+
+    if isinstance(sink, SharedArraySpec):
+        write_shared(sink, region, values)
+    else:
+        sink[region] = values

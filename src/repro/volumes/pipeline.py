@@ -9,12 +9,14 @@ around them:
   tiles may be smaller — the compressors pad internally), so a volume far
   larger than memory-friendly working sets streams through the codec one
   tile at a time;
-* :func:`compress_volume` runs the tiles through a compressor — optionally
-  over a :class:`repro.utils.parallel.ParallelConfig` process pool — and
-  memoizes per-tile results in the shared
+* :func:`compress_volume` runs the tiles of the volume's
+  :class:`~repro.utils.schedule.TilePlan` through a compressor on a
+  :class:`~repro.utils.schedule.WaveExecutor` — inline, or over a
+  :class:`repro.utils.parallel.ParallelConfig` pool — and memoizes
+  per-tile results in the shared
   :class:`repro.core.pipeline.ExperimentCache` (content-hash keyed, so
   repeated tiles such as quiescent far-field regions are compressed once);
-* :func:`decompress_volume` reassembles the tiles back into the volume;
+* :func:`decompress_volume` replays the same plan into the output volume;
 * :func:`measure_volume_field` produces the same
   :class:`~repro.core.experiment.CompressionRecord` rows the 2D pipeline
   emits, with the 3D variogram range as the correlation statistic, which
@@ -22,36 +24,40 @@ around them:
   datasets transparently;
 * :func:`slice_baseline` is the paper's original slice-by-slice procedure,
   kept as the comparison baseline for the native volume path.
+
+:mod:`repro.volumes.streaming` runs the same encoder and decoder over the
+same plan grouped slab-major, one slab resident at a time.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import groupby
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.compressors.base import CompressedField
+from repro.compressors.halo import TileHalo, reconstruction_faces
 from repro.compressors.registry import make_compressor
-from repro.core.pipeline import ExperimentCache, memoized_map
+from repro.core.pipeline import ExperimentCache, memoized_map, merge_counters
 from repro.obs.metrics import REGISTRY, publish_cache_counters
-from repro.obs.trace import (
-    active_tracer,
-    span as obs_span,
-    tracing_enabled,
-    worker_capture,
-)
+from repro.obs.trace import span as obs_span
 from repro.pressio.metrics import CompressionMetrics, error_statistics
 from repro.utils.blocking import grid_offsets
-from repro.utils.parallel import (
-    ParallelConfig,
-    SharedArraySession,
-    WorkerPool,
-    read_shared,
-    use_shared_arrays,
-    write_shared,
-)
+from repro.utils.parallel import ParallelConfig, read_region, write_region
+from repro.utils.schedule import PlanTile, TilePlan, WaveExecutor
 from repro.utils.validation import ensure_ndim, ensure_positive
 
 __all__ = [
@@ -223,32 +229,35 @@ def shard_volume(
     return out
 
 
-def _compress_tile(task) -> CompressedField:
-    """Top-level worker so tile jobs pickle for process pools.
+class _EncodeTask(NamedTuple):
+    """One tile of :func:`_encode_tile`'s work."""
 
-    The reconstruction by-product is dropped: it doubles the IPC payload
-    and the pipeline decompresses on demand anyway.
+    compressor: str
+    error_bound: float
+    options: Dict
+    #: The window holding the tile: an ndarray or a SharedArraySpec.
+    source: object
+    #: The tile, in window coordinates.
+    region: Tuple[slice, ...]
+    halo_mode: bool
+    halo: Optional[TileHalo]
+
+
+def _encode_tile(task: _EncodeTask):
+    """The volume encode worker (top-level, picklable).
+
+    Returns the documented ``(compressed, faces, context)`` triple.  The
+    reconstruction is dropped — it would double the IPC payload — and in
+    halo mode only what the tile's high neighbours borrow travels back:
+    its three high faces and its entropy context.
     """
 
-    name, error_bound, options, tile = task
-    compressor = make_compressor(name, error_bound, **options)
-    return replace(compressor.compress(tile), reconstruction=None)
-
-
-def _compress_tile_halo(task):
-    """Halo-mode worker: returns the payload plus what neighbours need.
-
-    Instead of the full reconstruction (2 MB per 64^3 tile of IPC), only
-    the three high-index faces — the planes the tile's high neighbours
-    will predict from — and the tile's entropy context travel back.
-    """
-
-    from repro.compressors.halo import reconstruction_faces
-
-    name, error_bound, options, tile, halo = task
-    compressor = make_compressor(name, error_bound, **options)
+    tile = read_region(task.source, task.region)
+    compressor = make_compressor(task.compressor, task.error_bound, **task.options)
+    if not task.halo_mode:
+        return replace(compressor.compress(tile), reconstruction=None), {}, None
     if getattr(compressor, "supports_halo", False):
-        compressed = compressor.compress(tile, halo=halo, collect_context=True)
+        compressed = compressor.compress(tile, halo=task.halo, collect_context=True)
     else:
         compressed = compressor.compress(tile)
     faces = reconstruction_faces(compressed.reconstruction)
@@ -256,143 +265,263 @@ def _compress_tile_halo(task):
     return replace(compressed, reconstruction=None, entropy_context=None), faces, context
 
 
-def _compress_tile_shm(task) -> CompressedField:
-    """Zero-copy variant of :func:`_compress_tile`.
+class _DecodeTask(NamedTuple):
+    """One tile of :func:`_decode_tile`'s work."""
 
-    The task carries a :class:`~repro.utils.parallel.SharedArraySpec`
-    descriptor of the whole volume plus this tile's region; the worker
-    reads its tile straight out of the shared input segment, so the only
-    thing returned through the pickle channel is the compressed payload.
+    compressor: str
+    error_bound: float
+    compressed: CompressedField
+    #: The output window: an ndarray or a SharedArraySpec.
+    sink: object
+    region: Tuple[slice, ...]
+    #: Per-axis regions of the sink holding the halo planes; None: halo off.
+    planes: Optional[Tuple]
+    context: Optional[object]
+
+
+def _decode_tile(task: _DecodeTask):
+    """The volume decode worker (top-level, picklable).
+
+    Reads its halo planes out of the sink — its low neighbours decoded in
+    earlier waves — writes its reconstruction into it, and returns the
+    documented payload: the tile's entropy context (``None`` halo off).
     """
 
-    name, error_bound, options, spec, region = task
-    tile = read_shared(spec, region)
-    compressor = make_compressor(name, error_bound, **options)
-    return replace(compressor.compress(tile), reconstruction=None)
-
-
-def _compress_tile_halo_shm(task):
-    """Zero-copy variant of :func:`_compress_tile_halo`.
-
-    Returns the same documented ``(compressed, faces, context)`` triple;
-    only the halo planes and entropy context (small) travel in, only the
-    payload, faces and context travel back.
-    """
-
-    from repro.compressors.halo import reconstruction_faces
-
-    name, error_bound, options, spec, region, halo = task
-    tile = read_shared(spec, region)
-    compressor = make_compressor(name, error_bound, **options)
-    if getattr(compressor, "supports_halo", False):
-        compressed = compressor.compress(tile, halo=halo, collect_context=True)
+    codec = make_compressor(task.compressor, task.error_bound)
+    context = None
+    if task.planes is None:
+        values = codec.decompress(task.compressed)
     else:
-        compressed = compressor.compress(tile)
-    faces = reconstruction_faces(compressed.reconstruction)
-    context = compressed.entropy_context
-    return replace(compressed, reconstruction=None, entropy_context=None), faces, context
+        planes = [
+            None if region is None else read_region(task.sink, region)
+            for region in task.planes
+        ]
+        halo = TileHalo.build(planes, task.context)
+        if getattr(codec, "supports_halo", False):
+            values, context = codec.decompress_with_context(task.compressed, halo=halo)
+        else:
+            values = codec.decompress(task.compressed)
+    write_region(task.sink, task.region, values)
+    return context
 
 
-def _task_tile_shape(task) -> str:
-    """Display shape of a compress task, for worker span attributes."""
+def _local(tile: PlanTile, origin: Sequence[int]) -> Tuple[slice, ...]:
+    """The tile's region in a window whose corner is ``origin``."""
 
-    payload = task[3]
-    if isinstance(payload, np.ndarray):
-        return repr(payload.shape)
-    region = task[4]
-    return repr(tuple(s.stop - s.start for s in region))
+    return tuple(
+        slice(o - g, o - g + e) for o, e, g in zip(tile.offset, tile.extent, origin)
+    )
 
 
-def _compress_tile_traced(task):
-    """Traced variant of :func:`_compress_tile` (top-level, picklable).
+def _plane_below(tile: PlanTile, axis: int, origin: Sequence[int]) -> tuple:
+    """The window region of the plane just below the tile's low face."""
 
-    Returns the documented ``(compressed, span_tuples)`` payload: the
-    worker records its own span capture — a fresh tracer installed for
-    the duration of the task, so the per-stage codec spans land in it —
-    and ships the capture back as picklable tuples for the submitting
-    side to adopt under its wave span.
+    return tuple(
+        o - g - 1 if a == axis else slice(o - g, o - g + e)
+        for a, (o, e, g) in enumerate(zip(tile.offset, tile.extent, origin))
+    )
+
+
+def _windows(plan: TilePlan, shape: Sequence[int], rows: int, stream: bool):
+    """``(row_start, n_rows, waves)``: the whole volume, or one per slab.
+
+    One-shot runs take the dependency-depth waves (anti-diagonals) over
+    the whole volume; streams take the slab-major waves cut at slab
+    boundaries.  Wave ids stay plan-global either way.
     """
 
-    with worker_capture() as tracer:
-        with tracer.span("volume.tile", "volume", shape=_task_tile_shape(task)):
-            result = _compress_tile(task)
-    return result, tracer.export_tuples()
+    waves = list(enumerate(plan.waves(slab_major=stream)))
+    if not stream:
+        return [(0, shape[0], waves)]
+    return [
+        (row_start, min(rows, shape[0] - row_start), list(group))
+        for row_start, group in groupby(
+            waves, key=lambda wave: plan.tiles[wave[1][0]].offset[0]
+        )
+    ]
 
 
-def _compress_tile_halo_traced(task):
-    """Traced variant of :func:`_compress_tile_halo`.
+def _encode_volume(
+    read: Callable[[int, int], np.ndarray],
+    shape: Tuple[int, int, int],
+    compressor: str,
+    error_bound: float,
+    tile: Tuple[int, int, int],
+    compressor_options: Optional[Dict],
+    parallel: Optional[ParallelConfig],
+    cache: Union[ExperimentCache, bool, None],
+    halo: bool,
+    *,
+    stream: bool,
+) -> CompressedVolume:
+    """Compress a volume window by window: whole (one-shot) or per slab.
 
-    Returns ``((compressed, faces, context), span_tuples)`` — the halo
-    worker's documented triple plus the worker-side span capture.
+    ``read(row_start, rows)`` returns a window's rows.  Memo keys are the
+    same in both modes, so streams and one-shot calls share the tile
+    cache; a window is released before the next one is read, so a
+    stream's peak holds one slab.
     """
 
-    with worker_capture() as tracer:
-        with tracer.span("volume.tile", "volume", shape=_task_tile_shape(task)):
-            result = _compress_tile_halo(task)
-    return result, tracer.export_tuples()
+    ensure_positive(error_bound, "error_bound")
+    options = dict(compressor_options or {})
+    if cache is None or cache is True:
+        cache = _VOLUME_CACHE
+    elif cache is False:
+        cache = None
+    config_key = f"{compressor}:{error_bound!r}:{sorted(options.items())!r}"
+    began = time.perf_counter()
+    plan = TilePlan.wavefront(shape, tile, halo=halo)
+    windows = _windows(plan, shape, tile[0], stream)
+    payloads: List[Optional[CompressedField]] = [None] * len(plan.tiles)
+    counters: Optional[Dict[str, int]] = None
+
+    def done(index: int, result) -> None:
+        payloads[index] = result[0]
+
+    with WaveExecutor(plan, parallel) as executor, obs_span(
+        "volume.compress.stream" if stream else "volume.compress",
+        "volume",
+        compressor=compressor,
+        tiles=len(plan.tiles),
+        halo=halo,
+        slabs=len(windows),
+        zero_copy=executor.zero_copy,
+    ):
+
+        def run_window(row_start: int, rows: int, waves) -> None:
+            window = read(row_start, rows)
+            source = executor.share(window)
+            origin = (row_start, 0, 0)
+
+            def build(index: int, plan_tile: PlanTile) -> _EncodeTask:
+                tile_halo = None
+                if halo:
+                    borrowed = executor.results
+                    planes = [
+                        None if dep is None else borrowed[dep][1].get(axis)
+                        for axis, dep in enumerate(plan_tile.planes)
+                    ]
+                    context = (
+                        None if plan_tile.context is None else borrowed[plan_tile.context][2]
+                    )
+                    tile_halo = TileHalo.build(planes, context)
+                return _EncodeTask(
+                    compressor,
+                    error_bound,
+                    options,
+                    source,
+                    _local(plan_tile, origin),
+                    halo,
+                    tile_halo,
+                )
+
+            def key_fn(task: _EncodeTask) -> str:
+                if not halo:
+                    return ExperimentCache.key(
+                        "volume-tile", config_key, window[task.region], ""
+                    )
+                halo_key = task.halo.digest() if task.halo is not None else "-"
+                return ExperimentCache.key(
+                    "volume-tile-halo",
+                    f"{config_key}:{halo_key}",
+                    window[task.region],
+                    "",
+                )
+
+            def memo(tasks, compute):
+                nonlocal counters
+                results, wave_counters = memoized_map(tasks, key_fn, compute, cache)
+                counters = merge_counters(counters, wave_counters)
+                return results
+
+            executor.run_waves(_encode_tile, waves, build, memo=memo, done=done)
+            executor.release(source)
+
+        for row_start, rows, waves in windows:
+            run_window(row_start, rows, waves)
+
+    return _record_compress(
+        CompressedVolume(
+            shape=tuple(int(s) for s in shape),
+            tile_shape=tile,
+            compressor=compressor,
+            error_bound=float(error_bound),
+            tiles=tuple(
+                VolumeTile(offset=plan_tile.offset, compressed=payload)
+                for plan_tile, payload in zip(plan.tiles, payloads)
+            ),
+            cache_counters=counters,
+            halo=halo,
+        ),
+        began,
+    )
 
 
-def _compress_tile_shm_traced(task):
-    """Traced variant of :func:`_compress_tile_shm`.
+def _decode_volume(
+    compressed: CompressedVolume,
+    parallel: Optional[ParallelConfig],
+    *,
+    stream: bool,
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Decode a volume window by window: whole (one-shot) or per slab.
 
-    Same ``(compressed, span_tuples)`` contract as
-    :func:`_compress_tile_traced` — span adoption is independent of how
-    the tile bytes crossed the process boundary.
+    Yields ``(row_start, values)``.  A later slab's window starts one row
+    early and holds the previous slab's last row — the axis-0 halo planes
+    of its tiles — so a stream keeps one slab plus one boundary row.
     """
 
-    with worker_capture() as tracer:
-        with tracer.span("volume.tile", "volume", shape=_task_tile_shape(task)):
-            result = _compress_tile_shm(task)
-    return result, tracer.export_tuples()
+    shape = compressed.shape
+    plan = TilePlan.wavefront(shape, compressed.tile_shape, halo=compressed.halo)
+    payloads = {tile.offset: tile.compressed for tile in compressed.tiles}
 
+    with WaveExecutor(plan, parallel, tile_span="volume.tile.decode") as executor:
 
-def _compress_tile_halo_shm_traced(task):
-    """Traced variant of :func:`_compress_tile_halo_shm`.
+        def run_window(row_start: int, rows: int, waves, carry) -> np.ndarray:
+            lead = 0 if carry is None else 1
+            origin = (row_start - lead, 0, 0)
+            sink, view = executor.allocate((rows + lead,) + tuple(shape[1:]), np.float64)
+            if carry is not None:
+                view[0] = carry
 
-    Returns ``((compressed, faces, context), span_tuples)``.
-    """
+            def build(index: int, tile: PlanTile) -> _DecodeTask:
+                planes = None
+                if compressed.halo:
+                    planes = tuple(
+                        None if dep is None else _plane_below(tile, axis, origin)
+                        for axis, dep in enumerate(tile.planes)
+                    )
+                return _DecodeTask(
+                    compressed.compressor,
+                    compressed.error_bound,
+                    payloads[tile.offset],
+                    sink,
+                    _local(tile, origin),
+                    planes,
+                    None if tile.context is None else executor.results[tile.context],
+                )
 
-    with worker_capture() as tracer:
-        with tracer.span("volume.tile", "volume", shape=_task_tile_shape(task)):
-            result = _compress_tile_halo_shm(task)
-    return result, tracer.export_tuples()
+            with obs_span(
+                "volume.decompress",
+                "volume",
+                compressor=compressed.compressor,
+                tiles=sum(len(indices) for _, indices in waves),
+                halo=compressed.halo,
+                zero_copy=executor.zero_copy,
+            ):
+                executor.run_waves(_decode_tile, waves, build)
+            values = view[lead:].copy() if executor.zero_copy else view[lead:]
+            del view
+            executor.release(sink)
+            return values
 
-
-def _run_traced_workers(worker, tasks, pool: WorkerPool, wave: int):
-    """Run traced tile workers and adopt their span captures.
-
-    Workers return ``(result, span_tuples)``; each capture is merged into
-    the active tracer as soon as the batch returns — re-parented under
-    the caller's current (wave) span, one display lane per tile — so the
-    caller, and the memo cache behind it, only ever see the bare results.
-    """
-
-    tracer = active_tracer()
-    submit = time.perf_counter()
-    payloads = pool.map(worker, tasks)
-    results = []
-    for index, (result, tuples) in enumerate(payloads):
-        if tracer is not None:
-            tracer.adopt(
-                tuples, lane=f"wave{wave}.tile{index}", submit_time=submit
-            )
-        results.append(result)
-    return results
-
-
-def _reference_axis(offset: Tuple[int, ...]) -> Optional[int]:
-    """Deterministic choice of the context reference neighbour's axis.
-
-    The highest axis with a low neighbour wins (the fastest-varying axis
-    — the most recently compressed neighbour in scan order); ``None`` for
-    the origin tile.  Encoder and decoder derive the same rule, so the
-    choice is never serialised.
-    """
-
-    for axis in range(len(offset) - 1, -1, -1):
-        if offset[axis] > 0:
-            return axis
-    return None
+        carry = None
+        for row_start, rows, waves in _windows(
+            plan, shape, compressed.tile_shape[0], stream
+        ):
+            values = run_window(row_start, rows, waves, carry)
+            if stream and compressed.halo:
+                carry = values[-1].copy()
+            yield row_start, values
 
 
 def compress_volume(
@@ -414,6 +543,11 @@ def compress_volume(
     their content hash plus the (compressor, bound, options) configuration,
     so byte-identical tiles — constant or repeated regions — compress once.
 
+    ``parallel`` runs each wave's tiles over a worker pool: threads read
+    the volume directly, process workers read it from one shared-memory
+    segment (a platform without shared memory compresses serially).  The
+    bytes never depend on the schedule.
+
     ``halo=True`` turns on halo-aware tiling: tiles are scheduled in
     wavefront order (anti-diagonals of the tile grid — every tile's
     low-face neighbours belong to an earlier wave, tiles within a wave
@@ -422,378 +556,23 @@ def compress_volume(
     reconstructed faces and entropy context.  This recovers the cross-tile
     correlation and entropy-coder amortisation that independent tiles
     lose; the tiles are then only decodable through
-    :func:`decompress_volume`'s matching wavefront replay.  Memo keys
-    include the halo digest, so halo tiles never alias halo-off results.
+    :func:`decompress_volume`'s matching replay.  Memo keys include the
+    halo digest, so halo tiles never alias halo-off results.
     """
 
     vol = _check_volume(volume)
-    ensure_positive(error_bound, "error_bound")
-    tile = _check_tile_shape(tile_shape)
-    options = dict(compressor_options or {})
-    if cache is None or cache is True:
-        cache = _VOLUME_CACHE
-    elif cache is False:
-        cache = None
-
-    config_key = f"{compressor}:{error_bound!r}:{sorted(options.items())!r}"
-    shards = shard_volume(vol, tile)
-    began = time.perf_counter()
-
-    # Zero-copy path: the volume is shared once, and worker tasks carry a
-    # (spec, region) descriptor instead of the tile bytes.  The session
-    # guarantees the segment is unlinked on every exit path; the pool is
-    # reused across waves so halo runs pay process startup once, not once
-    # per wave.
-    with SharedArraySession() as session, WorkerPool(parallel) as pool:
-        vol_spec = session.share(vol) if use_shared_arrays(parallel) else None
-
-        with obs_span(
-            "volume.compress",
-            "volume",
-            compressor=compressor,
-            tiles=len(shards),
-            halo=halo,
-            zero_copy=vol_spec is not None,
-        ):
-            if halo:
-                tiles, cache_counters = _compress_volume_halo(
-                    shards, tile, compressor, error_bound, options, config_key,
-                    pool, cache, vol_spec,
-                )
-                return _record_compress(
-                    CompressedVolume(
-                        shape=tuple(vol.shape),
-                        tile_shape=tile,
-                        compressor=compressor,
-                        error_bound=float(error_bound),
-                        tiles=tiles,
-                        cache_counters=cache_counters,
-                        halo=True,
-                    ),
-                    began,
-                )
-
-            def key_fn(shard) -> str:
-                return ExperimentCache.key("volume-tile", config_key, shard[1], "")
-
-            def compute_many(pending) -> List[CompressedField]:
-                if vol_spec is not None:
-                    tasks = [
-                        (
-                            compressor,
-                            error_bound,
-                            options,
-                            vol_spec,
-                            _tile_region(offset, tile_values.shape),
-                        )
-                        for offset, tile_values in pending
-                    ]
-                    worker, traced = _compress_tile_shm, _compress_tile_shm_traced
-                else:
-                    tasks = [
-                        (compressor, error_bound, options, tile_values)
-                        for _, tile_values in pending
-                    ]
-                    worker, traced = _compress_tile, _compress_tile_traced
-                if tracing_enabled():
-                    return _run_traced_workers(traced, tasks, pool, wave=0)
-                return pool.map(worker, tasks)
-
-            # The non-halo grid is one single independent batch — traced as
-            # wave 0 so halo-off traces show the same wave/tile hierarchy.
-            with obs_span("volume.wave", "volume", wave=0, tiles=len(shards)):
-                results, cache_counters = memoized_map(
-                    shards, key_fn, compute_many, cache
-                )
-
-            tiles = tuple(
-                VolumeTile(offset=offset, compressed=results[idx])
-                for idx, (offset, _) in enumerate(shards)
-            )
-            return _record_compress(
-                CompressedVolume(
-                    shape=tuple(vol.shape),
-                    tile_shape=tile,
-                    compressor=compressor,
-                    error_bound=float(error_bound),
-                    tiles=tiles,
-                    cache_counters=cache_counters,
-                ),
-                began,
-            )
-
-
-def _tile_region(offset: Sequence[int], extent: Sequence[int]):
-    """The output-array region a tile at ``offset`` with ``extent`` covers."""
-
-    return tuple(
-        slice(start, start + length) for start, length in zip(offset, extent)
+    return _encode_volume(
+        lambda row_start, rows: vol,
+        vol.shape,
+        compressor,
+        error_bound,
+        _check_tile_shape(tile_shape),
+        compressor_options,
+        parallel,
+        cache,
+        halo,
+        stream=False,
     )
-
-
-def _compress_volume_halo(
-    shards,
-    tile: Tuple[int, int, int],
-    compressor: str,
-    error_bound: float,
-    options: Dict,
-    config_key: str,
-    pool: WorkerPool,
-    cache: Optional[ExperimentCache],
-    vol_spec=None,
-):
-    """Wavefront-ordered halo compression over the sharded tiles.
-
-    ``vol_spec`` (a :class:`~repro.utils.parallel.SharedArraySpec` of the
-    whole volume) switches the tile workers to the zero-copy descriptor
-    protocol; ``None`` keeps the pickle path.
-    """
-
-    from repro.compressors.halo import TileHalo
-
-    by_offset: Dict[Tuple[int, int, int], int] = {
-        offset: idx for idx, (offset, _) in enumerate(shards)
-    }
-    waves: Dict[int, List[int]] = {}
-    for idx, (offset, _) in enumerate(shards):
-        wave = sum(o // t for o, t in zip(offset, tile))
-        waves.setdefault(wave, []).append(idx)
-
-    faces: Dict[Tuple[int, int, int], Dict[int, np.ndarray]] = {}
-    contexts: Dict[Tuple[int, int, int], Optional[object]] = {}
-    results: List[Optional[CompressedField]] = [None] * len(shards)
-    total_counters: Optional[Dict[str, int]] = None
-
-    for wave in sorted(waves):
-        indices = waves[wave]
-        halos: List[Optional[TileHalo]] = []
-        for idx in indices:
-            offset, _ = shards[idx]
-            planes: List[Optional[np.ndarray]] = []
-            for axis in range(3):
-                if offset[axis] > 0:
-                    neighbour = list(offset)
-                    neighbour[axis] -= tile[axis]
-                    planes.append(faces[tuple(neighbour)].get(axis))
-                else:
-                    planes.append(None)
-            ref_axis = _reference_axis(tuple(o // t for o, t in zip(offset, tile)))
-            context = None
-            if ref_axis is not None:
-                neighbour = list(offset)
-                neighbour[ref_axis] -= tile[ref_axis]
-                context = contexts[tuple(neighbour)]
-            halos.append(TileHalo.build(planes, context))
-
-        items = [(shards[idx][0], shards[idx][1], halo) for idx, halo in zip(indices, halos)]
-
-        def key_fn(item) -> str:
-            _, tile_values, halo = item
-            halo_key = halo.digest() if halo is not None else "-"
-            return ExperimentCache.key(
-                "volume-tile-halo", f"{config_key}:{halo_key}", tile_values, ""
-            )
-
-        def compute_many(pending):
-            if vol_spec is not None:
-                tasks = [
-                    (
-                        compressor,
-                        error_bound,
-                        options,
-                        vol_spec,
-                        _tile_region(offset, tile_values.shape),
-                        halo,
-                    )
-                    for offset, tile_values, halo in pending
-                ]
-                worker, traced = (
-                    _compress_tile_halo_shm,
-                    _compress_tile_halo_shm_traced,
-                )
-            else:
-                tasks = [
-                    (compressor, error_bound, options, tile_values, halo)
-                    for _, tile_values, halo in pending
-                ]
-                worker, traced = _compress_tile_halo, _compress_tile_halo_traced
-            if tracing_enabled():
-                return _run_traced_workers(traced, tasks, pool, wave=wave)
-            return pool.map(worker, tasks)
-
-        with obs_span("volume.wave", "volume", wave=wave, tiles=len(indices)):
-            wave_results, counters = memoized_map(
-                items, key_fn, compute_many, cache
-            )
-        if counters is not None:
-            total_counters = total_counters or {}
-            for key, value in counters.items():
-                total_counters[key] = total_counters.get(key, 0) + value
-        for idx, (compressed, tile_faces, context) in zip(indices, wave_results):
-            offset, _ = shards[idx]
-            results[idx] = compressed
-            faces[offset] = tile_faces
-            contexts[offset] = context
-
-    tiles = tuple(
-        VolumeTile(offset=offset, compressed=results[idx])
-        for idx, (offset, _) in enumerate(shards)
-    )
-    return tiles, total_counters
-
-
-def _decode_tile_shm(task):
-    """Zero-copy decode worker (top-level, picklable).
-
-    The task carries the compressed tile plus a
-    :class:`~repro.utils.parallel.SharedArraySpec` of the shared *output*
-    volume: halo neighbour planes are read straight out of it (lower
-    waves are complete by the wavefront invariant) and the reconstruction
-    is written straight back into it.  The documented return payload is
-    ``(shape, entropy_context)`` — the only bytes that ride the pickle
-    channel.
-    """
-
-    from repro.compressors.halo import TileHalo
-
-    name, error_bound, tile_compressed, out_spec, offset, plane_regions, context = task
-    codec = make_compressor(name, error_bound)
-    if plane_regions is not None:
-        planes = [
-            read_shared(out_spec, region) if region is not None else None
-            for region in plane_regions
-        ]
-        halo = TileHalo.build(planes, context)
-        if getattr(codec, "supports_halo", False):
-            values, own_context = codec.decompress_with_context(
-                tile_compressed, halo=halo
-            )
-        else:
-            values, own_context = codec.decompress(tile_compressed), None
-    else:
-        values, own_context = codec.decompress(tile_compressed), None
-    write_shared(out_spec, _tile_region(offset, values.shape), values)
-    return tuple(values.shape), own_context
-
-
-def _decode_tile_shm_traced(task):
-    """Traced variant of :func:`_decode_tile_shm`.
-
-    Returns ``((shape, context), span_tuples)`` so the submitting side can
-    adopt the worker's span capture under its wave span.
-    """
-
-    with worker_capture() as tracer:
-        with tracer.span("volume.tile.decode", "volume", offset=repr(task[4])):
-            result = _decode_tile_shm(task)
-    return result, tracer.export_tuples()
-
-
-def _decode_waves(compressed: CompressedVolume) -> List[List[int]]:
-    """Tile indices grouped into anti-diagonal waves (scan order within).
-
-    For a halo volume every in-wave tile's low-face neighbours sit in
-    earlier waves (the PR 5 grid-parity invariant), so tiles of one wave
-    decode independently; a halo-off volume is a single wave of fully
-    independent tiles.
-    """
-
-    if not compressed.halo:
-        return [list(range(len(compressed.tiles)))]
-    waves: Dict[int, List[int]] = {}
-    for idx, tile in enumerate(compressed.tiles):
-        wave = sum(o // t for o, t in zip(tile.offset, compressed.tile_shape))
-        waves.setdefault(wave, []).append(idx)
-    return [waves[wave] for wave in sorted(waves)]
-
-
-def _decompress_volume_parallel(
-    compressed: CompressedVolume, parallel: ParallelConfig
-) -> np.ndarray:
-    """Parallel wavefront decode into a shared output volume.
-
-    Mirrors the compress-side wavefront: tiles of a wave are decoded
-    concurrently by workers that write reconstructions directly into one
-    shared output segment and read halo planes from it; only entropy
-    contexts (small) cross the boundary between waves.  Bit-identical to
-    the serial scan-order decode because halo planes and contexts are
-    schedule-independent.
-    """
-
-    tile_shape = compressed.tile_shape
-    contexts: Dict[Tuple[int, int, int], Optional[object]] = {}
-    with SharedArraySession() as session, WorkerPool(parallel) as pool:
-        out_spec, out_view = session.allocate(compressed.shape, np.float64)
-        waves = _decode_waves(compressed)
-        with obs_span(
-            "volume.decompress",
-            "volume",
-            compressor=compressed.compressor,
-            tiles=compressed.n_tiles,
-            halo=compressed.halo,
-            zero_copy=True,
-        ):
-            for wave, indices in enumerate(waves):
-                tasks = []
-                for idx in indices:
-                    tile = compressed.tiles[idx]
-                    offset = tile.offset
-                    plane_regions = None
-                    context = None
-                    if compressed.halo:
-                        extent = tuple(
-                            min(t, s - o)
-                            for t, s, o in zip(
-                                tile_shape, compressed.shape, offset
-                            )
-                        )
-                        plane_regions = []
-                        for axis in range(3):
-                            if offset[axis] > 0:
-                                plane_regions.append(
-                                    tuple(
-                                        offset[a] - 1
-                                        if a == axis
-                                        else slice(
-                                            offset[a], offset[a] + extent[a]
-                                        )
-                                        for a in range(3)
-                                    )
-                                )
-                            else:
-                                plane_regions.append(None)
-                        ref_axis = _reference_axis(
-                            tuple(o // t for o, t in zip(offset, tile_shape))
-                        )
-                        if ref_axis is not None:
-                            neighbour = list(offset)
-                            neighbour[ref_axis] -= tile_shape[ref_axis]
-                            context = contexts[tuple(neighbour)]
-                    tasks.append(
-                        (
-                            compressed.compressor,
-                            compressed.error_bound,
-                            tile.compressed,
-                            out_spec,
-                            offset,
-                            plane_regions,
-                            context,
-                        )
-                    )
-                with obs_span(
-                    "volume.wave", "volume", wave=wave, tiles=len(indices)
-                ):
-                    if tracing_enabled():
-                        results = _run_traced_workers(
-                            _decode_tile_shm_traced, tasks, pool, wave=wave
-                        )
-                    else:
-                        results = pool.map(_decode_tile_shm, tasks)
-                for idx, (_, own_context) in zip(indices, results):
-                    contexts[compressed.tiles[idx].offset] = own_context
-        out = out_view.copy()
-        del out_view
-    return out
 
 
 def decompress_volume(
@@ -803,78 +582,19 @@ def decompress_volume(
 ) -> np.ndarray:
     """Reassemble the volume from its compressed tiles.
 
-    Halo volumes are decoded in scan order (which visits every tile after
-    its low-face neighbours): each tile's halo planes are sliced straight
-    from the already-reconstructed output array, and entropy contexts are
-    regenerated tile by tile — bit-identical to what the encoder saw, by
-    construction.
+    Replays the compress-side plan: every halo tile decodes after its
+    low-face neighbours, slicing its halo planes straight out of the
+    output and regenerating its entropy context — bit-identical to what
+    the encoder saw, by construction.
 
-    ``parallel`` opts into the wavefront decode: tiles of each
-    anti-diagonal wave are decoded concurrently by process-pool workers
-    sharing one output segment (see :func:`_decompress_volume_parallel`).
-    It requires a process pool and working shared memory; thread configs
-    and shared-memory-less platforms fall back to the serial path, whose
-    output is bit-identical anyway.
+    ``parallel`` decodes the tiles of each anti-diagonal wave
+    concurrently: threads write into the output array, process workers
+    into one shared output segment (a platform without shared memory
+    decodes serially).  The output never depends on the schedule.
     """
 
-    if use_shared_arrays(parallel):
-        return _decompress_volume_parallel(compressed, parallel)
-
-    out = np.empty(compressed.shape, dtype=np.float64)
-    codec = make_compressor(compressed.compressor, compressed.error_bound)
-    if not compressed.halo:
-        for tile in compressed.tiles:
-            values = codec.decompress(tile.compressed)
-            region = tuple(
-                slice(start, start + length)
-                for start, length in zip(tile.offset, values.shape)
-            )
-            out[region] = values
-        return out
-
-    from repro.compressors.halo import TileHalo
-
-    tile_shape = compressed.tile_shape
-    contexts: Dict[Tuple[int, int, int], Optional[object]] = {}
-    for tile in compressed.tiles:
-        offset = tile.offset
-        extent = tuple(
-            min(t, s - o) for t, s, o in zip(tile_shape, compressed.shape, offset)
-        )
-        planes: List[Optional[np.ndarray]] = []
-        for axis in range(3):
-            if offset[axis] > 0:
-                region = tuple(
-                    offset[a] - 1
-                    if a == axis
-                    else slice(offset[a], offset[a] + extent[a])
-                    for a in range(3)
-                )
-                planes.append(np.ascontiguousarray(out[region]))
-            else:
-                planes.append(None)
-        ref_axis = _reference_axis(
-            tuple(o // t for o, t in zip(offset, tile_shape))
-        )
-        context = None
-        if ref_axis is not None:
-            neighbour = list(offset)
-            neighbour[ref_axis] -= tile_shape[ref_axis]
-            context = contexts[tuple(neighbour)]
-        halo = TileHalo.build(planes, context)
-        if getattr(codec, "supports_halo", False):
-            values, own_context = codec.decompress_with_context(
-                tile.compressed, halo=halo
-            )
-        else:
-            values, own_context = codec.decompress(tile.compressed), None
-        contexts[offset] = own_context
-        region = tuple(
-            slice(start, start + length)
-            for start, length in zip(offset, values.shape)
-        )
-        out[region] = values
-    return out
+    ((_, volume),) = _decode_volume(compressed, parallel, stream=False)
+    return volume
 
 
 def volume_metrics(

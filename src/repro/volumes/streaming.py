@@ -1,19 +1,22 @@
 """Bounded-memory streaming over the tiled volume pipeline.
 
-:func:`repro.volumes.pipeline.compress_volume` needs the whole volume (and
-its shards) resident; the paper's target snapshots are exactly the arrays
-where that is the limiting cost.  This module streams the same pipeline
-slab by slab — a slab is ``tile_shape[0]`` rows — holding at most
+:func:`repro.volumes.pipeline.compress_volume` needs the whole volume
+resident; the paper's target snapshots are exactly the arrays where that
+is the limiting cost.  This module streams the same pipeline slab by slab
+— a slab is ``tile_shape[0]`` rows — running the volume's
+:class:`~repro.utils.schedule.TilePlan` grouped slab-major: every wave of
+a slab finishes before the next slab is read, and the executor drops a
+tile's faces and context once the last tile borrowing them is built.
+Peak memory therefore holds at most
 
 * the current slab,
-* the previous slab's axis-0 halo planes (one volume cross-section), and
+* the previous slab's axis-0 halo faces (one volume cross-section), and
 * the entropy contexts the wavefront chain still needs,
 
-so peak memory is bounded by one slab working set regardless of volume
-depth.  The outputs are **bit-identical** to the one-shot pipeline: halo
-planes and entropy contexts are schedule-independent (the PR 5 grid-parity
-invariant), so re-grouping the anti-diagonal wavefront into slab-major
-order changes nothing about what each tile's encoder sees.
+regardless of volume depth.  The outputs are **bit-identical** to the
+one-shot pipeline: slab-major and anti-diagonal waves are two
+topological orders of the same plan, and halo planes and entropy
+contexts do not depend on the order.
 
 Sources are either in-memory arrays or ``.npy`` paths.  File sources are
 read with explicit per-slab ``seek`` + :func:`numpy.fromfile` rather than
@@ -24,40 +27,18 @@ them, which would defeat the memory bound this module exists to provide
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.compressors.base import CompressedField
-from repro.compressors.registry import make_compressor
-from repro.core.pipeline import ExperimentCache, memoized_map
-from repro.obs.trace import span as obs_span, tracing_enabled
-from repro.utils.parallel import (
-    ParallelConfig,
-    SharedArraySession,
-    WorkerPool,
-    use_shared_arrays,
-)
-from repro.utils.validation import ensure_positive
+from repro.core.pipeline import ExperimentCache
+from repro.utils.parallel import ParallelConfig
 from repro.volumes.pipeline import (
     DEFAULT_TILE_SHAPE,
     CompressedVolume,
-    VolumeTile,
     _check_tile_shape,
-    _compress_tile,
-    _compress_tile_halo,
-    _compress_tile_halo_shm,
-    _compress_tile_halo_shm_traced,
-    _compress_tile_halo_traced,
-    _compress_tile_shm,
-    _compress_tile_shm_traced,
-    _compress_tile_traced,
-    _record_compress,
-    _reference_axis,
-    _run_traced_workers,
-    _tile_region,
-    _VOLUME_CACHE,
+    _decode_volume,
+    _encode_volume,
 )
 
 __all__ = [
@@ -144,15 +125,6 @@ def open_slab_source(source) -> Union[_NpySlabSource, _ArraySlabSource]:
     return _NpySlabSource(source)
 
 
-def _merge_counters(total, counters):
-    if counters is None:
-        return total
-    total = total or {}
-    for key, value in counters.items():
-        total[key] = total.get(key, 0) + value
-    return total
-
-
 def compress_volume_stream(
     source,
     compressor: str = "sz",
@@ -175,246 +147,18 @@ def compress_volume_stream(
     """
 
     reader = open_slab_source(source)
-    ensure_positive(error_bound, "error_bound")
-    tile = _check_tile_shape(tile_shape)
-    options = dict(compressor_options or {})
-    if cache is None or cache is True:
-        cache = _VOLUME_CACHE
-    elif cache is False:
-        cache = None
-    config_key = f"{compressor}:{error_bound!r}:{sorted(options.items())!r}"
-    shape = reader.shape
-    began = time.perf_counter()
-
-    from repro.compressors.halo import TileHalo
-
-    tiles: List[VolumeTile] = []
-    total_counters: Optional[Dict[str, int]] = None
-    # Previous slab's axis-0 faces and the chain context the next slab's
-    # origin-column tile references — the only cross-slab state.
-    prev_faces: Dict[Tuple[int, int], np.ndarray] = {}
-    prev_origin_context: Optional[object] = None
-
-    with WorkerPool(parallel) as pool, obs_span(
-        "volume.compress.stream",
-        "volume",
-        compressor=compressor,
-        halo=halo,
-        slabs=-(-shape[0] // tile[0]),
-    ):
-        for slab_index, row_start in enumerate(range(0, shape[0], tile[0])):
-            rows = min(tile[0], shape[0] - row_start)
-            slab = reader.read(row_start, rows)
-            with SharedArraySession() as session:
-                slab_spec = (
-                    session.share(slab) if use_shared_arrays(parallel) else None
-                )
-                slab_tiles, counters, faces, context = _compress_slab(
-                    slab,
-                    slab_spec,
-                    row_start,
-                    slab_index,
-                    tile,
-                    shape,
-                    compressor,
-                    error_bound,
-                    options,
-                    config_key,
-                    pool,
-                    cache,
-                    halo,
-                    prev_faces,
-                    prev_origin_context,
-                    TileHalo,
-                )
-            tiles.extend(slab_tiles)
-            total_counters = _merge_counters(total_counters, counters)
-            prev_faces = faces
-            prev_origin_context = context
-            # Release the slab before the next read so the peak holds one
-            # slab, not two — the memory bound this module promises.
-            del slab
-
-    return _record_compress(
-        CompressedVolume(
-            shape=shape,
-            tile_shape=tile,
-            compressor=compressor,
-            error_bound=float(error_bound),
-            tiles=tuple(tiles),
-            cache_counters=total_counters,
-            halo=halo,
-        ),
-        began,
+    return _encode_volume(
+        reader.read,
+        reader.shape,
+        compressor,
+        error_bound,
+        _check_tile_shape(tile_shape),
+        compressor_options,
+        parallel,
+        cache,
+        halo,
+        stream=True,
     )
-
-
-def _compress_slab(
-    slab: np.ndarray,
-    slab_spec,
-    row_start: int,
-    slab_index: int,
-    tile: Tuple[int, int, int],
-    shape: Tuple[int, int, int],
-    compressor: str,
-    error_bound: float,
-    options: Dict,
-    config_key: str,
-    pool: WorkerPool,
-    cache: Optional[ExperimentCache],
-    halo: bool,
-    prev_faces: Dict[Tuple[int, int], np.ndarray],
-    prev_origin_context: Optional[object],
-    TileHalo,
-):
-    """One slab of the streaming compress; returns what the next slab needs.
-
-    Returns ``(tiles, counters, axis0_faces, origin_context)`` where
-    ``axis0_faces`` maps the (axis-1, axis-2) tile offset to the tile's
-    high axis-0 face and ``origin_context`` is the context of the slab's
-    (0, 0) tile — the only entropy context the next slab references
-    (every other tile's reference axis points within its own slab).
-    """
-
-    offsets2d = [
-        (j, k)
-        for j in range(0, shape[1], tile[1])
-        for k in range(0, shape[2], tile[2])
-    ]
-    results: List[Optional[CompressedField]] = [None] * len(offsets2d)
-    position = {off: idx for idx, off in enumerate(offsets2d)}
-    total_counters: Optional[Dict[str, int]] = None
-
-    def tile_values_of(j: int, k: int) -> np.ndarray:
-        return np.ascontiguousarray(
-            slab[:, j : j + tile[1], k : k + tile[2]]
-        )
-
-    if not halo:
-        items = [(off, tile_values_of(*off)) for off in offsets2d]
-
-        def key_fn(item) -> str:
-            return ExperimentCache.key("volume-tile", config_key, item[1], "")
-
-        def compute_many(pending):
-            if slab_spec is not None:
-                tasks = [
-                    (
-                        compressor,
-                        error_bound,
-                        options,
-                        slab_spec,
-                        _tile_region((0, off[0], off[1]), values.shape),
-                    )
-                    for off, values in pending
-                ]
-                worker, traced = _compress_tile_shm, _compress_tile_shm_traced
-            else:
-                tasks = [
-                    (compressor, error_bound, options, values)
-                    for _, values in pending
-                ]
-                worker, traced = _compress_tile, _compress_tile_traced
-            if tracing_enabled():
-                return _run_traced_workers(traced, tasks, pool, wave=slab_index)
-            return pool.map(worker, tasks)
-
-        with obs_span("volume.wave", "volume", wave=slab_index, tiles=len(items)):
-            wave_results, counters = memoized_map(items, key_fn, compute_many, cache)
-        total_counters = _merge_counters(total_counters, counters)
-        for idx, compressed in enumerate(wave_results):
-            results[idx] = compressed
-        tiles = [
-            VolumeTile(offset=(row_start, off[0], off[1]), compressed=results[idx])
-            for idx, off in enumerate(offsets2d)
-        ]
-        return tiles, total_counters, {}, None
-
-    # Halo: 2D wavefront over (axis-1, axis-2); axis-0 planes come from
-    # the previous slab, in-slab planes from earlier 2D waves.
-    waves2d: Dict[int, List[Tuple[int, int]]] = {}
-    for j, k in offsets2d:
-        waves2d.setdefault(j // tile[1] + k // tile[2], []).append((j, k))
-
-    slab_faces: Dict[Tuple[int, int], Dict[int, np.ndarray]] = {}
-    slab_contexts: Dict[Tuple[int, int], Optional[object]] = {}
-
-    for wave2d in sorted(waves2d):
-        wave_offsets = waves2d[wave2d]
-        items = []
-        for j, k in wave_offsets:
-            values = tile_values_of(j, k)
-            planes: List[Optional[np.ndarray]] = [
-                prev_faces.get((j, k)) if row_start > 0 else None,
-                slab_faces[(j - tile[1], k)].get(1) if j > 0 else None,
-                slab_faces[(j, k - tile[2])].get(2) if k > 0 else None,
-            ]
-            grid = (slab_index, j // tile[1], k // tile[2])
-            ref_axis = _reference_axis(grid)
-            context = None
-            if ref_axis == 2:
-                context = slab_contexts[(j, k - tile[2])]
-            elif ref_axis == 1:
-                context = slab_contexts[(j - tile[1], k)]
-            elif ref_axis == 0:
-                context = prev_origin_context
-            items.append(((j, k), values, TileHalo.build(planes, context)))
-
-        def key_fn(item) -> str:
-            _, values, tile_halo = item
-            halo_key = tile_halo.digest() if tile_halo is not None else "-"
-            return ExperimentCache.key(
-                "volume-tile-halo", f"{config_key}:{halo_key}", values, ""
-            )
-
-        def compute_many(pending):
-            if slab_spec is not None:
-                tasks = [
-                    (
-                        compressor,
-                        error_bound,
-                        options,
-                        slab_spec,
-                        _tile_region((0, off[0], off[1]), values.shape),
-                        tile_halo,
-                    )
-                    for off, values, tile_halo in pending
-                ]
-                worker, traced = (
-                    _compress_tile_halo_shm,
-                    _compress_tile_halo_shm_traced,
-                )
-            else:
-                tasks = [
-                    (compressor, error_bound, options, values, tile_halo)
-                    for _, values, tile_halo in pending
-                ]
-                worker, traced = _compress_tile_halo, _compress_tile_halo_traced
-            wave = slab_index + wave2d
-            if tracing_enabled():
-                return _run_traced_workers(traced, tasks, pool, wave=wave)
-            return pool.map(worker, tasks)
-
-        with obs_span(
-            "volume.wave", "volume", wave=slab_index + wave2d, tiles=len(items)
-        ):
-            wave_results, counters = memoized_map(items, key_fn, compute_many, cache)
-        total_counters = _merge_counters(total_counters, counters)
-        for (off, _, _), (compressed, tile_faces, context) in zip(
-            items, wave_results
-        ):
-            results[position[off]] = compressed
-            slab_faces[off] = tile_faces
-            slab_contexts[off] = context
-
-    tiles = [
-        VolumeTile(offset=(row_start, off[0], off[1]), compressed=results[idx])
-        for idx, off in enumerate(offsets2d)
-    ]
-    axis0_faces = {
-        off: faces[0] for off, faces in slab_faces.items() if 0 in faces
-    }
-    return tiles, total_counters, axis0_faces, slab_contexts.get((0, 0))
 
 
 def decompress_volume_stream(
@@ -429,82 +173,4 @@ def decompress_volume_stream(
     bit-identical to the one-shot decode.
     """
 
-    from repro.compressors.halo import TileHalo
-
-    tile_shape = compressed.tile_shape
-    shape = compressed.shape
-    codec = make_compressor(compressed.compressor, compressed.error_bound)
-    by_slab: Dict[int, List[VolumeTile]] = {}
-    for vtile in compressed.tiles:
-        by_slab.setdefault(vtile.offset[0], []).append(vtile)
-
-    # One boundary row-plane and the previous slab's origin-tile context
-    # are the only cross-slab carry.
-    prev_plane: Optional[np.ndarray] = None
-    prev_origin_context: Optional[object] = None
-
-    for row_start in sorted(by_slab):
-        rows = min(tile_shape[0], shape[0] - row_start)
-        slab = np.empty((rows, shape[1], shape[2]), dtype=np.float64)
-        contexts: Dict[Tuple[int, int], Optional[object]] = {}
-        # Scan order within the slab visits every tile after its in-slab
-        # low-face neighbours; axis-0 halo planes come from prev_plane.
-        for vtile in sorted(by_slab[row_start], key=lambda t: t.offset):
-            offset = vtile.offset
-            local = (offset[1], offset[2])
-            if not compressed.halo:
-                values = codec.decompress(vtile.compressed)
-                slab[
-                    :,
-                    offset[1] : offset[1] + values.shape[1],
-                    offset[2] : offset[2] + values.shape[2],
-                ] = values
-                continue
-            extent = tuple(
-                min(t, s - o) for t, s, o in zip(tile_shape, shape, offset)
-            )
-            planes: List[Optional[np.ndarray]] = [
-                np.ascontiguousarray(
-                    prev_plane[
-                        offset[1] : offset[1] + extent[1],
-                        offset[2] : offset[2] + extent[2],
-                    ]
-                )
-                if offset[0] > 0
-                else None,
-                np.ascontiguousarray(
-                    slab[:, offset[1] - 1, offset[2] : offset[2] + extent[2]]
-                )
-                if offset[1] > 0
-                else None,
-                np.ascontiguousarray(
-                    slab[:, offset[1] : offset[1] + extent[1], offset[2] - 1]
-                )
-                if offset[2] > 0
-                else None,
-            ]
-            grid = tuple(o // t for o, t in zip(offset, tile_shape))
-            ref_axis = _reference_axis(grid)
-            context = None
-            if ref_axis == 2:
-                context = contexts[(offset[1], offset[2] - tile_shape[2])]
-            elif ref_axis == 1:
-                context = contexts[(offset[1] - tile_shape[1], offset[2])]
-            elif ref_axis == 0:
-                context = prev_origin_context
-            halo = TileHalo.build(planes, context)
-            if getattr(codec, "supports_halo", False):
-                values, own_context = codec.decompress_with_context(
-                    vtile.compressed, halo=halo
-                )
-            else:
-                values, own_context = codec.decompress(vtile.compressed), None
-            contexts[local] = own_context
-            slab[
-                :,
-                offset[1] : offset[1] + values.shape[1],
-                offset[2] : offset[2] + values.shape[2],
-            ] = values
-        prev_plane = slab[-1].copy()
-        prev_origin_context = contexts.get((0, 0))
-        yield row_start, slab
+    yield from _decode_volume(compressed, None, stream=True)

@@ -64,6 +64,23 @@ class TestFixturePairs:
         assert good_result.exit_code == 0
 
 
+class TestExecutorWorkers:
+    """Workers reach the pool through ``WaveExecutor.run_waves`` too; its
+    first argument is checked like a ``parallel_map`` callable."""
+
+    def test_bad_fixture_fails_good_fixture_passes(self):
+        bad = lint_paths(
+            [FIXTURES / "worker_boundary_executor_bad.py"], "worker-boundary"
+        )
+        assert len(bad.unsuppressed) == 3, [
+            f"{f.line}: {f.message}" for f in bad.findings
+        ]
+        good = lint_paths(
+            [FIXTURES / "worker_boundary_executor_good.py"], "worker-boundary"
+        )
+        assert good.unsuppressed == []
+
+
 class TestDatasetsCarveOut:
     def test_seed_accepting_generator_is_exempt(self):
         result = lint_paths(

@@ -7,6 +7,9 @@ must match the serial ``decode_at`` recursion exactly."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import pathlib
 
 import numpy as np
@@ -16,6 +19,8 @@ from repro.datasets.gaussian import generate_gaussian_field
 from repro.datasets.miranda import generate_miranda_like_volume
 from repro.serve.cache import HotChunkCache
 from repro.store import ArrayStore
+from repro.store.format import StoreCorruptionError, pack_index, unpack_index
+from repro.store.snapshot import INDEX_NAME, META_NAME, RAW_CODEC
 from repro.utils.parallel import (
     ParallelConfig,
     SEGMENT_PREFIX,
@@ -71,6 +76,10 @@ class TestParity:
         assert parallel_report.chunks_decoded == serial_report.chunks_decoded
         assert _no_leaks()
 
+    def test_thread_read_matches_serial(self, store):
+        threads = ParallelConfig(workers=2, use_processes=False)
+        np.testing.assert_array_equal(store.read(parallel=threads), store.read())
+
     def test_serial_config_is_the_serial_path(self, store):
         np.testing.assert_array_equal(
             store.read(parallel=ParallelConfig(workers=1)), store.read()
@@ -124,4 +133,30 @@ class TestAppendedStore:
         np.testing.assert_array_equal(
             store.read(parallel=PARALLEL), store.read()
         )
+        assert _no_leaks()
+
+
+class TestCorruptRawChunk:
+    def test_wrong_length_raw_record_is_typed_on_both_paths(self, tmp_path):
+        # A record relabelled as an exact raw chunk keeps its payload bytes,
+        # so the CRC still matches; only the length check can catch it.
+        store = ArrayStore.create(
+            tmp_path / "raw", chunk_shape=16, codec="sz", error_bound=BOUND
+        )
+        store.write(generate_miranda_like_volume((32, 32, 32), seed=4), cache=False)
+        index_path = tmp_path / "raw" / INDEX_NAME
+        records = unpack_index(index_path.read_bytes())
+        records[0] = dataclasses.replace(records[0], codec=RAW_CODEC)
+        blob = pack_index(records)
+        index_path.write_bytes(blob)
+        meta_path = tmp_path / "raw" / META_NAME
+        meta = json.loads(meta_path.read_text())
+        meta["index_sha1"] = hashlib.sha1(blob).hexdigest()
+        meta_path.write_text(json.dumps(meta))
+
+        reopened = ArrayStore.open(tmp_path / "raw")
+        with pytest.raises(StoreCorruptionError, match="raw chunk"):
+            reopened.read()
+        with pytest.raises(StoreCorruptionError, match="raw chunk"):
+            reopened.read(parallel=PARALLEL)
         assert _no_leaks()

@@ -246,6 +246,16 @@ class TestHaloVolume:
             t.compressed.data for t in parallel.tiles
         ]
 
+    def test_thread_decode_matches_serial(self, volume):
+        compressed = compress_volume(
+            volume, "sz", 1e-3, tile_shape=(16, 16, 16), cache=False, halo=True
+        )
+        threads = ParallelConfig(workers=2, use_processes=False)
+        np.testing.assert_array_equal(
+            decompress_volume(compressed, parallel=threads),
+            decompress_volume(compressed),
+        )
+
     def test_memo_key_distinguishes_halo(self, volume):
         cache = ExperimentCache(max_entries=256)
         plain = compress_volume(
