@@ -19,7 +19,7 @@ from repro.pressio.metrics import CompressionMetrics
 from repro.stats.local import std_local_variogram_range
 from repro.stats.svd import std_local_svd_truncation
 from repro.stats.variogram_models import estimate_variogram_range
-from repro.utils.validation import ensure_2d
+from repro.utils.validation import ensure_2d, ensure_ndim
 
 __all__ = [
     "ExperimentConfig",
@@ -131,24 +131,39 @@ class CompressionRecord:
         return row
 
 
+def _fitted(statistic, *args) -> float:
+    """``statistic(*args)``, or NaN where the variogram fit is impossible."""
+
+    try:
+        return float(statistic(*args))
+    except (ValueError, RuntimeError):
+        return float("nan")
+
+
 def measure_statistics(
     field: np.ndarray, config: ExperimentConfig | None = None
 ) -> CorrelationStatistics:
-    """Compute the requested correlation statistics of one field."""
+    """Compute the requested correlation statistics of one 2D field or 3D volume.
 
-    field = ensure_2d(field, "field")
+    A variogram fit that raises ``ValueError`` or ``RuntimeError`` records
+    NaN.  The local SVD statistic has no 3D analogue and stays NaN for
+    volumes.
+    """
+
+    field = ensure_ndim(field, (2, 3), "field")
     config = config or ExperimentConfig()
+    has_windows = min(field.shape) >= config.window
 
     global_range = float("nan")
     if config.compute_global_range:
-        global_range = estimate_variogram_range(field)
+        global_range = _fitted(estimate_variogram_range, field)
 
     std_local_range = float("nan")
-    if config.compute_local_variogram and min(field.shape) >= config.window:
-        std_local_range = std_local_variogram_range(field, config.window)
+    if config.compute_local_variogram and has_windows:
+        std_local_range = _fitted(std_local_variogram_range, field, config.window)
 
     std_local_svd = float("nan")
-    if config.compute_local_svd and min(field.shape) >= config.window:
+    if config.compute_local_svd and has_windows and field.ndim == 2:
         std_local_svd = std_local_svd_truncation(field, config.window, config.svd_energy)
 
     return CorrelationStatistics(

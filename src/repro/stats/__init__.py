@@ -1,17 +1,20 @@
-"""Correlation statistics of 2D fields.
+"""Correlation statistics of 2D fields and 3D volumes.
 
 This subpackage implements the statistical toolbox the paper uses to
 characterise correlation structure:
 
 * :mod:`repro.stats.variogram` -- empirical isotropic semi-variogram
-  (Matheron estimator, paper Eq. 1), with exact pair enumeration for small
-  fields and random pair subsampling for large ones.
+  (Matheron estimator, paper Eq. 1) of a 2D field or 3D volume, by exact
+  FFT pair enumeration or (2D only) random pair subsampling.
 * :mod:`repro.stats.variogram_models` -- parametric variogram models
   (squared-exponential as in the paper, plus exponential/spherical) and
   least-squares fitting to estimate the variogram *range*.
 * :mod:`repro.stats.windows` -- tiling of a field into HxH windows.
 * :mod:`repro.stats.local` -- local (windowed) variogram ranges and their
-  standard deviation ("Std of estimated local variogram range (H=32)").
+  standard deviation ("Std of estimated local variogram range (H=32)"),
+  over HxH squares or HxHxH cubes.
+* :mod:`repro.stats.variogram3d` -- directional variograms, the anisotropy
+  ratio and 3D-only names of the variogram statistics.
 * :mod:`repro.stats.svd` -- local SVD truncation levels (number of singular
   modes capturing 99% of variance) and their standard deviation.
 * :mod:`repro.stats.entropy` -- Shannon entropy of quantized fields (the

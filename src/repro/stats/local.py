@@ -7,7 +7,7 @@ range inside every ``H x H`` window tiling the field (H = 32) and reports
 the **standard deviation of the local ranges** — "Std estimated of local
 variogram range (H=32)" — as a measure of the spatial diversity of local
 correlation.  That statistic is the x-axis of Figure 5 and the left column
-of Figure 7.
+of Figure 7.  A 3D volume is tiled into ``H x H x H`` cubes the same way.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.stats.variogram import VariogramConfig, empirical_variogram
-from repro.stats.variogram_models import fit_variogram
+from repro.stats.variogram import VariogramConfig
+from repro.stats.variogram_models import estimate_variogram_range
 from repro.stats.windows import field_windows, window_grid_shape
-from repro.utils.validation import ensure_2d, ensure_positive
 
 __all__ = ["LocalVariogramResult", "local_variogram_ranges", "std_local_variogram_range"]
 
@@ -34,8 +33,9 @@ class LocalVariogramResult:
     window:
         Window size H used for the tiling.
     ranges:
-        2D array of fitted ranges, one per complete window (NaN where the
-        fit failed or the window was degenerate, e.g. constant data).
+        Array of fitted ranges, one per complete window, with the field's
+        number of axes (NaN where the fit failed or the window was
+        degenerate, e.g. constant data).
     """
 
     window: int
@@ -80,34 +80,24 @@ def local_variogram_ranges(
 ) -> LocalVariogramResult:
     """Estimate the variogram range inside every complete ``window`` tile.
 
-    Windows whose data are (numerically) constant carry no correlation
-    information and yield NaN; they are excluded from the summary
+    ``field`` is a 2D field tiled into ``window x window`` squares or a 3D
+    volume tiled into ``window^3`` cubes.  Windows whose data are
+    (numerically) constant carry no correlation information and yield
+    NaN, as do unfittable ones; they are excluded from the summary
     statistics, mirroring how degenerate windows are dropped in practice.
     """
 
-    field = ensure_2d(field, "field")
-    ensure_positive(window, "window")
-    grid = window_grid_shape(field.shape, window)
-    if grid[0] == 0 or grid[1] == 0:
-        raise ValueError(
-            f"field shape {field.shape} has no complete {window}x{window} windows"
-        )
     if config is None:
         # Local windows are small; a max lag of half the window keeps enough
         # pairs per bin for a stable fit.
         config = VariogramConfig(max_lag=window / 2.0, bin_width=1.0)
 
-    ranges = np.full(grid, np.nan)
-    for (wi, wj), tile in field_windows(field, window):
-        tile_values = np.asarray(tile, dtype=np.float64)
-        if float(tile_values.std()) < 1e-15:
-            continue
+    ranges = np.full(window_grid_shape(np.shape(field), window), np.nan)
+    for index, tile in field_windows(field, window):
         try:
-            variogram = empirical_variogram(tile_values, config=config)
-            fitted = fit_variogram(variogram, model=model)
+            ranges[index] = estimate_variogram_range(tile, model=model, config=config)
         except (ValueError, RuntimeError):
-            continue
-        ranges[wi, wj] = fitted.range
+            pass
     return LocalVariogramResult(window=window, ranges=ranges)
 
 

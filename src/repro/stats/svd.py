@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.stats.windows import field_windows, window_grid_shape
-from repro.utils.validation import ensure_2d, ensure_positive
+from repro.utils.validation import ensure_2d
 
 __all__ = [
     "svd_truncation_level",
@@ -100,15 +100,9 @@ def local_svd_truncation_levels(
     """Compute the SVD truncation level for every complete ``window`` tile."""
 
     field = ensure_2d(field, "field")
-    ensure_positive(window, "window")
-    grid = window_grid_shape(field.shape, window)
-    if grid[0] == 0 or grid[1] == 0:
-        raise ValueError(
-            f"field shape {field.shape} has no complete {window}x{window} windows"
-        )
-    levels = np.zeros(grid, dtype=np.int64)
-    for (wi, wj), tile in field_windows(field, window):
-        levels[wi, wj] = svd_truncation_level(
+    levels = np.zeros(window_grid_shape(field.shape, window), dtype=np.int64)
+    for index, tile in field_windows(field, window):
+        levels[index] = svd_truncation_level(
             tile, energy_fraction=energy_fraction, center=center
         )
     return LocalSVDResult(window=window, energy_fraction=energy_fraction, levels=levels)

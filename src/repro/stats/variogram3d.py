@@ -1,22 +1,20 @@
-"""Directional and 3D variogram estimation.
+"""Directional variograms and the 3D names of the variogram statistics.
 
 The paper analyses 2D slices with an isotropic variogram and flags "a
-design of the statistics to a 3D context" as future work.  This module
-implements that extension:
+design of the statistics to a 3D context" as future work.  The isotropic
+estimators in :mod:`repro.stats.variogram`, :mod:`repro.stats.variogram_models`
+and :mod:`repro.stats.local` take 3D volumes directly; this module adds
 
 * :func:`directional_variogram` — semi-variograms restricted to the grid
   axes (row / column direction) of a 2D field, exposing anisotropy that
   the isotropic estimate averages away;
-* :func:`empirical_variogram_3d` — the isotropic Matheron estimator on a
-  full 3D volume, using the same FFT pair-enumeration trick as the 2D
-  estimator (three correlation volumes, offsets binned by Euclidean
-  length);
-* :func:`estimate_variogram_range_3d` — fitted squared-exponential range
-  of a 3D volume, the volumetric analogue of the statistic on the x-axis
-  of Figures 3 and 4;
 * :func:`anisotropy_ratio` — ratio of the per-axis fitted ranges of a 2D
   field (1 for isotropic data), a cheap diagnostic for when the isotropic
-  range is a questionable summary.
+  range is a questionable summary;
+* :func:`empirical_variogram_3d`, :func:`estimate_variogram_range_3d`,
+  :func:`local_variogram_ranges_3d` and :func:`std_local_variogram_range_3d`
+  — the general functions under volume-only names, which reject any input
+  that is not 3D.
 """
 
 from __future__ import annotations
@@ -24,11 +22,15 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from repro.stats.variogram import EmpiricalVariogram, VariogramConfig
-from repro.stats.variogram_models import fit_variogram
-from repro.utils.validation import ensure_2d, ensure_float_array, ensure_positive
+from repro.stats.local import (
+    LocalVariogramResult,
+    local_variogram_ranges,
+    std_local_variogram_range,
+)
+from repro.stats.variogram import EmpiricalVariogram, VariogramConfig, empirical_variogram
+from repro.stats.variogram_models import estimate_variogram_range, fit_variogram
+from repro.utils.validation import ensure_2d, ensure_float_array, ensure_ndim
 
 __all__ = [
     "directional_variogram",
@@ -97,58 +99,8 @@ def empirical_variogram_3d(
 ) -> EmpiricalVariogram:
     """Isotropic semi-variogram of a 3D volume (exact FFT pair enumeration)."""
 
-    volume = np.asarray(volume, dtype=np.float64)
-    if volume.ndim != 3:
-        raise ValueError(f"volume must be 3D, got shape {volume.shape}")
-    if min(volume.shape) < 2:
-        raise ValueError("volume must be at least 2 points along every axis")
-    config = config or VariogramConfig()
-    max_lag = config.max_lag if config.max_lag is not None else min(volume.shape) / 2.0
-    ensure_positive(max_lag, "max_lag")
-
-    field_variance = float(volume.var())
-    centered = volume - volume.mean()
-    ones = np.ones_like(centered)
-    sq = centered * centered
-    flip = centered[::-1, ::-1, ::-1]
-    flip_sq = sq[::-1, ::-1, ::-1]
-    flip_ones = ones[::-1, ::-1, ::-1]
-
-    corr_zz = fftconvolve(centered, flip, mode="full")
-    corr_sq_one = fftconvolve(sq, flip_ones, mode="full")
-    corr_one_sq = fftconvolve(ones, flip_sq, mode="full")
-    pair_count = np.rint(fftconvolve(ones, flip_ones, mode="full"))
-    sq_diff = np.clip(corr_sq_one + corr_one_sq - 2.0 * corr_zz, 0.0, None)
-
-    nz, ny, nx = volume.shape
-    di = np.arange(-(nz - 1), nz)[:, None, None].astype(np.float64)
-    dj = np.arange(-(ny - 1), ny)[None, :, None].astype(np.float64)
-    dk = np.arange(-(nx - 1), nx)[None, None, :].astype(np.float64)
-    dist = np.sqrt(di**2 + dj**2 + dk**2)
-    half_space = (di > 0) | ((di == 0) & (dj > 0)) | ((di == 0) & (dj == 0) & (dk > 0))
-    mask = half_space & (dist > 0) & (dist <= max_lag) & (pair_count > 0)
-
-    distances = dist[mask]
-    sums = sq_diff[mask]
-    counts = pair_count[mask]
-
-    n_bins = int(np.ceil(max_lag / config.bin_width))
-    bin_index = np.minimum((distances / config.bin_width).astype(np.int64), n_bins - 1)
-    bin_sums = np.bincount(bin_index, weights=sums, minlength=n_bins)
-    bin_counts = np.bincount(bin_index, weights=counts, minlength=n_bins)
-    bin_dist = np.bincount(bin_index, weights=distances * counts, minlength=n_bins)
-
-    valid = bin_counts >= config.min_pairs_per_bin
-    gamma = np.zeros(n_bins)
-    gamma[valid] = bin_sums[valid] / (2.0 * bin_counts[valid])
-    lag_centres = np.zeros(n_bins)
-    lag_centres[valid] = bin_dist[valid] / bin_counts[valid]
-    return EmpiricalVariogram(
-        lags=lag_centres[valid],
-        values=gamma[valid],
-        pair_counts=bin_counts[valid].astype(np.int64),
-        field_variance=field_variance,
-    )
+    volume = ensure_ndim(volume, (3,), "volume")
+    return empirical_variogram(volume, config)
 
 
 def estimate_variogram_range_3d(
@@ -159,8 +111,8 @@ def estimate_variogram_range_3d(
 ) -> float:
     """Fitted variogram range of a 3D volume (volumetric analogue of Fig. 3's x-axis)."""
 
-    variogram = empirical_variogram_3d(volume, config=config)
-    return fit_variogram(variogram, model=model).range
+    volume = ensure_ndim(volume, (3,), "volume")
+    return estimate_variogram_range(volume, model=model, config=config)
 
 
 def local_variogram_ranges_3d(
@@ -169,51 +121,11 @@ def local_variogram_ranges_3d(
     *,
     model: str = "gaussian",
     config: Optional[VariogramConfig] = None,
-):
-    """Variogram range inside every complete ``window^3`` cube of a volume.
+) -> LocalVariogramResult:
+    """Variogram range inside every complete ``window^3`` cube of a volume."""
 
-    The volumetric analogue of :func:`repro.stats.local.local_variogram_ranges`
-    (the paper's Fig. 7 windowed analysis, H = 32): the volume is tiled
-    into non-overlapping complete ``window^3`` cubes and the 3D variogram
-    range is fitted inside each.  Degenerate (numerically constant) or
-    unfittable windows yield NaN and are excluded from the summary
-    statistics.  Returns a
-    :class:`repro.stats.local.LocalVariogramResult` whose ``ranges``
-    array is 3D (one entry per window-grid cell).
-    """
-
-    from repro.stats.local import LocalVariogramResult
-    from repro.utils.blocking import window_starts
-
-    volume = np.asarray(volume, dtype=np.float64)
-    if volume.ndim != 3:
-        raise ValueError(f"volume must be 3D, got shape {volume.shape}")
-    ensure_positive(window, "window")
-    grid = tuple(length // window for length in volume.shape)
-    if min(grid) == 0:
-        raise ValueError(
-            f"volume shape {volume.shape} has no complete {window}^3 windows"
-        )
-    if config is None:
-        # Same convention as the 2D local statistic: half-window max lag
-        # keeps enough pairs per bin for a stable fit in small windows.
-        config = VariogramConfig(max_lag=window / 2.0, bin_width=1.0)
-
-    starts = [window_starts(length, window) for length in volume.shape]
-    ranges = np.full(grid, np.nan)
-    for wi, i in enumerate(starts[0]):
-        for wj, j in enumerate(starts[1]):
-            for wk, k in enumerate(starts[2]):
-                cube = volume[i : i + window, j : j + window, k : k + window]
-                if float(cube.std()) < 1e-15:
-                    continue
-                try:
-                    ranges[wi, wj, wk] = estimate_variogram_range_3d(
-                        cube, model=model, config=config
-                    )
-                except (ValueError, RuntimeError):
-                    continue
-    return LocalVariogramResult(window=window, ranges=ranges)
+    volume = ensure_ndim(volume, (3,), "volume")
+    return local_variogram_ranges(volume, window, model=model, config=config)
 
 
 def std_local_variogram_range_3d(
@@ -225,4 +137,5 @@ def std_local_variogram_range_3d(
 ) -> float:
     """Std of the windowed 3D variogram ranges (Fig. 7's statistic for volumes)."""
 
-    return local_variogram_ranges_3d(volume, window, model=model, config=config).std
+    volume = ensure_ndim(volume, (3,), "volume")
+    return std_local_variogram_range(volume, window, model=model, config=config)

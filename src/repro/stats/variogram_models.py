@@ -13,8 +13,8 @@ families and an optional nugget term, mirroring what the ``gstat`` R
 package provides.
 
 The headline public entry point is :func:`estimate_variogram_range`, which
-goes straight from a 2D field to the fitted range — this is the statistic
-on the x-axis of the paper's Figures 3 and 4.
+goes straight from a 2D field or 3D volume to the fitted range — this is
+the statistic on the x-axis of the paper's Figures 3 and 4.
 """
 
 from __future__ import annotations
@@ -25,7 +25,12 @@ from typing import Callable, Dict, Optional
 import numpy as np
 from scipy.optimize import least_squares
 
-from repro.stats.variogram import EmpiricalVariogram, VariogramConfig, empirical_variogram
+from repro.stats.variogram import (
+    EmpiricalVariogram,
+    VariogramConfig,
+    check_field,
+    empirical_variogram,
+)
 from repro.utils.validation import ensure_in
 
 __all__ = [
@@ -204,13 +209,18 @@ def estimate_variogram_range(
     config: Optional[VariogramConfig] = None,
     fit_nugget: bool = False,
 ) -> float:
-    """Estimate the (global) variogram range of a 2D field.
+    """Estimate the (global) variogram range of a 2D field or 3D volume.
 
     This is the "Estimated global variogram range" of the paper's
     Figures 3 and 4: empirical variogram via Eq. (1), then a least-squares
     fit of the squared-exponential model, returning the fitted range ``a``.
+    A (numerically) constant field has no correlation structure to fit and
+    yields NaN.
     """
 
+    field = check_field(field)
+    if float(field.std()) < 1e-15:
+        return float("nan")
     variogram = empirical_variogram(field, config=config)
     fitted = fit_variogram(variogram, model=model, fit_nugget=fit_nugget)
     return fitted.range

@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.stats.windows import field_windows, window_grid_shape
+from repro.stats.windows import field_windows
 from repro.utils.validation import ensure_2d, ensure_float_array, ensure_positive
 
 __all__ = [
@@ -188,11 +188,6 @@ def std_local_wavelet_slope(field: np.ndarray, window: int = 32, levels: int = 3
     """
 
     field = ensure_2d(field, "field")
-    grid = window_grid_shape(field.shape, window)
-    if grid[0] == 0 or grid[1] == 0:
-        raise ValueError(
-            f"field shape {field.shape} has no complete {window}x{window} windows"
-        )
     slopes = []
     for _, tile in field_windows(field, window):
         tile_arr = np.asarray(tile, dtype=np.float64)

@@ -167,16 +167,11 @@ def _chunk_statistics(chunk: np.ndarray) -> Dict[str, float]:
         "std": float(chunk.std()),
         "variogram_range": float("nan"),
     }
-    if float(chunk.std()) > 1e-15 and min(chunk.shape) >= 8:
+    if min(chunk.shape) >= 8:
         try:
-            if chunk.ndim == 2:
-                from repro.stats.variogram_models import estimate_variogram_range
+            from repro.stats.variogram_models import estimate_variogram_range
 
-                stats["variogram_range"] = float(estimate_variogram_range(chunk))
-            else:
-                from repro.stats.variogram3d import estimate_variogram_range_3d
-
-                stats["variogram_range"] = float(estimate_variogram_range_3d(chunk))
+            stats["variogram_range"] = float(estimate_variogram_range(chunk))
         except (ValueError, RuntimeError):
             pass
     return stats

@@ -663,49 +663,23 @@ def measure_volume_field(
     rows :func:`repro.core.experiment.measure_field` produces for 2D
     fields, so volume datasets flow through
     :func:`repro.core.pipeline.run_experiment` and the CSV/reporting layer
-    unchanged.  The correlation statistics are the *3D* analogues: the
-    global 3D variogram range
-    (:func:`repro.stats.variogram3d.estimate_variogram_range_3d`) and —
-    when the volume admits complete ``window^3`` cubes — the std of the
-    windowed local 3D variogram ranges
-    (:func:`repro.stats.variogram3d.std_local_variogram_range_3d`), the
-    Fig. 7 statistic for volumes.  The local SVD statistic has no 3D
-    analogue here and stays NaN.
+    unchanged.  The correlation statistics come from
+    :func:`repro.core.experiment.measure_statistics`, which takes volumes
+    directly: the global 3D variogram range and — when the volume admits
+    complete ``window^3`` cubes — the std of the windowed local 3D
+    variogram ranges, the Fig. 7 statistic for volumes.  The local SVD
+    statistic has no 3D analogue here and stays NaN.
     """
 
     from repro.core.experiment import (
         CompressionRecord,
-        CorrelationStatistics,
         ExperimentConfig,
-    )
-    from repro.stats.variogram3d import (
-        estimate_variogram_range_3d,
-        std_local_variogram_range_3d,
+        measure_statistics,
     )
 
     vol = np.asarray(_check_volume(volume), dtype=np.float64)
     config = config or ExperimentConfig()
-
-    global_range = float("nan")
-    if config.compute_global_range:
-        try:
-            global_range = float(estimate_variogram_range_3d(vol))
-        except (ValueError, RuntimeError):
-            global_range = float("nan")
-    std_local_range = float("nan")
-    if config.compute_local_variogram and min(vol.shape) >= config.window:
-        try:
-            std_local_range = float(
-                std_local_variogram_range_3d(vol, config.window)
-            )
-        except (ValueError, RuntimeError):
-            std_local_range = float("nan")
-    statistics = CorrelationStatistics(
-        global_variogram_range=global_range,
-        std_local_variogram_range=std_local_range,
-        field_variance=float(vol.var()),
-        field_mean=float(vol.mean()),
-    )
+    statistics = measure_statistics(vol, config)
 
     records = []
     for name in config.compressors:

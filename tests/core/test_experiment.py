@@ -60,6 +60,26 @@ class TestMeasureStatistics:
         assert np.isnan(stats.std_local_svd_truncation)
         assert np.isfinite(stats.global_variogram_range)
 
+    def test_volume_statistics(self):
+        from repro.datasets.miranda import generate_miranda_like_volume
+
+        volume = generate_miranda_like_volume((16, 16, 16), seed=2)
+        stats = measure_statistics(volume, ExperimentConfig(window=8))
+        assert stats.global_variogram_range > 0
+        assert np.isfinite(stats.std_local_variogram_range)
+        assert np.isnan(stats.std_local_svd_truncation)
+        assert stats.field_variance == pytest.approx(float(volume.var()))
+
+    @pytest.mark.parametrize("shape", [(64, 64), (8, 8, 8)])
+    def test_unfittable_fields_record_nan(self, shape):
+        constant = measure_statistics(np.full(shape, 1.5), ExperimentConfig(window=8))
+        assert np.isnan(constant.global_variogram_range)
+        assert np.isnan(constant.std_local_variogram_range)
+        non_finite = np.random.default_rng(1).normal(size=shape)
+        non_finite.flat[0] = np.nan
+        config = ExperimentConfig(compute_local_svd=False)
+        assert np.isnan(measure_statistics(non_finite, config).global_variogram_range)
+
     def test_as_dict_keys(self):
         stats = CorrelationStatistics()
         keys = set(stats.as_dict())

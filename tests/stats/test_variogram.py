@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,21 @@ class TestFFTEstimator:
         with pytest.raises(ValueError):
             empirical_variogram(np.ones((1, 5)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(16, 16), (8, 8, 8)])
+    def test_rejects_non_finite_fields_before_any_arithmetic(self, bad, shape):
+        field = np.random.default_rng(3).normal(size=shape)
+        field.flat[7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or inf"):
+                empirical_variogram(field)
+
+    @pytest.mark.parametrize("shape", [(8,), (4, 4, 4, 4)])
+    def test_rejects_other_dimensions(self, shape):
+        with pytest.raises(ValueError, match="2D/3D"):
+            empirical_variogram(np.random.default_rng(4).normal(size=shape))
+
 
 class TestPairSamplingEstimator:
     def test_agrees_with_fft_estimator(self, smooth_field):
@@ -144,3 +161,7 @@ class TestPairSamplingEstimator:
         config = VariogramConfig(method="pairs", n_pairs=1000)
         result = empirical_variogram(rough_field, config, seed=0)
         assert result.pair_counts.sum() <= 1000
+
+    def test_volumes_rejected(self):
+        with pytest.raises(ValueError, match="pairs method takes 2D"):
+            empirical_variogram(np.ones((4, 4, 4)), VariogramConfig(method="pairs"))

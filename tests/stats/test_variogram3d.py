@@ -65,6 +65,20 @@ class TestVariogram3D:
         result = empirical_variogram_3d(volume)
         np.testing.assert_allclose(result.values, 0.0, atol=1e-18)
 
+    def test_constant_volume_has_no_range(self):
+        assert np.isnan(estimate_variogram_range_3d(np.full((16, 16, 16), 2.0)))
+
+    def test_default_max_lag_rounds_odd_edge_down(self):
+        # min(shape) // 2, the 2D rule: a smallest edge of 9 caps the lag at
+        # 4, where the separate 3D estimator used 4.5 and kept one more bin.
+        volume = np.random.default_rng(15).normal(size=(9, 16, 16))
+        result = empirical_variogram_3d(volume)
+        assert result.lags.max() <= 4.0
+        capped = empirical_variogram_3d(volume, VariogramConfig(max_lag=4.0))
+        np.testing.assert_array_equal(result.values, capped.values)
+        old_rule = empirical_variogram_3d(volume, VariogramConfig(max_lag=4.5))
+        assert old_rule.n_bins == result.n_bins + 1
+
     def test_white_noise_sill_matches_variance(self):
         volume = np.random.default_rng(5).normal(size=(16, 16, 16))
         result = empirical_variogram_3d(volume)

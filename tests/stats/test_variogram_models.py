@@ -124,3 +124,16 @@ class TestEstimateVariogramRange:
             smooth_field, config=VariogramConfig(max_lag=16.0, bin_width=2.0)
         )
         assert value > 0
+
+    @pytest.mark.parametrize("shape", [(32, 32), (16, 16, 16)])
+    def test_constant_field_has_no_range(self, shape):
+        # A least-squares fit to the all-zero variogram returns an arbitrary
+        # finite range (7.70 at 32^2, 3.72 at 16^3), not a property of the data.
+        assert np.isnan(estimate_variogram_range(np.full(shape, 3.7)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_field_rejected(self, bad):
+        field = generate_gaussian_field((32, 32), 4.0, seed=1)
+        field[3, 5] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            estimate_variogram_range(field)

@@ -43,3 +43,17 @@ class TestFieldWindows:
     def test_field_smaller_than_window_rejected(self):
         with pytest.raises(ValueError, match="smaller than the window"):
             list(field_windows(np.ones((16, 16)), 32))
+
+    def test_volume_tiled_into_cubes_in_c_order(self):
+        volume = np.random.default_rng(1).normal(size=(16, 24, 9))
+        windows = list(field_windows(volume, 8))
+        assert window_grid_shape(volume.shape, 8) == (2, 3, 1)
+        assert [index for index, _ in windows] == list(np.ndindex(2, 3, 1))
+        for (wi, wj, wk), tile in windows:
+            np.testing.assert_array_equal(
+                tile, volume[wi * 8 : wi * 8 + 8, wj * 8 : wj * 8 + 8, wk * 8 : wk * 8 + 8]
+            )
+
+    def test_other_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="2D/3D"):
+            list(field_windows(np.ones(64), 8))
