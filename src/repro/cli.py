@@ -1007,14 +1007,6 @@ def _print_store_info(store) -> int:
                 f"max {info['estimate_rel_error_max']:.3f}",
             )
         )
-    if info["cache_counters"]:
-        counters = info["cache_counters"]
-        rows.append(
-            (
-                "chunk cache (last write)",
-                ", ".join(f"{k}:{v}" for k, v in sorted(counters.items())),
-            )
-        )
     print(format_table(("quantity", "value"), rows))
     return 0
 

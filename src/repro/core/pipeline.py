@@ -37,7 +37,6 @@ __all__ = [
     "default_cache",
     "clear_default_cache",
     "memoized_map",
-    "merge_counters",
     "run_experiment",
     "run_experiment_on_fields",
     "records_to_table",
@@ -62,8 +61,9 @@ class ExperimentCache:
     :func:`repro.core.experiment.measure_field` (frozen dataclasses, safe
     to share between callers).  ``hits`` / ``misses`` / ``evictions``
     count lookups that were served, lookups that were not, and entries
-    dropped by the LRU bound; :meth:`counters` snapshots all three for the
-    pipelines that report cache effectiveness.
+    dropped by the LRU bound; ``in_call_duplicates`` counts items that
+    :func:`memoized_map` resolved from an earlier item of the same call.
+    :meth:`counters` snapshots them for the cache's registry collector.
     """
 
     def __init__(self, max_entries: int = 512) -> None:
@@ -74,6 +74,7 @@ class ExperimentCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.in_call_duplicates = 0
 
     @staticmethod
     def key(
@@ -114,12 +115,13 @@ class ExperimentCache:
             self.evictions += 1
 
     def counters(self) -> Dict[str, int]:
-        """Snapshot of the hit/miss/eviction counters plus current size."""
+        """Snapshot of the lookup counters plus current size."""
 
         return {
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
+            "in_call_duplicates": self.in_call_duplicates,
             "entries": len(self._entries),
         }
 
@@ -128,6 +130,7 @@ class ExperimentCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.in_call_duplicates = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -145,17 +148,14 @@ def memoized_map(items, key_fn, compute_many, cache: Optional[ExperimentCache]):
     resolved from the in-call owner, not the cache: LRU eviction may
     already have dropped the owner's entry when the call finishes.
 
-    Returns ``(results, counters)``; ``counters`` is ``None`` when
-    ``cache`` is ``None``, and the per-call hit/miss/eviction deltas plus
-    the in-call duplicate count otherwise.  Cached values are wrapped in
-    1-tuples.
+    Returns the results aligned with ``items``; the cache counts the
+    hits, misses, evictions and in-call duplicates.  Cached values are
+    wrapped in 1-tuples.
     """
 
     if cache is None:
-        fresh = compute_many(list(items))
-        return list(fresh), None
+        return list(compute_many(list(items)))
 
-    counters_before = cache.counters()
     keys = [key_fn(item) for item in items]
     results = [None] * len(keys)
     first_with_key: Dict[str, int] = {}
@@ -180,27 +180,8 @@ def memoized_map(items, key_fn, compute_many, cache: Optional[ExperimentCache]):
             cache.put(keys[idx], (value,))
     for idx in duplicates:
         results[idx] = results[first_with_key[keys[idx]]]
-
-    after = cache.counters()
-    counters = {
-        name: after[name] - counters_before[name]
-        for name in ("hits", "misses", "evictions")
-    }
-    counters["in_call_duplicates"] = len(duplicates)
-    return results, counters
-
-
-def merge_counters(
-    total: Optional[Dict[str, int]], counters: Optional[Dict[str, int]]
-) -> Optional[Dict[str, int]]:
-    """Sum :func:`memoized_map` counters over calls (``None``: no memo)."""
-
-    if counters is None:
-        return total
-    merged = dict(total or {})
-    for key, value in counters.items():
-        merged[key] = merged.get(key, 0) + value
-    return merged
+    cache.in_call_duplicates += len(duplicates)
+    return results
 
 
 _DEFAULT_CACHE = ExperimentCache()

@@ -1,13 +1,10 @@
 """Unified metrics registry with Prometheus text exposition.
 
-Before this layer the repo's counters were scattered: the experiment
-cache kept its own hit/miss dict, the hot-chunk cache another, the store
-counted decoded chunks on an attribute, and the serve gate tracked
-active/peak concurrency in instance fields.  Each surfaced under its own
-ad-hoc key names (``ArrayStore.info()``, serve ``stats``,
-``CompressedVolume.cache_counters``) and none were scrapeable.
-
-This module gives them one home:
+Each number the library and the serve layer report has one source: the
+layer that owns it counts it once (a cache's ``counters()``, a store
+read's registry counter) and this registry publishes it under one name.
+``/metrics``, serve ``stats`` and the ``/debug`` dashboard are views of
+those counts, not second copies.
 
 * :class:`MetricsRegistry` — thread-safe counters, gauges and
   histograms, all name + sorted-label keyed.
@@ -393,18 +390,18 @@ def histogram_quantile(
 def publish_cache_counters(
     registry: MetricsRegistry, cache_label: str, counters: Mapping[str, float]
 ) -> None:
-    """Publish a ``counters()``-style dict under the unified cache names.
+    """Publish a cache's ``counters()`` dict under the unified cache names.
 
-    Understands the keys the repo's caches already expose (``hits``,
-    ``misses``, ``evictions``, ``entries``, ``nbytes``, ``max_nbytes``,
-    ``coalesced``) and ignores anything else, so every cache keeps its
-    legacy dict while reporting through one scheme.
+    Understands the keys the repo's caches expose (``hits``, ``misses``,
+    ``evictions``, ``in_call_duplicates``, ``coalesced``, ``entries``,
+    ``nbytes``, ``max_nbytes``) and ignores anything else.
     """
 
     as_counter = {
         "hits": "repro_cache_hits_total",
         "misses": "repro_cache_misses_total",
         "evictions": "repro_cache_evictions_total",
+        "in_call_duplicates": "repro_cache_in_call_duplicates_total",
         "coalesced": "repro_cache_coalesced_total",
     }
     as_gauge = {

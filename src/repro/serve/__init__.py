@@ -8,7 +8,7 @@ server (stdlib only — no new runtime deps):
 * ``GET /ds/{name}?region=0:32,0:32`` — decoded region as ``.npy`` bytes
   (``mode=chunks`` returns index records + still-compressed payloads for
   client-side decode instead)
-* ``GET /ds/{name}/info`` — store summary + serving counters
+* ``GET /ds/{name}/info`` — store summary (snapshot byte accounting)
 * ``GET /ds/{name}/chunk/{i}`` — one raw chunk payload, ETag'd by its
   content hash (``If-None-Match`` → 304)
 * ``PUT /ds/{name}`` / ``POST /ds/{name}/append`` — ingestion

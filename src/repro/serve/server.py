@@ -35,7 +35,6 @@ import os
 import re
 import threading
 import time
-import zlib
 from contextlib import asynccontextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -227,7 +226,6 @@ class ArrayServer:
         # Counters (mutated on the loop thread, read anywhere — ints are
         # swapped atomically under the GIL).
         self.requests_total = 0
-        self.responses_by_status: Dict[int, int] = {}
         self.coalesced_reads = 0
         self.decoded_bytes_served = 0
         self.gate_active = 0
@@ -453,7 +451,7 @@ class ArrayServer:
         return head, body, request.keep_alive, status
 
     def _count_status(self, status: int) -> None:
-        """Count one response — the legacy dict AND the registry.
+        """Count one response in the registry, by status class.
 
         Every response path funnels through here exactly once (the 4xx/5xx
         branches of :meth:`_gated_dispatch` count via
@@ -461,9 +459,6 @@ class ArrayServer:
         so error responses can never vanish from, or inflate, the stats.
         """
 
-        self.responses_by_status[status] = (
-            self.responses_by_status.get(status, 0) + 1
-        )
         self.registry.counter(
             "repro_serve_responses_total",
             labels={"class": f"{status // 100}xx"},
@@ -873,16 +868,13 @@ class ArrayServer:
     def stats(self) -> Dict:
         """Gate / cache / request counters (the ``/stats`` payload).
 
-        ``metrics`` carries the same numbers under the unified registry
-        names (``repro_serve_*``, ``repro_cache_*{cache="hot-chunk"}``);
-        the surrounding legacy keys stay as aliases for one release.
+        ``metrics`` is the server registry's snapshot; responses by
+        status class live only there
+        (``repro_serve_responses_total{class=...}``).
         """
 
         return {
             "requests_total": self.requests_total,
-            "responses_by_status": {
-                str(k): v for k, v in sorted(self.responses_by_status.items())
-            },
             "coalesced_reads": self.coalesced_reads,
             "decoded_bytes_served": self.decoded_bytes_served,
             "gate": {
@@ -900,7 +892,6 @@ class ArrayServer:
             snapshot = await self._in_executor(self._open_snapshot, name)
             info = snapshot.info()
         info["name"] = name
-        info["hot_chunk_cache"] = self.cache.counters()
         body = json.dumps(info).encode("utf-8")
         return 200, body, "application/json", None
 
@@ -974,7 +965,9 @@ class ArrayServer:
         once, in the order first referenced.  "Needed" is the region's
         intersecting chunks plus their halo dependency closure, so the
         client rebuilds a :class:`StoreSnapshot` over the body and runs
-        the exact same decode the server would have.
+        the exact same decode the server would have.  Payloads are
+        CRC-checked before they ship: a corrupt chunk fails the request
+        with a 500, like a server-side decode would.
         """
 
         async with self._lock_for(name).read():
@@ -994,21 +987,13 @@ class ArrayServer:
                 index = snapshot.index
                 payloads = bytearray()
                 placed: Dict[Tuple[int, int], int] = {}
-                with snapshot._open_data() as handle:
+                with snapshot.payload_reader() as fetch:
                     for linear in needed:
                         record = index[linear]
                         span = (record.offset, record.length)
-                        if span in placed:
-                            continue
-                        handle.seek(record.offset)
-                        payload = handle.read(record.length)
-                        if len(payload) != record.length:
-                            raise StoreCorruptionError(
-                                f"truncated chunk payload at offset "
-                                f"{record.offset} (+{record.length})"
-                            )
-                        placed[span] = len(payloads)
-                        payloads.extend(payload)
+                        if span not in placed:
+                            placed[span] = len(payloads)
+                            payloads.extend(fetch(record))
 
                 sentinel = len(payloads)
                 records = []
@@ -1075,18 +1060,8 @@ class ArrayServer:
                 return 304, b"", "application/octet-stream", {"etag": etag}
 
             def fetch() -> bytes:
-                with snapshot._open_data() as handle:
-                    handle.seek(record.offset)
-                    payload = handle.read(record.length)
-                if len(payload) != record.length:
-                    raise StoreCorruptionError(
-                        f"truncated chunk payload at offset {record.offset}"
-                    )
-                if zlib.crc32(payload) != record.checksum:
-                    raise StoreCorruptionError(
-                        f"chunk {linear} checksum mismatch on disk"
-                    )
-                return payload
+                with snapshot.payload_reader() as read:
+                    return read(record)
 
             payload = await self._in_executor(fetch)
         extra = {

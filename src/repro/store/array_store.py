@@ -57,7 +57,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.pipeline import ExperimentCache, memoized_map, merge_counters
+from repro.core.pipeline import ExperimentCache, memoized_map
 from repro.obs.metrics import REGISTRY, publish_cache_counters
 from repro.obs.trace import span as obs_span
 from repro.pressio.api import PressioCompressor
@@ -80,7 +80,6 @@ from repro.store.snapshot import (
     RAW_CODEC,
     ReadReport,
     StoreSnapshot,
-    live_payload_nbytes,
     load_store_state,
     meta_float as _meta_float,
 )
@@ -314,11 +313,23 @@ def _normalize_chunk_shape(
     return shape
 
 
+def _from_snapshot(name: str) -> property:
+    """An :class:`ArrayStore` property answered by its current snapshot."""
+
+    return property(
+        lambda self: getattr(self._snapshot, name),
+        doc=getattr(StoreSnapshot, name).__doc__,
+    )
+
+
 class ArrayStore:
     """A persistent chunked compressed N-d float array.
 
     Create with :meth:`create` (configuration only; :meth:`write` or
     :meth:`append` supplies data) and reattach with :meth:`open`.
+    Geometry and byte accounting come from the instance's current
+    :class:`~repro.store.snapshot.StoreSnapshot`, replaced after every
+    flush, so the store and its snapshot can never disagree.
     """
 
     def __init__(self, path: str, meta: Dict, index: List[IndexRecord]) -> None:
@@ -331,10 +342,7 @@ class ArrayStore:
         self._policy: Optional[CodecPolicy] = None
         #: Report of the most recent :meth:`read` call (None before any).
         self.last_read: Optional[ReadReport] = None
-        #: Cache-counter deltas of the most recent write/append call.
-        self.last_write_cache_counters: Optional[Dict[str, int]] = None
-        #: Cumulative chunk payload decodes performed by this instance.
-        self.chunks_decoded_total = 0
+        self._refresh_snapshot()
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -420,97 +428,30 @@ class ArrayStore:
     def snapshot(self) -> StoreSnapshot:
         """Immutable read view of this instance's current in-memory state."""
 
-        return StoreSnapshot(self._meta, self._index, path=self.path)
+        return self._snapshot
 
-    # -- basic properties ----------------------------------------------
-    @property
-    def shape(self) -> Optional[Tuple[int, ...]]:
-        return tuple(self._meta["shape"]) if self._meta["shape"] is not None else None
+    def _refresh_snapshot(self) -> None:
+        # The snapshot owns copies of the mutable parts: writes replace
+        # and extend ``_meta["chunks"]`` and ``_index`` in place.
+        meta = dict(self._meta, chunks=list(self._meta["chunks"]))
+        self._snapshot = StoreSnapshot(meta, self._index, path=self.path)
 
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(self._meta["dtype"])
-
-    @property
-    def chunk_shape(self) -> Optional[Tuple[int, ...]]:
-        chunk = self._meta["chunk_shape"]
-        if chunk is None:
-            return None
-        if np.isscalar(chunk):
-            return None  # unresolved scalar: fixed at first write
-        return tuple(chunk)
-
-    @property
-    def error_bound(self) -> float:
-        return float(self._meta["error_bound"])
-
-    @property
-    def halo(self) -> bool:
-        """Whether this store compresses odd-parity chunks against halos."""
-
-        return bool(self._meta.get("halo", False))
-
-    @property
-    def codec_policy(self) -> str:
-        return str(self._meta["codec"])
-
-    @property
-    def n_chunks(self) -> int:
-        return len(self._index)
-
-    @property
-    def original_nbytes(self) -> int:
-        shape = self.shape
-        if shape is None:
-            return 0
-        return int(np.prod(shape)) * self.dtype.itemsize
-
-    @property
-    def compressed_nbytes(self) -> int:
-        """Logical compressed size: sum of the per-chunk payload lengths."""
-
-        return sum(record.length for record in self._index)
-
-    @property
-    def stored_nbytes(self) -> int:
-        """Bytes actually referenced in ``chunks.bin`` (dedup collapses)."""
-
-        return sum(
-            length
-            for (offset, length) in {(r.offset, r.length) for r in self._index}
-        )
-
-    @property
-    def compression_ratio(self) -> float:
-        compressed = self.compressed_nbytes
-        return self.original_nbytes / compressed if compressed else float("inf")
-
-    @property
-    def data_file_nbytes(self) -> int:
-        """Actual size of ``chunks.bin`` on disk (live + orphaned bytes)."""
-
-        data_path = os.path.join(self.path, DATA_NAME)
-        return os.path.getsize(data_path) if os.path.exists(data_path) else 0
-
-    @property
-    def live_payload_nbytes(self) -> int:
-        """Bytes of ``chunks.bin`` covered by live index ranges (interval
-        union — dedup-shared and overlapping ranges count once)."""
-
-        return live_payload_nbytes(self._index)
-
-    @property
-    def generation(self) -> int:
-        """Monotonic write counter, bumped by every flush."""
-
-        return int(self._meta.get("generation", 0))
-
-    @property
-    def orphaned_nbytes(self) -> int:
-        """Payload bytes no live chunk references (left by unaligned
-        appends / rewrites; a compaction pass would reclaim them)."""
-
-        return max(0, self.data_file_nbytes - self.live_payload_nbytes)
+    # -- geometry and byte accounting -----------------------------------
+    shape = _from_snapshot("shape")
+    dtype = _from_snapshot("dtype")
+    chunk_shape = _from_snapshot("chunk_shape")
+    error_bound = _from_snapshot("error_bound")
+    halo = _from_snapshot("halo")
+    codec_policy = _from_snapshot("codec_policy")
+    generation = _from_snapshot("generation")
+    n_chunks = _from_snapshot("n_chunks")
+    original_nbytes = _from_snapshot("original_nbytes")
+    compressed_nbytes = _from_snapshot("compressed_nbytes")
+    stored_nbytes = _from_snapshot("stored_nbytes")
+    live_payload_nbytes = _from_snapshot("live_payload_nbytes")
+    compression_ratio = _from_snapshot("compression_ratio")
+    data_file_nbytes = _from_snapshot("data_file_nbytes")
+    orphaned_nbytes = _from_snapshot("orphaned_nbytes")
 
     # -- write / append -------------------------------------------------
     def _config_key(self) -> str:
@@ -565,7 +506,6 @@ class ArrayStore:
         else:
             plan = TilePlan.independent(offsets, extents)
         results: List[Optional[_ChunkResult]] = [None] * len(chunks)
-        counters: Optional[Dict[str, int]] = None
 
         def build(index: int, tile) -> _ChunkTask:
             halo = None
@@ -601,10 +541,7 @@ class ArrayStore:
             )
 
         def memo(tasks, compute):
-            nonlocal counters
-            fresh, wave_counters = memoized_map(tasks, key_fn, compute, cache)
-            counters = merge_counters(counters, wave_counters)
-            return fresh
+            return memoized_map(tasks, key_fn, compute, cache)
 
         with WaveExecutor(
             plan,
@@ -620,7 +557,6 @@ class ArrayStore:
                 memo=memo,
                 done=results.__setitem__,
             )
-        self.last_write_cache_counters = counters
         return results
 
     def _check_array(self, array: np.ndarray) -> np.ndarray:
@@ -707,13 +643,6 @@ class ArrayStore:
         if remainder:
             tail = self.read((slice(base_row, shape[0]),))
             block = np.concatenate([tail, array], axis=0)
-            # Drop the trailing partial-slab records; C scan order puts
-            # them (and only them) at the end of the index.
-            n_keep = len(
-                grid_offsets((base_row,) + shape[1:], chunk_shape)
-            )
-            self._index = self._index[:n_keep]
-            self._meta["chunks"] = self._meta["chunks"][:n_keep]
         else:
             block = array
         self._write_block(
@@ -734,9 +663,11 @@ class ArrayStore:
         """Compress and persist ``block`` as the rows from ``base_row`` on.
 
         ``truncate`` rewrites the payload file (a full write); otherwise
-        the block's payloads are appended and its chunks follow the kept
-        index records.  The first ``exact`` rows are previously-stored
-        (already once-lossy) data that must reproduce exactly.
+        the block's payloads are appended and its chunks follow the index
+        records of the rows before ``base_row`` (a rewritten trailing
+        slab's old records are dropped).  The first ``exact`` rows are
+        previously-stored (already once-lossy) data that must reproduce
+        exactly.  Nothing changes in memory until compression succeeded.
         """
 
         local_offsets = grid_offsets(block.shape, chunk_shape)
@@ -752,8 +683,15 @@ class ArrayStore:
             offsets, chunks, exact_rows, parallel, cache, chunk_shape
         )
 
-        if truncate:
-            self._index, self._meta["chunks"] = [], []
+        # C scan order puts the records of the rows before the block (and
+        # only them) first.
+        keep = (
+            len(grid_offsets((base_row,) + block.shape[1:], chunk_shape))
+            if base_row
+            else 0
+        )
+        self._index = self._index[:keep]
+        self._meta["chunks"] = self._meta["chunks"][:keep]
         base_offset = 0 if truncate else self.data_file_nbytes
         existing_digests = {
             entry["payload_sha1"]: (record.offset, record.length)
@@ -859,6 +797,7 @@ class ArrayStore:
             with open(tmp, "wb") as handle:
                 handle.write(payload)
             os.replace(tmp, target)
+        self._refresh_snapshot()
 
     def compact(self) -> Dict[str, int]:
         """Rewrite ``chunks.bin`` to hold exactly the live payload ranges.
@@ -957,7 +896,7 @@ class ArrayStore:
         """
 
         with obs_span("store.read", "store") as read_span:
-            values, report = self.snapshot().read(
+            values, report = self._snapshot.read(
                 region, chunk_cache=chunk_cache, parallel=parallel
             )
             read_span.add(
@@ -965,16 +904,6 @@ class ArrayStore:
                 chunks_decoded=report.chunks_decoded,
             )
         self.last_read = report
-        self.chunks_decoded_total += report.chunks_decoded
-        REGISTRY.counter(
-            "repro_store_reads_total",
-            help="Store region reads performed by this process.",
-        )
-        REGISTRY.counter(
-            "repro_store_chunks_decoded_total",
-            report.chunks_decoded,
-            help="Chunk payload decodes performed by store reads.",
-        )
         return values
 
     # -- inspection ------------------------------------------------------
@@ -1006,55 +935,18 @@ class ArrayStore:
         return records
 
     def info(self) -> Dict:
-        """Store summary: layout, per-codec usage, CRs, estimate accuracy."""
+        """The snapshot's :meth:`~repro.store.snapshot.StoreSnapshot.info`
+        plus the path, the per-chunk records and the adaptive policy's
+        estimate accuracy."""
 
         records = self.chunk_records()
-        codec_histogram: Dict[str, int] = {}
-        for record in records:
-            codec_histogram[record.codec] = codec_histogram.get(record.codec, 0) + 1
+        info = self._snapshot.info()
+        info.update(path=self.path, chunks=records)
         estimate_errors = [
             abs(r.estimated_cr - r.compression_ratio) / r.compression_ratio
             for r in records
             if np.isfinite(r.estimated_cr) and r.compression_ratio > 0
         ]
-        info = {
-            "path": self.path,
-            "shape": self.shape,
-            "dtype": str(self.dtype),
-            "chunk_shape": self.chunk_shape,
-            "n_chunks": self.n_chunks,
-            "codec_policy": self.codec_policy,
-            "error_bound": self.error_bound,
-            "halo": self.halo,
-            "halo_chunks": sum(1 for record in self._index if record.flags),
-            "original_nbytes": self.original_nbytes,
-            "compressed_nbytes": self.compressed_nbytes,
-            "stored_nbytes": self.stored_nbytes,
-            "data_file_nbytes": self.data_file_nbytes,
-            "orphaned_nbytes": self.orphaned_nbytes,
-            "compression_ratio": self.compression_ratio,
-            "codec_histogram": codec_histogram,
-            "chunks": records,
-            "cache_counters": self.last_write_cache_counters,
-            "store_cache_counters": _STORE_CACHE.counters(),
-            # Canonical observability names (the unified registry naming
-            # scheme); the legacy keys above stay as aliases for one
-            # release.
-            "metrics": {
-                "repro_store_chunks_decoded_total": self.chunks_decoded_total,
-                "repro_store_orphaned_nbytes": self.orphaned_nbytes,
-                "repro_store_data_file_nbytes": self.data_file_nbytes,
-                'repro_cache_hits_total{cache="store-chunk"}': (
-                    _STORE_CACHE.counters()["hits"]
-                ),
-                'repro_cache_misses_total{cache="store-chunk"}': (
-                    _STORE_CACHE.counters()["misses"]
-                ),
-                'repro_cache_evictions_total{cache="store-chunk"}': (
-                    _STORE_CACHE.counters()["evictions"]
-                ),
-            },
-        }
         if estimate_errors:
             info["estimate_rel_error_mean"] = float(np.mean(estimate_errors))
             info["estimate_rel_error_max"] = float(np.max(estimate_errors))

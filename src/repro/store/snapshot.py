@@ -43,16 +43,17 @@ import json
 import os
 import time
 import zlib
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.compressors.base import CompressedField
 from repro.compressors.halo import TileHalo
+from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
 from repro.pressio.api import PressioCompressor
 from repro.pressio.options import CompressorOptions
@@ -76,7 +77,6 @@ __all__ = [
     "ReadReport",
     "StoreSnapshot",
     "load_store_state",
-    "live_payload_nbytes",
     "meta_float",
 ]
 
@@ -110,22 +110,6 @@ def meta_float(value) -> float:
     """Read back a JSON-sanitized float (``null`` round-trips to NaN)."""
 
     return float("nan") if value is None else float(value)
-
-
-def live_payload_nbytes(index: List[IndexRecord]) -> int:
-    """Bytes of ``chunks.bin`` covered by live index ranges (interval
-    union — dedup-shared and overlapping ranges count once)."""
-
-    ranges = sorted({(r.offset, r.length) for r in index})
-    total = 0
-    covered_until = 0
-    for offset, length in ranges:
-        end = offset + length
-        if end <= covered_until:
-            continue
-        total += end - max(offset, covered_until)
-        covered_until = end
-    return total
 
 
 def _state_inconsistency(meta: Dict, index: List[IndexRecord]) -> Optional[str]:
@@ -356,6 +340,8 @@ class StoreSnapshot:
 
     @property
     def halo(self) -> bool:
+        """Whether the store compresses odd-parity chunks against halos."""
+
         return bool(self._meta.get("halo", False))
 
     @property
@@ -377,14 +363,61 @@ class StoreSnapshot:
         shape, chunk_shape = self.shape, self.chunk_shape
         return tuple(-(-s // e) for s, e in zip(shape, chunk_shape))
 
+    # -- byte accounting -------------------------------------------------
+    @cached_property
+    def original_nbytes(self) -> int:
+        """Uncompressed size of the stored array."""
+
+        shape = self._shape
+        return int(np.prod(shape)) * self.dtype.itemsize if shape is not None else 0
+
+    @cached_property
+    def compressed_nbytes(self) -> int:
+        """Logical compressed size: sum of the per-chunk payload lengths."""
+
+        return sum(record.length for record in self._index)
+
+    @cached_property
+    def stored_nbytes(self) -> int:
+        """Bytes actually referenced in the payload source (dedup collapses)."""
+
+        return sum(length for _, length in {(r.offset, r.length) for r in self._index})
+
+    @cached_property
+    def live_payload_nbytes(self) -> int:
+        """Bytes of the payload source covered by live index ranges
+        (interval union — dedup-shared and overlapping ranges count once)."""
+
+        total = 0
+        covered_until = 0
+        for offset, length in sorted({(r.offset, r.length) for r in self._index}):
+            end = offset + length
+            if end > covered_until:
+                total += end - max(offset, covered_until)
+                covered_until = end
+        return total
+
     @property
-    def data_nbytes(self) -> int:
-        """Size of the payload source (``chunks.bin`` or the buffer)."""
+    def compression_ratio(self) -> float:
+        compressed = self.compressed_nbytes
+        return self.original_nbytes / compressed if compressed else float("inf")
+
+    @property
+    def data_file_nbytes(self) -> int:
+        """Size of the payload source: ``chunks.bin`` on disk (live plus
+        orphaned bytes) or the in-memory buffer."""
 
         if self._data is not None:
             return len(self._data)
         data_path = os.path.join(self.path, DATA_NAME)
         return os.path.getsize(data_path) if os.path.exists(data_path) else 0
+
+    @property
+    def orphaned_nbytes(self) -> int:
+        """Payload bytes no live chunk references (left by unaligned
+        appends / rewrites; :meth:`ArrayStore.compact` reclaims them)."""
+
+        return max(0, self.data_file_nbytes - self.live_payload_nbytes)
 
     def payload_sha1(self, linear: int) -> Optional[str]:
         """Recorded content hash of chunk ``linear``'s payload, if any."""
@@ -399,6 +432,20 @@ class StoreSnapshot:
         if self._data is not None:
             return io.BytesIO(self._data)
         return open(os.path.join(self.path, DATA_NAME), "rb")
+
+    @contextmanager
+    def payload_reader(self) -> Iterator[Callable[[IndexRecord], bytes]]:
+        """Open the payload source once and yield ``fetch(record)``.
+
+        The one way payload bytes leave a snapshot: ``fetch`` returns the
+        record's bytes after checking their length and CRC, and raises
+        :class:`~repro.store.format.StoreCorruptionError` on a mismatch.
+        Region reads, the serve layer's ``mode=chunks`` body and its
+        per-chunk GET all read through it.
+        """
+
+        with self._open_data() as handle:
+            yield partial(self._read_payload, handle)
 
     # -- geometry --------------------------------------------------------
     def _grid_strides(self) -> List[int]:
@@ -555,7 +602,7 @@ class StoreSnapshot:
             wave_span="store.decode_wave",
             tile_span="store.decode_chunk",
             category="store",
-        ) as executor, self._open_data() as handle:
+        ) as executor, self.payload_reader() as fetch:
             sink, scratch = executor.allocate(
                 (len(plan.tiles),) + tuple(self.chunk_shape), self.dtype
             )
@@ -570,7 +617,7 @@ class StoreSnapshot:
                         for axis, dep in enumerate(tile.planes)
                     )
                 record = self._index[linears[slot]]
-                read = partial(self._read_payload, handle, record)
+                read = partial(fetch, record)
                 codec = record.codec
                 return _ChunkDecode(
                     payload=read() if executor.pooled else read,
@@ -671,6 +718,15 @@ class StoreSnapshot:
             chunks_decoded=len(plan.tiles) - len(resolved),
             cache_hits=len(resolved),
         )
+        REGISTRY.counter(
+            "repro_store_reads_total",
+            help="Store region reads performed by this process.",
+        )
+        REGISTRY.counter(
+            "repro_store_chunks_decoded_total",
+            report.chunks_decoded,
+            help="Chunk payload decodes performed by store reads.",
+        )
         if drop_axes:
             out = out.reshape(
                 tuple(
@@ -770,16 +826,6 @@ class StoreSnapshot:
         codec_histogram: Dict[str, int] = {}
         for record in self._index:
             codec_histogram[record.codec] = codec_histogram.get(record.codec, 0) + 1
-        original = (
-            int(np.prod(shape)) * self.dtype.itemsize if shape is not None else 0
-        )
-        compressed = sum(record.length for record in self._index)
-        stored = sum(
-            length
-            for (_, length) in {(r.offset, r.length) for r in self._index}
-        )
-        live = live_payload_nbytes(self._index)
-        data_file = self.data_nbytes
         return {
             "shape": list(shape) if shape is not None else None,
             "dtype": str(self.dtype),
@@ -790,13 +836,11 @@ class StoreSnapshot:
             "halo": self.halo,
             "halo_chunks": sum(1 for record in self._index if record.flags),
             "generation": self.generation,
-            "original_nbytes": original,
-            "compressed_nbytes": compressed,
-            "stored_nbytes": stored,
-            "data_file_nbytes": data_file,
-            "orphaned_nbytes": max(0, data_file - live),
-            "compression_ratio": (
-                original / compressed if compressed else float("inf")
-            ),
+            "original_nbytes": self.original_nbytes,
+            "compressed_nbytes": self.compressed_nbytes,
+            "stored_nbytes": self.stored_nbytes,
+            "data_file_nbytes": self.data_file_nbytes,
+            "orphaned_nbytes": self.orphaned_nbytes,
+            "compression_ratio": self.compression_ratio,
             "codec_histogram": codec_histogram,
         }

@@ -51,7 +51,7 @@ import numpy as np
 from repro.compressors.base import CompressedField
 from repro.compressors.halo import TileHalo, reconstruction_faces
 from repro.compressors.registry import make_compressor
-from repro.core.pipeline import ExperimentCache, memoized_map, merge_counters
+from repro.core.pipeline import ExperimentCache, memoized_map
 from repro.obs.metrics import REGISTRY, publish_cache_counters
 from repro.obs.trace import span as obs_span
 from repro.pressio.metrics import CompressionMetrics, error_statistics
@@ -129,12 +129,6 @@ class VolumeTile:
 class CompressedVolume:
     """A tiled compressed volume: the tiles plus bookkeeping.
 
-    ``cache_counters`` reports the tile-memo effectiveness of the
-    producing :func:`compress_volume` call (hits / misses / evictions of
-    the :class:`~repro.core.pipeline.ExperimentCache` during that call,
-    plus the number of in-call duplicate tiles resolved without a cache
-    lookup); ``None`` when memoization was disabled.
-
     ``halo`` marks a halo-aware volume: tiles were compressed against
     their low-face neighbours' reconstructed planes and entropy contexts
     (wavefront order), and :func:`decompress_volume` must replay the same
@@ -146,7 +140,6 @@ class CompressedVolume:
     compressor: str
     error_bound: float
     tiles: Tuple[VolumeTile, ...]
-    cache_counters: Optional[Dict[str, int]] = None
     halo: bool = False
 
     @property
@@ -167,28 +160,6 @@ class CompressedVolume:
         if compressed == 0:
             return float("inf")
         return self.original_nbytes / compressed
-
-    @property
-    def metrics(self) -> Dict[str, int]:
-        """``cache_counters`` under the unified registry names.
-
-        The canonical observability names for the tile memo (the legacy
-        ``cache_counters`` keys stay available as aliases for one
-        release); empty when memoization was disabled.
-        """
-
-        counters = self.cache_counters or {}
-        names = {
-            "hits": 'repro_cache_hits_total{cache="volume-tile"}',
-            "misses": 'repro_cache_misses_total{cache="volume-tile"}',
-            "evictions": 'repro_cache_evictions_total{cache="volume-tile"}',
-            "in_call_duplicates": (
-                'repro_cache_in_call_duplicates_total{cache="volume-tile"}'
-            ),
-        }
-        return {
-            names[key]: value for key, value in counters.items() if key in names
-        }
 
 
 def _check_volume(volume: np.ndarray) -> np.ndarray:
@@ -373,7 +344,6 @@ def _encode_volume(
     plan = TilePlan.wavefront(shape, tile, halo=halo)
     windows = _windows(plan, shape, tile[0], stream)
     payloads: List[Optional[CompressedField]] = [None] * len(plan.tiles)
-    counters: Optional[Dict[str, int]] = None
 
     def done(index: int, result) -> None:
         payloads[index] = result[0]
@@ -429,10 +399,7 @@ def _encode_volume(
                 )
 
             def memo(tasks, compute):
-                nonlocal counters
-                results, wave_counters = memoized_map(tasks, key_fn, compute, cache)
-                counters = merge_counters(counters, wave_counters)
-                return results
+                return memoized_map(tasks, key_fn, compute, cache)
 
             executor.run_waves(_encode_tile, waves, build, memo=memo, done=done)
             executor.release(source)
@@ -450,7 +417,6 @@ def _encode_volume(
                 VolumeTile(offset=plan_tile.offset, compressed=payload)
                 for plan_tile, payload in zip(plan.tiles, payloads)
             ),
-            cache_counters=counters,
             halo=halo,
         ),
         began,

@@ -120,6 +120,7 @@ class TestExperimentCache:
             "hits": 0,
             "misses": 0,
             "evictions": 0,
+            "in_call_duplicates": 0,
             "entries": 0,
         }
 

@@ -1,5 +1,6 @@
-"""Counter-name unification: every layer reports through the canonical
-``repro_*`` registry names while its legacy dict keys stay as aliases."""
+"""Every number has one source: each layer counts once and reports
+through the canonical ``repro_*`` registry names, with no second copy on
+``info()``, ``CompressedVolume`` or ``ArrayStore`` attributes."""
 
 from __future__ import annotations
 
@@ -17,8 +18,12 @@ def field():
     return generate_gaussian_field((64, 64), correlation_range=8.0, seed=11)
 
 
+def _delta(before, name):
+    return REGISTRY.snapshot().get(name, 0) - before.get(name, 0)
+
+
 class TestStoreInfo:
-    def test_canonical_metrics_alongside_legacy_keys(self, tmp_path, field):
+    def test_info_is_the_snapshot_summary_plus_store_keys(self, tmp_path, field):
         store = ArrayStore.create(
             tmp_path / "s", chunk_shape=32, codec="sz", error_bound=1e-3
         )
@@ -26,41 +31,47 @@ class TestStoreInfo:
         store.read((slice(0, 16), slice(0, 16)))
         info = store.info()
 
-        metrics = info["metrics"]
-        assert metrics["repro_store_chunks_decoded_total"] >= 1
-        assert metrics["repro_store_orphaned_nbytes"] == info["orphaned_nbytes"]
-        assert (
-            metrics["repro_store_data_file_nbytes"] == info["data_file_nbytes"]
-        )
-        for quantity in ("hits", "misses", "evictions"):
-            assert f'repro_cache_{quantity}_total{{cache="store-chunk"}}' in metrics
+        for alias in ("metrics", "cache_counters", "store_cache_counters"):
+            assert alias not in info
+        for attribute in ("chunks_decoded_total", "last_write_cache_counters"):
+            assert not hasattr(store, attribute)
+        summary = store.snapshot().info()
+        assert {key: info[key] for key in summary} == summary
+        assert set(info) - set(summary) == {"path", "chunks"}
+        assert info["orphaned_nbytes"] == store.orphaned_nbytes
+        assert info["data_file_nbytes"] == store.data_file_nbytes
 
-        # Legacy surfaces survive for one release: the attribute counter
-        # and the old cache-counter dicts still carry the same numbers.
-        assert store.chunks_decoded_total == (
-            metrics["repro_store_chunks_decoded_total"]
+    def test_reads_count_in_the_process_registry(self, tmp_path, field):
+        store = ArrayStore.create(
+            tmp_path / "r", chunk_shape=32, codec="sz", error_bound=1e-3
         )
-        assert info["store_cache_counters"]["hits"] == (
-            metrics['repro_cache_hits_total{cache="store-chunk"}']
-        )
+        store.write(field)
+        before = REGISTRY.snapshot()
+        store.read((slice(0, 40), slice(0, 16)))
+        assert _delta(before, "repro_store_reads_total") == 1
+        assert _delta(before, "repro_store_chunks_decoded_total") == 2
+        assert store.last_read.chunks_decoded == 2
 
 
 class TestVolumeMetrics:
-    def test_cache_counters_published_under_canonical_names(self):
-        volume = generate_gaussian_field((16, 16), seed=3)
-        cube = np.broadcast_to(volume, (16, 16, 16)).copy()
-        compressed = compress_volume(cube, "sz", 1e-3, tile_shape=(8, 8, 8))
+    def test_in_call_duplicates_reach_the_registry(self):
+        plane = generate_gaussian_field((16, 16), seed=3)
+        cube = np.broadcast_to(plane, (16, 16, 16)).copy()
+        before = REGISTRY.snapshot()
+        compress_volume(cube, "sz", 1e-3, tile_shape=(8, 8, 8))
+        # 8 tiles, 4 distinct: the axis-0 repeats resolve in the call.
+        label = '{cache="volume-tile"}'
+        assert _delta(before, f"repro_cache_in_call_duplicates_total{label}") == 4
+        assert (
+            _delta(before, f"repro_cache_hits_total{label}")
+            + _delta(before, f"repro_cache_misses_total{label}")
+        ) == 4
 
-        legacy = compressed.cache_counters
-        canonical = compressed.metrics
-        assert set(legacy) == {
-            "hits",
-            "misses",
-            "evictions",
-            "in_call_duplicates",
-        }
-        for key, value in legacy.items():
-            assert canonical[f'repro_cache_{key}_total{{cache="volume-tile"}}'] == value
+    def test_volume_keeps_no_counter_copy(self):
+        cube = np.zeros((8, 8, 8))
+        compressed = compress_volume(cube, "sz", 1e-3, tile_shape=(8, 8, 8))
+        assert not hasattr(compressed, "cache_counters")
+        assert not hasattr(compressed, "metrics")
 
 
 class TestProcessRegistry:

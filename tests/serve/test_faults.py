@@ -70,6 +70,28 @@ class TestCorruption:
             # ...and unrelated datasets are untouched.
             assert client.get("bystander").shape == field_2d.shape
 
+    def test_corrupt_chunk_client_decode_is_a_clean_500(
+        self, serve_root, server, field_2d
+    ):
+        """``mode=chunks`` ships payloads through the snapshot's CRC-checked
+        reader, so corruption fails on the server, not after the bytes
+        reached the client."""
+
+        build_store(serve_root / "victim3", np.asarray(field_2d) + 2.0)
+        last = ArrayStore.open(serve_root / "victim3").n_chunks - 1
+        _corrupt_chunk(serve_root / "victim3", last)
+        with StoreClient(server.url) as client:
+            with pytest.raises(ServeError) as err:
+                client.get("victim3", decode="client")
+            assert err.value.status == 500
+            assert "checksum" in str(err.value)
+            intact = client.get(
+                "victim3", (slice(0, 32), slice(0, 32)), decode="client"
+            )
+            np.testing.assert_allclose(
+                intact, np.asarray(field_2d)[:32, :32] + 2.0, atol=1.1e-3
+            )
+
     def test_corrupt_chunk_endpoint_500(self, serve_root, server, field_2d):
         build_store(serve_root / "victim2", field_2d)
         last = ArrayStore.open(serve_root / "victim2").n_chunks - 1

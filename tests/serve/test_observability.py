@@ -159,13 +159,14 @@ class TestAccessLog:
 
 
 class TestStatsMetrics:
-    def test_stats_exposes_canonical_names_and_legacy_aliases(self, obs_server):
+    def test_stats_exposes_canonical_names(self, obs_server):
         with StoreClient(obs_server.url) as client:
             client.get("obs", (slice(0, 8), slice(0, 8)))
             stats = client.stats()
-        # Legacy keys stay (aliases for one release)...
+        # The keys the benchmark and the dashboard read stay...
         assert {"requests_total", "gate", "hot_chunk_cache"} <= set(stats)
-        # ...and the canonical registry snapshot arrives alongside.
+        # ...responses by status live only in the registry snapshot.
+        assert "responses_by_status" not in stats
         metrics = stats["metrics"]
         assert metrics["repro_serve_requests_total"] >= 1
         assert 'repro_serve_responses_total{class="2xx"}' in metrics

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.obs.metrics import REGISTRY
 from repro.serve.client import ServeError, StoreClient
 from repro.store import ArrayStore
 
@@ -53,12 +54,15 @@ class TestRouting:
         assert {"requests_total", "gate", "hot_chunk_cache"} <= set(stats)
         assert stats["gate"]["max_concurrency"] == 8
 
-    def test_info_carries_cache_counters(self, serve_root, client, field_2d):
-        build_store(serve_root / "info-ds", field_2d)
+    def test_info_is_the_store_summary(self, serve_root, client, field_2d):
+        store = build_store(serve_root / "info-ds", field_2d)
         info = client.info("info-ds")
         assert info["name"] == "info-ds"
         assert info["shape"] == list(field_2d.shape)
-        assert {"hits", "misses"} <= set(info["hot_chunk_cache"])
+        # Server-wide counters live in /stats only.
+        assert "hot_chunk_cache" not in info
+        assert {"hits", "misses"} <= set(client.stats()["hot_chunk_cache"])
+        assert info["compression_ratio"] == store.compression_ratio
 
 
 class TestRoundTrip:
@@ -126,13 +130,33 @@ class TestHotChunkCache:
         assert int(client.last_headers["x-chunks-decoded"]) == 0
         assert int(client.last_headers["x-cache-hits"]) == 1
 
-    def test_counters_monotonic_in_info(self, serve_root, client, field_2d):
-        build_store(serve_root / "hot2", field_2d)
-        before = client.info("hot2")["hot_chunk_cache"]
+    def test_counters_monotonic_in_stats(self, serve_root, client, field_2d):
+        # Fresh content, so the first read misses every chunk.
+        store = build_store(serve_root / "hot2", np.asarray(field_2d) - 1.0)
+        before = client.stats()["hot_chunk_cache"]
         client.get("hot2")
         client.get("hot2")
-        after = client.info("hot2")["hot_chunk_cache"]
-        assert after["hits"] > before["hits"]
+        after = client.stats()["hot_chunk_cache"]
+        assert after["misses"] - before["misses"] == store.n_chunks
+        assert after["hits"] - before["hits"] == store.n_chunks
+
+    def test_region_reads_count_in_the_process_registry(
+        self, serve_root, client, volume_3d
+    ):
+        # Fresh content: the server-wide hot-chunk cache must not serve it.
+        build_store(serve_root / "counted", volume_3d * 0.5 + 3.0, chunk=16)
+        before = REGISTRY.snapshot()
+        client.get("counted", (slice(0, 8), slice(0, 20), slice(0, 8)))
+        after = REGISTRY.snapshot()
+        decoded = int(client.last_headers["x-chunks-decoded"])
+        assert decoded == 2
+        assert (
+            after["repro_store_chunks_decoded_total"]
+            - before.get("repro_store_chunks_decoded_total", 0)
+        ) == decoded
+        assert after["repro_store_reads_total"] > before.get(
+            "repro_store_reads_total", 0
+        )
 
 
 class TestChunkEndpoint:

@@ -13,7 +13,12 @@ from repro.core.pipeline import ExperimentCache
 from repro.datasets.gaussian import generate_gaussian_field
 from repro.datasets.miranda import generate_miranda_like_volume
 from repro.store import ArrayStore, StoreCorruptionError, StoreFormatError
-from repro.store.array_store import DATA_NAME, INDEX_NAME, META_NAME
+from repro.store.array_store import (
+    DATA_NAME,
+    INDEX_NAME,
+    META_NAME,
+    default_store_cache,
+)
 
 BOUND = 1e-3
 TOL = BOUND * (1.0 + 1e-9)
@@ -128,13 +133,18 @@ class TestDedupAndCache:
         cache = ExperimentCache(max_entries=64)
         store = ArrayStore.create(tmp_path / "a", chunk_shape=32)
         store.write(field_2d, cache=cache)
-        first = dict(store.last_write_cache_counters)
-        assert first["misses"] == store.n_chunks
+        assert cache.misses == store.n_chunks and cache.hits == 0
         other = ArrayStore.create(tmp_path / "b", chunk_shape=32)
         other.write(field_2d, cache=cache)
-        second = dict(other.last_write_cache_counters)
-        assert second["hits"] == other.n_chunks
-        assert second["misses"] == 0
+        assert cache.hits == other.n_chunks
+        assert cache.misses == store.n_chunks
+
+    def test_identical_chunks_resolve_in_call(self, tmp_path):
+        cache = ExperimentCache(max_entries=64)
+        store = ArrayStore.create(tmp_path / "c", chunk_shape=16)
+        store.write(np.full((64, 64), 3.25), cache=cache)
+        assert cache.misses == 1 and cache.hits == 0
+        assert cache.in_call_duplicates == store.n_chunks - 1
 
     def test_different_adaptive_parameters_do_not_share_cache(self, tmp_path, field_2d):
         from repro.store.policy import adaptive
@@ -142,18 +152,20 @@ class TestDedupAndCache:
         cache = ExperimentCache(max_entries=64)
         a = ArrayStore.create(tmp_path / "a", chunk_shape=64, codec=adaptive(seed=0))
         a.write(field_2d, cache=cache)
+        misses = cache.misses
         b = ArrayStore.create(
             tmp_path / "b", chunk_shape=64, codec=adaptive(seed=99, n_blocks=3)
         )
         b.write(field_2d, cache=cache)
         # A differently-parameterised policy must recompute, not hit.
-        assert b.last_write_cache_counters["hits"] == 0
-        assert b.last_write_cache_counters["misses"] == b.n_chunks
+        assert cache.hits == 0
+        assert cache.misses - misses == b.n_chunks
 
     def test_cache_disabled(self, tmp_path, field_2d):
+        before = default_store_cache().counters()
         store = ArrayStore.create(tmp_path / "s", chunk_shape=32)
         store.write(field_2d, cache=False)
-        assert store.last_write_cache_counters is None
+        assert default_store_cache().counters() == before
 
 
 class TestParallel:

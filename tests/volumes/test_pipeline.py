@@ -12,6 +12,7 @@ from repro.utils.parallel import ParallelConfig
 from repro.volumes.pipeline import (
     compress_volume,
     decompress_volume,
+    default_volume_cache,
     measure_volume_field,
     shard_volume,
     slice_baseline,
@@ -94,20 +95,20 @@ class TestCompressVolume:
 
     def test_cache_counters_reported(self, volume):
         cache = ExperimentCache(max_entries=64)
-        first = compress_volume(volume, "sz", 1e-3, tile_shape=(16, 16, 16), cache=cache)
-        assert first.cache_counters == {
+        compress_volume(volume, "sz", 1e-3, tile_shape=(16, 16, 16), cache=cache)
+        assert cache.counters() == {
             "hits": 0,
             "misses": 8,
             "evictions": 0,
             "in_call_duplicates": 0,
+            "entries": 8,
         }
-        second = compress_volume(volume, "sz", 1e-3, tile_shape=(16, 16, 16), cache=cache)
-        assert second.cache_counters["hits"] == 8
-        assert second.cache_counters["misses"] == 0
-        disabled = compress_volume(
-            volume, "sz", 1e-3, tile_shape=(16, 16, 16), cache=False
-        )
-        assert disabled.cache_counters is None
+        compress_volume(volume, "sz", 1e-3, tile_shape=(16, 16, 16), cache=cache)
+        assert cache.hits == 8
+        assert cache.misses == 8
+        before = default_volume_cache().counters()
+        compress_volume(volume, "sz", 1e-3, tile_shape=(16, 16, 16), cache=False)
+        assert default_volume_cache().counters() == before
 
     def test_constant_tiles_deduplicate(self):
         cache = ExperimentCache(max_entries=64)
@@ -117,6 +118,7 @@ class TestCompressVolume:
         )
         # 4 identical tiles: one compression, three in-call duplicates.
         assert cache.misses == 1 and len(cache) == 1
+        assert cache.in_call_duplicates == 3
         blobs = {tile.compressed.data for tile in compressed.tiles}
         assert len(blobs) == 1
 
@@ -261,11 +263,11 @@ class TestHaloVolume:
         plain = compress_volume(
             volume, "sz", 1e-3, tile_shape=(16, 16, 16), cache=cache
         )
-        halo = compress_volume(
+        compress_volume(
             volume, "sz", 1e-3, tile_shape=(16, 16, 16), cache=cache, halo=True
         )
         # A halo run right after a halo-off run must not reuse its tiles.
-        assert halo.cache_counters["hits"] == 0
+        assert cache.hits == 0
         assert plain.compressed_nbytes != 0
 
     @pytest.mark.parametrize("name", ["sz", "zfp", "mgard"])
