@@ -300,19 +300,14 @@ class LosslessBackend:
         """
 
         from repro.encoding.context import stream_width
-        from repro.encoding.huffman import (
-            canonical_code_from_counts,
-            huffman_encode_with_code,
-        )
+        from repro.encoding.huffman import huffman_encode_with_code
 
         width = stream_width(symbols)
         pool = context.pool(width)
         if pool is None:
             return None
         esc_symbol = pool.escape_symbol
-        code_symbols = np.append(pool.symbols, esc_symbol)
-        code_counts = np.append(pool.counts, pool.escape_count)
-        syms_c, lens_c, codes_c = canonical_code_from_counts(code_symbols, code_counts)
+        syms_c, lens_c, codes_c = pool.code
 
         in_alphabet = np.isin(symbols, pool.symbols)
         escapes = symbols[~in_alphabet]
@@ -328,10 +323,7 @@ class LosslessBackend:
         return bytes(body)
 
     def _decode_context_stream(self, body: bytes, context) -> np.ndarray:
-        from repro.encoding.huffman import (
-            canonical_code_from_counts,
-            huffman_decode_with_code,
-        )
+        from repro.encoding.huffman import huffman_decode_with_code
 
         if context is None:
             raise ValueError(
@@ -355,9 +347,7 @@ class LosslessBackend:
         pos += escape_bytes
 
         esc_symbol = pool.escape_symbol
-        code_symbols = np.append(pool.symbols, esc_symbol)
-        code_counts = np.append(pool.counts, pool.escape_count)
-        syms_c, lens_c, _ = canonical_code_from_counts(code_symbols, code_counts)
+        syms_c, lens_c, _ = pool.code
         decoded = huffman_decode_with_code(body[pos:], count, syms_c, lens_c)
         escape_positions = np.flatnonzero(decoded == esc_symbol)
         if escape_positions.size != n_escapes:
@@ -382,6 +372,8 @@ class LosslessBackend:
             return self._decode_context_stream(body, context)
         if tag == b"R":
             count, pos = decode_varint(body, 0)
+            if len(body) - pos < 8 * count:
+                raise EOFError("truncated raw symbol stream")
             return np.frombuffer(body[pos : pos + 8 * count], dtype="<i8").astype(np.int64)
         if tag == b"P":
             return self._decode_packed(body)

@@ -40,9 +40,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
+
+from repro.encoding import huffman
 
 __all__ = ["EntropyContext", "ContextPool", "stream_width"]
 
@@ -82,6 +85,20 @@ class ContextPool:
     @property
     def escape_count(self) -> int:
         return max(1, self.total // ESCAPE_FREQUENCY_DIVISOR)
+
+    @cached_property
+    def code(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Canonical ``(syms, lens, codes)`` over the pool plus escape,
+        built once per pool object and shared by every stream coded on it."""
+
+        return huffman.canonical_code_from_counts(
+            np.append(self.symbols, self.escape_symbol),
+            np.append(self.counts, self.escape_count),
+        )
+
+    def __getstate__(self) -> dict:
+        # The memoised code is rebuilt on demand and never rides a pickle.
+        return {key: value for key, value in self.__dict__.items() if key != "code"}
 
 
 class EntropyContext:

@@ -12,13 +12,13 @@ canonical Huffman implementation:
   *length-limited* (zlib-style Kraft repair) so every codeword fits the
   decoder's lookup table,
 * codes are made *canonical* so the decoder only needs the code lengths,
-* encoding is vectorised with NumPy (per-symbol code/length lookup followed
-  by a single ``packbits`` pass),
-* decoding is vectorised too: a canonical prefix table maps every
-  ``max_len``-bit window of the payload to ``(symbol, length)``, and the
-  serial "next codeword starts where the previous one ended" chain is
-  resolved with pointer doubling (``log2(n)`` gathers) instead of a
-  per-symbol Python loop.
+* encoding packs per symbol, not per bit (:func:`_pack_codes`): each
+  codeword is shifted into a window of at most 8 bytes ending on its
+  last bit, and the windows are merged into the output bytes,
+* decoding reads the ``max_len``-bit window at every bit position from one
+  byte-aligned 32-bit word, maps it to ``(symbol, length)`` through a
+  canonical prefix table, and resolves the serial "next codeword starts
+  where the previous one ended" chain with pointer doubling.
 
 The encoded container stores the symbol table (symbols + code lengths) with
 varints, then the bit stream.
@@ -263,6 +263,37 @@ def _count_symbols(arr: np.ndarray):
     return present + vmin, slot[arr - vmin], full[present]
 
 
+def _pack_codes(codes: np.ndarray, lens: np.ndarray) -> bytes:
+    """MSB-first concatenation of each ``codes[i]`` in ``lens[i]`` bits.
+
+    Byte-identical to ``BitWriter.write_bits_array(codes, lens)``.  Each
+    codeword is shifted to end on the last bit of its end byte, a window
+    of ``k = ceil((max_len + 7) / 8) <= 8`` bytes (codes have at most 57
+    bits).  Codewords share no bit, so the OR of the windows ending on one
+    byte is a difference of integer prefix sums; byte ``j`` of that
+    window lands on output byte ``end - j``.
+    """
+
+    ends = np.cumsum(lens)
+    n_bytes = (int(ends[-1]) + 7) >> 3
+    k = (int(lens.max()) + 14) >> 3
+    windows = np.asarray(codes, dtype=np.uint64) << ((-ends) & 7).astype(np.uint64)
+    end_byte = (ends - 1) >> 3
+    is_tail = np.empty(end_byte.size, dtype=bool)
+    is_tail[-1] = True
+    np.not_equal(end_byte[1:], end_byte[:-1], out=is_tail[:-1])
+    tails = np.flatnonzero(is_tail)
+    merged = np.cumsum(windows)[tails]
+    merged[1:] -= merged[:-1]
+    by_end = np.zeros(n_bytes, dtype="<u8")
+    by_end[end_byte[tails]] = merged
+    window_bytes = by_end.view(np.uint8).reshape(-1, 8)
+    out = window_bytes[:, 0].copy()
+    for j in range(1, k):
+        out[:-j] |= window_bytes[j:, j]
+    return out.tobytes()
+
+
 def huffman_encode(symbols: Sequence[int]) -> bytes:
     """Encode a sequence of non-negative integers into a self-describing blob."""
 
@@ -294,19 +325,7 @@ def huffman_encode(symbols: Sequence[int]) -> bytes:
     rank = np.empty(values.size, dtype=np.int64)
     rank[order] = np.arange(values.size)
     index = rank[np.asarray(inverse).ravel()]
-    codes_arr = codes_c[index]
-    lens_arr = lens_c[index]
-
-    # Vectorised MSB-first bit packing: expand every codeword into exactly
-    # its own bits (no max_len-wide matrix) — bit k of a length-L codeword
-    # is (code >> (L-1-k)) & 1, laid out flat in symbol order.
-    starts = np.cumsum(lens_arr) - lens_arr
-    total = int(starts[-1] + lens_arr[-1])
-    within = np.arange(total, dtype=np.int64) - np.repeat(starts, lens_arr)
-    rep_codes = np.repeat(codes_arr, lens_arr)
-    rep_shifts = (np.repeat(lens_arr, lens_arr) - 1 - within).astype(np.uint64)
-    bits = ((rep_codes >> rep_shifts) & np.uint64(1)).astype(np.uint8)
-    payload = np.packbits(bits).tobytes()
+    payload = _pack_codes(codes_c[index], lens_c[index])
     out.extend(encode_varint(len(payload)))
     out.extend(payload)
     return bytes(out)
@@ -329,8 +348,8 @@ def _decode_vectorized(
     # Canonical codewords tile the prefix space contiguously (base of the
     # next codeword = base + span of the previous), so the full lookup
     # table is a single repeat; the tail past the Kraft sum is invalid.
-    lens = lens_canonical.astype(np.int32)
-    spans = np.int64(1) << (max_len - lens)
+    lens = lens_canonical.astype(np.intp)
+    spans = np.intp(1) << (max_len - lens)
     if int(spans.sum()) > (1 << max_len):
         raise ValueError("invalid Huffman code lengths (Kraft violation)")
     table_syms = np.repeat(syms_canonical, spans)
@@ -338,15 +357,17 @@ def _decode_vectorized(
     gap = (1 << max_len) - table_syms.size
     if gap:
         table_syms = np.concatenate([table_syms, np.zeros(gap, dtype=np.int64)])
-        table_lens = np.concatenate([table_lens, np.zeros(gap, dtype=np.int32)])
+        table_lens = np.concatenate([table_lens, np.zeros(gap, dtype=np.intp)])
 
-    # Window value of the max_len bits starting at every bit position
-    # (zero-padded past the end of the payload).
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-    padded = np.concatenate([bits, np.zeros(max_len, dtype=np.uint8)])
-    windows = np.zeros(total_bits, dtype=np.int32)
-    for k in range(max_len):
-        windows |= padded[k : k + total_bits].astype(np.int32) << np.int32(max_len - 1 - k)
+    # Window value of the max_len bits starting at every bit position: the
+    # big-endian 32-bit word at each byte offset (zero-padded past the end),
+    # shifted right by the bit phase.  max_len <= _MAX_TABLE_BITS = 20, so
+    # phase + max_len <= 27 bits always lie inside the word.
+    padded = np.frombuffer(bytes(payload) + b"\0\0\0", dtype=np.uint8)
+    words = np.ndarray((len(payload),), dtype=">u4", buffer=padded, strides=(1,))
+    phase_shifts = 32 - max_len - np.arange(8, dtype=np.intp)
+    windows = (words.astype(np.intp)[:, None] >> phase_shifts).ravel()
+    windows &= (1 << max_len) - 1
 
     len_at = table_lens[windows]
 
@@ -354,8 +375,8 @@ def _decode_vectorized(
     # sentinel (total_bits) absorbs jumps past the end, and invalid
     # prefixes (length 0) self-loop — both are rejected after the chain.
     sentinel = total_bits
-    jump = np.empty(total_bits + 1, dtype=np.int32)
-    np.add(np.arange(total_bits, dtype=np.int32), len_at, out=jump[:total_bits])
+    jump = np.empty(total_bits + 1, dtype=np.intp)
+    np.add(np.arange(total_bits, dtype=np.intp), len_at, out=jump[:total_bits])
     jump[total_bits] = sentinel
     np.minimum(jump, sentinel, out=jump)
 
@@ -365,7 +386,7 @@ def _decode_vectorized(
     # stride and extend the sequence stride-by-stride instead — the
     # remaining extensions only gather `stride` elements each.
     stride_cap = 256
-    seq = np.empty(n_symbols, dtype=np.int32)
+    seq = np.empty(n_symbols, dtype=np.intp)
     seq[0] = 0
     filled = 1
     J = jump
@@ -378,12 +399,13 @@ def _decode_vectorized(
             J = J[J]
             jumpby *= 2
 
-    if seq[-1] >= sentinel:
-        raise EOFError("bit stream exhausted")
-    seq_lens = len_at[seq]
-    if (seq_lens == 0).any():
+    # An invalid prefix self-loops, so the chain ends on the first one; it
+    # is a short stream, not a corrupt one, if its window runs past the end.
+    last = int(seq[-1])
+    last_len = int(len_at[last]) if last < sentinel else 0
+    if last_len == 0 and last + max_len <= total_bits:
         raise ValueError("invalid Huffman bit stream")
-    if seq[-1] + seq_lens[-1] > total_bits:
+    if last_len == 0 or last + last_len > total_bits:
         raise EOFError("bit stream exhausted")
     return table_syms[windows[seq]]
 
@@ -444,16 +466,27 @@ def huffman_decode(blob: bytes) -> np.ndarray:
     if len(payload) < payload_len:
         raise EOFError("truncated Huffman payload")
 
-    if table_size == 1:
-        # Degenerate single-symbol stream: each symbol used one bit.
-        return np.full(n_symbols, syms[0], dtype=np.int64)
     if table_size == 0 or lens.min() < 1:
         raise ValueError("invalid Huffman symbol table")
     order = np.lexsort((syms, lens))
-    lens_canonical = lens[order]
+    return _decode_canonical(payload, n_symbols, syms[order], lens[order])
+
+
+def _decode_canonical(
+    payload: bytes, n_symbols: int, syms_canonical: np.ndarray, lens_canonical: np.ndarray
+) -> np.ndarray:
+    """Decode ``n_symbols`` (> 0) codewords of a code in canonical order."""
+
+    if syms_canonical.size == 1:
+        # Degenerate single-symbol code: one bit per symbol.
+        if len(payload) * 8 < n_symbols:
+            raise EOFError("bit stream exhausted")
+        return np.full(n_symbols, int(syms_canonical[0]), dtype=np.int64)
     if int(lens_canonical[-1]) <= _MAX_TABLE_BITS:
-        return _decode_vectorized(syms[order], lens_canonical, payload, n_symbols)
-    code = HuffmanCode.from_lengths({int(s): int(l) for s, l in zip(syms, lens)})
+        return _decode_vectorized(syms_canonical, lens_canonical, payload, n_symbols)
+    code = HuffmanCode.from_lengths(
+        {int(s): int(l) for s, l in zip(syms_canonical, lens_canonical)}
+    )
     return _decode_scalar(code, payload, n_symbols)
 
 
@@ -512,17 +545,7 @@ def huffman_encode_with_code(
     ):
         raise ValueError("stream contains symbols outside the agreed code")
     slots = sym_order[pos]
-    codes_arr = codes_canonical[slots]
-    lens_arr = lens_canonical[slots]
-
-    # Same vectorised MSB-first packing as huffman_encode.
-    starts = np.cumsum(lens_arr) - lens_arr
-    total = int(starts[-1] + lens_arr[-1])
-    within = np.arange(total, dtype=np.int64) - np.repeat(starts, lens_arr)
-    rep_codes = np.repeat(codes_arr, lens_arr)
-    rep_shifts = (np.repeat(lens_arr, lens_arr) - 1 - within).astype(np.uint64)
-    bits = ((rep_codes >> rep_shifts) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits).tobytes()
+    return _pack_codes(codes_canonical[slots], lens_canonical[slots])
 
 
 def huffman_decode_with_code(
@@ -535,16 +558,4 @@ def huffman_decode_with_code(
 
     if n_symbols == 0:
         return np.empty(0, dtype=np.int64)
-    if syms_canonical.size == 1:
-        # Degenerate single-symbol code: one bit per symbol.
-        if len(payload) * 8 < n_symbols:
-            raise EOFError("bit stream exhausted")
-        return np.full(n_symbols, int(syms_canonical[0]), dtype=np.int64)
-    if int(lens_canonical[-1]) <= _MAX_TABLE_BITS:
-        return _decode_vectorized(
-            syms_canonical, lens_canonical.astype(np.int64), payload, n_symbols
-        )
-    code = HuffmanCode.from_lengths(
-        {int(s): int(l) for s, l in zip(syms_canonical, lens_canonical)}
-    )
-    return _decode_scalar(code, payload, n_symbols)
+    return _decode_canonical(payload, n_symbols, syms_canonical, lens_canonical)

@@ -3,10 +3,15 @@ lossless backend's context-coded ``C`` streams)."""
 
 from __future__ import annotations
 
+import pickle
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.compressors.base import LosslessBackend
+from repro.datasets.miranda import generate_miranda_like_volume
+from repro.encoding import huffman
 from repro.encoding.context import EntropyContext, stream_width
 from repro.encoding.huffman import (
     canonical_code_from_counts,
@@ -183,3 +188,77 @@ class TestContextStreams:
         assert backend.encode_symbols(stream, context=context) == (
             backend.encode_symbols(stream)
         )
+
+
+def _counting_code_builds(monkeypatch):
+    """Record the frequency table of every canonical-code build."""
+
+    builds = []
+    build = huffman.canonical_code_from_counts
+
+    def counting(symbols, counts, **kwargs):
+        builds.append((np.asarray(symbols).tobytes(), np.asarray(counts).tobytes()))
+        return build(symbols, counts, **kwargs)
+
+    monkeypatch.setattr(huffman, "canonical_code_from_counts", counting)
+    return builds
+
+
+class TestPoolCodeMemo:
+    def test_code_built_once_per_pool(self, monkeypatch):
+        builds = _counting_code_builds(monkeypatch)
+        rng = np.random.default_rng(9)
+        backend = LosslessBackend("huffman")
+        context = EntropyContext.from_streams([_peaked(rng, 50000)])
+        streams = [_peaked(rng, 1500) for _ in range(4)]
+        coded = [backend.encode_symbols(s, context=context) for s in streams]
+        assert all(blob[:1] == b"C" for blob in coded)
+        for blob, stream in zip(coded, streams):
+            assert np.array_equal(backend.decode_symbols(blob, context=context), stream)
+        assert len(builds) == 1
+
+    def test_pickle_is_unchanged_by_use(self):
+        rng = np.random.default_rng(10)
+        context = EntropyContext.from_streams([_peaked(rng, 50000)])
+        before = pickle.dumps(context)
+        backend = LosslessBackend("huffman")
+        stream = _peaked(rng, 1500)
+        coded = backend.encode_symbols(stream, context=context)
+        assert coded[:1] == b"C"
+        assert pickle.dumps(context) == before
+        # The round-tripped context rebuilds the same code on demand.
+        clone = pickle.loads(before)
+        assert np.array_equal(backend.decode_symbols(coded, context=clone), stream)
+
+    def test_halo_volume_builds_each_pool_code_at_most_once(self, monkeypatch):
+        from repro.volumes.pipeline import compress_volume, decompress_volume
+
+        contexts = []
+        from_streams = EntropyContext.from_streams.__func__
+
+        def recording(cls, streams):
+            context = from_streams(cls, streams)
+            contexts.append(context)
+            return context
+
+        monkeypatch.setattr(EntropyContext, "from_streams", classmethod(recording))
+        builds = _counting_code_builds(monkeypatch)
+        volume = generate_miranda_like_volume((64, 64, 64), seed=3)
+        compressed = compress_volume(
+            volume, "zfp", 1e-3, tile_shape=(32, 32, 32), halo=True, cache=False
+        )
+        decompress_volume(compressed)
+
+        pools = Counter()
+        for context in contexts:
+            for width in context.widths:
+                pool = context.pool(width)
+                pools[
+                    (
+                        np.append(pool.symbols, pool.escape_symbol).tobytes(),
+                        np.append(pool.counts, pool.escape_count).tobytes(),
+                    )
+                ] += 1
+        assert builds
+        for table, calls in Counter(builds).items():
+            assert calls <= pools[table]

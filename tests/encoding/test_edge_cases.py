@@ -193,6 +193,17 @@ class TestHuffmanRobustness:
         with pytest.raises((EOFError, ValueError)):
             huffman_decode(b"\xff\xff\xff")
 
+    def test_single_symbol_stream_without_payload_bits_raises(self):
+        # One-symbol table declaring 1000 symbols but carrying 0 payload
+        # bytes: the stream is short by 1000 bits.
+        header = encode_varint(1000) + encode_varint(1) + encode_varint_array(
+            np.array([7, 1])
+        )
+        with pytest.raises(EOFError):
+            huffman_decode(header + encode_varint(0))
+        blob = huffman_encode([7] * 1000)
+        np.testing.assert_array_equal(huffman_decode(blob), np.full(1000, 7))
+
     def test_long_codes_fall_back_to_scalar_decoder(self):
         # A hand-built header with code lengths above the table limit still
         # decodes through the scalar path (foreign/legacy streams).
@@ -249,6 +260,13 @@ class TestBackendTagDispatch:
         blob = backend.encode_symbols(symbols)
         assert self._tag(blob) == b"R"
         np.testing.assert_array_equal(backend.decode_symbols(blob), symbols)
+
+    @pytest.mark.parametrize("cut", [1, 8, 16, 80])
+    def test_truncated_raw_stream_raises(self, cut):
+        # A body cut by a multiple of 8 bytes used to decode short silently.
+        blob = LosslessBackend("raw").encode_symbols(np.arange(10))
+        with pytest.raises(EOFError):
+            LosslessBackend("raw").decode_symbols(blob[:-cut])
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
