@@ -6,8 +6,8 @@ cached-read workload at 1, 4 and 16 concurrent clients against one
 comes from **singleflight coalescing**, not parallel decode: concurrent
 identical in-flight reads share one decode+serialize task, so sixteen
 clients cost roughly one client's decode work.  The acceptance gate is
->= 2x decoded MB/s at 16 clients vs 1 on the warm-cache workload; the
-same measurement feeds the ``serve-*`` cells of the CI trend file.
+>= 2x decoded MB/s at 16 clients vs 1 on the warm-cache workload, and
+CI's bench job runs :func:`test_serve_load_scaling` to hold it.
 """
 
 from __future__ import annotations
@@ -90,10 +90,10 @@ def run_load(url, name, *, n_clients, rounds, region=None):
 
 
 def best_load(url, name, *, n_clients, rounds, trials=3, region=None):
-    """Best-of-N :func:`run_load` (same policy as the trend exporter's
-    ``_best_ms``): a single stalled round — GC pause, scheduler hiccup —
-    tanks a wall-clock aggregate on a one-CPU runner, so throughput is
-    taken from the best trial while latency percentiles pool all trials.
+    """Best-of-N :func:`run_load`: a single stalled round — GC pause,
+    scheduler hiccup — tanks a wall-clock aggregate on a one-CPU runner,
+    so throughput is taken from the best trial while latency percentiles
+    pool all trials.
     """
 
     results = [

@@ -2,8 +2,8 @@
 
 Text output is one ``path:line:col: rule: message`` per finding (the
 shape editors and CI annotations understand); ``--format json`` emits a
-schema-versioned document with per-finding suppression state so the
-bench-trend tooling can track finding counts per PR.  Exit status is 0
+schema-versioned document with per-finding suppression state so
+tooling can track finding counts over time.  Exit status is 0
 iff no *unsuppressed* findings remain.
 """
 

@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tile edge length for the volume pipeline (with --volume)",
     )
     compress.add_argument(
-        "--workers", type=int, default=1, help="tile workers (with --volume)"
+        "--workers", type=_positive_int, default=1, help="tile workers (with --volume)"
     )
     compress.add_argument(
         "--baseline",
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--compressors", nargs="+", default=["sz", "zfp", "mgard"],
         choices=("sz", "zfp", "mgard"),
     )
-    experiment.add_argument("--workers", type=int, default=1)
+    experiment.add_argument("--workers", type=_positive_int, default=1)
     experiment.add_argument(
         "--skip-local-stats", action="store_true", help="compute only the global variogram range"
     )
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk", type=int, default=None,
         help="chunk edge length (default: 128 for 2D, 64 for 3D)",
     )
-    put.add_argument("--workers", type=int, default=1, help="parallel chunk workers")
+    put.add_argument("--workers", type=_positive_int, default=1, help="parallel chunk workers")
     put.add_argument(
         "--stream",
         action="store_true",
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --url: fetch still-compressed chunks and decode locally",
     )
     get.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive_int, default=1,
         help="local reads: decode chunks with this many workers (two-wave "
         "parallel decode over shared memory; 1 = serial)",
     )
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="hot-chunk decode cache budget in MiB",
     )
     serve.add_argument(
-        "--decode-workers", type=int, default=2,
+        "--decode-workers", type=_positive_int, default=2,
         help="thread-pool workers for chunk decode/compress work",
     )
     serve.add_argument(
@@ -431,8 +431,23 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--seed", type=int, default=0)
     figure.add_argument("--size", type=int, default=128, help="Gaussian field edge length")
     figure.add_argument("--markdown", action="store_true", help="emit Markdown tables")
-    figure.add_argument("--workers", type=int, default=1)
+    figure.add_argument("--workers", type=_positive_int, default=1)
     return parser
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the worker counts: an integer of at least 1."""
+
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _parallel(workers: int) -> Optional[ParallelConfig]:
+    """The pool for a ``--workers`` count; ``None`` (serial) for 1."""
+
+    return ParallelConfig(workers=workers) if workers > 1 else None
 
 
 def _add_field_arguments(parser: argparse.ArgumentParser) -> None:
@@ -483,7 +498,6 @@ def _command_compress_volume_stream(args: argparse.Namespace) -> int:
     pass comparing each reconstructed slab against a re-read source slab.
     """
 
-    from repro.utils.parallel import ParallelConfig
     from repro.volumes.streaming import (
         compress_volume_stream,
         decompress_volume_stream,
@@ -507,7 +521,7 @@ def _command_compress_volume_stream(args: argparse.Namespace) -> int:
             lo, hi = min(lo, float(slab.min())), max(hi, float(slab.max()))
         bound = args.error_bound * (hi - lo)
 
-    parallel = ParallelConfig(workers=args.workers) if args.workers > 1 else None
+    parallel = _parallel(args.workers)
     compressed = compress_volume_stream(
         args.field,
         args.compressor,
@@ -560,14 +574,13 @@ def _command_compress_volume_stream(args: argparse.Namespace) -> int:
 
 
 def _command_compress_volume(args: argparse.Namespace, volume: np.ndarray) -> int:
-    from repro.utils.parallel import ParallelConfig
     from repro.volumes.pipeline import compress_volume, slice_baseline, volume_metrics
 
     if args.mode == "rel":
         bound = args.error_bound * float(volume.max() - volume.min())
     else:
         bound = args.error_bound
-    parallel = ParallelConfig(workers=args.workers) if args.workers > 1 else None
+    parallel = _parallel(args.workers)
     compressed = compress_volume(
         volume,
         args.compressor,
@@ -769,7 +782,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
         compute_local_variogram=not args.skip_local_stats,
         compute_local_svd=not args.skip_local_stats,
     )
-    parallel = ParallelConfig(workers=args.workers) if args.workers > 1 else None
+    parallel = _parallel(args.workers)
     result = run_experiment(
         args.dataset, config=config, registry=registry, seed=args.seed, parallel=parallel
     )
@@ -843,7 +856,7 @@ def _command_store_put_stream(args: argparse.Namespace, ArrayStore) -> int:
         overwrite=args.overwrite,
         halo=args.halo,
     )
-    parallel = ParallelConfig(workers=args.workers) if args.workers > 1 else None
+    parallel = _parallel(args.workers)
     n_slabs = 0
     for row_start in range(0, source.shape[0], edge0):
         slab = source.read(row_start, min(edge0, source.shape[0] - row_start))
@@ -905,7 +918,7 @@ def _command_store_put(args: argparse.Namespace, ArrayStore) -> int:
         overwrite=args.overwrite,
         halo=args.halo,
     )
-    parallel = ParallelConfig(workers=args.workers) if args.workers > 1 else None
+    parallel = _parallel(args.workers)
     store.write(array, parallel=parallel)
     return _print_store_info(store)
 
@@ -925,9 +938,7 @@ def _command_store_get(args: argparse.Namespace, ArrayStore) -> int:
         if args.client_decode:
             raise SystemExit("--client-decode only applies with --url")
         store = ArrayStore.open(args.store)
-        parallel = (
-            ParallelConfig(workers=args.workers) if args.workers > 1 else None
-        )
+        parallel = _parallel(args.workers)
         values = store.read(region, parallel=parallel)
         report = store.last_read
         print(
@@ -1049,7 +1060,7 @@ def _command_store_ls(args: argparse.Namespace, ArrayStore) -> int:
 
 def _command_figure(args: argparse.Namespace) -> int:
     registry = default_registry(gaussian_shape=(args.size, args.size))
-    parallel = ParallelConfig(workers=args.workers) if args.workers > 1 else None
+    parallel = _parallel(args.workers)
     driver = _FIGURES[args.number]
     output = driver(registry=registry, seed=args.seed, parallel=parallel)
     for panel, series_list in output.items():

@@ -6,7 +6,7 @@ question — "where does the time actually go" — by sampling every
 thread's Python stack on a fixed cadence.  That makes it safe to leave
 running against production-sized work: the cost is one
 ``sys._current_frames()`` walk per tick (a few hundred microseconds at
-the default 99 Hz, gated by the ``profiler-overhead`` benchmark cell),
+the default 99 Hz, held under 5% by ``tests/obs/test_overhead.py``),
 independent of how hot the code under it is, and nothing in the profiled
 code needs instrumentation.
 

@@ -15,8 +15,8 @@ instrumented with:
   correct subtree.
 * **Zero-cost when disabled** (the default): the module-level
   :func:`span` checks one global and returns a shared no-op context
-  manager — no allocation, no clock read.  The benchmark-trend CI gates
-  this overhead at <= 2% of the smoke cells.
+  manager — no allocation, no clock read.  ``tests/obs/test_overhead.py``
+  holds this overhead at <= 2% of a 64^3 compress.
 * **Worker-boundary survival**: a worker process captures its own spans
   with :func:`worker_capture` / :meth:`Tracer.export_tuples` (plain
   picklable tuples, versioned), and the submitting side re-parents them

@@ -107,20 +107,14 @@ class ParallelConfig:
     use_processes:
         Select :class:`~concurrent.futures.ProcessPoolExecutor` (default)
         versus :class:`~concurrent.futures.ThreadPoolExecutor`.
-    chunksize:
-        Forwarded to ``Executor.map`` for process pools to amortise IPC
-        overhead when there are many small tasks.
     """
 
     workers: int = 1
     use_processes: bool = True
-    chunksize: int = 1
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
 
 
 class WorkerPool:
@@ -165,15 +159,10 @@ class WorkerPool:
         items_list: Sequence[T] = list(items)
         if not items_list:
             return []
-        if self._ensure_executor() is None:
+        executor = self._ensure_executor()
+        if executor is None:
             return [func(item) for item in items_list]
-        if isinstance(self._executor, ProcessPoolExecutor):
-            return list(
-                self._executor.map(
-                    func, items_list, chunksize=self.config.chunksize
-                )
-            )
-        return list(self._executor.map(func, items_list))
+        return list(executor.map(func, items_list))
 
 
 def parallel_map(

@@ -22,7 +22,7 @@ Sources are either in-memory arrays or ``.npy`` paths.  File sources are
 read with explicit per-slab ``seek`` + :func:`numpy.fromfile` rather than
 :func:`numpy.memmap`: mapped pages count toward RSS until the OS reclaims
 them, which would defeat the memory bound this module exists to provide
-(and which CI's ``stream-peak-rss`` cell gates).
+(and which ``benchmarks/test_bars.py::test_stream_peak_rss`` gates).
 """
 
 from __future__ import annotations

@@ -32,6 +32,45 @@ class TestParser:
             assert command in parser.format_help()
 
 
+class TestWorkerCounts:
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compress", "v.npy", "--volume", "--workers"],
+            ["experiment", "gaussian-single", "--output", "o.csv", "--workers"],
+            ["store", "put", "s", "--field", "f.npy", "--workers"],
+            ["store", "get", "s", "--workers"],
+            ["figure", "3", "--workers"],
+            ["serve", "root", "--decode-workers"],
+        ],
+    )
+    def test_non_positive_count_is_a_usage_error(self, argv, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [count])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"must be at least 1, got {int(count)}" in err
+
+    def test_two_workers_still_parallelise(self, tmp_path, monkeypatch, capsys):
+        import repro.volumes.pipeline as pipeline
+
+        seen = []
+        real = pipeline.compress_volume
+
+        def spy(*args, parallel=None, **kwargs):
+            seen.append(parallel)
+            return real(*args, parallel=parallel, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compress_volume", spy)
+        path = tmp_path / "vol.npy"
+        save_field(path, np.random.default_rng(4).normal(size=(16, 16, 16)))
+        argv = ["compress", str(path), "--volume", "--tile", "8", "--error-bound", "1e-2"]
+        assert main(argv + ["--workers", "2"]) == 0
+        assert main(argv + ["--workers", "1"]) == 0
+        assert seen[0].workers == 2 and seen[1] is None
+
+
 class TestCompressCommand:
     def test_compress_npy(self, field_npy, capsys):
         code = main(["compress", str(field_npy), "--compressor", "sz", "--error-bound", "1e-3"])

@@ -20,11 +20,9 @@ class TestParallelConfig:
         config = ParallelConfig()
         assert config.workers == 1
 
-    def test_rejects_invalid_workers_and_chunksize(self):
+    def test_rejects_invalid_workers(self):
         with pytest.raises(ValueError):
             ParallelConfig(workers=0)
-        with pytest.raises(ValueError):
-            ParallelConfig(chunksize=0)
 
 
 class TestParallelMap:
