@@ -9,8 +9,8 @@ The library is organised as the paper's system is:
 * :mod:`repro.compressors` — from-scratch SZ-like, ZFP-like and MGARD-like
   error-bounded lossy compressors with their lossless coding substrate in
   :mod:`repro.encoding`.
-* :mod:`repro.pressio` — a libpressio-like facade (uniform compress /
-  decompress / measure interface and quality metrics).
+* :mod:`repro.pressio` — the sweep's one-call compress + measure path,
+  the relative-to-absolute bound rule and the quality metrics.
 * :mod:`repro.stats` — variogram estimation and fitting, windowed local
   statistics, local SVD truncation levels, entropy.
 * :mod:`repro.core` — the analysis layer: experiment sweeps, logarithmic

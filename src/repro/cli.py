@@ -60,7 +60,7 @@ from repro.core.pipeline import run_experiment
 from repro.core.reporting import format_table, series_to_markdown, write_records_csv
 from repro.datasets.io import load_field, load_raw
 from repro.datasets.registry import default_registry
-from repro.pressio.api import compress_and_measure
+from repro.pressio.api import ERROR_BOUND_MODES, absolute_bound, compress_and_measure
 from repro.stats.entropy import quantized_entropy
 from repro.stats.local import std_local_variogram_range
 from repro.stats.svd import std_local_svd_truncation
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     compress.add_argument("--compressor", default="sz", choices=("sz", "zfp", "mgard"))
     compress.add_argument("--error-bound", type=float, default=1e-3)
     compress.add_argument(
-        "--mode", default="abs", choices=("abs", "rel"), help="error bound interpretation"
+        "--mode", default="abs", choices=ERROR_BOUND_MODES, help="error bound interpretation"
     )
     compress.add_argument(
         "--volume",
@@ -513,14 +513,12 @@ def _command_compress_volume_stream(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         raise SystemExit(f"cannot stream {args.field}: {exc}") from exc
 
-    bound = args.error_bound
-    if args.mode == "rel":
-        lo, hi = np.inf, -np.inf
-        for row_start in range(0, reader.shape[0], args.tile):
-            slab = reader.read(row_start, min(args.tile, reader.shape[0] - row_start))
-            lo, hi = min(lo, float(slab.min())), max(hi, float(slab.max()))
-        bound = args.error_bound * (hi - lo)
-
+    n_rows = reader.shape[0]
+    slabs = (
+        reader.read(row, min(args.tile, n_rows - row))
+        for row in range(0, n_rows, args.tile)
+    )
+    bound = absolute_bound(args.error_bound, args.mode, slabs)
     parallel = _parallel(args.workers)
     compressed = compress_volume_stream(
         args.field,
@@ -576,10 +574,7 @@ def _command_compress_volume_stream(args: argparse.Namespace) -> int:
 def _command_compress_volume(args: argparse.Namespace, volume: np.ndarray) -> int:
     from repro.volumes.pipeline import compress_volume, slice_baseline, volume_metrics
 
-    if args.mode == "rel":
-        bound = args.error_bound * float(volume.max() - volume.min())
-    else:
-        bound = args.error_bound
+    bound = absolute_bound(args.error_bound, args.mode, [volume])
     parallel = _parallel(args.workers)
     compressed = compress_volume(
         volume,

@@ -17,12 +17,13 @@ Section II-A:
   quantization with an error-budget split, lossless backend.
 
 Shared machinery lives in :mod:`repro.compressors.base` (interfaces and the
-compressed-container format), :mod:`repro.compressors.quantization`,
-:mod:`repro.compressors.lorenzo`,
-:mod:`repro.compressors.regression_predictor`,
-:mod:`repro.compressors.transform` and :mod:`repro.compressors.multigrid`.
-:mod:`repro.compressors.registry` exposes the string-keyed factory used by
-the pressio-like API and the experiment pipeline.
+compressed-container format), :mod:`repro.compressors.blocks` (prediction,
+quantization and the block codec), :mod:`repro.compressors.halo`,
+:mod:`repro.compressors.transform` and :mod:`repro.compressors.multigrid`;
+:mod:`repro.compressors.lorenzo` keeps the scalar feedback Lorenzo pass
+the tests compare the block engine against.
+:func:`repro.compressors.registry.make_compressor` is how every caller
+constructs a codec by name.
 """
 
 from repro.compressors.base import (
@@ -35,11 +36,7 @@ from repro.compressors.base import (
 from repro.compressors.sz import SZCompressor
 from repro.compressors.zfp import ZFPCompressor
 from repro.compressors.mgard import MGARDCompressor
-from repro.compressors.registry import (
-    available_compressors,
-    make_compressor,
-    register_compressor,
-)
+from repro.compressors.registry import available_compressors, make_compressor
 
 __all__ = [
     "Compressor",
@@ -52,5 +49,4 @@ __all__ = [
     "MGARDCompressor",
     "available_compressors",
     "make_compressor",
-    "register_compressor",
 ]

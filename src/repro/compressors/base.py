@@ -10,6 +10,11 @@ Every compressor in this package implements the small
   for a separate decompression pass.
 * ``decompress(blob) -> ndarray`` — reconstruct the field from the byte
   blob alone (used by the round-trip tests and by downstream users).
+* ``decompress_with_context(blob, halo)`` — the same, plus the entropy
+  context that tiled callers chain from tile to tile.
+
+Every method takes an optional ``halo`` (reconstructed neighbour planes
+and context, :class:`repro.compressors.halo.TileHalo`).
 
 Compressors are configured with an **absolute error bound** (the mode used
 throughout the paper); the invariant ``max|original - reconstruction| <=
@@ -413,28 +418,29 @@ class Compressor(ABC):
         self.error_bound = float(error_bound)
 
     @abstractmethod
-    def compress(self, field: np.ndarray) -> CompressedField:
-        """Compress a 2D field under the configured absolute error bound."""
+    def compress(
+        self, field: np.ndarray, *, halo=None, collect_context: bool = False
+    ) -> CompressedField:
+        """Compress a 2D or 3D field under the configured absolute bound.
+
+        ``halo`` (a :class:`repro.compressors.halo.TileHalo`) holds the
+        reconstructed neighbour planes and entropy context a tile may code
+        against; ``collect_context`` attaches the tile's own context.
+        """
 
     @abstractmethod
-    def decompress(self, compressed: CompressedField) -> np.ndarray:
+    def decompress(self, compressed: CompressedField, *, halo=None) -> np.ndarray:
         """Reconstruct the field from a :class:`CompressedField`."""
 
-    #: True when ``compress``/``decompress`` accept the ``halo`` keyword
-    #: (a :class:`repro.compressors.halo.TileHalo`).
-    supports_halo: bool = False
-
+    @abstractmethod
     def decompress_with_context(self, compressed: CompressedField, halo=None):
         """Decode and return ``(values, entropy_context)``.
 
         The context is the :class:`repro.encoding.context.EntropyContext`
         derived from the container's decoded symbol streams — identical to
         the one the encoder attached — so callers can chain halos through
-        a decode pass.  Compressors without backend streams return
-        ``None`` for the context.
+        a decode pass.
         """
-
-        return self.decompress(compressed), None
 
     # ------------------------------------------------------------------
     def compression_ratio(self, field: np.ndarray) -> float:

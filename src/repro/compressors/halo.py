@@ -86,10 +86,6 @@ class TileHalo:
                 mask |= 1 << axis
         return mask
 
-    @property
-    def has_planes(self) -> bool:
-        return any(p is not None for p in self.planes)
-
     def plane(self, axis: int) -> Optional[np.ndarray]:
         if axis >= len(self.planes):
             return None

@@ -1,28 +1,19 @@
-"""Lorenzo predictor (first-order, 2D).
+"""Reference feedback Lorenzo predictor (first-order, 2D).
 
 The Lorenzo predictor estimates a grid value from its already-processed
 neighbours::
 
     pred(i, j) = f(i-1, j) + f(i, j-1) - f(i-1, j-1)
 
-Two implementations are provided:
-
-* **Block-local integer Lorenzo** (:func:`block_lorenzo_residuals` /
-  :func:`block_lorenzo_reconstruct`) — thin aliases of the shared
-  block-codec engine (:mod:`repro.compressors.blocks`), which operates on
-  *pre-quantized* integer codes inside each block independently, treating
-  out-of-block neighbours as zero.  Because each reconstructed value equals
-  ``2*eb*code`` exactly, prediction from codes is identical to prediction
-  from reconstructed values, the error bound holds point-wise, and both
-  directions reduce to array shifts / double cumulative sums that vectorise
-  across all blocks at once.  Block independence also matches the paper's
-  observation that SZ's predictor "does not observe values outside of its
-  block".
-* **Feedback Lorenzo** (:func:`lorenzo_predict_feedback`) — the textbook SZ
-  formulation where the prediction uses previously *reconstructed*
-  floating-point values and the residual is quantized on the fly.  It is a
-  scalar Python loop, kept as a reference implementation and used by the
-  unit tests on small fields to validate the vectorised path.
+The codecs use the vectorized block-local integer form in
+:mod:`repro.compressors.blocks` (:func:`~repro.compressors.blocks.lorenzo_residuals`
+/ :func:`~repro.compressors.blocks.lorenzo_reconstruct`), which predicts
+pre-quantized codes inside each block and treats out-of-block neighbours
+as zero.  :func:`lorenzo_predict_feedback` is the textbook SZ
+formulation: the prediction uses previously *reconstructed*
+floating-point values and the residual is quantized on the fly.  It is a
+scalar Python loop, kept as the reference the unit tests compare the
+block engine against on small fields.
 """
 
 from __future__ import annotations
@@ -31,22 +22,10 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.compressors.blocks import (
-    DEFAULT_CODE_RADIUS,
-    lorenzo_reconstruct,
-    lorenzo_residuals,
-)
+from repro.compressors.blocks import DEFAULT_CODE_RADIUS
 from repro.utils.validation import ensure_2d, ensure_positive
 
-__all__ = [
-    "block_lorenzo_residuals",
-    "block_lorenzo_reconstruct",
-    "lorenzo_predict_feedback",
-]
-
-#: Vectorized block-local Lorenzo; implemented by the block-codec engine.
-block_lorenzo_residuals = lorenzo_residuals
-block_lorenzo_reconstruct = lorenzo_reconstruct
+__all__ = ["lorenzo_predict_feedback"]
 
 
 def lorenzo_predict_feedback(

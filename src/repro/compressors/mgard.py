@@ -86,7 +86,6 @@ class MGARDCompressor(Compressor):
     """
 
     name = "mgard"
-    supports_halo = True
 
     def __init__(
         self,

@@ -1,43 +1,27 @@
 """String-keyed compressor registry.
 
-The experiment pipeline, the pressio-like API and the benchmarks refer to
-compressors by the names the paper uses ("sz", "zfp", "mgard").  The
-registry maps those names to factories so user code can plug in additional
-compressors without touching the pipeline.
+The experiment pipeline, the volume pipeline, the store and the
+benchmarks refer to compressors by the names the paper uses ("sz",
+"zfp", "mgard"); every caller constructs one with :func:`make_compressor`
+and calls its ``compress`` / ``decompress`` / ``decompress_with_context``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import List
 
 from repro.compressors.base import Compressor
 from repro.compressors.mgard import MGARDCompressor
 from repro.compressors.sz import SZCompressor
 from repro.compressors.zfp import ZFPCompressor
 
-__all__ = ["register_compressor", "make_compressor", "available_compressors"]
+__all__ = ["make_compressor", "available_compressors"]
 
-CompressorFactory = Callable[..., Compressor]
-
-_REGISTRY: Dict[str, CompressorFactory] = {
+_REGISTRY = {
     "sz": SZCompressor,
     "zfp": ZFPCompressor,
     "mgard": MGARDCompressor,
 }
-
-
-def register_compressor(name: str, factory: CompressorFactory, *, overwrite: bool = False) -> None:
-    """Register a compressor factory under ``name``.
-
-    The factory must accept ``error_bound`` as its first keyword argument
-    and return a :class:`repro.compressors.base.Compressor`.
-    """
-
-    if not name:
-        raise ValueError("compressor name must be non-empty")
-    if name in _REGISTRY and not overwrite:
-        raise KeyError(f"compressor {name!r} is already registered")
-    _REGISTRY[name] = factory
 
 
 def available_compressors() -> List[str]:

@@ -93,7 +93,6 @@ class SZCompressor(Compressor):
     """
 
     name = "sz"
-    supports_halo = True
 
     def __init__(
         self,

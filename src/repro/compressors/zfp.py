@@ -106,7 +106,6 @@ class ZFPCompressor(Compressor):
     """
 
     name = "zfp"
-    supports_halo = True
 
     def __init__(
         self,

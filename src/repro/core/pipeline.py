@@ -57,12 +57,14 @@ class ExperimentCache:
     volume with the same raw bytes (e.g. a ``(64, 64)`` plane and a
     ``(16, 16, 16)`` cube of zeros) always key differently.
 
-    Values are the tuples of records produced by
-    :func:`repro.core.experiment.measure_field` (frozen dataclasses, safe
-    to share between callers).  ``hits`` / ``misses`` / ``evictions``
-    count lookups that were served, lookups that were not, and entries
-    dropped by the LRU bound; ``in_call_duplicates`` counts items that
-    :func:`memoized_map` resolved from an earlier item of the same call.
+    Values are the 1-tuples :func:`memoized_map` stores: for the
+    experiment sweep, each wraps the records
+    :func:`repro.core.experiment.measure_field` produced for one field
+    (frozen dataclasses, safe to share between callers).  ``hits`` /
+    ``misses`` / ``evictions`` count lookups that were served, lookups
+    that were not, and entries dropped by the LRU bound;
+    ``in_call_duplicates`` counts items that :func:`memoized_map`
+    resolved from an earlier item of the same call.
     :meth:`counters` snapshots them for the cache's registry collector.
     """
 
@@ -70,7 +72,7 @@ class ExperimentCache:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = int(max_entries)
-        self._entries: "OrderedDict[str, Tuple[CompressionRecord, ...]]" = OrderedDict()
+        self._entries: "OrderedDict[str, tuple]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -98,7 +100,7 @@ class ExperimentCache:
         digest.update(field.tobytes())
         return digest.hexdigest()
 
-    def get(self, key: str) -> Optional[Tuple[CompressionRecord, ...]]:
+    def get(self, key: str) -> Optional[tuple]:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -107,8 +109,8 @@ class ExperimentCache:
         self.hits += 1
         return entry
 
-    def put(self, key: str, records: Sequence[CompressionRecord]) -> None:
-        self._entries[key] = tuple(records)
+    def put(self, key: str, value: Sequence) -> None:
+        self._entries[key] = tuple(value)
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -268,7 +270,9 @@ def run_experiment_on_fields(
 
     ``cache`` selects the memo for repeated (field, config) cells: ``None``
     (default) uses the process-wide cache, an :class:`ExperimentCache`
-    instance uses that cache, and ``False`` disables memoization.
+    instance uses that cache, and ``False`` disables memoization.  Fields
+    go through :func:`memoized_map`, so a field repeated within one call
+    is measured once.
     """
 
     config = config or ExperimentConfig()
@@ -278,28 +282,14 @@ def run_experiment_on_fields(
         cache = None
 
     tasks = [(dataset, label, np.asarray(field), config) for label, field in fields]
-    keys: List[Optional[str]] = [None] * len(tasks)
-    groups: List[Optional[List[CompressionRecord]]] = [None] * len(tasks)
-    pending: List[int] = []
-    if cache is not None:
-        for i, (_, label, field, _) in enumerate(tasks):
-            keys[i] = ExperimentCache.key(dataset, label, field, config)
-            hit = cache.get(keys[i])
-            groups[i] = list(hit) if hit is not None else None
-            if groups[i] is None:
-                pending.append(i)
-    else:
-        pending = list(range(len(tasks)))
-
-    if pending:
-        fresh = parallel_map(_measure_one, [tasks[i] for i in pending], parallel)
-        for i, group in zip(pending, fresh):
-            groups[i] = group
-            if cache is not None:
-                cache.put(keys[i], group)
-
-    records: List[CompressionRecord] = [record for group in groups for record in group]
-    return ExperimentResult(dataset=dataset, config=config, records=tuple(records))
+    groups = memoized_map(
+        tasks,
+        lambda task: ExperimentCache.key(*task),
+        lambda pending: parallel_map(_measure_one, pending, parallel),
+        cache,
+    )
+    records = tuple(record for group in groups for record in group)
+    return ExperimentResult(dataset=dataset, config=config, records=records)
 
 
 def run_experiment(

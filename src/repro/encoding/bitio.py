@@ -93,24 +93,6 @@ class BitWriter:
         self._nbits = int(tail.size)
         self._accum = int(tail @ (1 << np.arange(tail.size - 1, -1, -1))) if tail.size else 0
 
-    def write_unary(self, value: int) -> None:
-        """Append ``value`` one-bits followed by a terminating zero bit."""
-
-        if value < 0:
-            raise ValueError("value must be non-negative")
-        for _ in range(value):
-            self.write_bit(1)
-        self.write_bit(0)
-
-    def write_elias_gamma(self, value: int) -> None:
-        """Elias-gamma code for a positive integer (used for run lengths)."""
-
-        if value < 1:
-            raise ValueError("Elias gamma encodes integers >= 1")
-        nbits = value.bit_length()
-        self.write_bits(0, nbits - 1)
-        self.write_bits(value, nbits)
-
     @property
     def bit_length(self) -> int:
         """Total number of bits written so far."""
@@ -132,10 +114,6 @@ class BitReader:
     def __init__(self, data: bytes) -> None:
         self._data = bytes(data)
         self._pos = 0  # bit position
-
-    @property
-    def bits_remaining(self) -> int:
-        return len(self._data) * 8 - self._pos
 
     def read_bit(self) -> int:
         """Read a single bit; raises ``EOFError`` past the end of the buffer."""
@@ -199,30 +177,3 @@ class BitReader:
             out[nonzero] = np.add.reduceat(contributions, starts[nonzero])
         self._pos += total
         return out
-
-    def read_unary(self) -> int:
-        """Read a unary-coded value (count of one-bits before the zero)."""
-
-        count = 0
-        while self.read_bit():
-            count += 1
-        return count
-
-    def read_elias_gamma(self) -> int:
-        """Read an Elias-gamma coded positive integer."""
-
-        zeros = 0
-        while True:
-            bit = self.read_bit()
-            if bit:
-                break
-            zeros += 1
-        value = 1
-        if zeros:
-            value = (1 << zeros) | self.read_bits(zeros)
-        return value
-
-    def align_to_byte(self) -> None:
-        """Skip to the next byte boundary (no-op when already aligned)."""
-
-        self._pos = (self._pos + 7) & ~7

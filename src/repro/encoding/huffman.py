@@ -230,11 +230,6 @@ class HuffmanCode:
 
         return {s: (c, l) for s, c, l in zip(self.symbols, self.codes, self.lengths)}
 
-    def decoding_table(self) -> Dict[Tuple[int, int], int]:
-        """Return ``(length, code) -> symbol`` for the decoder."""
-
-        return {(l, c): s for s, c, l in zip(self.symbols, self.codes, self.lengths)}
-
 
 def _write_header(
     writer_bytes: bytearray, syms: np.ndarray, lens: np.ndarray, n_symbols: int

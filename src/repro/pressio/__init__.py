@@ -1,26 +1,24 @@
-"""libpressio-like unified compression interface.
+"""The experiment sweep's compress + measure path.
 
 The original study drives SZ, ZFP and MGARD through libpressio, which
-gives every compressor the same configure / compress / decompress /
-measure workflow.  This subpackage plays the same role for the from-scratch
-compressors in :mod:`repro.compressors`:
+gives every compressor the same configure / compress / measure workflow.
+This subpackage plays that role for the from-scratch codecs in
+:mod:`repro.compressors`, which every caller constructs with
+:func:`repro.compressors.registry.make_compressor`:
 
-* :mod:`repro.pressio.options` -- typed option bags with validation,
-  mirroring libpressio's name/value option trees.
+* :mod:`repro.pressio.api` -- :func:`compress_and_measure` (one call:
+  resolve the bound, compress, measure) and :func:`absolute_bound`, the
+  one ``"rel"`` -> absolute bound rule.
 * :mod:`repro.pressio.metrics` -- reconstruction-quality and size metrics
   (compression ratio, PSNR, RMSE, maximum absolute error, ...).
-* :mod:`repro.pressio.api` -- the :class:`PressioCompressor` facade that
-  ties a named compressor, its options and the metrics together.
 """
 
-from repro.pressio.api import PressioCompressor, compress_and_measure
+from repro.pressio.api import absolute_bound, compress_and_measure
 from repro.pressio.metrics import CompressionMetrics, evaluate_metrics
-from repro.pressio.options import CompressorOptions
 
 __all__ = [
-    "PressioCompressor",
+    "absolute_bound",
     "compress_and_measure",
     "CompressionMetrics",
     "evaluate_metrics",
-    "CompressorOptions",
 ]

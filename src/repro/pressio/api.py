@@ -1,110 +1,51 @@
-"""The pressio-like compressor facade.
+"""The one-call compress + measure path and the error-bound rule.
 
-:class:`PressioCompressor` wraps a named compressor from the registry plus
-a :class:`repro.pressio.options.CompressorOptions` bag, and exposes the
-compress / decompress / measure workflow the original study drives through
-libpressio.  The convenience function :func:`compress_and_measure` is the
-one-call path the experiment pipeline uses.
+The original study drives SZ, ZFP and MGARD through libpressio under an
+absolute error bound.  :func:`compress_and_measure` is the equivalent
+one-call path for the experiment sweep: it resolves the bound, calls the
+registry codec directly and evaluates the standard metric set.
+:func:`absolute_bound` is the single rule turning a ``"rel"`` bound into
+an absolute one; the CLI's volume paths use it too.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Iterable, Tuple
 
 import numpy as np
 
-from repro.compressors.base import CompressedField, Compressor
-from repro.compressors.registry import available_compressors, make_compressor
+from repro.compressors.base import CompressedField
+from repro.compressors.registry import make_compressor
 from repro.pressio.metrics import CompressionMetrics, evaluate_metrics
-from repro.pressio.options import CompressorOptions
-from repro.utils.validation import ensure_ndim
+from repro.utils.validation import ensure_in, ensure_ndim, ensure_positive
 
-__all__ = ["PressioCompressor", "compress_and_measure"]
+__all__ = ["ERROR_BOUND_MODES", "absolute_bound", "compress_and_measure"]
+
+#: Error-bound modes.  The paper uses ``"abs"``; ``"rel"`` (value-range
+#: relative) is provided because the paper notes the formal equivalence
+#: between the two and SZ exposes both.
+ERROR_BOUND_MODES = ("abs", "rel")
 
 
-class PressioCompressor:
-    """Facade tying together a named compressor, options and metrics.
+def absolute_bound(error_bound: float, mode: str, blocks: Iterable[np.ndarray]) -> float:
+    """The absolute bound ``error_bound`` means under ``mode``.
 
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.pressio import PressioCompressor, CompressorOptions
-    >>> field = np.random.default_rng(0).normal(size=(64, 64))
-    >>> codec = PressioCompressor("sz", CompressorOptions(error_bound=1e-3))
-    >>> compressed, metrics = codec.compress(field)
-    >>> metrics.bound_satisfied
-    True
+    ``"abs"`` returns the bound as given and never reads ``blocks``.
+    ``"rel"`` scales it by the value range (max - min) over all of
+    ``blocks`` together, so a streamed volume can pass a generator of
+    slabs.  A constant field has no range; any positive bound is
+    achievable there, so it gets the raw bound.
     """
 
-    def __init__(self, compressor_id: str, options: Optional[CompressorOptions] = None) -> None:
-        if compressor_id not in available_compressors():
-            raise KeyError(
-                f"unknown compressor {compressor_id!r}; available: {available_compressors()}"
-            )
-        self.compressor_id = compressor_id
-        self.options = options or CompressorOptions()
-
-    # ------------------------------------------------------------------
-    def _instantiate(self, field: np.ndarray) -> Compressor:
-        bound = self.options.absolute_bound(float(np.min(field)), float(np.max(field)))
-        return make_compressor(self.compressor_id, bound, **self.options.extra)
-
-    def compress(
-        self,
-        field: np.ndarray,
-        *,
-        halo=None,
-        collect_context: bool = False,
-    ) -> Tuple[CompressedField, CompressionMetrics]:
-        """Compress a 2D or 3D ``field`` and evaluate the standard metric set.
-
-        The registry compressors are dimension-general, so the facade
-        accepts volumes as well as planes; the chunked array store drives
-        its per-chunk codecs through this path.  ``halo`` (a
-        :class:`repro.compressors.halo.TileHalo`) and ``collect_context``
-        are forwarded to halo-capable compressors and silently dropped for
-        the rest.
-        """
-
-        field = ensure_ndim(field, (2, 3), "field")
-        compressor = self._instantiate(field)
-        if getattr(compressor, "supports_halo", False):
-            compressed = compressor.compress(
-                field, halo=halo, collect_context=collect_context
-            )
-        else:
-            compressed = compressor.compress(field)
-        metrics = evaluate_metrics(field, compressed)
-        return compressed, metrics
-
-    def decompress(self, compressed: CompressedField, *, halo=None) -> np.ndarray:
-        """Decompress a container produced by :meth:`compress`."""
-
-        compressor = make_compressor(
-            self.compressor_id, compressed.error_bound, **self.options.extra
-        )
-        if getattr(compressor, "supports_halo", False):
-            return compressor.decompress(compressed, halo=halo)
-        return compressor.decompress(compressed)
-
-    def decompress_with_context(self, compressed: CompressedField, halo=None):
-        """Decode and return ``(values, entropy_context)`` — the halo-chaining
-        variant of :meth:`decompress`."""
-
-        compressor = make_compressor(
-            self.compressor_id, compressed.error_bound, **self.options.extra
-        )
-        return compressor.decompress_with_context(compressed, halo=halo)
-
-    def get_configuration(self) -> Dict[str, Any]:
-        """Introspection helper mirroring libpressio's get_configuration."""
-
-        return {
-            "compressor_id": self.compressor_id,
-            "error_bound": self.options.error_bound,
-            "mode": self.options.mode,
-            "extra": dict(self.options.extra),
-        }
+    ensure_positive(error_bound, "error_bound")
+    ensure_in(mode, ERROR_BOUND_MODES, "mode")
+    if mode == "abs":
+        return float(error_bound)
+    lows, highs = zip(*((float(np.min(b)), float(np.max(b))) for b in blocks))
+    value_range = float(np.max(highs)) - float(np.min(lows))
+    if value_range <= 0:
+        return float(error_bound)
+    return float(error_bound) * value_range
 
 
 def compress_and_measure(
@@ -115,7 +56,21 @@ def compress_and_measure(
     mode: str = "abs",
     **extra: Any,
 ) -> Tuple[CompressedField, CompressionMetrics]:
-    """One-call compress + measure used by the experiment pipeline."""
+    """Compress a 2D or 3D ``field`` with a registry codec and measure it.
 
-    options = CompressorOptions(error_bound=error_bound, mode=mode, extra=dict(extra))
-    return PressioCompressor(compressor_id, options).compress(field)
+    ``extra`` is forwarded to the codec's constructor.  Raises
+    ``KeyError`` for an unknown codec and ``ValueError`` for a bad bound,
+    a bad mode or 1-D input.
+
+    >>> import numpy as np
+    >>> field = np.random.default_rng(0).normal(size=(64, 64))
+    >>> compressed, metrics = compress_and_measure(field, "sz", 1e-3)
+    >>> metrics.bound_satisfied
+    True
+    """
+
+    bound = absolute_bound(error_bound, mode, [field])
+    codec = make_compressor(compressor_id, bound, **extra)
+    field = ensure_ndim(field, (2, 3), "field")
+    compressed = codec.compress(field)
+    return compressed, evaluate_metrics(field, compressed)

@@ -5,9 +5,10 @@ volume) as a directory of three files — ``meta.json``, ``index.bin`` and
 ``chunks.bin`` (see :mod:`repro.store.format` for the binary layout).
 The array is sharded into fixed-size chunks on a grid anchored at the
 origin (``128^2`` for planes, ``64^3`` for volumes by default; edge
-chunks are smaller), and every chunk is compressed independently through
-the pressio facade (:class:`repro.pressio.api.PressioCompressor`) with
-the codec its policy selects.
+chunks are smaller), and every chunk is compressed independently by the
+codec its policy selects: :func:`~repro.compressors.registry.make_compressor`
+builds it and the chunk worker calls it directly, as the volume
+pipeline's tile workers do.
 
 Design points:
 
@@ -60,9 +61,8 @@ import numpy as np
 from repro.core.pipeline import ExperimentCache, memoized_map
 from repro.obs.metrics import REGISTRY, publish_cache_counters
 from repro.obs.trace import span as obs_span
-from repro.pressio.api import PressioCompressor
-from repro.pressio.options import CompressorOptions
 from repro.compressors.halo import TileHalo, reconstruction_faces
+from repro.compressors.registry import make_compressor
 from repro.store.format import (
     IndexRecord,
     StoreCorruptionError,
@@ -232,50 +232,32 @@ def _compress_chunk(task: _ChunkTask) -> _ChunkResult:
 
     chunk, halo, want_faces = task.chunk, task.halo, task.want_faces
     choice = task.policy.choose(chunk, task.error_bound)
-    best_name = None
-    best_compressed = None
-    best_metrics = None
+    best_name = best = None
     for name in choice.candidates:
-        codec = PressioCompressor(
-            name,
-            CompressorOptions(
-                error_bound=task.error_bound, extra=dict(task.options.get(name, {}))
-            ),
-        )
-        compressed, metrics = codec.compress(
-            chunk, halo=halo, collect_context=want_faces
-        )
-        if (
-            best_compressed is None
-            or compressed.compressed_nbytes < best_compressed.compressed_nbytes
-        ):
-            best_name, best_compressed, best_metrics = name, compressed, metrics
+        codec = make_compressor(name, task.error_bound, **task.options.get(name, {}))
+        compressed = codec.compress(chunk, halo=halo, collect_context=want_faces)
+        if best is None or compressed.compressed_nbytes < best.compressed_nbytes:
+            best_name, best = name, compressed
+    reconstruction = best.reconstruction
     rows = task.exact_rows
-    if rows:
-        reconstruction = best_compressed.reconstruction
-        if reconstruction is None or not np.array_equal(
-            reconstruction[:rows], chunk[:rows]
-        ):
-            return _raw_result(chunk, task.with_stats, want_faces)
+    if rows and not np.array_equal(reconstruction[:rows], chunk[:rows]):
+        return _raw_result(chunk, task.with_stats, want_faces)
     stats = _chunk_statistics(chunk) if task.with_stats else {}
-    stats["max_abs_error"] = float(best_metrics.max_abs_error)
+    # The max-error formula of repro.pressio.metrics.error_statistics.
+    stats["max_abs_error"] = float(np.abs(reconstruction - chunk).max())
     flags = 0
-    if halo is not None and best_compressed.extras.get("halo_coded"):
+    if halo is not None and best.extras.get("halo_coded"):
         flags = halo_flags(halo.axes_mask, task.ref_axis)
     return _ChunkResult(
         codec=best_name,
-        payload=best_compressed.data,
-        compression_ratio=float(best_metrics.compression_ratio),
+        payload=best.data,
+        compression_ratio=float(best.compression_ratio),
         estimated_cr=float(choice.estimated_crs.get(best_name, float("nan"))),
         estimated_crs={k: float(v) for k, v in choice.estimated_crs.items()},
         stats=stats,
         flags=flags,
-        faces=(
-            reconstruction_faces(best_compressed.reconstruction)
-            if want_faces
-            else None
-        ),
-        context=best_compressed.entropy_context if want_faces else None,
+        faces=reconstruction_faces(reconstruction) if want_faces else None,
+        context=best.entropy_context if want_faces else None,
     )
 
 

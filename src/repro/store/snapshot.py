@@ -53,10 +53,9 @@ import numpy as np
 
 from repro.compressors.base import CompressedField
 from repro.compressors.halo import TileHalo
+from repro.compressors.registry import make_compressor
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
-from repro.pressio.api import PressioCompressor
-from repro.pressio.options import CompressorOptions
 from repro.utils.parallel import ParallelConfig, read_region, write_region
 from repro.utils.schedule import PlanTile, TilePlan, WaveExecutor
 from repro.store.format import (
@@ -251,10 +250,7 @@ def _decode_chunk(task: _ChunkDecode):
                 for region in task.planes
             ]
             halo = TileHalo.build(planes, task.context)
-        codec = PressioCompressor(
-            task.codec,
-            CompressorOptions(error_bound=task.error_bound, extra=dict(task.options)),
-        )
+        codec = make_compressor(task.codec, task.error_bound, **task.options)
         compressed = CompressedField(
             data=payload,
             original_shape=task.extent,

@@ -227,10 +227,7 @@ def _encode_tile(task: _EncodeTask):
     compressor = make_compressor(task.compressor, task.error_bound, **task.options)
     if not task.halo_mode:
         return replace(compressor.compress(tile), reconstruction=None), {}, None
-    if getattr(compressor, "supports_halo", False):
-        compressed = compressor.compress(tile, halo=task.halo, collect_context=True)
-    else:
-        compressed = compressor.compress(tile)
+    compressed = compressor.compress(tile, halo=task.halo, collect_context=True)
     faces = reconstruction_faces(compressed.reconstruction)
     context = compressed.entropy_context
     return replace(compressed, reconstruction=None, entropy_context=None), faces, context
@@ -268,10 +265,7 @@ def _decode_tile(task: _DecodeTask):
             for region in task.planes
         ]
         halo = TileHalo.build(planes, task.context)
-        if getattr(codec, "supports_halo", False):
-            values, context = codec.decompress_with_context(task.compressed, halo=halo)
-        else:
-            values = codec.decompress(task.compressed)
+        values, context = codec.decompress_with_context(task.compressed, halo=halo)
     write_region(task.sink, task.region, values)
     return context
 

@@ -1,4 +1,5 @@
-"""Tests for repro.compressors.lorenzo."""
+"""Tests for the block Lorenzo of repro.compressors.blocks and the
+feedback reference in repro.compressors.lorenzo."""
 
 from __future__ import annotations
 
@@ -8,11 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.compressors.lorenzo import (
-    block_lorenzo_reconstruct,
-    block_lorenzo_residuals,
-    lorenzo_predict_feedback,
-)
+from repro.compressors.blocks import lorenzo_reconstruct, lorenzo_residuals
+from repro.compressors.lorenzo import lorenzo_predict_feedback
 from repro.utils.blocking import block_view
 
 
@@ -20,12 +18,12 @@ class TestBlockLorenzo:
     def test_roundtrip_exact(self):
         rng = np.random.default_rng(0)
         codes = rng.integers(-1000, 1000, size=(3, 4, 8, 8))
-        residuals = block_lorenzo_residuals(codes)
-        np.testing.assert_array_equal(block_lorenzo_reconstruct(residuals), codes)
+        residuals = lorenzo_residuals(codes)
+        np.testing.assert_array_equal(lorenzo_reconstruct(residuals), codes)
 
     def test_constant_block_residuals_are_sparse(self):
         codes = np.full((1, 1, 8, 8), 5, dtype=np.int64)
-        residuals = block_lorenzo_residuals(codes)
+        residuals = lorenzo_residuals(codes)
         # Only the corner carries the value; first row/col carry zero deltas.
         assert residuals[0, 0, 0, 0] == 5
         assert np.count_nonzero(residuals) == 1
@@ -33,15 +31,15 @@ class TestBlockLorenzo:
     def test_linear_ramp_residuals_vanish_in_interior(self):
         ii, jj = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
         codes = (3 * ii + 2 * jj).astype(np.int64)[None, None]
-        residuals = block_lorenzo_residuals(codes)
+        residuals = lorenzo_residuals(codes)
         # A plane is reproduced exactly by the first-order Lorenzo predictor.
         assert np.count_nonzero(residuals[0, 0, 1:, 1:]) == 0
 
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError):
-            block_lorenzo_residuals(np.zeros((4, 4)))
+            lorenzo_residuals(np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            block_lorenzo_reconstruct(np.zeros((4, 4)))
+            lorenzo_reconstruct(np.zeros((4, 4)))
 
     def test_smooth_field_produces_smaller_residuals_than_rough(
         self, smooth_field, rough_field
@@ -49,8 +47,8 @@ class TestBlockLorenzo:
         step = 2e-3
         smooth_codes = block_view(np.rint(smooth_field / step).astype(np.int64), 16)
         rough_codes = block_view(np.rint(rough_field / step).astype(np.int64), 16)
-        smooth_abs = np.abs(block_lorenzo_residuals(smooth_codes)).mean()
-        rough_abs = np.abs(block_lorenzo_residuals(rough_codes)).mean()
+        smooth_abs = np.abs(lorenzo_residuals(smooth_codes)).mean()
+        rough_abs = np.abs(lorenzo_residuals(rough_codes)).mean()
         assert smooth_abs < rough_abs
 
     @given(
@@ -61,7 +59,7 @@ class TestBlockLorenzo:
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_property(self, codes):
         np.testing.assert_array_equal(
-            block_lorenzo_reconstruct(block_lorenzo_residuals(codes)), codes
+            lorenzo_reconstruct(lorenzo_residuals(codes)), codes
         )
 
 
@@ -91,7 +89,7 @@ class TestFeedbackLorenzo:
         bound = 1e-3
         codes_feedback, _, _ = lorenzo_predict_feedback(field, bound)
         q = np.rint(field / (2 * bound)).astype(np.int64)
-        codes_block = block_lorenzo_residuals(block_view(q, 16))
+        codes_block = lorenzo_residuals(block_view(q, 16))
         frac_small_feedback = float(np.mean(np.abs(codes_feedback) <= 16))
         frac_small_block = float(np.mean(np.abs(codes_block) <= 16))
         assert frac_small_feedback > 0.9

@@ -1,4 +1,4 @@
-"""Tests for repro.compressors.quantization."""
+"""Tests for the linear quantizer of repro.compressors.blocks."""
 
 from __future__ import annotations
 
@@ -8,57 +8,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.compressors.quantization import (
-    DEFAULT_CODE_RADIUS,
-    dequantize_codes,
-    quantize_residuals,
-)
+from repro.compressors.blocks import DEFAULT_CODE_RADIUS, linear_quantize
 
 
-class TestQuantizeResiduals:
+class TestLinearQuantize:
     def test_perfect_prediction_gives_zero_codes(self):
         values = np.random.default_rng(0).normal(size=(8, 8))
-        result = quantize_residuals(values, values, 1e-3)
-        np.testing.assert_array_equal(result.codes, 0)
-        assert result.unpredictable_fraction == 0.0
-        np.testing.assert_allclose(result.reconstruction, values, atol=1e-3)
+        codes, unpredictable, reconstruction = linear_quantize(values, values, 1e-3)
+        np.testing.assert_array_equal(codes, 0)
+        assert not unpredictable.any()
+        np.testing.assert_allclose(reconstruction, values, atol=1e-3)
 
     def test_error_bound_respected(self):
         rng = np.random.default_rng(1)
         values = rng.normal(size=(16, 16))
         predictions = values + rng.normal(scale=0.1, size=(16, 16))
         for bound in (1e-4, 1e-2, 1e-1):
-            result = quantize_residuals(values, predictions, bound)
-            assert np.abs(result.reconstruction - values).max() <= bound * (1 + 1e-12)
+            _, _, reconstruction = linear_quantize(values, predictions, bound)
+            assert np.abs(reconstruction - values).max() <= bound * (1 + 1e-12)
 
     def test_large_residuals_marked_unpredictable(self):
         values = np.array([[0.0, 1e9]])
         predictions = np.zeros((1, 2))
-        result = quantize_residuals(values, predictions, 1e-6, code_radius=100)
-        assert result.unpredictable_mask[0, 1]
-        assert not result.unpredictable_mask[0, 0]
+        _, unpredictable, reconstruction = linear_quantize(
+            values, predictions, 1e-6, code_radius=100
+        )
+        assert unpredictable[0, 1]
+        assert not unpredictable[0, 0]
         # Unpredictable entries reconstruct exactly.
-        assert result.reconstruction[0, 1] == 1e9
+        assert reconstruction[0, 1] == 1e9
 
     def test_codes_are_integers_with_expected_values(self):
         values = np.array([[0.25, -0.25, 0.5]])
         predictions = np.zeros((1, 3))
-        result = quantize_residuals(values, predictions, 0.125)
-        np.testing.assert_array_equal(result.codes, [[1, -1, 2]])
+        codes, _, _ = linear_quantize(values, predictions, 0.125)
+        np.testing.assert_array_equal(codes, [[1, -1, 2]])
 
     def test_non_finite_codes_handled(self):
         values = np.array([[np.inf, 1.0]])
         predictions = np.zeros((1, 2))
-        result = quantize_residuals(values, predictions, 1e-3)
-        assert result.unpredictable_mask[0, 0]
+        _, unpredictable, _ = linear_quantize(values, predictions, 1e-3)
+        assert unpredictable[0, 0]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            quantize_residuals(np.zeros((2, 2)), np.zeros((3, 3)), 1e-3)
+            linear_quantize(np.zeros((2, 2)), np.zeros((3, 3)), 1e-3)
 
     def test_invalid_bound_rejected(self):
         with pytest.raises(ValueError):
-            quantize_residuals(np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
+            linear_quantize(np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
 
     @given(
         values=hnp.arrays(
@@ -71,22 +69,8 @@ class TestQuantizeResiduals:
     @settings(max_examples=60, deadline=None)
     def test_error_bound_property(self, values, bound):
         predictions = np.zeros_like(values)
-        result = quantize_residuals(values, predictions, bound)
-        assert np.abs(result.reconstruction - values).max(initial=0.0) <= bound * (1 + 1e-9)
-
-
-class TestDequantizeCodes:
-    def test_inverse_of_quantization_for_predictable_values(self):
-        rng = np.random.default_rng(2)
-        values = rng.normal(size=(8, 8))
-        predictions = rng.normal(size=(8, 8))
-        bound = 1e-2
-        result = quantize_residuals(values, predictions, bound)
-        recon = dequantize_codes(result.codes, predictions, bound)
-        predictable = ~result.unpredictable_mask
-        np.testing.assert_allclose(
-            recon[predictable], result.reconstruction[predictable]
-        )
+        _, _, reconstruction = linear_quantize(values, predictions, bound)
+        assert np.abs(reconstruction - values).max(initial=0.0) <= bound * (1 + 1e-9)
 
     def test_default_radius_matches_sz(self):
         assert DEFAULT_CODE_RADIUS == 2**15

@@ -1,11 +1,11 @@
-"""Tests for repro.compressors.regression_predictor."""
+"""Tests for the hyperplane regression predictor of repro.compressors.blocks."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.compressors.regression_predictor import (
+from repro.compressors.blocks import (
     coefficient_precisions,
     dequantize_plane_coefficients,
     fit_block_planes,

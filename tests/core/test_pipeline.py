@@ -97,6 +97,38 @@ class TestRunExperimentOnFields:
         result = run_experiment_on_fields([], dataset="empty", config=FAST_CONFIG)
         assert result.records == ()
 
+    def test_repeated_field_in_one_call_is_measured_once(
+        self, smooth_field, rough_field, monkeypatch
+    ):
+        import repro.core.pipeline as pipeline
+
+        measured = []
+        real = pipeline._measure_one
+
+        def spy(task):
+            measured.append(task[1])
+            return real(task)
+
+        monkeypatch.setattr(pipeline, "_measure_one", spy)
+        fields = [("a", smooth_field), ("b", rough_field), ("a", smooth_field.copy())]
+        cache = ExperimentCache()
+        result = run_experiment_on_fields(
+            fields, dataset="dup", config=FAST_CONFIG, cache=cache
+        )
+        assert measured == ["a", "b"]
+        counters = cache.counters()
+        assert (counters["misses"], counters["in_call_duplicates"]) == (2, 1)
+        assert [r.field_label for r in result.records] == ["a"] * 4 + ["b"] * 4 + ["a"] * 4
+        assert result.records[8:] == result.records[:4]
+
+        measured.clear()
+        uncached = run_experiment_on_fields(
+            fields, dataset="dup", config=FAST_CONFIG, cache=False
+        )
+        assert measured == ["a", "b", "a"]
+        crs = [r.compression_ratio for r in result.records]
+        assert [r.compression_ratio for r in uncached.records] == crs
+
 
 class TestExperimentCache:
     def test_counters_track_hits_misses_evictions(self):

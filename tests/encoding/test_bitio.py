@@ -60,35 +60,6 @@ class TestBitReader:
         with pytest.raises(EOFError):
             reader.read_bit()
 
-    def test_unary_roundtrip(self):
-        writer = BitWriter()
-        for value in (0, 1, 5, 13):
-            writer.write_unary(value)
-        reader = BitReader(writer.getvalue())
-        assert [reader.read_unary() for _ in range(4)] == [0, 1, 5, 13]
-
-    def test_elias_gamma_roundtrip(self):
-        writer = BitWriter()
-        values = [1, 2, 3, 7, 64, 1000, 123456]
-        for value in values:
-            writer.write_elias_gamma(value)
-        reader = BitReader(writer.getvalue())
-        assert [reader.read_elias_gamma() for _ in range(len(values))] == values
-
-    def test_elias_gamma_rejects_zero(self):
-        with pytest.raises(ValueError):
-            BitWriter().write_elias_gamma(0)
-
-    def test_align_to_byte(self):
-        writer = BitWriter()
-        writer.write_bits(0b1, 1)
-        writer.write_bits(0xAB, 8)
-        reader = BitReader(writer.getvalue())
-        reader.read_bit()
-        reader.align_to_byte()
-        # Alignment must have skipped to bit 8 exactly.
-        assert reader.bits_remaining == len(writer.getvalue()) * 8 - 8
-
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=2**20), st.integers(min_value=21, max_value=32)), max_size=50))
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_property(self, pairs):

@@ -68,9 +68,9 @@ class TestCanonicalCode:
         lengths = huffman_code_lengths({1: 4, 2: 3, 3: 2, 4: 1})
         code = HuffmanCode.from_lengths(lengths)
         lookup = code.as_lookup()
-        decoding = code.decoding_table()
-        for symbol, (codeword, length) in lookup.items():
-            assert decoding[(length, codeword)] == symbol
+        assert set(lookup) == set(code.symbols)
+        # Invertible: no two symbols share a (codeword, length) pair.
+        assert len(set(lookup.values())) == len(lookup)
 
 
 class TestEncodeDecode:

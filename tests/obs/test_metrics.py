@@ -3,8 +3,6 @@ exposition contract, collectors, and the cache-counter naming bridge."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.obs.profile import DEFAULT_HZ, SamplingProfiler, profile_for
+from repro.obs.profile import SamplingProfiler, profile_for
 
 
 def _spin_until(stop: threading.Event) -> None:

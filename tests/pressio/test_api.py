@@ -5,60 +5,73 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.pressio.api import PressioCompressor, compress_and_measure
-from repro.pressio.options import CompressorOptions
+from repro.compressors.registry import make_compressor
+from repro.pressio.api import absolute_bound, compress_and_measure
 
 
-class TestPressioCompressor:
-    def test_unknown_compressor_rejected(self):
-        with pytest.raises(KeyError):
-            PressioCompressor("fpzip")
+class TestAbsoluteBound:
+    def test_invalid_values_rejected(self):
+        with pytest.raises(ValueError):
+            absolute_bound(0.0, "abs", [])
+        with pytest.raises(ValueError):
+            absolute_bound(1e-3, "psnr", [])
+
+    def test_absolute_mode_never_reads_the_values(self):
+        def untouchable():
+            raise AssertionError("abs mode read the values")
+            yield
+
+        assert absolute_bound(1e-2, "abs", untouchable()) == pytest.approx(1e-2)
+
+    def test_relative_mode_scales_by_value_range(self):
+        assert absolute_bound(1e-2, "rel", [np.array([0.0, 50.0])]) == pytest.approx(0.5)
+
+    def test_relative_range_spans_all_blocks(self):
+        blocks = [np.array([[5.0, 10.0]]), np.array([[-30.0, 0.0]]), np.array([[20.0]])]
+        assert absolute_bound(1e-2, "rel", iter(blocks)) == pytest.approx(0.5)
+
+    def test_relative_mode_on_constant_field_falls_back(self):
+        assert absolute_bound(1e-2, "rel", [np.full((4, 4), 3.0)]) == pytest.approx(1e-2)
+
+
+class TestCompressAndMeasure:
+    def test_unknown_compressor_rejected(self, smooth_field):
+        with pytest.raises(KeyError, match="available"):
+            compress_and_measure(smooth_field, "fpzip", 1e-3)
 
     @pytest.mark.parametrize("name", ["sz", "zfp", "mgard"])
     def test_compress_and_decompress(self, name, smooth_field):
-        codec = PressioCompressor(name, CompressorOptions(error_bound=1e-3))
-        compressed, metrics = codec.compress(smooth_field)
+        compressed, metrics = compress_and_measure(smooth_field, name, 1e-3)
         assert metrics.bound_satisfied
         assert metrics.compression_ratio > 1.0
-        decompressed = codec.decompress(compressed)
+        decompressed = make_compressor(name, compressed.error_bound).decompress(compressed)
         assert np.abs(decompressed - smooth_field).max() <= 1e-3 * (1 + 1e-9)
 
     def test_relative_mode_resolves_against_field_range(self, smooth_field):
-        codec = PressioCompressor("sz", CompressorOptions(error_bound=0.01, mode="rel"))
-        compressed, metrics = codec.compress(smooth_field)
+        compressed, metrics = compress_and_measure(smooth_field, "sz", 0.01, mode="rel")
         expected_bound = 0.01 * (smooth_field.max() - smooth_field.min())
         assert compressed.error_bound == pytest.approx(expected_bound)
         assert metrics.max_abs_error <= expected_bound * (1 + 1e-9)
 
-    def test_extra_options_forwarded(self, smooth_field):
-        codec = PressioCompressor(
-            "sz", CompressorOptions(error_bound=1e-3, extra={"block_size": 8})
-        )
-        compressed, metrics = codec.compress(smooth_field)
-        assert metrics.bound_satisfied
-
-    def test_get_configuration(self):
-        codec = PressioCompressor("zfp", CompressorOptions(error_bound=1e-4))
-        config = codec.get_configuration()
-        assert config["compressor_id"] == "zfp"
-        assert config["error_bound"] == 1e-4
-        assert config["mode"] == "abs"
-
-    def test_rejects_non_2d_input(self):
-        codec = PressioCompressor("sz")
+    @pytest.mark.parametrize("bound, mode", [(0.0, "abs"), (-1e-3, "rel"), (1e-3, "psnr")])
+    def test_bad_bound_or_mode_rejected(self, smooth_field, bound, mode):
         with pytest.raises(ValueError):
-            codec.compress(np.ones(16))
+            compress_and_measure(smooth_field, "sz", bound, mode=mode)
 
+    def test_rejects_1d_input(self):
+        with pytest.raises(ValueError):
+            compress_and_measure(np.ones(16), "sz", 1e-3)
 
-class TestCompressAndMeasure:
     def test_one_call_workflow(self, smooth_field):
         compressed, metrics = compress_and_measure(smooth_field, "sz", 1e-3)
         assert metrics.compression_ratio == pytest.approx(compressed.compression_ratio)
         assert metrics.bound_satisfied
 
-    def test_kwargs_forwarded_to_compressor(self, smooth_field):
-        _, metrics_lorenzo = compress_and_measure(
-            smooth_field, "sz", 1e-3, predictors=("lorenzo",)
-        )
-        _, metrics_both = compress_and_measure(smooth_field, "sz", 1e-3)
-        assert metrics_lorenzo.bound_satisfied and metrics_both.bound_satisfied
+    @pytest.mark.parametrize("extra", [{"predictors": ("regression",)}, {"block_size": 8}])
+    def test_kwargs_forwarded_to_compressor(self, smooth_field, extra):
+        compressed, metrics = compress_and_measure(smooth_field, "sz", 1e-3, **extra)
+        direct = make_compressor("sz", 1e-3, **extra).compress(smooth_field)
+        default, _ = compress_and_measure(smooth_field, "sz", 1e-3)
+        assert compressed.data == direct.data
+        assert compressed.data != default.data
+        assert metrics.bound_satisfied

@@ -34,6 +34,11 @@ def volume_3d():
     return generate_miranda_like_volume((40, 40, 40), seed=6)
 
 
+@pytest.fixture(scope="module")
+def miranda_64():
+    return generate_miranda_like_volume((64, 64, 64), seed=0)
+
+
 def make_store(path, array, *, chunk=32, codec="sz", **kwargs):
     store = ArrayStore.create(path, chunk_shape=chunk, codec=codec, **kwargs)
     store.write(array, cache=False)
@@ -290,6 +295,22 @@ class TestPolicies:
         assert record.stats["mean"] == pytest.approx(float(window.mean()))
         assert np.isfinite(record.stats["variogram_range"])
         assert record.stats["max_abs_error"] <= TOL
+
+    @pytest.mark.parametrize("halo", [False, True], ids=["plain", "halo"])
+    @pytest.mark.parametrize("codec", ["sz", "adaptive", "best"])
+    def test_chunk_records_report_exact_error_and_ratio(
+        self, tmp_path, miranda_64, codec, halo
+    ):
+        store = ArrayStore.create(tmp_path / "s", chunk_shape=16, codec=codec, halo=halo)
+        store.write(miranda_64, cache=False)
+        records = store.chunk_records()
+        assert len(records) == 64
+        for record, entry in zip(records, store.snapshot().index):
+            region = tuple(slice(o, o + e) for o, e in zip(record.offset, record.shape))
+            error = float(np.abs(store.read(region) - miranda_64[region]).max())
+            assert record.stats["max_abs_error"] == error
+            assert entry.length == record.nbytes
+            assert record.compression_ratio == 8 * np.prod(record.shape) / entry.length
 
     def test_chunk_stats_can_be_disabled(self, tmp_path, field_2d):
         store = make_store(tmp_path / "s", field_2d, chunk_stats=False)

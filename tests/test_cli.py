@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,39 @@ class TestCompressCommand:
     def test_compress_volume_flag_rejects_2d(self, field_npy):
         with pytest.raises(SystemExit):
             main(["compress", str(field_npy), "--volume"])
+
+    @pytest.mark.parametrize(
+        "shape, flags",
+        [
+            ((32, 32), []),
+            ((16, 16, 16), ["--volume", "--tile", "8"]),
+            ((16, 16, 16), ["--volume", "--stream", "--tile", "8"]),
+        ],
+        ids=["2d", "volume", "stream"],
+    )
+    def test_rel_bound_on_a_constant_field_is_the_raw_bound(
+        self, tmp_path, capsys, shape, flags
+    ):
+        path = tmp_path / "const.npy"
+        save_field(path, np.full(shape, 3.5))
+        argv = ["compress", str(path), "--mode", "rel", "--error-bound", "1e-3"]
+        code = main(argv + flags)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert re.search(r"error bound\s+0\.001 \(abs\)", out)
+        assert re.search(r"bound satisfied\s+True", out)
+
+    def test_rel_bound_scales_by_the_volume_range_streamed_or_not(
+        self, tmp_path, capsys
+    ):
+        volume = np.random.default_rng(4).normal(size=(16, 12, 12))
+        path = tmp_path / "vol.npy"
+        save_field(path, volume)
+        expected = f"{1e-2 * (volume.max() - volume.min()):g} (abs)"
+        for flags in (["--volume"], ["--volume", "--stream"]):
+            argv = ["compress", str(path), "--mode", "rel", "--error-bound", "1e-2"]
+            assert main(argv + flags + ["--tile", "8"]) == 0
+            assert expected in capsys.readouterr().out
 
 
 class TestStatsCommand:
