@@ -27,8 +27,9 @@ writing any Python:
 * ``profile``    — re-run another repro invocation in-process under the
   sampling profiler and write a speedscope JSON profile
   (``repro profile --out prof.json -- compress field.npy --volume``).
-* ``top``        — poll a running server's ``/metrics`` into a live
-  terminal view (request rates, route latency quantiles, cache hits).
+* ``top``        — a live terminal view of a running server's newest
+  ``/debug/vars`` history point (request rates, route latency
+  quantiles, gate occupancy, cache hits), redrawn once per history tick.
 * ``lint``       — the repo-specific invariant checkers
   (:mod:`repro.analysis`): dtype-cast safety, async-blocking discipline,
   binary-format/golden pairing, worker-boundary hygiene, seeded
@@ -136,19 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record nested timing spans of the compression and write them "
         "as Chrome trace-event JSON (open in Perfetto or chrome://tracing)",
     )
-    compress.add_argument(
-        "--profile-out",
-        default=None,
-        metavar="PATH",
-        help="sample the run with the stdlib sampling profiler and write a "
-        "speedscope JSON profile (open at https://www.speedscope.app)",
-    )
-    compress.add_argument(
-        "--profile-hz",
-        type=float,
-        default=None,
-        help="profiler sampling rate in Hz (default 99)",
-    )
 
     # ---- profile -------------------------------------------------------
     profile = subparsers.add_parser(
@@ -174,15 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     # ---- top -----------------------------------------------------------
     top = subparsers.add_parser(
-        "top", help="live terminal view of a serving instance's /metrics"
+        "top", help="live terminal view of a serving instance's /debug/vars"
     )
     top.add_argument("url", help="server base URL, e.g. http://127.0.0.1:8787")
     top.add_argument(
-        "--interval", type=float, default=2.0, help="poll interval in seconds"
-    )
-    top.add_argument(
         "--iterations",
-        type=int,
+        type=_non_negative_int,
         default=0,
         help="frames to render before exiting (0 = run until interrupted)",
     )
@@ -342,11 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (0 picks an ephemeral port, printed on startup)",
     )
     serve.add_argument(
-        "--max-concurrency", type=int, default=8,
+        "--max-concurrency", type=_positive_int, default=8,
         help="semaphore bound on concurrently handled requests",
     )
     serve.add_argument(
-        "--cache-mb", type=int, default=256,
+        "--cache-mb", type=_positive_int, default=256,
         help="hot-chunk decode cache budget in MiB",
     )
     serve.add_argument(
@@ -354,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="thread-pool workers for chunk decode/compress work",
     )
     serve.add_argument(
-        "--max-body-mb", type=int, default=512,
+        "--max-body-mb", type=_positive_int, default=512,
         help="largest accepted request body / decoded response in MiB",
     )
     serve.add_argument(
@@ -365,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--access-log-max-bytes",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="rotate the access log before it exceeds N bytes "
@@ -373,48 +358,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--access-log-backups",
-        type=int,
+        type=_positive_int,
         default=3,
         metavar="N",
         help="rotated access-log files kept (with --access-log-max-bytes)",
     )
     serve.add_argument(
-        "--metrics",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="expose GET /metrics in Prometheus text format "
-        "(--no-metrics disables the endpoint)",
-    )
-    serve.add_argument(
-        "--latency-buckets",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="SECONDS",
-        help="request-latency histogram bucket bounds in seconds "
-        "(default: the built-in 1ms..5s set; shown in GET /stats)",
-    )
-    serve.add_argument(
-        "--debug",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="expose the /debug flight-recorder endpoints (dashboard, "
-        "metrics history, slow requests, on-demand profiler)",
-    )
-    serve.add_argument(
         "--slow-requests",
-        type=int,
+        type=_non_negative_int,
         default=8,
         metavar="N",
         help="slowest span trees retained per route for GET /debug/requests "
         "(0 disables capture)",
-    )
-    serve.add_argument(
-        "--history-interval",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="metrics-history snapshot interval for GET /debug/vars",
     )
 
     # ---- lint ----------------------------------------------------------
@@ -436,11 +391,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the worker counts: an integer of at least 1."""
+    """argparse type of counts and sizes: an integer of at least 1."""
 
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of counts where 0 means "off" or "unbounded"."""
+
+    return _int_at_least(text, 0)
+
+
+def _int_at_least(text: str, floor: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < floor:
+        raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
     return value
 
 
@@ -606,26 +571,6 @@ def _command_compress_volume(args: argparse.Namespace, volume: np.ndarray) -> in
 
 
 def _command_compress(args: argparse.Namespace) -> int:
-    if args.profile_out:
-        from repro.obs.profile import DEFAULT_HZ, SamplingProfiler
-
-        profiler = SamplingProfiler(hz=args.profile_hz or DEFAULT_HZ)
-        with profiler:
-            code = _compress_with_trace(args)
-        profiler.write_speedscope(
-            args.profile_out, name=f"repro compress {args.field}"
-        )
-        print(
-            f"wrote {profiler.sample_count} samples "
-            f"({profiler.elapsed:.2f}s @ {profiler.hz:g}Hz) to "
-            f"{args.profile_out}"
-        )
-        _print_hot_functions(profiler)
-        return code
-    return _compress_with_trace(args)
-
-
-def _compress_with_trace(args: argparse.Namespace) -> int:
     if args.trace_out:
         from repro.obs.trace import Tracer, install_tracer
 
@@ -674,37 +619,32 @@ def _command_profile(args: argparse.Namespace) -> int:
 def _command_top(args: argparse.Namespace) -> int:
     import time
 
-    from repro.obs.top import parse_prometheus, render_frame
+    from repro.obs.top import render_frame
     from repro.serve.client import ServeError, StoreClient
 
-    previous = None
-    previous_at = 0.0
+    window = None
     frames = 0
     try:
         with StoreClient(args.url) as client:
             while True:
                 try:
-                    text = client.metrics_text()
+                    series = client.debug_vars(window)
                 except (ServeError, ConnectionError, OSError) as exc:
-                    raise SystemExit(f"cannot scrape {args.url}/metrics: {exc}")
-                now = time.perf_counter()
-                scrape = parse_prometheus(text)
-                frame = render_frame(
-                    scrape,
-                    previous,
-                    now - previous_at if previous is not None else 0.0,
-                    title=f"repro top — {args.url}",
-                )
+                    raise SystemExit(f"cannot read {args.url}/debug/vars: {exc}")
+                frame = render_frame(series, title=f"repro top — {args.url}")
                 # ANSI clear + home keeps the frame in place on real
                 # terminals; harmless noise when piped to a file.
                 if sys.stdout.isatty():
                     print("\x1b[2J\x1b[H", end="")
                 print(frame, flush=True)
-                previous, previous_at = scrape, now
                 frames += 1
                 if args.iterations and frames >= args.iterations:
                     return 0
-                time.sleep(args.interval)
+                # The server samples at most once per interval, so a
+                # faster poll would re-read the same point; two intervals
+                # of history always hold the newest one.
+                window = 2 * series["interval"]
+                time.sleep(series["interval"])
     except KeyboardInterrupt:
         return 0
 
@@ -1103,17 +1043,10 @@ def _command_serve(args: argparse.Namespace) -> int:
         cache_nbytes=args.cache_mb * 1024 * 1024,
         decode_workers=args.decode_workers,
         max_body_nbytes=args.max_body_mb * 1024 * 1024,
-        max_response_nbytes=args.max_body_mb * 1024 * 1024,
         access_log=args.access_log,
         access_log_max_bytes=args.access_log_max_bytes,
         access_log_backups=args.access_log_backups,
-        metrics=args.metrics,
-        latency_buckets=(
-            tuple(args.latency_buckets) if args.latency_buckets else None
-        ),
-        debug=args.debug,
         slow_requests_per_route=args.slow_requests,
-        history_interval=args.history_interval,
     )
 
     async def run() -> None:

@@ -32,6 +32,7 @@ layer builds one private registry per server so tests stay isolated.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -40,6 +41,7 @@ __all__ = [
     "REGISTRY",
     "render_prometheus",
     "histogram_quantile",
+    "json_finite",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
@@ -385,6 +387,24 @@ def histogram_quantile(
         previous_bound = bound
         previous_cum = cumulative
     return buckets[-1][0] if buckets else float("nan")
+
+
+def json_finite(value):
+    """``value`` with every non-finite float replaced by ``None``.
+
+    Dicts, lists and tuples are walked recursively.  Strict JSON parsers
+    (browsers' ``response.json()``, jq) reject bare ``NaN`` tokens, which
+    idle-histogram quantiles and unmeasured statistics would otherwise
+    produce.
+    """
+
+    if isinstance(value, dict):
+        return {key: json_finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_finite(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def publish_cache_counters(

@@ -22,9 +22,8 @@ code needs instrumentation.
   profile per thread, weights in seconds), which renders time-ordered,
   left-heavy and sandwich views directly in a browser.
 
-Entry points: ``repro compress --profile-out prof.json``, the
-``repro profile -- <repro subcommand ...>`` wrapper, and the server's
-on-demand ``GET /debug/profile?seconds=N``.
+Entry points: the ``repro profile --out prof.json -- <repro subcommand
+...>`` wrapper and the server's on-demand ``GET /debug/profile?seconds=N``.
 
 The profiler samples at 99 Hz by default (not 100): a prime-ish rate
 avoids lockstep with periodic work such as the metrics-history ticker,

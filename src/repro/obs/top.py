@@ -1,210 +1,90 @@
-"""``repro top``: parse ``/metrics`` scrapes and render a terminal view.
+"""``repro top``: render the server's newest metrics-history point.
 
-The CLI polls a server's Prometheus endpoint on an interval and redraws
+The CLI polls ``GET /debug/vars`` once per history interval and redraws
 one screen of the numbers an operator actually watches: request rate and
-latency quantiles per route, gate occupancy, cache hit rates.  This
-module holds the pure parts — a minimal exposition-text parser and the
-frame renderer — so they are unit-testable without a server or a
-terminal; the polling loop (network, sleep, ANSI clear) lives in
-:mod:`repro.cli`.
-
-The parser understands exactly what :func:`repro.obs.metrics.render_prometheus`
-emits (``# TYPE`` lines, ``name{labels} value`` samples, histogram
-``_bucket``/``_sum``/``_count`` suffixes) — it is not a general
-exposition parser and does not try to be.
+latency quantiles per route, gate occupancy, cache hit rates.  Every
+number is one the server's :class:`~repro.obs.history.MetricsHistory`
+already computed for its newest tick (counter rates, sampled gauges,
+histogram quantiles), the same point the ``/debug`` dashboard reads; this
+module only lays it out.  It is pure, so it is unit-testable without a
+server or a terminal; the polling loop (network, sleep, ANSI clear)
+lives in :mod:`repro.cli`.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from repro.obs.metrics import histogram_quantile
+__all__ = ["render_frame"]
 
-__all__ = ["Scrape", "parse_prometheus", "render_frame"]
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[A-Za-z_:][A-Za-z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
-    r"\s+(?P<value>\S+)$"
-)
-_LABEL_RE = re.compile(r'(?P<key>[A-Za-z_][A-Za-z0-9_]*)="(?P<value>[^"]*)"')
+_ROUTE_RE = re.compile(r'^repro_serve_request_seconds\{route="([^"]*)"\}$')
+_CACHE_RE = re.compile(r'^repro_cache_hits_total\{cache="([^"]*)"\}$')
 
 
-class Scrape:
-    """One parsed exposition document: simple samples and histograms."""
-
-    def __init__(self) -> None:
-        #: ``name{labels} -> value`` for counters and gauges.
-        self.samples: Dict[str, float] = {}
-        #: ``name{labels} -> {"buckets": [(bound, cum)], "count", "sum"}``
-        #: for histograms, finite bounds only (``+Inf`` folds into count).
-        self.histograms: Dict[str, Dict] = {}
-
-    def value(self, key: str, default: float = 0.0) -> float:
-        return self.samples.get(key, default)
-
-    def quantile(self, key: str, q: float) -> float:
-        hist = self.histograms.get(key)
-        if hist is None:
-            return float("nan")
-        return histogram_quantile(hist["buckets"], hist["count"], q)
-
-
-def parse_prometheus(text: str) -> Scrape:
-    """Parse exposition text into a :class:`Scrape`.
-
-    Histogram series are reassembled from their ``_bucket``/``_sum``/
-    ``_count`` samples: the ``le`` label is stripped off bucket keys and
-    turned back into the ``(bound, cumulative)`` list.
-    """
-
-    histogram_names = set()
-    for line in text.splitlines():
-        if line.startswith("# TYPE ") and line.rstrip().endswith(" histogram"):
-            histogram_names.add(line.split()[2])
-
-    scrape = Scrape()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        match = _SAMPLE_RE.match(line)
-        if not match:
-            continue
-        name = match.group("name")
-        labels = dict(
-            (m.group("key"), m.group("value"))
-            for m in _LABEL_RE.finditer(match.group("labels") or "")
-        )
-        try:
-            value = float(match.group("value"))
-        except ValueError:
-            continue
-        base, part = _histogram_part(name, histogram_names)
-        if base is None:
-            scrape.samples[_series_key(name, labels)] = value
-            continue
-        le = labels.pop("le", None)
-        key = _series_key(base, labels)
-        hist = scrape.histograms.setdefault(
-            key, {"buckets": [], "count": 0.0, "sum": 0.0}
-        )
-        if part == "bucket":
-            if le is not None and le != "+Inf":
-                hist["buckets"].append((float(le), value))
-        elif part == "count":
-            hist["count"] = value
-        elif part == "sum":
-            hist["sum"] = value
-    for hist in scrape.histograms.values():
-        hist["buckets"].sort(key=lambda pair: pair[0])
-    return scrape
-
-
-def _histogram_part(
-    name: str, histogram_names: set
-) -> Tuple[Optional[str], Optional[str]]:
-    for suffix in ("_bucket", "_count", "_sum"):
-        if name.endswith(suffix) and name[: -len(suffix)] in histogram_names:
-            return name[: -len(suffix)], suffix[1:]
-    return None, None
-
-
-def _series_key(name: str, labels: Dict[str, str]) -> str:
-    if not labels:
-        return name
-    body = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
-    return name + "{" + body + "}"
-
-
-def render_frame(
-    scrape: Scrape,
-    previous: Optional[Scrape] = None,
-    dt: float = 0.0,
-    title: str = "repro top",
-) -> str:
+def render_frame(series: Dict, title: str = "repro top") -> str:
     """One frame of the ``repro top`` display as plain text.
 
-    Rates need two scrapes ``dt`` seconds apart; with only one, the rate
-    column shows the cumulative totals instead (labelled as such).
+    ``series`` is a ``/debug/vars`` payload; the frame shows its newest
+    point, so rates, quantiles and hit ratios cover the last history
+    tick.  A payload without points renders zeros.
     """
 
+    points = series.get("points") or [{}]
+    point = points[-1]
+    rates = point.get("rates", {})
+    gauges = point.get("gauges", {})
+    quantiles = point.get("quantiles", {})
+
     lines: List[str] = [title, "=" * len(title)]
-    have_rates = previous is not None and dt > 0
-
-    def rate(key: str) -> float:
-        current = scrape.value(key)
-        if not have_rates:
-            return current
-        return max(0.0, current - previous.value(key)) / dt
-
-    unit = "/s" if have_rates else " total"
+    lines.append(f"last {series.get('interval', 0):g} s tick")
     lines.append(
-        f"requests: {rate('repro_serve_requests_total'):.1f}{unit}"
-        f"   gate: {scrape.value('repro_serve_gate_active'):.0f}"
-        f"/{scrape.value('repro_serve_gate_max_concurrency'):.0f}"
-        f" (peak {scrape.value('repro_serve_gate_peak'):.0f})"
+        f"requests: {rates.get('repro_serve_requests_total', 0.0):.1f}/s"
+        f"   gate: {gauges.get('repro_serve_gate_active', 0):.0f}"
+        f"/{gauges.get('repro_serve_gate_max_concurrency', 0):.0f}"
+        f" (peak {gauges.get('repro_serve_gate_peak', 0):.0f})"
     )
 
     status = [
-        f"{cls}={rate(key):.1f}{unit}"
+        f"{cls}={rates[key]:.1f}/s"
         for cls in ("2xx", "4xx", "5xx")
         for key in (f'repro_serve_responses_total{{class="{cls}"}}',)
-        if scrape.value(key) or (previous is not None and previous.value(key))
+        if key in rates
     ]
     if status:
         lines.append("responses: " + "  ".join(status))
 
-    route_keys = sorted(
-        key
-        for key in scrape.histograms
-        if key.startswith("repro_serve_request_seconds{")
+    routes = sorted(
+        (match.group(1), values)
+        for key, values in quantiles.items()
+        for match in [_ROUTE_RE.match(key)]
+        if match
     )
-    if route_keys:
+    if routes:
         lines.append("")
         lines.append(
             f"{'route':<10} {'count':>8} {'p50 ms':>9} {'p90 ms':>9} "
             f"{'p99 ms':>9}"
         )
-        for key in route_keys:
-            match = re.search(r'route="([^"]*)"', key)
-            route = match.group(1) if match else "?"
-            hist = scrape.histograms[key]
-            row = [f"{route:<10}", f"{hist['count']:>8.0f}"]
-            for q in (0.5, 0.9, 0.99):
-                value = scrape.quantile(key, q)
-                row.append(
-                    f"{value * 1000:>9.2f}" if value == value else f"{'-':>9}"
-                )
+        for route, values in routes:
+            row = [f"{route:<10}", f"{values.get('count', 0):>8.0f}"]
+            for q in ("p50", "p90", "p99"):
+                value = values.get(q)
+                row.append(f"{'-':>9}" if value is None else f"{value * 1000:>9.2f}")
             lines.append(" ".join(row))
 
-    cache_lines = _cache_rows(scrape)
-    if cache_lines:
-        lines.append("")
-        lines.extend(cache_lines)
-    return "\n".join(lines) + "\n"
-
-
-def _cache_rows(scrape: Scrape) -> List[str]:
     caches = sorted(
-        {
-            match.group(1)
-            for key in scrape.samples
-            for match in [
-                re.match(r'repro_cache_hits_total\{cache="([^"]*)"\}', key)
-            ]
-            if match
-        }
+        match.group(1) for key in rates for match in [_CACHE_RE.match(key)] if match
     )
-    rows: List[str] = []
+    if caches:
+        lines.append("")
     for cache in caches:
-        hits = scrape.value(f'repro_cache_hits_total{{cache="{cache}"}}')
-        misses = scrape.value(f'repro_cache_misses_total{{cache="{cache}"}}')
+        hits = rates[f'repro_cache_hits_total{{cache="{cache}"}}']
+        misses = rates.get(f'repro_cache_misses_total{{cache="{cache}"}}', 0.0)
         total = hits + misses
-        ratio = (hits / total * 100.0) if total else 0.0
-        rows.append(
-            f"cache {cache}: {ratio:.1f}% hit "
-            f"({hits:.0f} hits / {misses:.0f} misses)"
+        ratio = f"{hits / total * 100.0:.1f}%" if total else "-"
+        lines.append(
+            f"cache {cache}: {ratio} hit "
+            f"({hits:.1f} hits/s / {misses:.1f} misses/s)"
         )
-    return rows
+    return "\n".join(lines) + "\n"

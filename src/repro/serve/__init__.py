@@ -14,6 +14,8 @@ server (stdlib only — no new runtime deps):
 * ``PUT /ds/{name}`` / ``POST /ds/{name}/append`` — ingestion
 * ``POST /ds/{name}/compact`` — reclaim orphaned payload bytes
 * ``GET /stats`` / ``GET /healthz`` — gate, cache and request counters
+* ``GET /metrics`` / ``GET /debug*`` — Prometheus exposition and the
+  flight recorder (always on)
 
 Requests run under a semaphore-bounded concurrency gate with
 per-dataset read/write coordination; identical in-flight region reads

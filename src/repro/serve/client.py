@@ -136,12 +136,6 @@ class StoreClient:
     def stats(self) -> Dict:
         return self._json(*self._request("GET", "/stats"))
 
-    def metrics_text(self) -> str:
-        """``GET /metrics`` — Prometheus exposition text (``repro top``)."""
-
-        status, payload = self._request("GET", "/metrics")
-        return self._check(status, payload).decode("utf-8")
-
     def debug_vars(self, window: Optional[float] = None) -> Dict:
         """``GET /debug/vars`` — the server's metrics-history series."""
 

@@ -30,14 +30,13 @@ import contextvars
 import heapq
 import io
 import json
-import math
 import os
 import re
 import threading
 import time
 from contextlib import asynccontextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -48,11 +47,12 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     REGISTRY,
     MetricsRegistry,
+    json_finite,
     publish_cache_counters,
     render_prometheus,
 )
 from repro.obs.profile import DEFAULT_HZ, SamplingProfiler
-from repro.obs.trace import Tracer, use_request_tracer
+from repro.obs.trace import Tracer, _json_safe, use_request_tracer
 from repro.obs.trace import span as obs_span
 from repro.serve.cache import HotChunkCache
 from repro.serve.http import (
@@ -70,22 +70,12 @@ __all__ = ["ServerConfig", "ArrayServer", "SlowRequestLog", "ThreadedServer"]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
+#: Upper bound on ``GET /debug/profile?seconds=N``.
+PROFILE_MAX_SECONDS = 60.0
 
-def _json_finite(value):
-    """Replace non-finite floats with ``None`` (strict-JSON safety).
 
-    History quantiles are NaN for idle histograms; browsers' strict
-    ``response.json()`` rejects bare ``NaN`` tokens, so the debug
-    endpoints null them out instead.
-    """
-
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {key: _json_finite(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_finite(item) for item in value]
-    return value
+def _is_dataset(path: str) -> bool:
+    return os.path.isfile(os.path.join(path, "meta.json"))
 
 
 @dataclass
@@ -98,8 +88,8 @@ class ServerConfig:
     max_concurrency: int = 8
     cache_nbytes: int = 256 * 1024 * 1024
     decode_workers: int = 2
+    #: Largest accepted request body and largest decoded region response.
     max_body_nbytes: int = 512 * 1024 * 1024
-    max_response_nbytes: int = 512 * 1024 * 1024
     #: JSON-lines access-log path (``None`` disables the log).
     access_log: Optional[str] = None
     #: Rotate the access log before it would exceed this size (``None``
@@ -107,21 +97,8 @@ class ServerConfig:
     access_log_max_bytes: Optional[int] = None
     #: Rotated access-log files kept (``path.1`` … ``path.N``).
     access_log_backups: int = 3
-    #: Expose ``GET /metrics`` (Prometheus text exposition).
-    metrics: bool = True
-    #: Request-latency histogram bucket bounds in seconds (``None`` =
-    #: :data:`~repro.obs.metrics.DEFAULT_LATENCY_BUCKETS`).
-    latency_buckets: Optional[Tuple[float, ...]] = None
-    #: Expose the ``/debug`` flight-recorder endpoints.
-    debug: bool = True
-    #: Metrics-history snapshot interval, seconds.
-    history_interval: float = 5.0
-    #: Metrics-history ring capacity, points.
-    history_capacity: int = 720
     #: Slowest span trees retained per route (0 disables capture).
     slow_requests_per_route: int = 8
-    #: Upper bound on ``GET /debug/profile?seconds=N``.
-    profile_max_seconds: float = 60.0
 
 
 class SlowRequestLog:
@@ -245,18 +222,9 @@ class ArrayServer:
             if config.access_log
             else None
         )
-        self._latency_buckets: Tuple[float, ...] = (
-            tuple(sorted(config.latency_buckets))
-            if config.latency_buckets
-            else DEFAULT_LATENCY_BUCKETS
-        )
         # Flight recorder: metrics history ticker + slow-request capture
         # + on-demand profiler (one run in flight at a time).
-        self.history = MetricsHistory(
-            (self.registry, REGISTRY),
-            interval=config.history_interval,
-            capacity=config.history_capacity,
-        )
+        self.history = MetricsHistory((self.registry, REGISTRY))
         self._slow_log: Optional[SlowRequestLog] = (
             SlowRequestLog(config.slow_requests_per_route)
             if config.slow_requests_per_route > 0
@@ -345,35 +313,31 @@ class ArrayServer:
                 tracer: Optional[Tracer] = (
                     Tracer(request_id) if self._slow_log is not None else None
                 )
+                route, captures = _route(request)
                 began = time.perf_counter()
-                if tracer is not None:
-                    with use_request_tracer(tracer):
-                        head, body, keep, status = await self._gated_dispatch(
-                            request, request_id
-                        )
-                else:
+                with use_request_tracer(tracer):
                     head, body, keep, status = await self._gated_dispatch(
-                        request, request_id
+                        request, route, captures, request_id
                     )
                 duration = time.perf_counter() - began
                 self._observe_request(
                     request,
+                    route.label,
                     request_id=request_id,
                     status=status,
                     duration=duration,
                     nbytes=len(body),
                 )
-                if tracer is not None and self._slow_log is not None:
-                    route = self._route_label(request)
-                    if self._slow_log.qualifies(route, duration):
-                        self._slow_log.record(
-                            route,
-                            duration,
-                            self._slow_entry(
-                                request, request_id, status, duration, began,
-                                tracer,
-                            ),
-                        )
+                if tracer is not None and self._slow_log.qualifies(
+                    route.label, duration
+                ):
+                    self._slow_log.record(
+                        route.label,
+                        duration,
+                        self._slow_entry(
+                            request, request_id, status, duration, began, tracer
+                        ),
+                    )
                 writer.write(head + body)
                 await writer.drain()
                 if not keep:
@@ -398,7 +362,11 @@ class ArrayServer:
                 pass
 
     async def _gated_dispatch(
-        self, request: Request, request_id: str = ""
+        self,
+        request: Request,
+        route: "_Route",
+        captures: List[str],
+        request_id: str = "",
     ) -> Tuple[bytes, bytes, bool, int]:
         assert self._gate is not None
         async with self._gate:
@@ -408,11 +376,11 @@ class ArrayServer:
                 with obs_span(
                     "serve.request",
                     "serve",
-                    route=self._route_label(request),
+                    route=route.label,
                     request_id=request_id,
                 ):
                     status, body, content_type, extra = await self._dispatch(
-                        request
+                        request, route, captures
                     )
             except HttpError as exc:
                 status = exc.status
@@ -489,33 +457,10 @@ class ArrayServer:
         self._request_seq += 1
         return f"req-{self._request_seq:08x}"
 
-    @staticmethod
-    def _route_label(request: Request) -> str:
-        """Low-cardinality route label for latency histograms."""
-
-        segments = [s for s in request.path.split("/") if s]
-        if not segments:
-            return "other"
-        if segments[0] in ("healthz", "stats", "metrics", "debug"):
-            return segments[0]
-        if segments[0] != "ds":
-            return "other"
-        if len(segments) == 1:
-            return "ls"
-        if len(segments) == 2:
-            return "put" if request.method == "PUT" else "read"
-        if len(segments) >= 3 and segments[2] in (
-            "info",
-            "append",
-            "compact",
-            "chunk",
-        ):
-            return segments[2]
-        return "other"
-
     def _observe_request(
         self,
         request: Request,
+        label: str,
         *,
         request_id: str,
         status: int,
@@ -527,8 +472,7 @@ class ArrayServer:
         self.registry.observe(
             "repro_serve_request_seconds",
             duration,
-            labels={"route": self._route_label(request)},
-            buckets=self._latency_buckets,
+            labels={"route": label},
             help="Request latency by route.",
         )
         if self._access_log is not None:
@@ -588,13 +532,7 @@ class ArrayServer:
             }
             if record.args:
                 node["args"] = {
-                    key: (
-                        value
-                        if isinstance(value, (str, int, float, bool))
-                        or value is None
-                        else repr(value)
-                    )
-                    for key, value in record.args.items()
+                    key: _json_safe(value) for key, value in record.args.items()
                 }
             children = grouped.get(record.span_id)
             if children:
@@ -639,65 +577,18 @@ class ArrayServer:
         )
 
     # -- routing ---------------------------------------------------------
-    async def _dispatch(self, request: Request):
-        """Route one request; returns (status, body, content_type, extra)."""
+    async def _dispatch(self, request: Request, route: "_Route", captures: List[str]):
+        """Run the matched route; returns (status, body, content_type, extra)."""
 
-        segments = [s for s in request.path.split("/") if s]
-        if segments == ["healthz"]:
-            return 200, b'{"status":"ok"}\n', "application/json", None
-        if segments == ["stats"]:
-            return await self._handle_stats()
-        if segments == ["metrics"]:
-            if not self.config.metrics:
-                raise HttpError(404, "metrics endpoint disabled")
-            self._require_method(request, "GET")
-            return self._handle_metrics()
-        if segments[0] == "debug":
-            if not self.config.debug:
-                raise HttpError(404, "debug endpoints disabled")
-            self._require_method(request, "GET")
-            if len(segments) == 1:
-                return self._handle_dashboard()
-            if segments == ["debug", "vars"]:
-                return self._handle_vars(request)
-            if segments == ["debug", "requests"]:
-                return self._handle_slow_requests()
-            if segments == ["debug", "profile"]:
-                return await self._handle_profile(request)
+        if route.handler is None:
             raise HttpError(404, f"no such route: {request.path}")
-        if not segments or segments[0] != "ds":
-            raise HttpError(404, f"no such route: {request.path}")
-        if len(segments) == 1:
-            self._require_method(request, "GET")
-            return await self._handle_ls()
-        name = segments[1]
-        if not _NAME_RE.fullmatch(name):
-            raise HttpError(400, f"invalid dataset name {name!r}")
-        if len(segments) == 2:
-            if request.method == "PUT":
-                return await self._handle_put(name, request)
-            self._require_method(request, "GET")
-            return await self._handle_get(name, request)
-        if len(segments) == 3 and segments[2] == "info":
-            self._require_method(request, "GET")
-            return await self._handle_info(name)
-        if len(segments) == 3 and segments[2] == "append":
-            self._require_method(request, "POST")
-            return await self._handle_append(name, request)
-        if len(segments) == 3 and segments[2] == "compact":
-            self._require_method(request, "POST")
-            return await self._handle_compact(name)
-        if len(segments) == 4 and segments[2] == "chunk":
-            self._require_method(request, "GET")
-            return await self._handle_chunk(name, segments[3], request)
-        raise HttpError(404, f"no such route: {request.path}")
-
-    @staticmethod
-    def _require_method(request: Request, method: str) -> None:
-        if request.method != method:
+        if captures and not _NAME_RE.fullmatch(captures[0]):
+            raise HttpError(400, f"invalid dataset name {captures[0]!r}")
+        if request.method != route.method:
             raise HttpError(
-                405, f"{request.method} not allowed here (use {method})"
+                405, f"{request.method} not allowed here (use {route.method})"
             )
+        return await route.handler(self, request, *captures)
 
     # -- helpers ---------------------------------------------------------
     def _dataset_path(self, name: str) -> str:
@@ -718,10 +609,16 @@ class ArrayServer:
             self._executor, lambda: context.run(fn, *args)
         )
 
-    def _open_snapshot(self, name: str) -> StoreSnapshot:
+    def _existing_dataset(self, name: str) -> str:
+        """The dataset's directory; a 404 if it holds no store."""
+
         path = self._dataset_path(name)
-        if not os.path.isfile(os.path.join(path, "meta.json")):
+        if not _is_dataset(path):
             raise HttpError(404, f"no such dataset: {name}")
+        return path
+
+    def _open_snapshot(self, name: str) -> StoreSnapshot:
+        path = self._existing_dataset(name)
         try:
             return StoreSnapshot.open(path)
         except StoreCorruptionError:
@@ -754,25 +651,29 @@ class ArrayServer:
         return await asyncio.shield(task)
 
     # -- handlers --------------------------------------------------------
-    async def _handle_ls(self):
+    async def _handle_healthz(self, request: Request):
+        return 200, b'{"status":"ok"}\n', "application/json", None
+
+    async def _handle_ls(self, request: Request):
         def scan() -> List[str]:
             root = self.config.root
-            names = []
-            if os.path.isdir(root):
-                for entry in sorted(os.listdir(root)):
-                    if os.path.isfile(os.path.join(root, entry, "meta.json")):
-                        names.append(entry)
-            return names
+            if not os.path.isdir(root):
+                return []
+            return [
+                entry
+                for entry in sorted(os.listdir(root))
+                if _is_dataset(os.path.join(root, entry))
+            ]
 
         names = await self._in_executor(scan)
         body = json.dumps({"datasets": names}).encode("utf-8")
         return 200, body, "application/json", None
 
-    async def _handle_stats(self):
+    async def _handle_stats(self, request: Request):
         body = json.dumps(self.stats()).encode("utf-8")
         return 200, body, "application/json", None
 
-    def _handle_metrics(self):
+    async def _handle_metrics(self, request: Request):
         """Prometheus text exposition: per-server + library-layer metrics.
 
         The per-server registry (requests, latencies, gate, hot-chunk
@@ -785,17 +686,15 @@ class ArrayServer:
         return 200, body, "text/plain; version=0.0.4; charset=utf-8", None
 
     # -- flight recorder (GET /debug*) -----------------------------------
-    def _handle_dashboard(self):
-        poll_ms = max(1000, int(self.config.history_interval * 1000))
+    async def _handle_dashboard(self, request: Request):
+        interval = self.history.interval
         body = render_dashboard(
-            poll_ms=poll_ms,
-            window_seconds=int(
-                self.config.history_interval * self.config.history_capacity
-            ),
+            poll_ms=max(1000, int(interval * 1000)),
+            window_seconds=int(interval * self.history.capacity),
         ).encode("utf-8")
         return 200, body, "text/html; charset=utf-8", None
 
-    def _handle_vars(self, request: Request):
+    async def _handle_vars(self, request: Request):
         window: Optional[float] = None
         if "window" in request.query:
             try:
@@ -807,11 +706,11 @@ class ArrayServer:
             if not window > 0:
                 raise HttpError(400, "window must be positive seconds")
         self.history.ensure_fresh()
-        payload = _json_finite(self.history.series(window))
+        payload = json_finite(self.history.series(window))
         body = json.dumps(payload).encode("utf-8")
         return 200, body, "application/json", None
 
-    def _handle_slow_requests(self):
+    async def _handle_slow_requests(self, request: Request):
         if self._slow_log is None:
             raise HttpError(404, "slow-request capture disabled")
         payload = {
@@ -829,7 +728,7 @@ class ArrayServer:
         ``asyncio.sleep`` — so the loop keeps serving and the profile
         shows where concurrent traffic actually spends its time.  One
         run in flight at a time (429 otherwise); duration is capped by
-        ``profile_max_seconds``.
+        :data:`PROFILE_MAX_SECONDS`.
         """
 
         try:
@@ -837,11 +736,8 @@ class ArrayServer:
             hz = float(request.query.get("hz", str(DEFAULT_HZ)))
         except ValueError as exc:
             raise HttpError(400, f"bad profile parameter: {exc}") from exc
-        if not 0 < seconds <= self.config.profile_max_seconds:
-            raise HttpError(
-                400,
-                f"seconds must be in (0, {self.config.profile_max_seconds}]",
-            )
+        if not 0 < seconds <= PROFILE_MAX_SECONDS:
+            raise HttpError(400, f"seconds must be in (0, {PROFILE_MAX_SECONDS}]")
         if not 0 < hz <= 1000:
             raise HttpError(400, "hz must be in (0, 1000]")
         if self._profiling:
@@ -883,11 +779,11 @@ class ArrayServer:
                 "max_concurrency": self.config.max_concurrency,
             },
             "hot_chunk_cache": self.cache.counters(),
-            "latency_buckets": list(self._latency_buckets),
+            "latency_buckets": list(DEFAULT_LATENCY_BUCKETS),
             "metrics": self.registry.snapshot(),
         }
 
-    async def _handle_info(self, name: str):
+    async def _handle_info(self, request: Request, name: str):
         async with self._lock_for(name).read():
             snapshot = await self._in_executor(self._open_snapshot, name)
             info = snapshot.info()
@@ -895,7 +791,7 @@ class ArrayServer:
         body = json.dumps(info).encode("utf-8")
         return 200, body, "application/json", None
 
-    async def _handle_get(self, name: str, request: Request):
+    async def _handle_get(self, request: Request, name: str):
         mode = request.query.get("mode", "decoded")
         if mode not in ("decoded", "chunks"):
             raise HttpError(400, f"unknown mode {mode!r} (decoded|chunks)")
@@ -947,11 +843,11 @@ class ArrayServer:
         nbytes = int(
             np.prod([stop - start for start, stop in bounds])
         ) * snapshot.dtype.itemsize
-        if nbytes > self.config.max_response_nbytes:
+        if nbytes > self.config.max_body_nbytes:
             raise HttpError(
                 413,
                 f"region decodes to {nbytes} bytes, over the "
-                f"{self.config.max_response_nbytes} response limit",
+                f"{self.config.max_body_nbytes} response limit",
             )
 
     async def _read_chunks(self, name: str, region_text: str):
@@ -1042,7 +938,7 @@ class ArrayServer:
         }
         return body, extra
 
-    async def _handle_chunk(self, name: str, index_text: str, request: Request):
+    async def _handle_chunk(self, request: Request, name: str, index_text: str):
         try:
             linear = int(index_text)
         except ValueError as exc:
@@ -1080,7 +976,7 @@ class ArrayServer:
         except ValueError as exc:
             raise HttpError(400, f"body is not valid .npy data: {exc}") from exc
 
-    async def _handle_put(self, name: str, request: Request):
+    async def _handle_put(self, request: Request, name: str):
         array = self._parse_array_body(request)
         query = request.query
         try:
@@ -1116,14 +1012,11 @@ class ArrayServer:
             summary = await self._in_executor(ingest)
         return 200, json.dumps(summary).encode("utf-8"), "application/json", None
 
-    async def _handle_append(self, name: str, request: Request):
+    async def _handle_append(self, request: Request, name: str):
         array = self._parse_array_body(request)
-        path = self._dataset_path(name)
 
         def grow() -> Dict:
-            if not os.path.isfile(os.path.join(path, "meta.json")):
-                raise HttpError(404, f"no such dataset: {name}")
-            store = ArrayStore.open(path)
+            store = ArrayStore.open(self._existing_dataset(name))
             try:
                 store.append(array)
             except ValueError as exc:
@@ -1140,13 +1033,9 @@ class ArrayServer:
             summary = await self._in_executor(grow)
         return 200, json.dumps(summary).encode("utf-8"), "application/json", None
 
-    async def _handle_compact(self, name: str):
-        path = self._dataset_path(name)
-
+    async def _handle_compact(self, request: Request, name: str):
         def run() -> Dict:
-            if not os.path.isfile(os.path.join(path, "meta.json")):
-                raise HttpError(404, f"no such dataset: {name}")
-            store = ArrayStore.open(path)
+            store = ArrayStore.open(self._existing_dataset(name))
             report = store.compact()
             report["name"] = name
             report["orphaned_nbytes"] = store.orphaned_nbytes
@@ -1155,6 +1044,73 @@ class ArrayServer:
         async with self._lock_for(name).write():
             summary = await self._in_executor(run)
         return 200, json.dumps(summary).encode("utf-8"), "application/json", None
+
+
+class _Route(NamedTuple):
+    """One row of the route table."""
+
+    #: Path segments; a ``{...}`` segment matches any value and captures
+    #: it as a handler argument.
+    pattern: Tuple[str, ...]
+    method: str
+    #: The ``route=`` label of the request span, latency histogram and
+    #: slow-request capture.
+    label: str
+    handler: Optional[Callable]
+
+
+# Patterns that differ only by method list the GET row first: a path
+# matched under no listed method answers 405 naming the first row's.
+_ROUTES = tuple(
+    _Route(tuple(path.strip("/").split("/")), method, label, handler)
+    for path, method, label, handler in (
+        ("/healthz", "GET", "healthz", ArrayServer._handle_healthz),
+        ("/stats", "GET", "stats", ArrayServer._handle_stats),
+        ("/metrics", "GET", "metrics", ArrayServer._handle_metrics),
+        ("/debug", "GET", "debug", ArrayServer._handle_dashboard),
+        ("/debug/vars", "GET", "debug", ArrayServer._handle_vars),
+        ("/debug/requests", "GET", "debug", ArrayServer._handle_slow_requests),
+        ("/debug/profile", "GET", "debug", ArrayServer._handle_profile),
+        ("/ds", "GET", "ls", ArrayServer._handle_ls),
+        ("/ds/{name}", "GET", "read", ArrayServer._handle_get),
+        ("/ds/{name}", "PUT", "put", ArrayServer._handle_put),
+        ("/ds/{name}/info", "GET", "info", ArrayServer._handle_info),
+        ("/ds/{name}/append", "POST", "append", ArrayServer._handle_append),
+        ("/ds/{name}/compact", "POST", "compact", ArrayServer._handle_compact),
+        ("/ds/{name}/chunk/{index}", "GET", "chunk", ArrayServer._handle_chunk),
+    )
+)
+
+
+#: Where a path no row matches resolves: labelled ``other``, answered 404.
+_UNMATCHED = _Route((), "", "other", None)
+
+
+def _route(request: Request) -> Tuple[_Route, List[str]]:
+    """The request's route and the path segments its pattern captures.
+
+    The first row matching both path and method wins; failing that, the
+    first row matching the path alone (so :meth:`ArrayServer._dispatch`
+    answers 405); failing that, :data:`_UNMATCHED`.
+    """
+
+    segments = [s for s in request.path.split("/") if s]
+    by_path: Optional[Tuple[_Route, List[str]]] = None
+    for route in _ROUTES:
+        if len(route.pattern) != len(segments):
+            continue
+        captures = []
+        for part, segment in zip(route.pattern, segments):
+            if part.startswith("{"):
+                captures.append(segment)
+            elif part != segment:
+                break
+        else:
+            if route.method == request.method:
+                return route, captures
+            if by_path is None:
+                by_path = (route, captures)
+    return by_path or (_UNMATCHED, [])
 
 
 async def _run_server(config: ServerConfig, ready, stop: asyncio.Event) -> ArrayServer:

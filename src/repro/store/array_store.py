@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import zlib
 from dataclasses import dataclass
@@ -59,7 +58,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.pipeline import ExperimentCache, memoized_map
-from repro.obs.metrics import REGISTRY, publish_cache_counters
+from repro.obs.metrics import REGISTRY, json_finite, publish_cache_counters
 from repro.obs.trace import span as obs_span
 from repro.compressors.halo import TileHalo, reconstruction_faces
 from repro.compressors.registry import make_compressor
@@ -259,20 +258,6 @@ def _compress_chunk(task: _ChunkTask) -> _ChunkResult:
         faces=reconstruction_faces(reconstruction) if want_faces else None,
         context=best.entropy_context if want_faces else None,
     )
-
-
-def _json_sanitize(obj):
-    """Replace non-finite floats with ``null`` so ``meta.json`` stays
-    strictly valid JSON (bare ``NaN`` tokens are a Python extension that
-    jq / JavaScript / strict parsers reject)."""
-
-    if isinstance(obj, dict):
-        return {key: _json_sanitize(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_sanitize(value) for value in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
 
 
 def _normalize_chunk_shape(
@@ -770,7 +755,7 @@ class ArrayStore:
             (
                 META_NAME,
                 json.dumps(
-                    _json_sanitize(self._meta), indent=1, allow_nan=False
+                    json_finite(self._meta), indent=1, allow_nan=False
                 ).encode("utf-8"),
             ),
         ):

@@ -1,96 +1,102 @@
-"""``repro top`` internals: exposition parsing and frame rendering."""
+"""``repro top`` rendering: one frame from a ``/debug/vars`` payload."""
 
 from __future__ import annotations
 
-import math
+import json
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.top import parse_prometheus, render_frame
+from repro.obs.history import MetricsHistory
+from repro.obs.metrics import MetricsRegistry, json_finite
+from repro.obs.top import render_frame
 
-
-def _registry_text() -> str:
-    registry = MetricsRegistry()
-    registry.counter("repro_serve_requests_total", 120)
-    registry.counter(
-        "repro_serve_responses_total", 110, labels={"class": "2xx"}
-    )
-    registry.counter(
-        "repro_serve_responses_total", 10, labels={"class": "5xx"}
-    )
-    registry.gauge("repro_serve_gate_active", 2)
-    registry.gauge("repro_serve_gate_peak", 5)
-    registry.gauge("repro_serve_gate_max_concurrency", 8)
-    registry.counter(
-        "repro_cache_hits_total", 30, labels={"cache": "hot-chunk"}
-    )
-    registry.counter(
-        "repro_cache_misses_total", 10, labels={"cache": "hot-chunk"}
-    )
-    for _ in range(10):
-        registry.observe(
-            "repro_serve_request_seconds", 0.03, labels={"route": "read"}
-        )
-    return registry.render()
+READ = 'repro_serve_request_seconds{route="read"}'
+PUT = 'repro_serve_request_seconds{route="put"}'
 
 
-class TestParse:
-    def test_round_trips_counters_and_gauges(self):
-        scrape = parse_prometheus(_registry_text())
-        assert scrape.value("repro_serve_requests_total") == 120
-        assert (
-            scrape.value('repro_serve_responses_total{class="2xx"}') == 110
-        )
-        assert scrape.value("repro_serve_gate_active") == 2
+def _payload() -> dict:
+    """A two-point series; only the newest point should be rendered."""
 
-    def test_reassembles_histograms(self):
-        scrape = parse_prometheus(_registry_text())
-        key = 'repro_serve_request_seconds{route="read"}'
-        hist = scrape.histograms[key]
-        assert hist["count"] == 10
-        assert abs(hist["sum"] - 0.3) < 1e-9
-        bounds = [bound for bound, _ in hist["buckets"]]
-        assert bounds == sorted(bounds)
-        assert math.inf not in bounds  # +Inf folded into count
-        # All observations were 0.03 -> p50 interpolates inside (.01,.05]
-        q = scrape.quantile(key, 0.5)
-        assert 0.01 < q <= 0.05
-
-    def test_quantile_of_unknown_series_is_nan(self):
-        scrape = parse_prometheus("")
-        assert math.isnan(scrape.quantile("nope", 0.5))
-
-    def test_ignores_comments_and_garbage(self):
-        scrape = parse_prometheus(
-            "# HELP x y\n# TYPE x counter\nnot a sample line\nx 5\n"
-        )
-        assert scrape.value("x") == 5
+    newest = {
+        "rates": {
+            "repro_serve_requests_total": 24.0,
+            'repro_serve_responses_total{class="2xx"}': 22.0,
+            'repro_serve_responses_total{class="5xx"}': 2.0,
+            'repro_cache_hits_total{cache="hot-chunk"}': 6.0,
+            'repro_cache_misses_total{cache="hot-chunk"}': 2.0,
+        },
+        "gauges": {
+            "repro_serve_gate_active": 2.0,
+            "repro_serve_gate_peak": 5.0,
+            "repro_serve_gate_max_concurrency": 8.0,
+        },
+        "quantiles": {
+            READ: {"p50": 0.03, "p90": 0.045, "p99": 0.0495, "rate": 2.0, "count": 10.0},
+            # An idle histogram: NaN quantiles arrive as null.
+            PUT: {"p50": None, "p90": None, "p99": None, "rate": 0.0, "count": 0.0},
+        },
+    }
+    oldest = {
+        "rates": {"repro_serve_requests_total": 999.0},
+        "gauges": {},
+        "quantiles": {},
+    }
+    return {"interval": 5.0, "capacity": 720, "points": [oldest, newest]}
 
 
 class TestRenderFrame:
-    def test_single_scrape_shows_totals(self):
-        scrape = parse_prometheus(_registry_text())
-        frame = render_frame(scrape, title="t")
+    def test_renders_the_newest_point(self):
+        frame = render_frame(_payload(), title="t")
         assert frame.startswith("t\n")
-        assert "120.0 total" in frame
+        assert "last 5 s tick" in frame
+        assert "requests: 24.0/s" in frame
+        assert "999" not in frame
         assert "gate: 2/8 (peak 5)" in frame
-        assert "read" in frame
-        assert "cache hot-chunk: 75.0% hit" in frame
-
-    def test_two_scrapes_show_rates(self):
-        early = MetricsRegistry()
-        early.counter("repro_serve_requests_total", 100)
-        late = MetricsRegistry()
-        late.counter("repro_serve_requests_total", 150)
-        frame = render_frame(
-            parse_prometheus(late.render()),
-            parse_prometheus(early.render()),
-            dt=10.0,
-        )
-        assert "requests: 5.0/s" in frame
+        assert "responses: 2xx=22.0/s  5xx=2.0/s" in frame
+        assert "4xx" not in frame
+        assert "cache hot-chunk: 75.0% hit (6.0 hits/s / 2.0 misses/s)" in frame
 
     def test_route_table_has_quantile_columns(self):
-        frame = render_frame(parse_prometheus(_registry_text()))
-        header = [
-            line for line in frame.splitlines() if line.startswith("route")
+        lines = render_frame(_payload()).splitlines()
+        header = [line for line in lines if line.startswith("route")]
+        assert header and header[0].split() == [
+            "route", "count", "p50", "ms", "p90", "ms", "p99", "ms"
         ]
-        assert header and "p99 ms" in header[0]
+        rows = {line.split()[0]: line.split()[1:] for line in lines if line[:4] in ("read", "put ")}
+        assert rows["read"] == ["10", "30.00", "45.00", "49.50"]
+        assert rows["put"] == ["0", "-", "-", "-"]
+
+    def test_idle_cache_and_empty_payload(self):
+        payload = _payload()
+        payload["points"][-1]["rates"].update(
+            {
+                'repro_cache_hits_total{cache="hot-chunk"}': 0.0,
+                'repro_cache_misses_total{cache="hot-chunk"}': 0.0,
+            }
+        )
+        assert "cache hot-chunk: - hit" in render_frame(payload)
+        frame = render_frame({"interval": 5.0, "points": []})
+        assert "requests: 0.0/s" in frame
+        assert "route" not in frame
+
+    def test_reads_a_metrics_history_series(self):
+        # The key formats render_frame parses are the ones the server's
+        # MetricsHistory emits, through the same JSON the wire carries.
+        registry = MetricsRegistry()
+        history = MetricsHistory((registry,))
+        registry.set_counter("repro_serve_requests_total", 0)
+        registry.set_counter("repro_cache_hits_total", 0, {"cache": "hot-chunk"})
+        history.sample_now()
+        registry.set_counter("repro_serve_requests_total", 4)
+        registry.set_counter("repro_cache_hits_total", 3, {"cache": "hot-chunk"})
+        registry.set_counter("repro_cache_misses_total", 1, {"cache": "hot-chunk"})
+        registry.gauge("repro_serve_gate_max_concurrency", 8)
+        for _ in range(4):
+            registry.observe(
+                "repro_serve_request_seconds", 0.03, labels={"route": "read"}
+            )
+        history.sample_now()
+        payload = json.loads(json.dumps(json_finite(history.series())))
+        frame = render_frame(payload)
+        assert "gate: 0/8" in frame
+        assert "cache hot-chunk: 75.0% hit" in frame
+        read = [line for line in frame.splitlines() if line.startswith("read")]
+        assert read and read[0].split()[1] == "4"

@@ -26,12 +26,7 @@ def debug_root(tmp_path_factory):
 @pytest.fixture(scope="module")
 def debug_server(debug_root):
     config = ServerConfig(
-        root=str(debug_root),
-        max_concurrency=8,
-        history_interval=0.2,
-        history_capacity=64,
-        slow_requests_per_route=2,
-        profile_max_seconds=5.0,
+        root=str(debug_root), max_concurrency=8, slow_requests_per_route=2
     )
     with ThreadedServer(config) as threaded:
         yield threaded
@@ -89,21 +84,6 @@ class TestDashboard:
         assert "/debug/vars" in page
         assert "/debug/requests" in page
 
-    def test_debug_endpoints_can_be_disabled(self, tmp_path):
-        config = ServerConfig(root=str(tmp_path), debug=False)
-        with ThreadedServer(config) as threaded:
-            with StoreClient(threaded.url) as client:
-                for path in (
-                    "/debug",
-                    "/debug/vars",
-                    "/debug/requests",
-                    "/debug/profile",
-                ):
-                    status, _ = _raw_get(client, path)
-                    assert status == 404
-                # The rest of the server is unaffected.
-                assert client.healthz()
-
 
 class TestVars:
     def test_series_shape_and_rates(self, debug_server, debug_root, field_2d):
@@ -111,11 +91,10 @@ class TestVars:
         with StoreClient(debug_server.url) as client:
             for _ in range(6):
                 client.get("vars-ds")
-            # Let the 0.2s history ticker take a post-traffic sample.
-            time.sleep(0.45)
+            debug_server.server.history.sample_now()
             series = client.debug_vars()
-        assert series["interval"] == pytest.approx(0.2)
-        assert series["capacity"] == 64
+        assert series["interval"] == 5.0
+        assert series["capacity"] == 720
         points = series["points"]
         assert points
         latest = points[-1]
@@ -130,7 +109,7 @@ class TestVars:
     def test_window_filters_points(self, debug_server):
         with StoreClient(debug_server.url) as client:
             client.healthz()
-            time.sleep(0.45)
+            debug_server.server.history.sample_now()
             wide = client.debug_vars(window=3600)
             narrow = client.debug_vars(window=0.25)
         assert len(narrow["points"]) <= len(wide["points"])
@@ -246,7 +225,7 @@ class TestProfile:
         (
             {"seconds": "0"},
             {"seconds": "nope"},
-            {"seconds": "600"},  # above profile_max_seconds
+            {"seconds": "61"},  # above PROFILE_MAX_SECONDS
             {"hz": "0"},
             {"hz": "9999"},
         ),
@@ -282,16 +261,3 @@ class TestLatencyBuckets:
         buckets = stats["latency_buckets"]
         assert buckets == sorted(buckets)
         assert len(buckets) >= 5
-
-    def test_custom_buckets_flow_through(self, tmp_path):
-        config = ServerConfig(
-            root=str(tmp_path), latency_buckets=(0.5, 0.001, 2.0)
-        )
-        with ThreadedServer(config) as threaded:
-            with StoreClient(threaded.url) as client:
-                client.healthz()
-                stats = client.stats()
-                metrics = client.metrics_text()
-        assert stats["latency_buckets"] == [0.001, 0.5, 2.0]  # sorted
-        assert 'le="0.5"' in metrics
-        assert 'le="2.0"' in metrics or 'le="2"' in metrics

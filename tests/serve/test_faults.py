@@ -136,11 +136,7 @@ class TestResourceLimits:
     def small_server(self, tmp_path_factory, field_2d):
         root = tmp_path_factory.mktemp("limits-root")
         build_store(root / "big", field_2d)  # 96*80 f64 ≈ 61 KiB decoded
-        config = ServerConfig(
-            root=str(root),
-            max_body_nbytes=1024,
-            max_response_nbytes=1024,
-        )
+        config = ServerConfig(root=str(root), max_body_nbytes=1024)
         with ThreadedServer(config) as threaded:
             yield threaded
 

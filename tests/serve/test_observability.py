@@ -79,14 +79,6 @@ class TestMetricsEndpoint:
         assert "repro_serve_gate_max_concurrency 4" in text
         assert 'repro_serve_request_seconds_bucket{route="read",le="+Inf"}' in text
 
-    def test_metrics_can_be_disabled(self, obs_root, field_2d):
-        config = ServerConfig(root=str(obs_root), metrics=False)
-        with ThreadedServer(config) as threaded:
-            with StoreClient(threaded.url) as client:
-                status, _ = client._request("GET", "/metrics")
-                assert status == 404
-                assert client.healthz()
-
 
 class TestRequestIds:
     def test_inbound_id_is_honored(self, obs_server):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +46,11 @@ class TestWorkerCounts:
             ["store", "get", "s", "--workers"],
             ["figure", "3", "--workers"],
             ["serve", "root", "--decode-workers"],
+            ["serve", "root", "--max-concurrency"],
+            ["serve", "root", "--cache-mb"],
+            ["serve", "root", "--max-body-mb"],
+            ["serve", "root", "--access-log-max-bytes"],
+            ["serve", "root", "--access-log-backups"],
         ],
     )
     def test_non_positive_count_is_a_usage_error(self, argv, count, capsys):
@@ -52,6 +59,21 @@ class TestWorkerCounts:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and f"must be at least 1, got {int(count)}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "root", "--slow-requests"],
+            ["top", "http://127.0.0.1:8787", "--iterations"],
+        ],
+    )
+    def test_negative_count_is_a_usage_error(self, argv, capsys):
+        # 0 stays valid here: it turns capture off / runs top until ^C.
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be at least 0, got -1" in err
 
     def test_two_workers_still_parallelise(self, tmp_path, monkeypatch, capsys):
         import repro.volumes.pipeline as pipeline
@@ -321,3 +343,49 @@ class TestStoreCommand:
         ArrayStore.create(tmp_path / "empty")
         assert main(["store", "info", str(tmp_path / "empty")]) == 0
         assert "no data yet" in capsys.readouterr().out
+
+
+class TestProfileCommand:
+    def test_writes_a_speedscope_profile_with_samples(self, tmp_path, capsys):
+        from repro.datasets.miranda import generate_miranda_like_volume
+
+        volume = tmp_path / "vol.npy"
+        save_field(volume, generate_miranda_like_volume((32, 32, 32), seed=3))
+        out = tmp_path / "prof.json"
+        argv = ["compress", str(volume), "--volume", "--tile", "16"]
+        assert main(["profile", "--out", str(out), "--hz", "1000", "--"] + argv) == 0
+        document = json.loads(out.read_text())
+        assert document["$schema"] == (
+            "https://www.speedscope.app/file-format-schema.json"
+        )
+        assert document["repro"]["samples"] > 0
+        assert "samples" in capsys.readouterr().out
+
+    def test_returns_the_wrapped_exit_code(self, tmp_path):
+        bad = Path(__file__).parent / "analysis" / "fixtures" / "async_blocking_bad.py"
+        out = tmp_path / "prof.json"
+        assert main(["profile", "--out", str(out), "--", "lint", str(bad)]) == 1
+        assert "$schema" in json.loads(out.read_text())
+
+
+class TestTopCommand:
+    def test_one_frame_from_a_live_server(self, tmp_path, capsys):
+        from repro.serve.client import StoreClient
+        from repro.serve.server import ServerConfig, ThreadedServer
+
+        field = generate_gaussian_field((64, 64), 12.0, seed=0)
+        with ThreadedServer(ServerConfig(root=str(tmp_path))) as threaded:
+            with StoreClient(threaded.url) as client:
+                client.put("ds", field, chunk=32)
+                for _ in range(3):
+                    client.get("ds", (slice(0, 16), slice(0, 16)))
+            # The history ticker samples every 5 s; take the post-traffic
+            # point now instead of waiting for it.
+            threaded.server.history.sample_now()
+            capsys.readouterr()
+            url = threaded.url
+            assert main(["top", url, "--iterations", "1"]) == 0
+        frame = capsys.readouterr().out
+        assert frame.startswith(f"repro top — {url}\n")
+        assert re.search(r"^read\s+3\s", frame, re.MULTILINE)
+        assert re.search(r"^cache hot-chunk: \S+ hit", frame, re.MULTILINE)
