@@ -11,13 +11,11 @@ tuples* (``_encode_tile`` / ``_decode_chunk``), and workers return the
 documented payload — a result tuple, a named result object or an entropy
 context — never a bare ndarray whose meaning the scheduler has to guess.
 
-Since the zero-copy refactor, bulk arrays cross the boundary as
-*descriptors*: a :class:`~repro.utils.parallel.SharedArraySpec` names a
-shared segment, workers ``read_shared`` their region in place and
-``write_shared`` results back, and the segment lifecycle belongs to the
-submitting side's :class:`~repro.utils.parallel.SharedArraySession`.
-That discipline only holds if nobody constructs ``SharedMemory`` by
-hand, so the checker enforces it alongside the pickle rules.
+Bulk arrays cross the boundary by value: a task carries its input
+arrays and the worker returns its output arrays through the executor's
+pickle channel.  There is no shared-memory transport, so a hand-built
+``SharedMemory`` segment — with its naming, unlink-on-every-exit-path
+and platform fallback burdens — is flagged wherever it appears.
 
 Flags:
 
@@ -28,10 +26,8 @@ Flags:
 * ``ProcessPoolExecutor`` construction outside ``utils/parallel.py`` —
   parallelism routes through the one wrapper so worker hygiene has a
   single enforcement point;
-* ``SharedMemory`` construction outside ``utils/parallel.py`` — shared
-  segments route through ``SharedArraySession`` / ``read_shared`` /
-  ``write_shared`` so naming, cleanup (unlink on every exit path) and
-  the pickle fallback have one enforcement point;
+* any ``SharedMemory`` construction — arrays travel by value in the
+  task and its result;
 * inside a worker function (a module-level function submitted in the
   same file): ``return np.<...>(...)`` /
   ``return <x>.astype(...)`` bare-ndarray returns where the protocol
@@ -96,17 +92,14 @@ class WorkerBoundaryChecker(Checker):
                     )
                 )
                 continue
-            if func_tail == "SharedMemory" and not ctx.path.endswith(
-                _PARALLEL_MODULE_SUFFIX
-            ):
+            if func_tail == "SharedMemory":
                 findings.append(
                     ctx.finding(
                         self.name,
                         node,
-                        "direct SharedMemory construction; shared segments "
-                        "route through utils/parallel.SharedArraySession and "
-                        "the read_shared/write_shared descriptor protocol so "
-                        "cleanup and fallback have one enforcement point",
+                        "direct SharedMemory construction; pass arrays by "
+                        "value in the task and return them in the worker's "
+                        "result, which the executor pickles",
                     )
                 )
                 continue

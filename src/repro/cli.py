@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     get.add_argument(
         "--workers", type=_positive_int, default=1,
         help="local reads: decode chunks with this many workers (two-wave "
-        "parallel decode over shared memory; 1 = serial)",
+        "parallel decode; 1 = serial)",
     )
 
     append = store_sub.add_parser(
@@ -463,6 +463,7 @@ def _command_compress_volume_stream(args: argparse.Namespace) -> int:
     pass comparing each reconstructed slab against a re-read source slab.
     """
 
+    from repro.pressio.metrics import psnr
     from repro.volumes.streaming import (
         compress_volume_stream,
         decompress_volume_stream,
@@ -508,12 +509,6 @@ def _command_compress_volume_stream(args: argparse.Namespace) -> int:
         lo, hi = min(lo, float(source.min())), max(hi, float(source.max()))
         count += source.size
     rmse = (sq_sum / count) ** 0.5 if count else 0.0
-    value_range = hi - lo
-    psnr = (
-        20.0 * np.log10(value_range / rmse)
-        if rmse > 0 and value_range > 0
-        else float("inf")
-    )
     bound_satisfied = max_abs_error <= bound * (1.0 + 1e-9)
 
     rows = [
@@ -529,7 +524,7 @@ def _command_compress_volume_stream(args: argparse.Namespace) -> int:
         ),
         ("max abs error", f"{max_abs_error:.3e}"),
         ("RMSE", f"{rmse:.3e}"),
-        ("PSNR (dB)", f"{psnr:.2f}"),
+        ("PSNR (dB)", f"{psnr(hi - lo, rmse):.2f}"),
         ("bound satisfied", str(bound_satisfied)),
     ]
     print(format_table(("quantity", "value"), rows))

@@ -17,7 +17,7 @@ import numpy as np
 from repro.compressors.base import CompressedField
 from repro.utils.validation import ensure_float_array
 
-__all__ = ["CompressionMetrics", "error_statistics", "evaluate_metrics"]
+__all__ = ["CompressionMetrics", "error_statistics", "evaluate_metrics", "psnr"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,20 @@ class CompressionMetrics:
         return asdict(self)
 
 
+def psnr(value_range: float, rmse: float) -> float:
+    """PSNR in dB with ``value_range`` as the peak.
+
+    An exact reconstruction is ``inf``; any error on a constant field
+    (zero range) is ``-inf``.
+    """
+
+    if rmse == 0.0:
+        return float("inf")
+    if value_range == 0.0:
+        return float("-inf")
+    return float(20.0 * np.log10(value_range) - 20.0 * np.log10(rmse))
+
+
 def error_statistics(original: np.ndarray, reconstruction: np.ndarray):
     """Shared reconstruction-error statistics (any dimensionality).
 
@@ -73,13 +87,7 @@ def error_statistics(original: np.ndarray, reconstruction: np.ndarray):
     max_abs_error = float(np.abs(error).max()) if error.size else 0.0
     rmse = float(np.sqrt(np.mean(error**2))) if error.size else 0.0
     value_range = float(original.max() - original.min()) if original.size else 0.0
-    if rmse == 0.0:
-        psnr = float("inf")
-    elif value_range == 0.0:
-        psnr = float("-inf") if rmse > 0 else float("inf")
-    else:
-        psnr = float(20.0 * np.log10(value_range) - 20.0 * np.log10(rmse))
-    return max_abs_error, rmse, value_range, psnr
+    return max_abs_error, rmse, value_range, psnr(value_range, rmse)
 
 
 def evaluate_metrics(

@@ -510,6 +510,10 @@ class ArrayStore:
         def memo(tasks, compute):
             return memoized_map(tasks, key_fn, compute, cache)
 
+        def done(index: int, result: _ChunkResult) -> _ChunkResult:
+            results[index] = result
+            return result
+
         with WaveExecutor(
             plan,
             parallel,
@@ -522,7 +526,7 @@ class ArrayStore:
                 enumerate(plan.waves()),
                 build,
                 memo=memo,
-                done=results.__setitem__,
+                done=done,
             )
         return results
 
@@ -857,8 +861,7 @@ class ArrayStore:
         ``chunk_cache`` optionally supplies a shared decoded-chunk cache
         (see :meth:`StoreSnapshot.read`); ``parallel`` (a process-pool
         config) opts into the two-wave parallel decode — anchors, then
-        halo chunks — over a shared scratch array, falling back to the
-        serial path when shared memory is unavailable.  The actual
+        halo chunks, each task carrying its anchors' faces.  The actual
         decoding lives in :class:`~repro.store.snapshot.StoreSnapshot`.
         """
 

@@ -56,7 +56,7 @@ from repro.compressors.halo import TileHalo
 from repro.compressors.registry import make_compressor
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
-from repro.utils.parallel import ParallelConfig, read_region, write_region
+from repro.utils.parallel import ParallelConfig
 from repro.utils.schedule import PlanTile, TilePlan, WaveExecutor
 from repro.store.format import (
     IndexRecord,
@@ -188,20 +188,6 @@ def load_store_state(
     )
 
 
-def _slot_region(slot: int, extent: Tuple[int, ...]) -> tuple:
-    """A chunk's values inside its slot of a read's scratch array."""
-
-    return (slot,) + tuple(slice(0, e) for e in extent)
-
-
-def _high_face(slot: int, extent: Tuple[int, ...], axis: int) -> tuple:
-    """The scratch region of a decoded chunk's high face along ``axis``."""
-
-    return (slot,) + tuple(
-        e - 1 if a == axis else slice(0, e) for a, e in enumerate(extent)
-    )
-
-
 class _ChunkDecode(NamedTuple):
     """One chunk of :func:`_decode_chunk`'s work."""
 
@@ -215,11 +201,9 @@ class _ChunkDecode(NamedTuple):
     error_bound: float
     dtype: str
     options: Dict
-    #: The read's scratch array (one slot per decode): ndarray or spec.
-    sink: object
     slot: int
-    #: Per-axis scratch regions of the anchors' faces; None: standalone.
-    planes: Optional[Tuple]
+    #: Per-axis high faces of the anchors; None: standalone.
+    planes: Optional[Tuple[Optional[np.ndarray], ...]]
     context: Optional[object]
     want_context: bool
 
@@ -227,10 +211,10 @@ class _ChunkDecode(NamedTuple):
 def _decode_chunk(task: _ChunkDecode):
     """The chunk-decode worker of every store read (top-level, picklable).
 
-    Decodes one payload into its slot of the read's scratch sink.  Halo
-    chunks read their anchors' high faces back out of the same sink (the
-    anchors decoded in an earlier wave).  Returns the documented payload:
-    the chunk's entropy context when ``want_context``, else ``None``.
+    Decodes one payload; halo chunks decode against their anchors' high
+    faces (the anchors decoded in an earlier wave).  Returns the
+    documented ``(values, context)`` pair; the context is ``None`` unless
+    ``want_context``.
     """
 
     payload = task.payload() if callable(task.payload) else task.payload
@@ -245,11 +229,7 @@ def _decode_chunk(task: _ChunkDecode):
     else:
         halo = None
         if task.planes is not None:
-            planes = [
-                None if region is None else read_region(task.sink, region)
-                for region in task.planes
-            ]
-            halo = TileHalo.build(planes, task.context)
+            halo = TileHalo.build(task.planes, task.context)
         codec = make_compressor(task.codec, task.error_bound, **task.options)
         compressed = CompressedField(
             data=payload,
@@ -266,8 +246,7 @@ def _decode_chunk(task: _ChunkDecode):
             raise StoreCorruptionError(
                 f"chunk decoded to shape {values.shape}, expected {task.extent}"
             )
-    write_region(task.sink, _slot_region(task.slot, task.extent), values)
-    return context
+    return values, context
 
 
 class StoreSnapshot:
@@ -524,25 +503,6 @@ class StoreSnapshot:
         ]
         return list(product(*chunk_ranges))
 
-    def halo_dependencies(self, grid_index: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-        """Anchor neighbours the chunk at ``grid_index`` decodes against."""
-
-        record = self._index[self.linear_index(grid_index)]
-        is_halo, axes_mask, ref_axis = parse_halo_flags(record.flags)
-        if not is_halo:
-            return []
-        deps: List[Tuple[int, ...]] = []
-        axes = {axis for axis in range(len(self.shape)) if axes_mask & (1 << axis)}
-        if ref_axis is not None:
-            axes.add(ref_axis)
-        for axis in sorted(axes):
-            if grid_index[axis] == 0:
-                continue
-            deps.append(
-                tuple(g - 1 if a == axis else g for a, g in enumerate(grid_index))
-            )
-        return deps
-
     # -- read ------------------------------------------------------------
     def read(
         self, region=None, *, chunk_cache=None, parallel: Optional[ParallelConfig] = None
@@ -557,11 +517,11 @@ class StoreSnapshot:
 
         The read is a :class:`~repro.utils.schedule.TilePlan` over the
         decodes it needs (:meth:`_read_plan`): anchors in wave 0, halo
-        chunks in wave 1, each decoded into one slot of a scratch array
-        and assembled from there.  ``parallel`` runs the waves over a
-        worker pool (process workers share the scratch segment); the
-        output is bit-identical to a serial read, because halo planes and
-        entropy contexts do not depend on the schedule.
+        chunks in wave 1, each task carrying its anchors' faces and
+        returning its values, from which the output is assembled.
+        ``parallel`` runs the waves over a worker pool; the output is
+        bit-identical to a serial read, because halo planes and entropy
+        contexts do not depend on the schedule.
 
         ``chunk_cache`` optionally supplies a shared decoded-chunk cache
         (:class:`repro.serve.cache.HotChunkCache`); hits skip both the
@@ -586,10 +546,9 @@ class StoreSnapshot:
             repr(sorted((k, sorted(v.items())) for k, v in options_of.items())),
         )
         error_bound, halo_store = self.error_bound, self.halo
-        # Hot-cache hits keep the cached array; only anchors a halo chunk
-        # borrows from are also copied into the scratch array.
-        resolved: Dict[int, np.ndarray] = {}
-        borrowed = plan.dependent_counts()
+        # Decoded values by slot (hot-cache hits keep the cached array).
+        decoded: Dict[int, np.ndarray] = {}
+        hits = 0
         out = np.empty(tuple(stop - start for start, stop in bounds), dtype=self.dtype)
 
         with WaveExecutor(
@@ -599,9 +558,6 @@ class StoreSnapshot:
             tile_span="store.decode_chunk",
             category="store",
         ) as executor, self.payload_reader() as fetch:
-            sink, scratch = executor.allocate(
-                (len(plan.tiles),) + tuple(self.chunk_shape), self.dtype
-            )
 
             def build(slot: int, tile: PlanTile) -> _ChunkDecode:
                 planes = None
@@ -609,7 +565,7 @@ class StoreSnapshot:
                     planes = tuple(
                         None
                         if dep is None
-                        else _high_face(dep, plan.tiles[dep].extent, axis)
+                        else np.take(decoded[dep], -1, axis=axis)
                         for axis, dep in enumerate(tile.planes)
                     )
                 record = self._index[linears[slot]]
@@ -622,7 +578,6 @@ class StoreSnapshot:
                     error_bound=error_bound,
                     dtype=dtype,
                     options=dict(options_of.get(codec, {})),
-                    sink=sink,
                     slot=slot,
                     planes=planes,
                     context=None if tile.context is None else executor.results[tile.context],
@@ -633,6 +588,7 @@ class StoreSnapshot:
                 )
 
             def hot(tasks, compute):
+                nonlocal hits
                 results = [None] * len(tasks)
                 missed = []
                 for n, task in enumerate(tasks):
@@ -641,10 +597,7 @@ class StoreSnapshot:
                     if sha1 is not None:
                         halo = None
                         if task.planes is not None:
-                            halo = TileHalo.build(
-                                [None if r is None else scratch[r] for r in task.planes],
-                                task.context,
-                            )
+                            halo = TileHalo.build(task.planes, task.context)
                         key = (
                             sha1,
                             task.codec,
@@ -652,22 +605,21 @@ class StoreSnapshot:
                             None if halo is None else halo.digest(),
                             decode_config,
                         )
-                        entry = chunk_cache.get(key, want_context=task.want_context)
-                        if entry is not None:
-                            values, results[n] = entry
-                            resolved[task.slot] = values
-                            if borrowed[task.slot]:
-                                scratch[_slot_region(task.slot, task.extent)] = values
+                        results[n] = chunk_cache.get(key, want_context=task.want_context)
+                        if results[n] is not None:
+                            hits += 1
                             continue
                     missed.append((n, key))
                 fresh = compute([tasks[n] for n, _ in missed])
-                for (n, key), context in zip(missed, fresh):
-                    results[n] = context
+                for (n, key), result in zip(missed, fresh):
+                    results[n] = result
                     if key is not None:
-                        task = tasks[n]
-                        values = scratch[_slot_region(task.slot, task.extent)].copy()
-                        chunk_cache.put(key, values, context)
+                        chunk_cache.put(key, *result)
                 return results
+
+            def done(slot: int, result):
+                decoded[slot], context = result
+                return context
 
             span = (
                 obs_span(
@@ -686,33 +638,32 @@ class StoreSnapshot:
                     enumerate(plan.waves()),
                     build,
                     memo=hot if chunk_cache is not None else None,
+                    done=done,
                 )
 
-            for grid_index in grid_indices:
-                slot = slot_of[grid_index]
-                # Intersection of the chunk box with the requested region,
-                # in chunk-local and output coordinates (a slot shared by
-                # deduplicated chunks has their common extent).
-                src = []
-                dst = []
-                for (start, stop), g, edge, extent in zip(
-                    bounds, grid_index, self.chunk_shape, plan.tiles[slot].extent
-                ):
-                    o = g * edge
-                    lo = max(start, o)
-                    hi = min(stop, o + extent)
-                    src.append(slice(lo - o, hi - o))
-                    dst.append(slice(lo - start, hi - start))
-                values = resolved[slot] if slot in resolved else scratch[slot]
-                out[tuple(dst)] = values[tuple(src)]
-            del scratch
+        for grid_index in grid_indices:
+            slot = slot_of[grid_index]
+            # Intersection of the chunk box with the requested region, in
+            # chunk-local and output coordinates (a slot shared by
+            # deduplicated chunks has their common extent).
+            src = []
+            dst = []
+            for (start, stop), g, edge, extent in zip(
+                bounds, grid_index, self.chunk_shape, plan.tiles[slot].extent
+            ):
+                o = g * edge
+                lo = max(start, o)
+                hi = min(stop, o + extent)
+                src.append(slice(lo - o, hi - o))
+                dst.append(slice(lo - start, hi - start))
+            out[tuple(dst)] = decoded[slot][tuple(src)]
 
         report = ReadReport(
             region=tuple(bounds),
             chunks_total=len(self._index),
             chunks_intersecting=len(grid_indices),
-            chunks_decoded=len(plan.tiles) - len(resolved),
-            cache_hits=len(resolved),
+            chunks_decoded=len(plan.tiles) - hits,
+            cache_hits=hits,
         )
         REGISTRY.counter(
             "repro_store_reads_total",
@@ -736,7 +687,7 @@ class StoreSnapshot:
     def _read_plan(
         self, grid_indices: List[Tuple[int, ...]]
     ) -> Tuple[TilePlan, Dict[Tuple[int, ...], int], List[int]]:
-        """The decodes a read needs, as a plan over scratch slots.
+        """The decodes a read needs, as a plan over decode slots.
 
         Slots cover the intersecting chunks plus the anchors their halo
         flags reference — at most one per axis, never further, and never

@@ -21,11 +21,10 @@ they share two pieces:
   produces the same bytes.
 * :class:`WaveExecutor` — runs waves over one
   :class:`~repro.utils.parallel.WorkerPool`, opens one wave span per
-  wave and traces every task once, and hands workers a source/sink that
-  is an in-process ndarray (serial runs, thread pools) or a
-  :class:`~repro.utils.parallel.SharedArraySpec` (process pools).  A
-  process pool without shared memory runs serially; a serial executor
-  maps inline and creates neither an executor nor a shared segment.
+  wave and traces every task once.  Tasks carry their input arrays and
+  workers return their output arrays by value, so serial runs, thread
+  pools and process pools share one code path; a serial executor maps
+  inline and creates no executor at all.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.obs.trace import (
     Tracer,
     active_tracer,
@@ -45,14 +42,7 @@ from repro.obs.trace import (
     use_request_tracer,
 )
 from repro.utils.blocking import grid_offsets
-from repro.utils.parallel import (
-    ParallelConfig,
-    SharedArraySession,
-    SharedArraySpec,
-    WorkerPool,
-    shared_memory_available,
-    use_shared_arrays,
-)
+from repro.utils.parallel import ParallelConfig, WorkerPool
 
 __all__ = [
     "PlanTile",
@@ -238,30 +228,14 @@ def _traced_task(job):
     return result, capture.export_tuples()
 
 
-def _effective_config(parallel: Optional[ParallelConfig]) -> Optional[ParallelConfig]:
-    """``parallel`` when it has workers to run on, else ``None`` (serial).
-
-    A process pool needs shared memory for the array transport; without
-    it the run is serial rather than pickling whole tiles.
-    """
-
-    if parallel is None or parallel.workers <= 1:
-        return None
-    if parallel.use_processes and not shared_memory_available():
-        return None
-    return parallel
-
-
 class WaveExecutor:
     """Runs a :class:`TilePlan`'s waves over one worker pool.
 
-    ``with WaveExecutor(plan, parallel) as executor:`` holds the pool and
-    the shared-memory session for the block.  :meth:`share` /
-    :meth:`allocate` turn arrays into task sources/sinks (the array
-    itself, or a shared segment when workers are processes), and
-    :meth:`run_waves` is the one scheduling loop: build each wave's
-    tasks, run them, keep each result only until the last tile that
-    borrows from it has been built.
+    ``with WaveExecutor(plan, parallel) as executor:`` holds the pool for
+    the block, and :meth:`run_waves` is the one scheduling loop: build
+    each wave's tasks, run them, keep each result (or what ``done``
+    makes of it) only until the last tile that borrows from it has been
+    built.
     """
 
     def __init__(
@@ -273,53 +247,21 @@ class WaveExecutor:
         tile_span: str = "volume.tile",
         category: str = "volume",
     ) -> None:
-        config = _effective_config(parallel)
         self.plan = plan
-        self.pooled = config is not None
+        self.pooled = parallel is not None and parallel.workers > 1
         self.wave_span = wave_span
         self.tile_span = tile_span
         self.category = category
         #: Results still needed by tiles not yet built, by plan index.
         self.results: Dict[int, object] = {}
         self._remaining = plan.dependent_counts()
-        self._pool = WorkerPool(config)
-        self._session = SharedArraySession() if use_shared_arrays(config) else None
-
-    @property
-    def zero_copy(self) -> bool:
-        """Whether arrays travel to workers through shared memory."""
-
-        return self._session is not None
+        self._pool = WorkerPool(parallel)
 
     def __enter__(self) -> "WaveExecutor":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        try:
-            self._pool.__exit__(*exc_info)
-        finally:
-            if self._session is not None:
-                self._session.close()
-
-    # -- transport -------------------------------------------------------
-    def share(self, array: np.ndarray):
-        """A task source holding ``array``."""
-
-        return self._session.share(array) if self._session is not None else array
-
-    def allocate(self, shape: Sequence[int], dtype) -> Tuple[object, np.ndarray]:
-        """A task sink of ``shape``: ``(sink, local view of it)``."""
-
-        if self._session is not None:
-            return self._session.allocate(shape, dtype)
-        array = np.empty(tuple(shape), dtype=dtype)
-        return array, array
-
-    def release(self, handle) -> None:
-        """Free a source/sink before the executor exits (stream slabs)."""
-
-        if isinstance(handle, SharedArraySpec) and self._session is not None:
-            self._session.release(handle)
+        self._pool.__exit__(*exc_info)
 
     # -- scheduling ------------------------------------------------------
     def run_waves(
@@ -329,7 +271,7 @@ class WaveExecutor:
         build: Callable[[int, PlanTile], object],
         *,
         memo: Optional[Callable] = None,
-        done: Optional[Callable[[int, object], None]] = None,
+        done: Optional[Callable[[int, object], object]] = None,
     ) -> None:
         """Run ``(wave_id, tile indices)`` waves in order.
 
@@ -337,7 +279,9 @@ class WaveExecutor:
         dependencies' results from :attr:`results`.  ``memo(tasks,
         compute)`` optionally stands between a wave and the pool (a cache
         resolves some tasks, ``compute`` runs the rest); ``done(index,
-        result)`` sees every result.
+        result)`` sees every result, in wave order before the next wave is
+        built, and returns what :attr:`results` keeps for the tile's
+        borrowers (without ``done``, the result itself).
         """
 
         for wave_id, indices in waves:
@@ -351,7 +295,7 @@ class WaveExecutor:
                 results = memo(tasks, compute) if memo is not None else compute(tasks)
             for index, result in zip(indices, results):
                 if done is not None:
-                    done(index, result)
+                    result = done(index, result)
                 if self._remaining[index]:
                     self.results[index] = result
 

@@ -56,7 +56,7 @@ from repro.obs.metrics import REGISTRY, publish_cache_counters
 from repro.obs.trace import span as obs_span
 from repro.pressio.metrics import CompressionMetrics, error_statistics
 from repro.utils.blocking import grid_offsets
-from repro.utils.parallel import ParallelConfig, read_region, write_region
+from repro.utils.parallel import ParallelConfig
 from repro.utils.schedule import PlanTile, TilePlan, WaveExecutor
 from repro.utils.validation import ensure_ndim, ensure_positive
 
@@ -206,10 +206,9 @@ class _EncodeTask(NamedTuple):
     compressor: str
     error_bound: float
     options: Dict
-    #: The window holding the tile: an ndarray or a SharedArraySpec.
-    source: object
-    #: The tile, in window coordinates.
-    region: Tuple[slice, ...]
+    #: A view into the window: pickling copies just the tile, and serial
+    #: or threaded runs copy nothing.
+    tile: np.ndarray
     halo_mode: bool
     halo: Optional[TileHalo]
 
@@ -223,11 +222,10 @@ def _encode_tile(task: _EncodeTask):
     its three high faces and its entropy context.
     """
 
-    tile = read_region(task.source, task.region)
     compressor = make_compressor(task.compressor, task.error_bound, **task.options)
     if not task.halo_mode:
-        return replace(compressor.compress(tile), reconstruction=None), {}, None
-    compressed = compressor.compress(tile, halo=task.halo, collect_context=True)
+        return replace(compressor.compress(task.tile), reconstruction=None), {}, None
+    compressed = compressor.compress(task.tile, halo=task.halo, collect_context=True)
     faces = reconstruction_faces(compressed.reconstruction)
     context = compressed.entropy_context
     return replace(compressed, reconstruction=None, entropy_context=None), faces, context
@@ -239,35 +237,24 @@ class _DecodeTask(NamedTuple):
     compressor: str
     error_bound: float
     compressed: CompressedField
-    #: The output window: an ndarray or a SharedArraySpec.
-    sink: object
-    region: Tuple[slice, ...]
-    #: Per-axis regions of the sink holding the halo planes; None: halo off.
-    planes: Optional[Tuple]
+    #: Per-axis halo planes sliced from the output; None: halo off.
+    planes: Optional[Tuple[Optional[np.ndarray], ...]]
     context: Optional[object]
 
 
 def _decode_tile(task: _DecodeTask):
     """The volume decode worker (top-level, picklable).
 
-    Reads its halo planes out of the sink — its low neighbours decoded in
-    earlier waves — writes its reconstruction into it, and returns the
-    documented payload: the tile's entropy context (``None`` halo off).
+    Decodes against the halo planes its low neighbours (decoded in earlier
+    waves) left in the output and returns the documented ``(values,
+    context)`` pair; the context is ``None`` with halo off.
     """
 
     codec = make_compressor(task.compressor, task.error_bound)
-    context = None
     if task.planes is None:
-        values = codec.decompress(task.compressed)
-    else:
-        planes = [
-            None if region is None else read_region(task.sink, region)
-            for region in task.planes
-        ]
-        halo = TileHalo.build(planes, task.context)
-        values, context = codec.decompress_with_context(task.compressed, halo=halo)
-    write_region(task.sink, task.region, values)
-    return context
+        return codec.decompress(task.compressed), None
+    halo = TileHalo.build(task.planes, task.context)
+    return codec.decompress_with_context(task.compressed, halo=halo)
 
 
 def _local(tile: PlanTile, origin: Sequence[int]) -> Tuple[slice, ...]:
@@ -339,8 +326,9 @@ def _encode_volume(
     windows = _windows(plan, shape, tile[0], stream)
     payloads: List[Optional[CompressedField]] = [None] * len(plan.tiles)
 
-    def done(index: int, result) -> None:
+    def done(index: int, result):
         payloads[index] = result[0]
+        return result
 
     with WaveExecutor(plan, parallel) as executor, obs_span(
         "volume.compress.stream" if stream else "volume.compress",
@@ -349,12 +337,10 @@ def _encode_volume(
         tiles=len(plan.tiles),
         halo=halo,
         slabs=len(windows),
-        zero_copy=executor.zero_copy,
     ):
 
         def run_window(row_start: int, rows: int, waves) -> None:
             window = read(row_start, rows)
-            source = executor.share(window)
             origin = (row_start, 0, 0)
 
             def build(index: int, plan_tile: PlanTile) -> _EncodeTask:
@@ -373,22 +359,19 @@ def _encode_volume(
                     compressor,
                     error_bound,
                     options,
-                    source,
-                    _local(plan_tile, origin),
+                    window[_local(plan_tile, origin)],
                     halo,
                     tile_halo,
                 )
 
             def key_fn(task: _EncodeTask) -> str:
                 if not halo:
-                    return ExperimentCache.key(
-                        "volume-tile", config_key, window[task.region], ""
-                    )
+                    return ExperimentCache.key("volume-tile", config_key, task.tile, "")
                 halo_key = task.halo.digest() if task.halo is not None else "-"
                 return ExperimentCache.key(
                     "volume-tile-halo",
                     f"{config_key}:{halo_key}",
-                    window[task.region],
+                    task.tile,
                     "",
                 )
 
@@ -396,7 +379,6 @@ def _encode_volume(
                 return memoized_map(tasks, key_fn, compute, cache)
 
             executor.run_waves(_encode_tile, waves, build, memo=memo, done=done)
-            executor.release(source)
 
         for row_start, rows, waves in windows:
             run_window(row_start, rows, waves)
@@ -439,26 +421,29 @@ def _decode_volume(
         def run_window(row_start: int, rows: int, waves, carry) -> np.ndarray:
             lead = 0 if carry is None else 1
             origin = (row_start - lead, 0, 0)
-            sink, view = executor.allocate((rows + lead,) + tuple(shape[1:]), np.float64)
+            window = np.empty((rows + lead,) + tuple(shape[1:]), np.float64)
             if carry is not None:
-                view[0] = carry
+                window[0] = carry
 
             def build(index: int, tile: PlanTile) -> _DecodeTask:
                 planes = None
                 if compressed.halo:
                     planes = tuple(
-                        None if dep is None else _plane_below(tile, axis, origin)
+                        None if dep is None else window[_plane_below(tile, axis, origin)]
                         for axis, dep in enumerate(tile.planes)
                     )
                 return _DecodeTask(
                     compressed.compressor,
                     compressed.error_bound,
                     payloads[tile.offset],
-                    sink,
-                    _local(tile, origin),
                     planes,
                     None if tile.context is None else executor.results[tile.context],
                 )
+
+            def done(index: int, result):
+                values, context = result
+                window[_local(plan.tiles[index], origin)] = values
+                return context
 
             with obs_span(
                 "volume.decompress",
@@ -466,13 +451,9 @@ def _decode_volume(
                 compressor=compressed.compressor,
                 tiles=sum(len(indices) for _, indices in waves),
                 halo=compressed.halo,
-                zero_copy=executor.zero_copy,
             ):
-                executor.run_waves(_decode_tile, waves, build)
-            values = view[lead:].copy() if executor.zero_copy else view[lead:]
-            del view
-            executor.release(sink)
-            return values
+                executor.run_waves(_decode_tile, waves, build, done=done)
+            return window[lead:]
 
         carry = None
         for row_start, rows, waves in _windows(
@@ -503,10 +484,8 @@ def compress_volume(
     their content hash plus the (compressor, bound, options) configuration,
     so byte-identical tiles — constant or repeated regions — compress once.
 
-    ``parallel`` runs each wave's tiles over a worker pool: threads read
-    the volume directly, process workers read it from one shared-memory
-    segment (a platform without shared memory compresses serially).  The
-    bytes never depend on the schedule.
+    ``parallel`` runs each wave's tiles over a worker pool; every task
+    carries its own tile.  The bytes never depend on the schedule.
 
     ``halo=True`` turns on halo-aware tiling: tiles are scheduled in
     wavefront order (anti-diagonals of the tile grid — every tile's
@@ -548,9 +527,9 @@ def decompress_volume(
     the encoder saw, by construction.
 
     ``parallel`` decodes the tiles of each anti-diagonal wave
-    concurrently: threads write into the output array, process workers
-    into one shared output segment (a platform without shared memory
-    decodes serially).  The output never depends on the schedule.
+    concurrently; each task carries its halo planes and returns its
+    values, which are written into the output before the next wave is
+    built.  The output never depends on the schedule.
     """
 
     ((_, volume),) = _decode_volume(compressed, parallel, stream=False)

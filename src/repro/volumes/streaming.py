@@ -140,9 +140,8 @@ def compress_volume_stream(
 
     ``source`` is a 3D array or a path to a C-order ``.npy`` file.  Memo
     keys match the one-shot pipeline exactly, so the two paths share the
-    tile cache.  With ``parallel`` (a process pool), each slab is shared
-    once and its tiles fan out over the zero-copy descriptor protocol;
-    the in-slab schedule is the 2D wavefront over the remaining axes, so
+    tile cache.  With ``parallel``, each slab's tiles fan out over the
+    pool, every task carrying its own tile; the in-slab schedule is the 2D wavefront over the remaining axes, so
     the halo chain sees tiles in a valid wavefront order either way.
     """
 

@@ -1,26 +1,33 @@
-"""GOOD fixture: a module-level worker handed to the wave executor,
-reading and writing its tile through the task's source and sink and
-returning the documented payload."""
+"""GOOD fixture: a module-level worker handed to the wave executor; the
+task carries its tile by value and the worker returns the documented
+``(values, summary)`` payload, which the submitting side writes into the
+output."""
 
-from repro.utils.parallel import read_region, write_region
+import numpy as np
+
 from repro.utils.schedule import TilePlan, WaveExecutor
 
 
 def scale_all(plan: TilePlan, volume, scale):
+    out = np.empty_like(volume)
+
+    def region(tile):
+        return tuple(slice(o, o + e) for o, e in zip(tile.offset, tile.extent))
+
+    def build(index, tile):
+        return np.ascontiguousarray(volume[region(tile)]), scale
+
+    def done(index, result):
+        values, _ = result
+        out[region(plan.tiles[index])] = values
+        return None
+
     with WaveExecutor(plan) as executor:
-        sink, view = executor.allocate(volume.shape, volume.dtype)
-        source = executor.share(volume)
-
-        def build(index, tile):
-            region = tuple(slice(o, o + e) for o, e in zip(tile.offset, tile.extent))
-            return source, sink, region, scale
-
-        executor.run_waves(_scale_worker, enumerate(plan.waves()), build)
-        return view.copy()
+        executor.run_waves(_scale_worker, enumerate(plan.waves()), build, done=done)
+    return out
 
 
 def _scale_worker(task):
-    source, sink, region, scale = task
-    values = read_region(source, region) * scale
-    write_region(sink, region, values)
-    return region, float(values.max())
+    tile, scale = task
+    values = tile * scale
+    return values, float(values.max())

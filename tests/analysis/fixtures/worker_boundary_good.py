@@ -1,33 +1,25 @@
 """GOOD fixture: the repo's worker protocol — a module-level function
 over self-contained task tuples, returning the documented payload tuple;
-bulk arrays cross the boundary as SharedArraySpec descriptors managed by
-a SharedArraySession, never as hand-rolled SharedMemory segments."""
+bulk arrays travel by value in the task and its result, never through
+hand-rolled SharedMemory segments."""
 
 import numpy as np
 
-from repro.utils.parallel import (
-    ParallelConfig,
-    SharedArraySession,
-    WorkerPool,
-    parallel_map,
-    read_shared,
-    write_shared,
-)
+from repro.utils.parallel import ParallelConfig, WorkerPool, parallel_map
 
 
 def run_all(tasks):
     return list(parallel_map(_encode_worker, tasks))
 
 
-def run_shared(volume, regions, scale):
-    with SharedArraySession() as session, WorkerPool(ParallelConfig(2)) as pool:
-        spec = session.share(volume)
-        out_spec, out_view = session.allocate(volume.shape, volume.dtype)
-        tasks = [(spec, out_spec, region, scale) for region in regions]
+def run_pooled(volume, regions, scale):
+    out = np.empty_like(volume)
+    with WorkerPool(ParallelConfig(2)) as pool:
+        tasks = [(np.ascontiguousarray(volume[region]), scale) for region in regions]
         payloads = pool.map(_scale_worker, tasks)
-        result = out_view.copy()
-        del out_view
-    return result, payloads
+    for region, (values, _) in zip(regions, payloads):
+        out[region] = values
+    return out, payloads
 
 
 def _encode_worker(task):
@@ -37,7 +29,6 @@ def _encode_worker(task):
 
 
 def _scale_worker(task):
-    spec, out_spec, region, scale = task
-    values = read_shared(spec, region) * scale
-    write_shared(out_spec, region, values)
-    return region, float(values.max())
+    tile, scale = task
+    values = tile * scale
+    return values, float(values.max())

@@ -80,6 +80,14 @@ class TestExecutorWorkers:
         )
         assert good.unsuppressed == []
 
+    def test_segments_are_flagged_in_the_pool_module_too(self):
+        # No shared-memory transport is sanctioned anywhere, including the
+        # module that owns the pools.
+        module = FIXTURES / "worker_boundary_shm" / "utils" / "parallel.py"
+        result = lint_paths([module], "worker-boundary")
+        assert [f.line for f in result.unsuppressed] == [8]
+        assert "SharedMemory" in result.unsuppressed[0].message
+
 
 class TestDatasetsCarveOut:
     def test_seed_accepting_generator_is_exempt(self):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.compressors.base import CompressedField
 from repro.compressors.sz import SZCompressor
-from repro.pressio.metrics import evaluate_metrics
+from repro.pressio.metrics import evaluate_metrics, psnr
 
 
 def _fake_compressed(field, data_size, error_bound=1e-3, reconstruction=None):
@@ -55,6 +55,14 @@ class TestEvaluateMetrics:
         metrics = evaluate_metrics(field, compressed)
         assert metrics.value_range == pytest.approx(10.0)
         assert metrics.psnr == pytest.approx(20 * np.log10(10.0 / 0.1), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "value_range, rmse, expected",
+        [(10.0, 0.0, float("inf")), (0.0, 0.0, float("inf")), (0.0, 0.1, float("-inf"))],
+        ids=["exact", "exact-constant", "lossy-constant"],
+    )
+    def test_psnr_edge_cases(self, value_range, rmse, expected):
+        assert psnr(value_range, rmse) == expected
 
     def test_reconstruction_required(self):
         field = np.zeros((4, 4))

@@ -1,16 +1,15 @@
 """Two-wave parallel store decode: identical to the serial reader.
 
-The shared-memory read path decodes anchors in wave 0 and halo chunks
-(planes + contexts read back out of the scratch segment) in wave 1; the
-results, the halo dependency closure and the payload-dedup accounting
-must match the serial ``decode_at`` recursion exactly."""
+The pooled read path decodes anchors in wave 0 and halo chunks (each
+task carrying its anchors' faces and contexts) in wave 1; the results,
+the halo dependency closure and the payload-dedup accounting must match
+the serial read exactly."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
-import pathlib
 
 import numpy as np
 import pytest
@@ -19,25 +18,17 @@ from repro.datasets.gaussian import generate_gaussian_field
 from repro.datasets.miranda import generate_miranda_like_volume
 from repro.serve.cache import HotChunkCache
 from repro.store import ArrayStore
-from repro.store.format import StoreCorruptionError, pack_index, unpack_index
-from repro.store.snapshot import INDEX_NAME, META_NAME, RAW_CODEC
-from repro.utils.parallel import (
-    ParallelConfig,
-    SEGMENT_PREFIX,
-    shared_memory_available,
+from repro.store.format import (
+    StoreCorruptionError,
+    halo_flags,
+    pack_index,
+    unpack_index,
 )
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(), reason="no usable shared memory"
-)
+from repro.store.snapshot import INDEX_NAME, META_NAME, RAW_CODEC, StoreSnapshot
+from repro.utils.parallel import ParallelConfig
 
 BOUND = 1e-3
 PARALLEL = ParallelConfig(workers=2)
-
-
-def _no_leaks() -> bool:
-    shm = pathlib.Path("/dev/shm")
-    return not shm.is_dir() or not list(shm.glob(f"{SEGMENT_PREFIX}-*"))
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["grid", "halo"])
@@ -59,7 +50,6 @@ class TestParity:
         serial = store.read()
         parallel = store.read(parallel=PARALLEL)
         np.testing.assert_array_equal(parallel, serial)
-        assert _no_leaks()
 
     def test_region_read_with_dropped_axis(self, store):
         region = (slice(5, 30), slice(10, 40), 7)
@@ -74,7 +64,6 @@ class TestParity:
             == serial_report.chunks_intersecting
         )
         assert parallel_report.chunks_decoded == serial_report.chunks_decoded
-        assert _no_leaks()
 
     def test_thread_read_matches_serial(self, store):
         threads = ParallelConfig(workers=2, use_processes=False)
@@ -133,7 +122,6 @@ class TestAppendedStore:
         np.testing.assert_array_equal(
             store.read(parallel=PARALLEL), store.read()
         )
-        assert _no_leaks()
 
 
 class TestCorruptRawChunk:
@@ -159,4 +147,42 @@ class TestCorruptRawChunk:
             reopened.read()
         with pytest.raises(StoreCorruptionError, match="raw chunk"):
             reopened.read(parallel=PARALLEL)
-        assert _no_leaks()
+
+
+class TestCorruptHaloFlags:
+    """The read plan's halo-closure checks: an edited index whose halo
+    flags point past the array edge or at a halo chunk fails typed, on
+    the serial and the pooled read alike."""
+
+    @pytest.fixture(scope="class")
+    def halo_store(self, tmp_path_factory):
+        field = generate_gaussian_field((64, 64), correlation_range=9.0, seed=2)
+        store = ArrayStore.create(
+            tmp_path_factory.mktemp("flags") / "s",
+            chunk_shape=16,
+            codec="sz",
+            error_bound=BOUND,
+            halo=True,
+        )
+        store.write(field, cache=False)
+        return store
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ((0, 0), r"neighbour beyond the array edge \(axis 0\)"),
+            ((1, 1), r"non-anchor chunk at grid \(0, 1\)"),
+        ],
+        ids=["past-edge", "halo-anchor"],
+    )
+    def test_edited_anchor_flags_fail_typed(self, halo_store, grid, message):
+        snapshot = halo_store.snapshot()
+        linear = snapshot.linear_index(grid)
+        assert snapshot.index[linear].flags == 0
+        index = list(snapshot.index)
+        index[linear] = dataclasses.replace(index[linear], flags=halo_flags(0b01, 0))
+        edited = StoreSnapshot(snapshot.meta, index, path=snapshot.path)
+        with pytest.raises(StoreCorruptionError, match=message):
+            edited.read()
+        with pytest.raises(StoreCorruptionError, match=message):
+            edited.read(parallel=PARALLEL)

@@ -194,6 +194,24 @@ class TestSnapshotReads:
         _, plain = snapshot.read()
         assert plain.cache_hits == 0
 
+    def test_partly_warm_halo_read_matches_a_plain_read(self, tmp_path):
+        # Cached anchors (read-only arrays) lend their faces to halo
+        # chunks that still decode, and hits skip the decode entirely.
+        field = generate_gaussian_field((64, 64), correlation_range=9.0, seed=29)
+        store = ArrayStore.create(
+            tmp_path / "h", chunk_shape=16, codec="sz", error_bound=BOUND, halo=True
+        )
+        store.write(field, cache=False)
+        snapshot = StoreSnapshot.open(str(tmp_path / "h"))
+        cache = HotChunkCache(max_nbytes=64 * 1024 * 1024)
+        region = (slice(18, 30), slice(34, 46))  # inside halo chunk (1, 2)
+        _, first = snapshot.read(region, chunk_cache=cache)
+        assert (first.chunks_decoded, first.cache_hits) == (3, 0)
+        values, report = snapshot.read(chunk_cache=cache)
+        assert report.cache_hits == first.chunks_decoded
+        assert report.chunks_decoded == snapshot.n_chunks - report.cache_hits
+        np.testing.assert_array_equal(values, snapshot.read()[0])
+
     def test_snapshot_is_immutable_under_append(self, store_dir):
         snapshot = StoreSnapshot.open(str(store_dir))
         before, _ = snapshot.read()

@@ -188,6 +188,19 @@ class TestCompressCommand:
             assert main(argv + flags + ["--tile", "8"]) == 0
             assert expected in capsys.readouterr().out
 
+    def test_constant_volume_reports_one_psnr_streamed_or_not(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "const.npy"
+        save_field(path, np.full((16, 16, 16), 0.1234567))
+        rows = []
+        for flags in (["--volume"], ["--volume", "--stream"]):
+            main(["compress", str(path), "--tile", "8"] + flags)
+            out = capsys.readouterr().out
+            rows.append(re.findall(r"^\s*(RMSE|PSNR \(dB\))\s+(\S+)$", out, re.MULTILINE))
+        assert rows[0] == [("RMSE", "5.433e-04"), ("PSNR (dB)", "-inf")]
+        assert rows[1] == rows[0]
+
 
 class TestStatsCommand:
     def test_stats_output(self, field_npy, capsys):

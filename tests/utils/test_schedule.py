@@ -137,6 +137,10 @@ def _square(task):
     return task * task
 
 
+def _echo(task):
+    return task
+
+
 class TestWaveExecutor:
     @pytest.mark.parametrize(
         "parallel",
@@ -158,11 +162,57 @@ class TestWaveExecutor:
             assert executor.results == {}
         assert seen == {index: index * index for index in range(len(plan.tiles))}
 
-    def test_serial_run_keeps_arrays_in_process(self):
+    @pytest.mark.parametrize(
+        "parallel",
+        [ParallelConfig(workers=1), ParallelConfig(workers=2, use_processes=False)],
+        ids=["serial", "threads"],
+    )
+    def test_in_process_run_passes_arrays_through(self, parallel):
+        # Serial runs and thread pools hand the task's own arrays to the
+        # worker and its returned arrays to ``done``: nothing is copied.
         plan = TilePlan.wavefront((4, 4), (2, 2), halo=False)
         volume = np.arange(16.0).reshape(4, 4)
-        with WaveExecutor(plan, ParallelConfig(workers=1)) as executor:
-            assert not executor.pooled and not executor.zero_copy
-            assert executor.share(volume) is volume
-            sink, view = executor.allocate((4, 4), np.float64)
-            assert sink is view
+        seen = {}
+        with WaveExecutor(plan, parallel) as executor:
+            assert executor.pooled == (parallel.workers > 1)
+            executor.run_waves(
+                _echo,
+                enumerate(plan.waves()),
+                lambda index, tile: volume,
+                done=seen.__setitem__,
+            )
+        assert len(seen) == len(plan.tiles)
+        assert all(result is volume for result in seen.values())
+
+    def test_process_pool_config_is_pooled(self):
+        # No platform probe demotes a process pool to a serial run.
+        plan = TilePlan.wavefront((2, 2), (1, 1))
+        with WaveExecutor(plan, ParallelConfig(workers=2)) as executor:
+            assert executor.pooled
+
+    def test_process_run_returns_arrays_by_value(self):
+        plan = TilePlan.wavefront((4, 4), (2, 2), halo=False)
+        volume = np.arange(16.0).reshape(4, 4)
+        seen = {}
+        with WaveExecutor(plan, ParallelConfig(workers=2)) as executor:
+            executor.run_waves(
+                _echo,
+                enumerate(plan.waves()),
+                lambda index, tile: volume,
+                done=seen.__setitem__,
+            )
+        for result in seen.values():
+            assert result is not volume
+            np.testing.assert_array_equal(result, volume)
+
+    def test_done_chooses_what_borrowers_read(self):
+        plan = TilePlan.wavefront((3, 3), (1, 1))
+        with WaveExecutor(plan) as executor:
+
+            def build(index, tile):
+                assert all(executor.results[dep] == -dep for dep in tile.deps)
+                return index
+
+            executor.run_waves(
+                _square, enumerate(plan.waves()), build, done=lambda i, r: -i
+            )

@@ -2,17 +2,19 @@
 
 ``compress_volume_stream`` / ``decompress_volume_stream`` must be
 bit-identical to the one-shot pipeline for every source kind (array,
-path) and schedule (serial, shared-memory pool), halo on and off — the
+path) and schedule (serial, process pool), halo on and off — the
 slab-major re-grouping of the wavefront changes nothing the encoders
 see."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.datasets.miranda import generate_miranda_like_volume
-from repro.utils.parallel import ParallelConfig, shared_memory_available
+from repro.utils.parallel import ParallelConfig
 from repro.volumes.pipeline import compress_volume, decompress_volume
 from repro.volumes.streaming import (
     compress_volume_stream,
@@ -122,9 +124,6 @@ class TestBitIdentity:
         np.testing.assert_array_equal(np.concatenate([s for _, s in slabs]), full)
 
 
-@pytest.mark.skipif(
-    not shared_memory_available(), reason="no usable shared memory"
-)
 class TestParallelStreaming:
     def test_pool_matches_serial_stream(self, volume):
         serial = compress_volume_stream(
@@ -140,6 +139,35 @@ class TestParallelStreaming:
             cache=False,
         )
         assert _tile_bytes(pooled) == _tile_bytes(serial)
+
+
+class TestStreamedDecodeMemory:
+    """A streamed decode holds one slab plus a boundary row and the
+    carried contexts, whatever the volume depth: decoded tiles are
+    written into the slab and only their contexts outlive the wave."""
+
+    @staticmethod
+    def _decode_peak(depth: int) -> int:
+        compressed = compress_volume(
+            generate_miranda_like_volume((depth, 64, 64), seed=3),
+            "sz",
+            BOUND,
+            tile_shape=TILE,
+            halo=True,
+            cache=False,
+        )
+        tracemalloc.start()
+        try:
+            for _ in decompress_volume_stream(compressed):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_depth(self):
+        one_slab = self._decode_peak(16)
+        eight_slabs = self._decode_peak(128)
+        assert eight_slabs < 2 * one_slab, (one_slab, eight_slabs)
 
 
 class TestCacheSharing:
