@@ -31,9 +31,10 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.encoding.bitio import BitReader
+from repro.encoding.context import EntropyContext, stream_width
 from repro.encoding.rle import rle_decode, rle_encode
-from repro.encoding.huffman import huffman_decode, huffman_encode
-from repro.encoding.varint import decode_varint, encode_varint
+from repro.encoding.huffman import huffman_decode, huffman_encode, huffman_encode_with_code
+from repro.encoding.varint import Reader, Writer, encode_varint
 from repro.encoding.zstd_like import zstd_like_compress, zstd_like_decompress
 from repro.utils.validation import ensure_in
 
@@ -43,6 +44,7 @@ __all__ = [
     "CompressedField",
     "Compressor",
     "LosslessBackend",
+    "entropy_context",
 ]
 
 
@@ -113,6 +115,16 @@ class CompressedField:
         return self.original_nbytes / self.compressed_nbytes
 
 
+def entropy_context(streams, wanted: bool) -> Optional[EntropyContext]:
+    """The context of a container's backend streams (``None`` unless ``wanted``).
+
+    Encoders and decoders build it from the same streams, so the context
+    a decode returns is the one the encoder attached.
+    """
+
+    return EntropyContext.from_streams(streams) if wanted else None
+
+
 class LosslessBackend:
     """Final lossless stage shared by the SZ-like and MGARD-like compressors.
 
@@ -162,46 +174,44 @@ class LosslessBackend:
     def _encode_packed(symbols: np.ndarray) -> bytes:
         """Self-describing fixed-width packing of a symbol stream."""
 
-        body = bytearray()
-        body.extend(encode_varint(symbols.size))
+        body = Writer()
+        body.varint(symbols.size)
         if symbols.size == 0:
-            body.extend(encode_varint(0))
+            body.varint(0)
             return bytes(body)
         width = max(1, int(symbols.max()).bit_length())
-        body.extend(encode_varint(width))
+        body.varint(width)
         body.extend(LosslessBackend._pack_fixed_width(symbols, width))
         return bytes(body)
 
     @staticmethod
-    def _decode_packed(body: bytes) -> np.ndarray:
-        count, pos = decode_varint(body, 0)
-        width, pos = decode_varint(body, pos)
+    def _decode_packed(body: Reader) -> np.ndarray:
+        count = body.varint()
+        width = body.varint()
         if count == 0:
             return np.empty(0, dtype=np.int64)
-        reader = BitReader(body[pos:])
-        return reader.read_bits_array(np.full(count, width, dtype=np.int64)).astype(np.int64)
+        bits = BitReader(body.take(body.remaining))
+        return bits.read_bits_array(np.full(count, width, dtype=np.int64)).astype(np.int64)
 
     #: Run fraction above which run-length coding stops paying: almost every
     #: run has length 1, so the runs stream costs a second Huffman pass (and
     #: a second decode) for no size win — code the symbols directly instead.
     _RLE_RUN_FRACTION = 0.7
 
-    def _encode_huffman_body(self, symbols: np.ndarray, values=None, runs=None) -> bytes:
-        if values is None:
-            values, runs = rle_encode(symbols)
-        body = bytearray()
-        values_blob = huffman_encode(values)
-        runs_blob = huffman_encode(runs)
-        body.extend(encode_varint(symbols.size))
-        body.extend(encode_varint(len(values_blob)))
-        body.extend(values_blob)
-        body.extend(encode_varint(len(runs_blob)))
-        body.extend(runs_blob)
+    @staticmethod
+    def _encode_huffman_body(symbols: np.ndarray, values: np.ndarray, runs: np.ndarray) -> bytes:
+        body = Writer()
+        body.varint(symbols.size)
+        body.blob(huffman_encode(values))
+        body.blob(huffman_encode(runs))
         return bytes(body)
 
     @staticmethod
     def _encode_direct_body(symbols: np.ndarray) -> bytes:
-        return bytes(encode_varint(symbols.size)) + huffman_encode(symbols)
+        body = Writer()
+        body.varint(symbols.size)
+        body.extend(huffman_encode(symbols))
+        return bytes(body)
 
     @staticmethod
     def _packed_beats_entropy_bound(symbols: np.ndarray) -> bool:
@@ -233,7 +243,7 @@ class LosslessBackend:
         """Exact byte size of ``b"P" + _encode_packed(symbols)`` without building it."""
 
         if symbols.size == 0:
-            return 1 + len(encode_varint(0)) + len(encode_varint(0))
+            return 3  # tag, count 0, width 0
         width = max(1, int(symbols.max()).bit_length())
         return (
             1
@@ -267,8 +277,10 @@ class LosslessBackend:
         """The self-describing (context-free) encoding of a symbol stream."""
 
         if self.name == "raw":
-            payload = symbols.astype("<i8").tobytes()
-            return b"R" + encode_varint(symbols.size) + payload
+            body = Writer(b"R")
+            body.varint(symbols.size)
+            body.extend(symbols.astype("<i8").tobytes())
+            return bytes(body)
 
         values, runs = rle_encode(symbols)
         if runs.size > self._RLE_RUN_FRACTION * symbols.size:
@@ -304,9 +316,6 @@ class LosslessBackend:
         pseudo-symbol on both sides, so no table is stored.
         """
 
-        from repro.encoding.context import stream_width
-        from repro.encoding.huffman import huffman_encode_with_code
-
         width = stream_width(symbols)
         pool = context.pool(width)
         if pool is None:
@@ -319,42 +328,30 @@ class LosslessBackend:
         coded = np.where(in_alphabet, symbols, esc_symbol)
         bitstream = huffman_encode_with_code(coded, syms_c, lens_c, codes_c)
 
-        body = bytearray(b"C")
-        body.extend(encode_varint(symbols.size))
-        body.extend(encode_varint(width))
-        body.extend(encode_varint(int(escapes.size)))
+        body = Writer(b"C")
+        body.varints((symbols.size, width, escapes.size))
         body.extend(self._pack_fixed_width(escapes, width))
         body.extend(bitstream)
         return bytes(body)
 
-    def _decode_context_stream(self, body: bytes, context) -> np.ndarray:
+    def _decode_context_stream(self, body: Reader, context) -> np.ndarray:
         from repro.encoding.huffman import huffman_decode_with_code
 
         if context is None:
-            raise ValueError(
-                "context-coded (halo) stream but no entropy context supplied"
-            )
-        count, pos = decode_varint(body, 0)
-        width, pos = decode_varint(body, pos)
-        n_escapes, pos = decode_varint(body, pos)
+            raise ValueError("context-coded (halo) stream but no entropy context supplied")
+        count = body.varint()
+        width = body.varint()
+        n_escapes = body.varint()
         pool = context.pool(width)
         if pool is None:
-            raise ValueError(
-                f"entropy context has no pool for stream width {width}"
-            )
-        escape_bytes = (n_escapes * width + 7) // 8
-        escapes = np.empty(0, dtype=np.int64)
-        if n_escapes:
-            reader = BitReader(body[pos : pos + escape_bytes])
-            escapes = reader.read_bits_array(
-                np.full(n_escapes, width, dtype=np.int64)
-            ).astype(np.int64)
-        pos += escape_bytes
+            raise ValueError(f"entropy context has no pool for stream width {width}")
+        escapes = BitReader(body.take((n_escapes * width + 7) // 8)).read_bits_array(
+            np.full(n_escapes, width, dtype=np.int64)
+        ).astype(np.int64)
 
-        esc_symbol = pool.escape_symbol
         syms_c, lens_c, _ = pool.code
-        decoded = huffman_decode_with_code(body[pos:], count, syms_c, lens_c)
-        escape_positions = np.flatnonzero(decoded == esc_symbol)
+        decoded = huffman_decode_with_code(body.take(body.remaining), count, syms_c, lens_c)
+        escape_positions = np.flatnonzero(decoded == pool.escape_symbol)
         if escape_positions.size != n_escapes:
             raise ValueError("context stream escape count mismatch")
         if n_escapes:
@@ -372,35 +369,27 @@ class LosslessBackend:
 
         if not blob:
             raise ValueError("empty lossless payload")
-        tag, body = blob[:1], blob[1:]
+        body = Reader(blob)
+        tag = body.take(1)
         if tag == b"C":
             return self._decode_context_stream(body, context)
         if tag == b"R":
-            count, pos = decode_varint(body, 0)
-            if len(body) - pos < 8 * count:
-                raise EOFError("truncated raw symbol stream")
-            return np.frombuffer(body[pos : pos + 8 * count], dtype="<i8").astype(np.int64)
+            count = body.varint()
+            return np.frombuffer(body.take(8 * count), dtype="<i8").astype(np.int64)
         if tag == b"P":
             return self._decode_packed(body)
-        if tag == b"D":
-            count, pos = decode_varint(body, 0)
-            symbols = huffman_decode(body[pos:])
-            if symbols.size != count:
-                raise ValueError("lossless payload symbol count mismatch")
-            return symbols
         if tag == b"Z":
             # The decompressed body is a complete tagged entropy stream
             # (H or D, whichever the encoder picked).
-            return self.decode_symbols(zstd_like_decompress(body))
-        if tag != b"H":
+            return self.decode_symbols(zstd_like_decompress(body.take(body.remaining)))
+        if tag not in (b"D", b"H"):
             raise ValueError(f"unknown lossless backend tag {tag!r}")
-        count, pos = decode_varint(body, 0)
-        vlen, pos = decode_varint(body, pos)
-        values = huffman_decode(body[pos : pos + vlen])
-        pos += vlen
-        rlen, pos = decode_varint(body, pos)
-        runs = huffman_decode(body[pos : pos + rlen])
-        symbols = rle_decode(values, runs)
+        count = body.varint()
+        if tag == b"D":
+            symbols = huffman_decode(body.take(body.remaining))
+        else:
+            values = huffman_decode(body.blob())
+            symbols = rle_decode(values, huffman_decode(body.blob()))
         if symbols.size != count:
             raise ValueError("lossless payload symbol count mismatch")
         return symbols
@@ -441,6 +430,45 @@ class Compressor(ABC):
         the one the encoder attached — so callers can chain halos through
         a decode pass.
         """
+
+    # ------------------------------------------------------------------
+    # container parts shared by the codecs
+    # ------------------------------------------------------------------
+    def _raw_fallback(
+        self, header: Writer, values: np.ndarray, original_dtype: np.dtype
+    ) -> CompressedField:
+        """Verbatim storage: raw-flag ``header``, shape, bound, float64 values."""
+
+        header.varints(values.shape)
+        header.f64(self.error_bound)
+        header.extend(values.astype("<f8").tobytes())
+        return CompressedField(
+            data=bytes(header),
+            original_shape=values.shape,
+            original_dtype=original_dtype,
+            compressor=self.name,
+            error_bound=self.error_bound,
+            reconstruction=values.copy(),
+            extras={"raw_fallback": 1.0},
+        )
+
+    @staticmethod
+    def _read_raw(reader: Reader, shape: tuple) -> np.ndarray:
+        """The values of a :meth:`_raw_fallback` payload after its shape."""
+
+        reader.f64()  # the bound it was written under; the values are exact
+        raw = reader.take(8 * int(np.prod(shape)))
+        return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+    def _require_halo(self, halo, *, needs_context: bool = True):
+        """``halo``, or :class:`CompressorError` when it (or its context) is missing."""
+
+        if halo is None or (needs_context and halo.context is None):
+            needed = "tile halo's entropy context" if needs_context else "tile halo"
+            raise CompressorError(
+                f"{self.name}: halo-coded container requires the {needed} to decode"
+            )
+        return halo
 
     # ------------------------------------------------------------------
     def compression_ratio(self, field: np.ndarray) -> float:

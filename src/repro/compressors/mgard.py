@@ -34,12 +34,17 @@ own reconstruction before returning.
 
 from __future__ import annotations
 
-import struct
 from typing import List, Tuple
 
 import numpy as np
 
-from repro.compressors.base import CompressedField, Compressor, CompressorError, LosslessBackend
+from repro.compressors.base import (
+    CompressedField,
+    Compressor,
+    CompressorError,
+    LosslessBackend,
+    entropy_context,
+)
 from repro.compressors.blocks import quantize_to_grid
 from repro.compressors.multigrid import (
     decompose,
@@ -52,7 +57,7 @@ from repro.compressors.transform import (
     zigzag_decode,
     zigzag_encode,
 )
-from repro.encoding.varint import decode_varint, encode_varint
+from repro.encoding.varint import Reader, Writer
 from repro.utils.validation import ensure_float_array, ensure_ndim
 
 __all__ = ["MGARDCompressor"]
@@ -105,12 +110,13 @@ class MGARDCompressor(Compressor):
         self.budget_ratio = float(budget_ratio)
 
     # ------------------------------------------------------------------
-    def _level_budgets(self, n_levels: int) -> np.ndarray:
+    @staticmethod
+    def _level_budgets(error_bound: float, budget_ratio: float, n_levels: int) -> np.ndarray:
         """Per-level absolute error budgets (finest first, last entry = coarse grid)."""
 
-        weights = self.budget_ratio ** np.arange(n_levels + 1, dtype=np.float64)
+        weights = budget_ratio ** np.arange(n_levels + 1, dtype=np.float64)
         weights /= weights.sum()
-        return self.error_bound * weights
+        return error_bound * weights
 
     # ------------------------------------------------------------------
     def compress(
@@ -134,18 +140,18 @@ class MGARDCompressor(Compressor):
         values = ensure_float_array(original, "field")
         if not np.all(np.isfinite(values)):
             raise CompressorError("mgard: field contains non-finite values")
-        halo_context = halo.context if halo is not None else None
-        if halo_context is not None and not halo_context:
-            halo_context = None
+        halo_context = halo.context if halo is not None and halo.context else None
 
         available = max_levels(values.shape)
         n_levels = available if self.levels is None else min(self.levels, available)
         if n_levels == 0:
             # Field too small for a hierarchy: store verbatim.
-            return self._compress_raw(values, original_dtype)
+            return self._raw_fallback(_header(_FLAG_RAW, values.ndim), values, original_dtype)
 
         decomposition = decompose(values, n_levels)
-        budgets = self._level_budgets(decomposition.n_levels)
+        budgets = self._level_budgets(
+            self.error_bound, self.budget_ratio, decomposition.n_levels
+        )
 
         # Per-level grid quantization via the shared block-codec engine; any
         # level overflowing the integer grid routes the field to raw storage.
@@ -153,13 +159,13 @@ class MGARDCompressor(Compressor):
         for level, detail in enumerate(decomposition.details):
             codes = quantize_to_grid(detail, 2.0 * budgets[level], max_code=_CODE_RADIUS)
             if codes is None:
-                return self._compress_raw(values, original_dtype)
+                return self._raw_fallback(_header(_FLAG_RAW, values.ndim), values, original_dtype)
             detail_codes.append(codes)
         coarse_codes = quantize_to_grid(
             decomposition.coarse, 2.0 * budgets[-1], max_code=_CODE_RADIUS
         )
         if coarse_codes is None:
-            return self._compress_raw(values, original_dtype)
+            return self._raw_fallback(_header(_FLAG_RAW, values.ndim), values, original_dtype)
 
         reconstruction = self._reconstruct(
             coarse_codes, detail_codes, decomposition.shapes, budgets
@@ -169,18 +175,14 @@ class MGARDCompressor(Compressor):
             # The additive budget argument makes this unreachable, but a raw
             # fallback keeps the bound a hard guarantee even in pathological
             # floating-point corner cases.
-            return self._compress_raw(values, original_dtype)
+            return self._raw_fallback(_header(_FLAG_RAW, values.ndim), values, original_dtype)
 
         # ------------------------------------------------------------------
-        payload = bytearray()
-        payload.extend(_MAGIC)
-        payload.extend(encode_varint(_FLAG_HALO if halo_context is not None else 0))
-        payload.extend(encode_varint(values.ndim))
-        for length in values.shape:
-            payload.extend(encode_varint(length))
-        payload.extend(struct.pack("<d", self.error_bound))
-        payload.extend(struct.pack("<d", self.budget_ratio))
-        payload.extend(encode_varint(decomposition.n_levels))
+        payload = _header(_FLAG_HALO if halo_context is not None else 0, values.ndim)
+        payload.varints(values.shape)
+        payload.f64(self.error_bound)
+        payload.f64(self.budget_ratio)
+        payload.varint(decomposition.n_levels)
 
         # Level-major parts: coarse grid first, then details from coarsest
         # to finest — the coarse part is tiny and the fine details (mostly
@@ -199,19 +201,14 @@ class MGARDCompressor(Compressor):
             dtype=np.int64,
         )
         groups = group_planes_by_width(widths)
-        payload.extend(encode_varint(len(groups)))
+        payload.varint(len(groups))
         context_streams = []
         for start, end, width in groups:
-            payload.extend(encode_varint(end - start))
-            payload.extend(encode_varint(width))
+            payload.varints((end - start, width))
             if width > 0:
                 stream = np.concatenate(parts[start:end])
                 context_streams.append(stream)
-                group_blob = self.backend.encode_symbols(
-                    stream, context=halo_context
-                )
-                payload.extend(encode_varint(len(group_blob)))
-                payload.extend(group_blob)
+                payload.blob(self.backend.encode_symbols(stream, context=halo_context))
 
         compressed = CompressedField(
             data=bytes(payload),
@@ -226,11 +223,8 @@ class MGARDCompressor(Compressor):
                 "level_stream_groups": float(len(groups)),
                 "halo_coded": float(halo_context is not None),
             },
+            entropy_context=entropy_context(context_streams, collect_context),
         )
-        if collect_context:
-            from repro.encoding.context import EntropyContext
-
-            compressed.entropy_context = EntropyContext.from_streams(context_streams)
         self.check_error_bound(values, reconstruction)
         return compressed
 
@@ -253,25 +247,6 @@ class MGARDCompressor(Compressor):
             current = fine
         return current
 
-    def _compress_raw(self, values: np.ndarray, original_dtype: np.dtype) -> CompressedField:
-        payload = bytearray()
-        payload.extend(_MAGIC)
-        payload.extend(encode_varint(1))
-        payload.extend(encode_varint(values.ndim))
-        for length in values.shape:
-            payload.extend(encode_varint(length))
-        payload.extend(struct.pack("<d", self.error_bound))
-        payload.extend(values.astype("<f8").tobytes())
-        return CompressedField(
-            data=bytes(payload),
-            original_shape=values.shape,
-            original_dtype=original_dtype,
-            compressor=self.name,
-            error_bound=self.error_bound,
-            reconstruction=values.copy(),
-            extras={"raw_fallback": 1.0},
-        )
-
     # ------------------------------------------------------------------
     def decompress(self, compressed: CompressedField, *, halo=None) -> np.ndarray:
         return self._decode(compressed, halo, want_context=False)[0]
@@ -280,40 +255,31 @@ class MGARDCompressor(Compressor):
         return self._decode(compressed, halo, want_context=True)
 
     def _decode(self, compressed: CompressedField, halo, want_context: bool = False):
-        blob = compressed.data
-        if blob[:4] != _MAGIC:
+        reader = Reader(compressed.data)
+        if reader.take(4) != _MAGIC:
             raise CompressorError("not an MGARD-like container")
-        pos = 4
-        flag, pos = decode_varint(blob, pos)
+        flag = reader.varint()
         halo_context = None
         if flag == _FLAG_HALO:
-            if halo is None or halo.context is None:
-                raise CompressorError(
-                    "mgard: halo-coded container requires the tile halo's "
-                    "entropy context to decode"
-                )
-            halo_context = halo.context
+            halo_context = self._require_halo(halo).context
         elif flag not in (0, _FLAG_RAW):
             raise CompressorError(f"mgard: unknown container flag {flag}")
-        ndim, pos = decode_varint(blob, pos)
+        ndim = reader.varint()
         if ndim not in (2, 3):
             raise CompressorError(f"mgard: unsupported dimensionality {ndim}")
-        dims = []
-        for _ in range(ndim):
-            length, pos = decode_varint(blob, pos)
-            dims.append(length)
-        original_shape = tuple(dims)
+        original_shape = tuple(reader.varint() for _ in range(ndim))
         if flag == _FLAG_RAW:
-            pos += 8
-            count = int(np.prod(original_shape))
-            values = np.frombuffer(blob, dtype="<f8", count=count, offset=pos)
-            return values.reshape(original_shape).astype(np.float64), None
+            return self._read_raw(reader, original_shape), None
 
-        (error_bound,) = struct.unpack_from("<d", blob, pos)
-        pos += 8
-        (budget_ratio,) = struct.unpack_from("<d", blob, pos)
-        pos += 8
-        n_levels, pos = decode_varint(blob, pos)
+        error_bound = reader.f64()
+        budget_ratio = reader.f64()
+        n_levels = reader.varint()
+        available = max_levels(original_shape)
+        if n_levels > available:
+            raise CompressorError(
+                f"mgard: container declares {n_levels} levels but a "
+                f"{original_shape} field admits at most {available}"
+            )
 
         # Rebuild the level shapes from the stored field shape.
         shapes: List[Tuple[int, ...]] = [original_shape]
@@ -327,24 +293,20 @@ class MGARDCompressor(Compressor):
             part_sizes.append(int(detail_mask(shapes[level]).sum()))
 
         n_parts = n_levels + 1
-        n_groups, pos = decode_varint(blob, pos)
+        n_groups = reader.varint()
         parts: List[np.ndarray] = []
         context_streams: List[np.ndarray] = []
         for _ in range(n_groups):
-            group_parts, pos = decode_varint(blob, pos)
-            width, pos = decode_varint(blob, pos)
+            group_parts = reader.varint()
+            width = reader.varint()
             if len(parts) + group_parts > n_parts:
                 raise CompressorError("mgard: level groups exceed the level count")
             sizes = part_sizes[len(parts) : len(parts) + group_parts]
             if width == 0:
                 parts.extend(np.zeros(size, dtype=np.int64) for size in sizes)
                 continue
-            group_len, pos = decode_varint(blob, pos)
-            stream = self.backend.decode_symbols(
-                blob[pos : pos + group_len], context=halo_context
-            )
+            stream = self.backend.decode_symbols(reader.blob(), context=halo_context)
             context_streams.append(stream)
-            pos += group_len
             if stream.size != sum(sizes):
                 raise CompressorError("mgard: level group length mismatch")
             offsets = np.cumsum([0] + sizes)
@@ -355,18 +317,18 @@ class MGARDCompressor(Compressor):
         if len(parts) != n_parts:
             raise CompressorError("mgard: level groups do not cover all levels")
 
-        weights = budget_ratio ** np.arange(n_levels + 1, dtype=np.float64)
-        weights /= weights.sum()
-        budgets = error_bound * weights
-
+        budgets = self._level_budgets(error_bound, budget_ratio, n_levels)
         coarse_codes = parts[0].reshape(shapes[-1])
         detail_codes: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * n_levels
         for k, level in enumerate(range(n_levels - 1, -1, -1)):
             detail_codes[level] = parts[1 + k]
         values = self._reconstruct(coarse_codes, detail_codes, shapes, budgets)
-        context = None
-        if want_context:
-            from repro.encoding.context import EntropyContext
+        return values, entropy_context(context_streams, want_context)
 
-            context = EntropyContext.from_streams(context_streams)
-        return values, context
+
+def _header(flag: int, ndim: int) -> Writer:
+    """Magic, flag (0 plain / 1 raw / 2 halo) and dimensionality."""
+
+    header = Writer(_MAGIC)
+    header.varints((flag, ndim))
+    return header

@@ -40,23 +40,23 @@ produce similar code statistics.
 
 from __future__ import annotations
 
-import struct
 from typing import Tuple
 
 import numpy as np
 
-from repro.compressors.base import CompressedField, Compressor, CompressorError, LosslessBackend
+from repro.compressors.base import (
+    CompressedField,
+    Compressor,
+    CompressorError,
+    LosslessBackend,
+    entropy_context,
+)
 from repro.compressors.blocks import (
     DEFAULT_CODE_RADIUS,
     MODE_REGRESSION,
     BlockCodec,
 )
-from repro.encoding.varint import (
-    decode_signed_varint_array,
-    decode_varint,
-    encode_signed_varint_array,
-    encode_varint,
-)
+from repro.encoding.varint import Reader, Writer, encode_signed_varint_array
 from repro.utils.validation import ensure_float_array, ensure_ndim
 
 __all__ = ["SZCompressor"]
@@ -169,70 +169,40 @@ class SZCompressor(Compressor):
         halo_axes_mask = 0
         halo_context = None
         if halo is not None:
-            halo_planes = [halo.plane(axis) for axis in range(values.ndim)]
-            if all(p is None for p in halo_planes):
-                halo_planes = None
-            else:
-                halo_axes_mask = sum(
-                    1 << axis
-                    for axis, plane in enumerate(halo_planes)
-                    if plane is not None
-                )
+            halo_axes_mask = halo.axes_mask & ((1 << values.ndim) - 1)
+            if halo_axes_mask:
+                halo_planes = [halo.plane(axis) for axis in range(values.ndim)]
             halo_context = halo.context
 
         encoding = codec.encode(values, halo_planes=halo_planes)
-        if encoding is None:
-            # Error bound too small relative to the data magnitude for the
-            # integer grid: fall back to verbatim storage (CR ~= 1).
-            return self._compress_raw(values, original_dtype)
-        max_error = float(np.abs(values - encoding.reconstruction).max(initial=0.0))
-        if max_error > self.error_bound:
-            # The grid reconstruction is mathematically within eb, but at
-            # extreme magnitude/bound ratios floating-point round-off on
-            # q*step can exceed it by a few ulps; raw storage keeps the
-            # bound a hard guarantee.
-            return self._compress_raw(values, original_dtype)
+        # Verbatim storage (CR ~= 1) when the bound is too small for the
+        # integer grid (``None``) or round-off on q*step at extreme
+        # magnitude/bound ratios exceeds it by a few ulps.
+        if (
+            encoding is None
+            or np.abs(values - encoding.reconstruction).max(initial=0.0) > self.error_bound
+        ):
+            return self._raw_fallback(_header(_FLAG_RAW, values.ndim), values, original_dtype)
 
         halo_coded = halo_planes is not None or halo_context is not None
-        flag = _FLAG_HALO if halo_coded else 0
-        payload = bytearray()
-        if values.ndim == 2:
-            payload.extend(_MAGIC)
-            payload.extend(encode_varint(flag))  # 0 plain / 1 raw / 2 halo
-        else:
-            payload.extend(_MAGIC_VOLUME)
-            payload.extend(encode_varint(flag))
-            payload.extend(encode_varint(values.ndim))
+        payload = _header(_FLAG_HALO if halo_coded else 0, values.ndim)
         if halo_coded:
-            payload.extend(encode_varint(halo_axes_mask))
-        for length in encoding.original_shape:
-            payload.extend(encode_varint(length))
-        payload.extend(encode_varint(codec.block_size))
-        payload.extend(struct.pack("<d", self.error_bound))
-        payload.extend(encode_varint(self.code_radius))
-        for count in encoding.n_blocks:
-            payload.extend(encode_varint(count))
-
-        mode_bits = np.packbits(encoding.modes.astype(np.uint8).ravel())
-        payload.extend(encode_varint(len(mode_bits)))
-        payload.extend(mode_bits.tobytes())
-
+            payload.varint(halo_axes_mask)
+        payload.varints(encoding.original_shape)
+        payload.varint(codec.block_size)
+        payload.f64(self.error_bound)
+        payload.varint(self.code_radius)
+        payload.varints(encoding.n_blocks)
+        payload.blob(np.packbits(encoding.modes.astype(np.uint8).ravel()).tobytes())
         coeff_blob = b""
         if encoding.coeff_codes is not None:
             coeff_blob = encode_signed_varint_array(encoding.coeff_codes.ravel())
-        payload.extend(encode_varint(len(coeff_blob)))
-        payload.extend(coeff_blob)
-
-        symbol_blob = self.backend.encode_symbols(
-            encoding.symbols.ravel(), context=halo_context
+        payload.blob(coeff_blob)
+        payload.blob(
+            self.backend.encode_symbols(encoding.symbols.ravel(), context=halo_context)
         )
-        payload.extend(encode_varint(len(symbol_blob)))
-        payload.extend(symbol_blob)
-
-        outlier_blob = encode_signed_varint_array(encoding.outliers)
-        payload.extend(encode_varint(int(encoding.outliers.size)))
-        payload.extend(encode_varint(len(outlier_blob)))
-        payload.extend(outlier_blob)
+        payload.varint(encoding.outliers.size)
+        payload.blob(encode_signed_varint_array(encoding.outliers))
 
         compressed = CompressedField(
             data=bytes(payload),
@@ -247,38 +217,10 @@ class SZCompressor(Compressor):
                 "n_blocks": float(int(np.prod(encoding.n_blocks))),
                 "halo_coded": float(halo_coded),
             },
+            entropy_context=entropy_context([encoding.symbols.ravel()], collect_context),
         )
-        if collect_context:
-            from repro.encoding.context import EntropyContext
-
-            compressed.entropy_context = EntropyContext.from_streams(
-                [encoding.symbols.ravel()]
-            )
         self.check_error_bound(values, encoding.reconstruction)
         return compressed
-
-    def _compress_raw(self, values: np.ndarray, original_dtype: np.dtype) -> CompressedField:
-        payload = bytearray()
-        if values.ndim == 2:
-            payload.extend(_MAGIC)
-            payload.extend(encode_varint(1))  # raw flag
-        else:
-            payload.extend(_MAGIC_VOLUME)
-            payload.extend(encode_varint(1))
-            payload.extend(encode_varint(values.ndim))
-        for length in values.shape:
-            payload.extend(encode_varint(length))
-        payload.extend(struct.pack("<d", self.error_bound))
-        payload.extend(values.astype("<f8").tobytes())
-        return CompressedField(
-            data=bytes(payload),
-            original_shape=values.shape,
-            original_dtype=original_dtype,
-            compressor=self.name,
-            error_bound=self.error_bound,
-            reconstruction=values.copy(),
-            extras={"raw_fallback": 1.0},
-        )
 
     # ------------------------------------------------------------------
     # decompression
@@ -290,94 +232,61 @@ class SZCompressor(Compressor):
         return self._decode(compressed, halo, want_context=True)
 
     def _decode(self, compressed: CompressedField, halo, want_context: bool = False):
-        blob = compressed.data
-        magic = blob[:4]
+        reader = Reader(compressed.data)
+        magic = reader.take(4)
         if magic not in (_MAGIC, _MAGIC_VOLUME):
             raise CompressorError("not an SZ-like container")
-        pos = 4
-        flag, pos = decode_varint(blob, pos)
-        if magic == _MAGIC:
-            ndim = 2
-        else:
-            ndim, pos = decode_varint(blob, pos)
+        flag = reader.varint()
+        ndim = 2
+        if magic == _MAGIC_VOLUME:
+            ndim = reader.varint()
             if ndim != 3:
                 raise CompressorError(f"sz: unsupported volume dimensionality {ndim}")
         halo_planes = None
         halo_context = None
         if flag == _FLAG_HALO:
-            axes_mask, pos = decode_varint(blob, pos)
-            if halo is None:
-                raise CompressorError(
-                    "sz: halo-coded container requires the tile halo to decode"
-                )
-            halo_planes = []
+            axes_mask = reader.varint()
+            halo = self._require_halo(halo, needs_context=False)
+            halo_planes = [
+                halo.plane(axis) if axes_mask >> axis & 1 else None for axis in range(ndim)
+            ]
             for axis in range(ndim):
-                if axes_mask & (1 << axis):
-                    plane = halo.plane(axis)
-                    if plane is None:
-                        raise CompressorError(
-                            f"sz: halo-coded container needs the axis-{axis} "
-                            "neighbour plane"
-                        )
-                    halo_planes.append(plane)
-                else:
-                    halo_planes.append(None)
+                if axes_mask >> axis & 1 and halo_planes[axis] is None:
+                    raise CompressorError(
+                        f"sz: halo-coded container needs the axis-{axis} neighbour plane"
+                    )
             halo_context = halo.context
         elif flag not in (0, _FLAG_RAW):
             raise CompressorError(f"sz: unknown container flag {flag}")
-        shape = []
-        for _ in range(ndim):
-            length, pos = decode_varint(blob, pos)
-            shape.append(length)
-        original_shape = tuple(shape)
+        original_shape = tuple(reader.varint() for _ in range(ndim))
         if flag == _FLAG_RAW:
-            (error_bound,) = struct.unpack_from("<d", blob, pos)
-            pos += 8
-            count = int(np.prod(original_shape))
-            values = np.frombuffer(blob, dtype="<f8", count=count, offset=pos)
-            return values.reshape(original_shape).astype(np.float64), None
+            return self._read_raw(reader, original_shape), None
 
-        block_size, pos = decode_varint(blob, pos)
-        (error_bound,) = struct.unpack_from("<d", blob, pos)
-        pos += 8
-        code_radius, pos = decode_varint(blob, pos)
-        n_blocks = []
-        for _ in range(ndim):
-            count, pos = decode_varint(blob, pos)
-            n_blocks.append(count)
+        block_size = reader.varint()
+        error_bound = reader.f64()
+        code_radius = reader.varint()
+        n_blocks = [reader.varint() for _ in range(ndim)]
         total_blocks = int(np.prod(n_blocks))
 
-        mode_bytes_len, pos = decode_varint(blob, pos)
-        mode_bits = np.frombuffer(blob[pos : pos + mode_bytes_len], dtype=np.uint8)
-        pos += mode_bytes_len
+        mode_bits = np.frombuffer(reader.blob(), dtype=np.uint8)
         modes = (
             np.unpackbits(mode_bits)[:total_blocks].reshape(n_blocks).astype(np.int64)
         )
 
-        coeff_len, pos = decode_varint(blob, pos)
-        coeff_end = pos + coeff_len
+        coeffs = Reader(reader.blob())
         n_regression = int((modes == MODE_REGRESSION).sum())
         n_coeffs = 1 + ndim
         coeff_codes = None
         if n_regression:
-            flat_coeffs, pos = decode_signed_varint_array(
-                blob, n_regression * n_coeffs, pos
+            coeff_codes = coeffs.signed_varints(n_regression * n_coeffs).reshape(
+                n_regression, n_coeffs
             )
-            coeff_codes = flat_coeffs.reshape(n_regression, n_coeffs)
-        if pos != coeff_end:
+        if coeffs.remaining:
             raise CompressorError("regression coefficient stream length mismatch")
 
-        symbol_len, pos = decode_varint(blob, pos)
-        symbols = self.backend.decode_symbols(
-            blob[pos : pos + symbol_len], context=halo_context
-        )
-        pos += symbol_len
-
-        n_outliers, pos = decode_varint(blob, pos)
-        outlier_len, pos = decode_varint(blob, pos)
-        outliers = np.empty(0, dtype=np.int64)
-        if n_outliers:
-            outliers, pos = decode_signed_varint_array(blob, n_outliers, pos)
+        symbols = self.backend.decode_symbols(reader.blob(), context=halo_context)
+        n_outliers = reader.varint()
+        outliers = Reader(reader.blob()).signed_varints(n_outliers)
 
         codec = BlockCodec(
             error_bound, block_size=block_size, code_radius=code_radius
@@ -390,9 +299,14 @@ class SZCompressor(Compressor):
             original_shape,
             halo_planes=halo_planes,
         )
-        context = None
-        if want_context:
-            from repro.encoding.context import EntropyContext
+        return values, entropy_context([symbols.ravel()], want_context)
 
-            context = EntropyContext.from_streams([symbols.ravel()])
-        return values, context
+
+def _header(flag: int, ndim: int) -> Writer:
+    """Magic, flag (0 plain / 1 raw / 2 halo) and, for volumes, ``ndim``."""
+
+    header = Writer(_MAGIC if ndim == 2 else _MAGIC_VOLUME)
+    header.varint(flag)
+    if ndim != 2:
+        header.varint(ndim)
+    return header

@@ -46,11 +46,15 @@ verifies the bound on its own reconstruction before returning.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
-from repro.compressors.base import CompressedField, Compressor, CompressorError, LosslessBackend
+from repro.compressors.base import (
+    CompressedField,
+    Compressor,
+    CompressorError,
+    LosslessBackend,
+    entropy_context,
+)
 from repro.compressors.blocks import merge_field, partition_field
 from repro.compressors.transform import (
     block_exponents,
@@ -63,7 +67,7 @@ from repro.compressors.transform import (
     zigzag_decode,
     zigzag_encode,
 )
-from repro.encoding.varint import decode_varint, encode_varint
+from repro.encoding.varint import Reader, Writer
 from repro.utils.validation import ensure_float_array, ensure_ndim
 
 __all__ = ["ZFPCompressor"]
@@ -182,9 +186,7 @@ class ZFPCompressor(Compressor):
         ndim = values.ndim
         if not np.all(np.isfinite(values)):
             raise CompressorError("zfp: field contains non-finite values")
-        halo_context = halo.context if halo is not None else None
-        if halo_context is not None and not halo_context:
-            halo_context = None
+        halo_context = halo.context if halo is not None and halo.context else None
 
         blocks_nd, original_shape = partition_field(values, self.block_size)
         counts = blocks_nd.shape[:ndim]
@@ -263,37 +265,27 @@ class ZFPCompressor(Compressor):
         # ------------------------------------------------------------------
         # container
         # ------------------------------------------------------------------
-        payload = bytearray()
+        halo_coded = halo_context is not None
         if ndim == 2:
-            payload.extend(_MAGIC_HALO if halo_context is not None else _MAGIC)
+            payload = Writer(_MAGIC_HALO if halo_coded else _MAGIC)
         else:
-            payload.extend(
-                _MAGIC_VOLUME_HALO if halo_context is not None else _MAGIC_VOLUME
-            )
-            payload.extend(encode_varint(ndim))
-        for length in original_shape:
-            payload.extend(encode_varint(length))
-        payload.extend(encode_varint(self.block_size))
-        payload.extend(struct.pack("<d", self.error_bound))
-        for count in counts:
-            payload.extend(encode_varint(count))
+            payload = Writer(_MAGIC_VOLUME_HALO if halo_coded else _MAGIC_VOLUME)
+            payload.varint(ndim)
+        payload.varints(original_shape)
+        payload.varint(self.block_size)
+        payload.f64(self.error_bound)
+        payload.varints(counts)
 
         context_streams = [flags]
-        flag_blob = self.backend.encode_symbols(flags, context=halo_context)
-        payload.extend(encode_varint(len(flag_blob)))
-        payload.extend(flag_blob)
+        payload.blob(self.backend.encode_symbols(flags, context=halo_context))
 
         # Exponent side channel: active blocks only (negligible blocks
         # reconstruct to zero and exact blocks are stored verbatim).
         emax_active = emax[active]
         emax_min = int(emax_active.min()) if emax_active.size else 0
-        payload.extend(encode_varint(emax_min + _EMAX_OFFSET))
+        payload.varint(emax_min + _EMAX_OFFSET)
         context_streams.append(emax_active - emax_min)
-        emax_blob = self.backend.encode_symbols(
-            emax_active - emax_min, context=halo_context
-        )
-        payload.extend(encode_varint(len(emax_blob)))
-        payload.extend(emax_blob)
+        payload.blob(self.backend.encode_symbols(emax_active - emax_min, context=halo_context))
 
         # Sequency-partitioned coefficient stream: active blocks' codes are
         # zigzag-mapped, planes grouped by bit width, one short-alphabet
@@ -303,22 +295,15 @@ class ZFPCompressor(Compressor):
         ordered = codes[active][(slice(None),) + seq]  # (n_active, bs**ndim)
         zigzag = zigzag_encode(ordered)
         groups = group_planes_by_width(sequency_plane_widths(zigzag))
-        payload.extend(encode_varint(len(groups)))
+        payload.varint(len(groups))
         for start, end, width in groups:
-            payload.extend(encode_varint(end - start))
-            payload.extend(encode_varint(width))
+            payload.varints((end - start, width))
             if width > 0:
                 group_stream = zigzag[:, start:end].T.ravel()
                 context_streams.append(group_stream)
-                group_blob = self.backend.encode_symbols(
-                    group_stream, context=halo_context
-                )
-                payload.extend(encode_varint(len(group_blob)))
-                payload.extend(group_blob)
+                payload.blob(self.backend.encode_symbols(group_stream, context=halo_context))
 
-        exact_values = blocks[exact_mask].astype("<f8").tobytes()
-        payload.extend(encode_varint(len(exact_values)))
-        payload.extend(exact_values)
+        payload.blob(blocks[exact_mask].astype("<f8").tobytes())
 
         reconstruction = merge_field(
             recon_blocks.reshape(counts + (bs,) * ndim), original_shape
@@ -336,13 +321,10 @@ class ZFPCompressor(Compressor):
                 "fine_block_fraction": float(fine_mask.mean()),
                 "n_blocks": float(n_blocks),
                 "coefficient_stream_groups": float(len(groups)),
-                "halo_coded": float(halo_context is not None),
+                "halo_coded": float(halo_coded),
             },
+            entropy_context=entropy_context(context_streams, collect_context),
         )
-        if collect_context:
-            from repro.encoding.context import EntropyContext
-
-            compressed.entropy_context = EntropyContext.from_streams(context_streams)
         self.check_error_bound(values, reconstruction)
         return compressed
 
@@ -391,47 +373,26 @@ class ZFPCompressor(Compressor):
         return self._decode(compressed, halo, want_context=True)
 
     def _decode(self, compressed: CompressedField, halo, want_context: bool = False):
-        blob = compressed.data
-        magic = blob[:4]
+        reader = Reader(compressed.data)
+        magic = reader.take(4)
         if magic not in (_MAGIC, _MAGIC_VOLUME, _MAGIC_HALO, _MAGIC_VOLUME_HALO):
             raise CompressorError("not a ZFP-like container")
         halo_context = None
         if magic in (_MAGIC_HALO, _MAGIC_VOLUME_HALO):
-            if halo is None or halo.context is None:
-                raise CompressorError(
-                    "zfp: halo-coded container requires the tile halo's "
-                    "entropy context to decode"
-                )
-            halo_context = halo.context
-        pos = 4
-        if magic in (_MAGIC, _MAGIC_HALO):
-            ndim = 2
-        else:
-            ndim, pos = decode_varint(blob, pos)
+            halo_context = self._require_halo(halo).context
+        ndim = 2
+        if magic in (_MAGIC_VOLUME, _MAGIC_VOLUME_HALO):
+            ndim = reader.varint()
             if ndim != 3:
                 raise CompressorError(f"zfp: unsupported volume dimensionality {ndim}")
-        shape = []
-        for _ in range(ndim):
-            length, pos = decode_varint(blob, pos)
-            shape.append(length)
-        original_shape = tuple(shape)
-        block_size, pos = decode_varint(blob, pos)
-        (error_bound,) = struct.unpack_from("<d", blob, pos)
-        pos += 8
-        counts = []
-        for _ in range(ndim):
-            count, pos = decode_varint(blob, pos)
-            counts.append(count)
-        counts = tuple(counts)
+        original_shape = tuple(reader.varint() for _ in range(ndim))
+        bs = reader.varint()
+        error_bound = reader.f64()
+        counts = tuple(reader.varint() for _ in range(ndim))
         n_blocks = int(np.prod(counts))
-        bs = block_size
         n_planes = bs**ndim
 
-        flag_len, pos = decode_varint(blob, pos)
-        flags = self.backend.decode_symbols(
-            blob[pos : pos + flag_len], context=halo_context
-        )
-        pos += flag_len
+        flags = self.backend.decode_symbols(reader.blob(), context=halo_context)
         if flags.size != n_blocks:
             raise CompressorError("zfp: block flag stream length mismatch")
         context_streams = [flags]
@@ -441,34 +402,24 @@ class ZFPCompressor(Compressor):
         active = (flags == _FLAG_ACTIVE) | fine_mask
         n_active = int(active.sum())
 
-        emax_min_shifted, pos = decode_varint(blob, pos)
-        emax_min = emax_min_shifted - _EMAX_OFFSET
-        emax_len, pos = decode_varint(blob, pos)
-        emax_shifted = self.backend.decode_symbols(
-            blob[pos : pos + emax_len], context=halo_context
-        )
+        emax_min = reader.varint() - _EMAX_OFFSET
+        emax_shifted = self.backend.decode_symbols(reader.blob(), context=halo_context)
         context_streams.append(emax_shifted)
-        emax_active = emax_shifted + emax_min
-        pos += emax_len
-        if emax_active.size != n_active:
+        if emax_shifted.size != n_active:
             raise CompressorError("zfp: exponent stream length mismatch")
         emax = np.zeros(n_blocks, dtype=np.int64)
-        emax[active] = emax_active
+        emax[active] = emax_shifted + emax_min
 
-        n_groups, pos = decode_varint(blob, pos)
+        n_groups = reader.varint()
         zigzag = np.zeros((n_active, n_planes), dtype=np.int64)
         plane = 0
         for _ in range(n_groups):
-            group_planes, pos = decode_varint(blob, pos)
-            width, pos = decode_varint(blob, pos)
+            group_planes = reader.varint()
+            width = reader.varint()
             if plane + group_planes > n_planes:
                 raise CompressorError("zfp: coefficient plane groups exceed block size")
             if width > 0:
-                group_len, pos = decode_varint(blob, pos)
-                group = self.backend.decode_symbols(
-                    blob[pos : pos + group_len], context=halo_context
-                )
-                pos += group_len
+                group = self.backend.decode_symbols(reader.blob(), context=halo_context)
                 if group.size != group_planes * n_active:
                     raise CompressorError("zfp: coefficient group length mismatch")
                 context_streams.append(group)
@@ -486,8 +437,7 @@ class ZFPCompressor(Compressor):
         active_codes[(slice(None),) + seq] = ordered
         codes[active] = active_codes
 
-        exact_len, pos = decode_varint(blob, pos)
-        exact_values = np.frombuffer(blob[pos : pos + exact_len], dtype="<f8")
+        exact_values = np.frombuffer(reader.blob(), dtype="<f8")
         if exact_values.size != int(exact_mask.sum()) * n_planes:
             raise CompressorError("zfp: exact-block side channel length mismatch")
 
@@ -497,9 +447,4 @@ class ZFPCompressor(Compressor):
         if exact_mask.any():
             blocks[exact_mask] = exact_values.reshape((-1,) + (bs,) * ndim)
         field = merge_field(blocks.reshape(counts + (bs,) * ndim), original_shape)
-        context = None
-        if want_context:
-            from repro.encoding.context import EntropyContext
-
-            context = EntropyContext.from_streams(context_streams)
-        return field, context
+        return field, entropy_context(context_streams, want_context)

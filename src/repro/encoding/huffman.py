@@ -31,12 +31,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.encoding.varint import (
-    decode_varint,
-    decode_varint_array,
-    encode_varint,
-    encode_varint_array,
-)
+from repro.encoding.varint import Reader, Writer, encode_varint_array
 
 __all__ = [
     "HuffmanCode",
@@ -231,17 +226,6 @@ class HuffmanCode:
         return {s: (c, l) for s, c, l in zip(self.symbols, self.codes, self.lengths)}
 
 
-def _write_header(
-    writer_bytes: bytearray, syms: np.ndarray, lens: np.ndarray, n_symbols: int
-) -> None:
-    writer_bytes.extend(encode_varint(n_symbols))
-    writer_bytes.extend(encode_varint(syms.size))
-    pairs = np.empty(2 * syms.size, dtype=np.int64)
-    pairs[0::2] = syms
-    pairs[1::2] = lens
-    writer_bytes.extend(encode_varint_array(pairs))
-
-
 def _count_symbols(arr: np.ndarray):
     """``np.unique(..., return_inverse, return_counts)`` without the sort
     when the value span is narrow enough for a bincount (the common case for
@@ -297,10 +281,9 @@ def huffman_encode(symbols: Sequence[int]) -> bytes:
         arr = arr.ravel()
     if arr.size and arr.min() < 0:
         raise ValueError("huffman_encode requires non-negative symbols")
-    out = bytearray()
+    out = Writer()
     if arr.size == 0:
-        out.extend(encode_varint(0))
-        out.extend(encode_varint(0))
+        out.varints((0, 0))
         return bytes(out)
 
     values, inverse, counts = _count_symbols(arr)
@@ -311,7 +294,12 @@ def huffman_encode(symbols: Sequence[int]) -> bytes:
     order, syms_c, lens_c, codes_c = _canonical_codes_array(
         np.asarray(values, dtype=np.int64), lengths
     )
-    _write_header(out, syms_c, lens_c, arr.size)
+    # Header: symbol count, table size, then (symbol, length) pairs.
+    out.varints((arr.size, syms_c.size))
+    pairs = np.empty(2 * syms_c.size, dtype=np.int64)
+    pairs[0::2] = syms_c
+    pairs[1::2] = lens_c
+    out.extend(encode_varint_array(pairs))
 
     # Vectorised lookup of (code, length) per input symbol: ``inverse`` maps
     # each symbol to its slot in the sorted alphabet (``values``), and the
@@ -320,9 +308,7 @@ def huffman_encode(symbols: Sequence[int]) -> bytes:
     rank = np.empty(values.size, dtype=np.int64)
     rank[order] = np.arange(values.size)
     index = rank[np.asarray(inverse).ravel()]
-    payload = _pack_codes(codes_c[index], lens_c[index])
-    out.extend(encode_varint(len(payload)))
-    out.extend(payload)
+    out.blob(_pack_codes(codes_c[index], lens_c[index]))
     return bytes(out)
 
 
@@ -449,17 +435,15 @@ def _decode_scalar(code: HuffmanCode, payload: bytes, n_symbols: int) -> np.ndar
 def huffman_decode(blob: bytes) -> np.ndarray:
     """Inverse of :func:`huffman_encode`; returns an ``int64`` array."""
 
-    n_symbols, pos = decode_varint(blob, 0)
+    reader = Reader(blob)
+    n_symbols = reader.varint()
     if n_symbols == 0:
         return np.empty(0, dtype=np.int64)
-    table_size, pos = decode_varint(blob, pos)
-    pairs, pos = decode_varint_array(blob, 2 * table_size, pos)
+    table_size = reader.varint()
+    pairs = reader.varints(2 * table_size)
     syms = pairs[0::2].astype(np.int64)
     lens = pairs[1::2].astype(np.int64)
-    payload_len, pos = decode_varint(blob, pos)
-    payload = blob[pos : pos + payload_len]
-    if len(payload) < payload_len:
-        raise EOFError("truncated Huffman payload")
+    payload = reader.blob()
 
     if table_size == 0 or lens.min() < 1:
         raise ValueError("invalid Huffman symbol table")

@@ -1,24 +1,30 @@
-"""LEB128-style variable-length integer coding.
+"""LEB128-style variable-length integer coding and the one framing rule.
 
-Used for container headers (shapes, block counts, stream lengths) in the
-compressor bitstreams so that small metadata does not cost a fixed 8 bytes
-per field.
+Every codec container and entropy-stream header is written through
+:class:`Writer` and parsed through :class:`Reader`, from three field
+kinds: ``varint`` (LEB128, so small metadata such as shapes and stream
+lengths does not cost a fixed 8 bytes), ``f64`` (a little-endian double)
+and ``blob`` (a varint byte length, then the bytes).  Every
+:class:`Reader` read raises :class:`EOFError` when its bytes are missing,
+so a cut payload fails at its first incomplete field.
 
-Besides the scalar codecs, the module provides array codecs
-(:func:`encode_varint_array` / :func:`decode_varint_array` and their
-zigzag-signed variants) that process a whole NumPy array per call and emit
-exactly the same byte stream as the scalar functions applied element-wise.
-The compressor side channels (regression coefficients, unpredictable
-values) use the array forms on their hot paths.
+The array codecs (:func:`encode_varint_array` / :func:`decode_varint_array`
+and their zigzag-signed variants) process a whole NumPy array per call and
+emit exactly the bytes of the scalar codecs applied element-wise; the
+side channels (regression coefficients, outliers) and the Huffman symbol
+table use them.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import struct
+from typing import Iterable, Tuple
 
 import numpy as np
 
 __all__ = [
+    "Reader",
+    "Writer",
     "encode_varint",
     "decode_varint",
     "encode_signed_varint",
@@ -52,20 +58,9 @@ def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
     Returns ``(value, next_offset)``.
     """
 
-    result = 0
-    shift = 0
-    pos = offset
-    while True:
-        if pos >= len(data):
-            raise EOFError("truncated varint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if shift > 70:
-            raise ValueError("varint too long")
+    reader = Reader(data)
+    reader.pos = offset
+    return reader.varint(), reader.pos
 
 
 def encode_signed_varint(value: int) -> bytes:
@@ -168,3 +163,83 @@ def decode_signed_varint_array(
     zigzag, pos = decode_varint_array(data, count, offset)
     values = (zigzag >> np.uint64(1)).view(np.int64) ^ -(zigzag & np.uint64(1)).view(np.int64)
     return values, pos
+
+
+# ----------------------------------------------------------------------
+# the framing cursor
+# ----------------------------------------------------------------------
+_F64 = struct.Struct("<d")
+
+
+class Writer(bytearray):
+    """A byte buffer that appends framed fields."""
+
+    def varint(self, value: int) -> None:
+        self.extend(encode_varint(value))
+
+    def varints(self, values: Iterable[int]) -> None:
+        for value in values:
+            self.extend(encode_varint(value))
+
+    def f64(self, value: float) -> None:
+        self.extend(_F64.pack(value))
+
+    def blob(self, data: bytes) -> None:
+        self.extend(encode_varint(len(data)))
+        self.extend(data)
+
+
+class Reader:
+    """A cursor over :class:`Writer` fields; a read past the end is ``EOFError``."""
+
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.pos = 0
+
+    @property
+    def remaining(self) -> int:
+        return len(self.data) - self.pos
+
+    def varint(self) -> int:
+        data, pos = self.data, self.pos
+        result = shift = 0
+        while True:
+            if pos >= len(data):
+                raise EOFError("truncated varint")
+            byte = data[pos]
+            pos += 1
+            result |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                self.pos = pos
+                return result
+            shift += 7
+            if shift > 70:
+                raise ValueError("varint too long")
+
+    def varints(self, count: int) -> np.ndarray:
+        """``count`` varints as a ``uint64`` array (one vectorised read)."""
+
+        values, self.pos = decode_varint_array(self.data, count, self.pos)
+        return values
+
+    def signed_varints(self, count: int) -> np.ndarray:
+        """``count`` zigzag varints as an ``int64`` array."""
+
+        values, self.pos = decode_signed_varint_array(self.data, count, self.pos)
+        return values
+
+    def f64(self) -> float:
+        return _F64.unpack(self.take(8))[0]
+
+    def take(self, size: int) -> bytes:
+        end = self.pos + size
+        if end > len(self.data):
+            raise EOFError(f"truncated payload: {size} bytes needed, {self.remaining} left")
+        chunk = self.data[self.pos : end]
+        self.pos = end
+        return chunk
+
+    def blob(self) -> bytes:
+        return self.take(self.varint())

@@ -30,55 +30,34 @@ import numpy as np
 
 from repro.encoding.huffman import huffman_decode, huffman_encode
 from repro.encoding.lz77 import _MIN_MATCH, LZ77Sequences, lz77_compress, lz77_decompress
-from repro.encoding.varint import decode_varint, encode_varint
+from repro.encoding.varint import Reader, Writer
 
 __all__ = ["zstd_like_compress", "zstd_like_decompress"]
-
-
-def _append_blob(out: bytearray, blob: bytes) -> None:
-    out.extend(encode_varint(len(blob)))
-    out.extend(blob)
-
-
-def _read_blob(data: bytes, pos: int) -> tuple:
-    size, pos = decode_varint(data, pos)
-    blob = data[pos : pos + size]
-    if len(blob) < size:
-        raise EOFError("truncated blob")
-    return blob, pos + size
 
 
 def zstd_like_compress(data: bytes) -> bytes:
     """Compress a byte string with the LZ77+Huffman pipeline."""
 
     seqs = lz77_compress(bytes(data))
-    out = bytearray()
-    out.extend(encode_varint(seqs.n_sequences))
-    out.extend(encode_varint(int(seqs.literals.size)))
-    _append_blob(out, huffman_encode(seqs.literal_lengths))
-    _append_blob(out, huffman_encode(seqs.match_lengths - _MIN_MATCH))
-    _append_blob(out, huffman_encode(seqs.distances >> 8))
-    _append_blob(out, huffman_encode(seqs.distances & 0xFF))
-    _append_blob(out, huffman_encode(seqs.literals))
+    out = Writer()
+    out.varints((seqs.n_sequences, seqs.literals.size))
+    out.blob(huffman_encode(seqs.literal_lengths))
+    out.blob(huffman_encode(seqs.match_lengths - _MIN_MATCH))
+    out.blob(huffman_encode(seqs.distances >> 8))
+    out.blob(huffman_encode(seqs.distances & 0xFF))
+    out.blob(huffman_encode(seqs.literals))
     return bytes(out)
 
 
 def zstd_like_decompress(blob: bytes) -> bytes:
     """Inverse of :func:`zstd_like_compress`."""
 
-    n_sequences, pos = decode_varint(blob, 0)
-    n_literals, pos = decode_varint(blob, pos)
-    lit_lens_blob, pos = _read_blob(blob, pos)
-    match_lens_blob, pos = _read_blob(blob, pos)
-    dist_high_blob, pos = _read_blob(blob, pos)
-    dist_low_blob, pos = _read_blob(blob, pos)
-    literals_blob, pos = _read_blob(blob, pos)
-
-    literal_lengths = huffman_decode(lit_lens_blob)
-    match_lengths = huffman_decode(match_lens_blob) + _MIN_MATCH
-    dist_high = huffman_decode(dist_high_blob)
-    dist_low = huffman_decode(dist_low_blob)
-    literals = huffman_decode(literals_blob)
+    reader = Reader(blob)
+    n_sequences = reader.varint()
+    n_literals = reader.varint()
+    streams = [reader.blob() for _ in range(5)]
+    literal_lengths, match_codes, dist_high, dist_low, literals = map(huffman_decode, streams)
+    match_lengths = match_codes + _MIN_MATCH
 
     if not (
         literal_lengths.size == n_sequences

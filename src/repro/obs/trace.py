@@ -17,14 +17,16 @@ instrumented with:
   :func:`span` checks one global and returns a shared no-op context
   manager — no allocation, no clock read.  ``tests/obs/test_overhead.py``
   holds this overhead at <= 2% of a 64^3 compress.
-* **Worker-boundary survival**: a worker process captures its own spans
-  with :func:`worker_capture` / :meth:`Tracer.export_tuples` (plain
-  picklable tuples, versioned), and the submitting side re-parents them
-  under its current span with :meth:`Tracer.adopt`.  On platforms where
-  ``perf_counter`` is a shared monotonic clock (Linux:
-  ``CLOCK_MONOTONIC``) the worker timestamps are kept as measured; when
-  the clocks are visibly unrelated the whole capture is rebased onto
-  the submit time, so the tree stays well-formed everywhere.
+* **Worker-boundary survival**: a worker captures its own spans into a
+  fresh :class:`Tracer` bound with :func:`use_request_tracer`
+  (``repro.utils.schedule._traced_task``) and returns them as
+  :meth:`Tracer.export_tuples` (plain picklable tuples, versioned); the
+  submitting side re-parents them under its current span with
+  :meth:`Tracer.adopt`.  On platforms where ``perf_counter`` is a shared
+  monotonic clock (Linux: ``CLOCK_MONOTONIC``) the worker timestamps are
+  kept as measured; when the clocks are visibly unrelated the whole
+  capture is rebased onto the submit time, so the tree stays well-formed
+  everywhere.
 * **Chrome trace-event export** (:meth:`Tracer.to_chrome_events` /
   :meth:`Tracer.write_chrome_trace`): ``ph: "X"`` complete events with
   microsecond timestamps, one synthetic thread lane per worker capture,
@@ -52,7 +54,6 @@ __all__ = [
     "active_tracer",
     "request_tracer",
     "use_request_tracer",
-    "worker_capture",
 ]
 
 #: Version tag leading every exported span tuple; bump on layout change.
@@ -479,33 +480,4 @@ class install_tracer:
     def __exit__(self, *exc_info) -> bool:
         global _ACTIVE
         _ACTIVE = self._previous
-        return False
-
-
-class worker_capture:
-    """Worker-side capture: a fresh tracer for the duration of one task.
-
-    Usage in a worker function::
-
-        with worker_capture() as tracer:
-            ... instrumented work ...
-        return result, tracer.export_tuples()
-
-    Works identically in a pool process (fresh interpreter, no tracer
-    installed) and on the serial ``workers == 1`` path (the caller's
-    tracer is stashed and restored, and the capture's spans are adopted
-    back explicitly, so nothing records twice).
-    """
-
-    def __init__(self, process_label: str = "worker") -> None:
-        self.tracer = Tracer(process_label)
-        self._install: Optional[install_tracer] = None
-
-    def __enter__(self) -> Tracer:
-        self._install = install_tracer(self.tracer)
-        return self.tracer
-
-    def __exit__(self, *exc_info) -> bool:
-        if self._install is not None:
-            self._install.__exit__(*exc_info)
         return False

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.compressors.base import CompressorError
 from repro.compressors.mgard import MGARDCompressor
+from repro.encoding.varint import encode_varint
 
 
 class TestConstruction:
@@ -100,3 +103,39 @@ class TestCompressionBehaviour:
         )
         with pytest.raises(CompressorError):
             compressor.decompress(corrupted)
+
+    def test_level_count_beyond_the_shape_rejected_before_any_work(self, smooth_field):
+        """A mutated level count fails at once, naming both numbers.
+
+        The decoder used to build one level shape per declared level
+        before checking anything: 10**6 levels took seconds, and a 10-byte
+        varint can declare ~2**63.
+        """
+
+        compressor = MGARDCompressor(1e-3)
+        compressed = compressor.compress(smooth_field)
+        n_levels = int(compressed.extras["n_levels"])
+        header = (
+            b"MGR2"
+            + encode_varint(0)
+            + encode_varint(smooth_field.ndim)
+            + b"".join(encode_varint(d) for d in smooth_field.shape)
+        )
+        levels_at = len(header) + 16  # error bound and budget ratio (f64 each)
+        assert compressed.data[:len(header)] == header
+        assert compressed.data[levels_at:levels_at + 1] == encode_varint(n_levels)
+        mutated = type(compressed)(
+            data=compressed.data[:levels_at]
+            + encode_varint(10**6)
+            + compressed.data[levels_at + 1 :],
+            original_shape=compressed.original_shape,
+            original_dtype=compressed.original_dtype,
+            compressor="mgard",
+            error_bound=compressed.error_bound,
+        )
+        started = time.perf_counter()
+        with pytest.raises(
+            CompressorError, match=rf"declares 1000000 levels .* at most {n_levels}$"
+        ):
+            compressor.decompress(mutated)
+        assert time.perf_counter() - started < 0.5

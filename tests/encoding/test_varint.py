@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.encoding.varint import (
+    Reader,
+    Writer,
     decode_signed_varint,
     decode_varint,
     encode_signed_varint,
+    encode_signed_varint_array,
     encode_varint,
+    encode_varint_array,
 )
 
 
@@ -77,3 +82,47 @@ class TestSignedVarint:
             value, pos = decode_signed_varint(blob, pos)
             out.append(value)
         assert out == values
+
+
+class TestFramingCursor:
+    def _framed(self) -> bytes:
+        out = Writer(b"TAG0")
+        out.varint(300)
+        out.varints((16, 8, 1))
+        out.f64(1e-3)
+        out.blob(b"payload")
+        out.extend(encode_varint_array(np.array([5, 2**40])))
+        out.extend(encode_signed_varint_array(np.array([-3, 7])))
+        return bytes(out)
+
+    def _read_all(self, data: bytes):
+        reader = Reader(data)
+        fields = (
+            reader.take(4),
+            reader.varint(),
+            tuple(reader.varint() for _ in range(3)),
+            reader.f64(),
+            reader.blob(),
+            reader.varints(2).tolist(),
+            reader.signed_varints(2).tolist(),
+        )
+        return fields, reader.remaining
+
+    def test_reader_reads_what_the_writer_wrote(self):
+        fields, remaining = self._read_all(self._framed())
+        assert fields == (b"TAG0", 300, (16, 8, 1), 1e-3, b"payload", [5, 2**40], [-3, 7])
+        assert remaining == 0
+
+    def test_writer_matches_the_scalar_codecs(self):
+        out = Writer()
+        out.varints((0, 127, 128))
+        out.blob(b"xy")
+        assert bytes(out) == (
+            encode_varint(0) + encode_varint(127) + encode_varint(128) + b"\x02xy"
+        )
+
+    def test_every_strict_prefix_raises_eof(self):
+        data = self._framed()
+        for cut in range(len(data)):
+            with pytest.raises(EOFError):
+                self._read_all(data[:cut])

@@ -19,7 +19,6 @@ from repro.obs.trace import (
     span,
     traced,
     tracing_enabled,
-    worker_capture,
 )
 
 
@@ -192,19 +191,6 @@ class TestAdopt:
     def test_empty_capture_is_a_noop(self):
         parent = Tracer()
         assert parent.adopt([], lane="w") == 0
-
-
-class TestWorkerCapture:
-    def test_serial_path_stashes_and_restores(self):
-        outer = Tracer()
-        with install_tracer(outer):
-            with worker_capture() as inner:
-                assert active_tracer() is inner
-                with span("tile"):
-                    pass
-            assert active_tracer() is outer
-        assert [s.name for s in inner.spans()] == ["tile"]
-        assert outer.spans() == []  # nothing recorded twice
 
 
 class TestChromeExport:
