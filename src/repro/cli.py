@@ -12,8 +12,8 @@ writing any Python:
 * ``figure``     — regenerate one of the paper's figures (3-7) and print
   the fitted-series table (optionally as Markdown).
 * ``store``      — the chunked compressed array store: ``put`` a field
-  file or registry dataset into a store directory (``--codec adaptive``
-  selects the per-chunk codec by the sampling estimator), ``get`` a
+  file or registry dataset into a store directory (``--codec best``
+  keeps each chunk's smallest payload among sz, zfp and mgard), ``get`` a
   region back out (only intersecting chunks are decoded), ``append`` /
   ``compact`` for growth and reclamation, ``info`` / ``ls`` for
   summaries and the per-chunk index.  ``put`` / ``get`` / ``append`` /
@@ -228,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     put.add_argument(
         "--codec",
         default="sz",
-        help="codec policy: a registry name (sz/zfp/mgard), 'adaptive[:a+b]' "
-        "(per-chunk sampling-estimator selection) or 'best[:a+b]' (exhaustive)",
+        type=_codec_policy,
+        help="codec policy: a codec name (sz/zfp/mgard) or 'best[:a+b]'; each "
+        "chunk keeps the smallest payload among the codecs listed",
     )
     put.add_argument("--error-bound", type=float, default=1e-3)
     put.add_argument(
@@ -407,6 +408,18 @@ def _int_at_least(text: str, floor: int) -> int:
     if value < floor:
         raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
     return value
+
+
+def _codec_policy(text: str) -> str:
+    """argparse type of ``--codec``: a spec :func:`parse_policy` accepts."""
+
+    from repro.store.policy import parse_policy
+
+    try:
+        parse_policy(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return text
 
 
 def _parallel(workers: int) -> Optional[ParallelConfig]:
@@ -900,7 +913,10 @@ def _command_store_append(args: argparse.Namespace, ArrayStore) -> int:
         )
         return 0
     store = ArrayStore.open(args.store)
-    store.append(array)
+    try:
+        store.append(array)
+    except ValueError as exc:
+        raise SystemExit(f"cannot append to {args.store}: {exc}") from exc
     print(
         f"appended to {args.store}: shape "
         f"{'x'.join(str(s) for s in store.shape)}, "
@@ -940,14 +956,6 @@ def _print_store_info(store) -> int:
         ("stored bytes (dedup)", str(info["stored_nbytes"])),
         ("codec histogram", ", ".join(f"{k}:{v}" for k, v in sorted(info["codec_histogram"].items()))),
     ]
-    if "estimate_rel_error_mean" in info:
-        rows.append(
-            (
-                "adaptive estimate rel. error",
-                f"mean {info['estimate_rel_error_mean']:.3f} "
-                f"max {info['estimate_rel_error_max']:.3f}",
-            )
-        )
     print(format_table(("quantity", "value"), rows))
     return 0
 
@@ -967,7 +975,6 @@ def _command_store_ls(args: argparse.Namespace, ArrayStore) -> int:
     store = ArrayStore.open(args.store)
     rows = []
     for record in store.chunk_records():
-        est = f"{record.estimated_cr:.2f}" if np.isfinite(record.estimated_cr) else "-"
         vrange = record.stats.get("variogram_range", float("nan"))
         rows.append(
             (
@@ -976,13 +983,12 @@ def _command_store_ls(args: argparse.Namespace, ArrayStore) -> int:
                 record.codec,
                 str(record.nbytes),
                 f"{record.compression_ratio:.2f}",
-                est,
                 f"{vrange:.2f}" if np.isfinite(vrange) else "-",
             )
         )
     print(
         format_table(
-            ("chunk", "shape", "codec", "bytes", "CR", "est CR", "vrange"), rows
+            ("chunk", "shape", "codec", "bytes", "CR", "vrange"), rows
         )
     )
     return 0

@@ -14,16 +14,17 @@ store/
 ```
 
 Random-access partial reads decode **only** the chunks intersecting the
-requested region, and the per-chunk codec can be chosen adaptively by the
-paper's statistics (block-sampling CR estimation), turning the selection
-loop of :mod:`repro.baselines.adaptive_selection` into infrastructure.
+requested region.  A store's codec policy is the list of codecs it may
+use (``sz``, ``fixed:zfp``, ``best``, ``best:sz+zfp``): each chunk keeps
+the smallest payload among them, so ``best`` records per chunk which
+codec compresses that window of the field best.
 
 Public API: :class:`ArrayStore` (create / open / write / read / append /
 compact / info), :class:`StoreSnapshot` (immutable concurrent-reader-safe
 read views, see :mod:`repro.store.snapshot`), the region text syntax
-(:func:`parse_region_text` / :func:`format_region`), the codec policies
-(:func:`fixed`, :func:`adaptive`, :func:`best`, :func:`make_policy`) and
-the index format helpers in :mod:`repro.store.format`.
+(:func:`parse_region_text` / :func:`format_region`), the codec policy
+parser (:func:`parse_policy`) and the index format helpers in
+:mod:`repro.store.format`.
 """
 
 from repro.store.array_store import (
@@ -42,17 +43,7 @@ from repro.store.format import (
 )
 from repro.store.region import format_region, parse_region_text
 from repro.store.snapshot import StoreSnapshot, load_store_state
-from repro.store.policy import (
-    AdaptivePolicy,
-    BestPolicy,
-    CodecChoice,
-    CodecPolicy,
-    FixedPolicy,
-    adaptive,
-    best,
-    fixed,
-    make_policy,
-)
+from repro.store.policy import parse_policy
 
 __all__ = [
     "ArrayStore",
@@ -69,13 +60,5 @@ __all__ = [
     "StoreCorruptionError",
     "pack_index",
     "unpack_index",
-    "CodecPolicy",
-    "CodecChoice",
-    "FixedPolicy",
-    "AdaptivePolicy",
-    "BestPolicy",
-    "fixed",
-    "adaptive",
-    "best",
-    "make_policy",
+    "parse_policy",
 ]

@@ -6,8 +6,9 @@ volume) as a directory of three files — ``meta.json``, ``index.bin`` and
 The array is sharded into fixed-size chunks on a grid anchored at the
 origin (``128^2`` for planes, ``64^3`` for volumes by default; edge
 chunks are smaller), and every chunk is compressed independently by the
-codec its policy selects: :func:`~repro.compressors.registry.make_compressor`
-builds it and the chunk worker calls it directly, as the volume
+smallest payload among the codecs its policy lists (see
+:mod:`repro.store.policy`): :func:`~repro.compressors.registry.make_compressor`
+builds each and the chunk worker calls it directly, as the volume
 pipeline's tile workers do.
 
 Design points:
@@ -22,11 +23,6 @@ Design points:
   stored once in ``chunks.bin`` with index records sharing the byte
   range.  Payload SHA-1s are persisted in ``meta.json`` so appends dedup
   against existing chunks too.
-* **Adaptive codec selection** — with the ``adaptive`` policy each
-  chunk records the estimator's per-candidate CR estimates next to the
-  realised CR, so a written store doubles as an estimated-vs-actual
-  evaluation corpus (:meth:`ArrayStore.info` summarises the estimate
-  error).
 * **Append** — :meth:`ArrayStore.append` grows the array along axis 0.
   When the current extent is not chunk-aligned the trailing partial
   chunks are re-compressed from their decoded content plus the new data;
@@ -69,7 +65,7 @@ from repro.store.format import (
     halo_flags,
     pack_index,
 )
-from repro.store.policy import CodecPolicy, make_policy
+from repro.store.policy import parse_policy
 from repro.store.snapshot import (
     DATA_NAME,
     INDEX_NAME,
@@ -125,7 +121,6 @@ class ChunkRecord:
     codec: str
     nbytes: int
     compression_ratio: float
-    estimated_cr: float
     stats: Dict[str, float]
 
 
@@ -143,8 +138,6 @@ class _ChunkResult:
     codec: str
     payload: bytes
     compression_ratio: float
-    estimated_cr: float
-    estimated_crs: Dict[str, float]
     stats: Dict[str, float]
     flags: int = 0
     faces: Optional[Dict[int, np.ndarray]] = None
@@ -187,8 +180,6 @@ def _raw_result(
         codec=RAW_CODEC,
         payload=payload,
         compression_ratio=1.0,
-        estimated_cr=float("nan"),
-        estimated_crs={},
         stats=stats,
         faces=(
             reconstruction_faces(np.asarray(chunk, dtype=np.float64))
@@ -203,7 +194,7 @@ class _ChunkTask(NamedTuple):
 
     chunk: np.ndarray
     error_bound: float
-    policy: CodecPolicy
+    candidates: Tuple[str, ...]
     options: Dict[str, Dict]
     with_stats: bool
     exact_rows: int
@@ -214,6 +205,9 @@ class _ChunkTask(NamedTuple):
 
 def _compress_chunk(task: _ChunkTask) -> _ChunkResult:
     """Top-level worker so chunk jobs pickle for process pools.
+
+    The chunk is compressed with each of ``candidates`` and keeps the
+    smallest payload (the first listed wins a tie).
 
     ``exact_rows`` marks leading axis-0 rows that hold previously-stored
     (already once-lossy) data: the chosen codec's reconstruction must
@@ -230,9 +224,8 @@ def _compress_chunk(task: _ChunkTask) -> _ChunkResult:
     """
 
     chunk, halo, want_faces = task.chunk, task.halo, task.want_faces
-    choice = task.policy.choose(chunk, task.error_bound)
     best_name = best = None
-    for name in choice.candidates:
+    for name in task.candidates:
         codec = make_compressor(name, task.error_bound, **task.options.get(name, {}))
         compressed = codec.compress(chunk, halo=halo, collect_context=want_faces)
         if best is None or compressed.compressed_nbytes < best.compressed_nbytes:
@@ -251,8 +244,6 @@ def _compress_chunk(task: _ChunkTask) -> _ChunkResult:
         codec=best_name,
         payload=best.data,
         compression_ratio=float(best.compression_ratio),
-        estimated_cr=float(choice.estimated_crs.get(best_name, float("nan"))),
-        estimated_crs={k: float(v) for k, v in choice.estimated_crs.items()},
         stats=stats,
         flags=flags,
         faces=reconstruction_faces(reconstruction) if want_faces else None,
@@ -303,10 +294,6 @@ class ArrayStore:
         self.path = str(path)
         self._meta = meta
         self._index = index
-        # Policy object when this instance created it (keeps non-spec
-        # attributes like a custom AdaptivePolicy seed); opened stores
-        # rebuild from the persisted spec.
-        self._policy: Optional[CodecPolicy] = None
         #: Report of the most recent :meth:`read` call (None before any).
         self.last_read: Optional[ReadReport] = None
         self._refresh_snapshot()
@@ -319,7 +306,7 @@ class ArrayStore:
         *,
         chunk_shape: Union[int, Sequence[int], None] = None,
         error_bound: float = 1e-3,
-        codec: Union[str, CodecPolicy] = "sz",
+        codec: str = "sz",
         compressor_options: Optional[Dict[str, Dict]] = None,
         chunk_stats: bool = True,
         overwrite: bool = False,
@@ -327,8 +314,9 @@ class ArrayStore:
     ) -> "ArrayStore":
         """Create an empty store directory holding only its configuration.
 
-        ``codec`` is a policy spec (``"sz"``, ``"adaptive"``, ``"best"``,
-        …) or a :class:`~repro.store.policy.CodecPolicy`;
+        ``codec`` is a policy spec (``"sz"``, ``"fixed:zfp"``, ``"best"``,
+        ``"best:sz+zfp"``; see :func:`~repro.store.policy.parse_policy`,
+        which raises :class:`ValueError` on a bad one);
         ``compressor_options`` maps codec names to extra factory kwargs.
         ``chunk_shape`` may be an int (cubic chunks), a full tuple, or
         None for the per-ndim default (128^2 / 64^3) resolved at first
@@ -343,7 +331,7 @@ class ArrayStore:
         """
 
         ensure_positive(error_bound, "error_bound")
-        policy = make_policy(codec)
+        spec, _ = parse_policy(codec)
         if os.path.exists(path):
             entries = os.listdir(path) if os.path.isdir(path) else None
             if entries is None:
@@ -364,7 +352,7 @@ class ArrayStore:
             "dtype": "float64",
             "chunk_shape": chunk_shape,
             "error_bound": float(error_bound),
-            "codec": policy.spec,
+            "codec": spec,
             "compressor_options": {
                 str(k): dict(v) for k, v in (compressor_options or {}).items()
             },
@@ -374,7 +362,6 @@ class ArrayStore:
             "chunks": [],
         }
         store = cls(path, meta, [])
-        store._policy = policy
         store._flush(data=b"", truncate=True)
         return store
 
@@ -463,7 +450,9 @@ class ArrayStore:
             cache = _STORE_CACHE
         elif cache is False:
             cache = None
-        policy = self._policy if self._policy is not None else make_policy(self.codec_policy)
+        # A store written under a spec this code no longer accepts still
+        # reads; only writing needs the policy, and fails here.
+        _, candidates = parse_policy(self.codec_policy)
         options = {k: dict(v) for k, v in self._meta["compressor_options"].items()}
         with_stats = bool(self._meta["chunk_stats"])
         config_key = self._config_key()
@@ -487,7 +476,7 @@ class ArrayStore:
             return _ChunkTask(
                 chunks[index],
                 self.error_bound,
-                policy,
+                candidates,
                 options,
                 with_stats,
                 exact_rows[index],
@@ -728,9 +717,6 @@ class ArrayStore:
             }
             if result.flags:
                 entry["halo_flags"] = int(result.flags)
-            if result.estimated_crs:
-                entry["estimated_cr"] = result.estimated_cr
-                entry["estimated_crs"] = result.estimated_crs
             chunk_meta.append(entry)
         return index, chunk_meta, bytes(data)
 
@@ -895,7 +881,6 @@ class ArrayStore:
                     codec=entry["codec"],
                     nbytes=int(entry["nbytes"]),
                     compression_ratio=_meta_float(entry["cr"]),
-                    estimated_cr=_meta_float(entry.get("estimated_cr")),
                     stats={
                         key: _meta_float(value)
                         for key, value in entry.get("stats", {}).items()
@@ -906,18 +891,8 @@ class ArrayStore:
 
     def info(self) -> Dict:
         """The snapshot's :meth:`~repro.store.snapshot.StoreSnapshot.info`
-        plus the path, the per-chunk records and the adaptive policy's
-        estimate accuracy."""
+        plus the path and the per-chunk records."""
 
-        records = self.chunk_records()
         info = self._snapshot.info()
-        info.update(path=self.path, chunks=records)
-        estimate_errors = [
-            abs(r.estimated_cr - r.compression_ratio) / r.compression_ratio
-            for r in records
-            if np.isfinite(r.estimated_cr) and r.compression_ratio > 0
-        ]
-        if estimate_errors:
-            info["estimate_rel_error_mean"] = float(np.mean(estimate_errors))
-            info["estimate_rel_error_max"] = float(np.max(estimate_errors))
+        info.update(path=self.path, chunks=self.chunk_records())
         return info

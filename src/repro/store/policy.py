@@ -1,221 +1,57 @@
-"""Per-chunk codec selection policies for the array store.
+"""The array store's codec policy: a spec string and the codecs it lists.
 
-A policy decides which registry codec compresses each chunk:
+Every chunk is compressed with each listed codec and keeps the smallest
+payload (the first listed wins a tie), so one rule covers both forms:
 
-* :func:`fixed` — one codec for every chunk (the classical mode);
-* :func:`adaptive` — pick per chunk via the block-sampling CR estimator
-  (:mod:`repro.baselines.sampling_estimator`), the Tao-et-al-style
-  selection loop applied at store scale.  The per-candidate estimates are
-  recorded alongside the realised CR, so every written store doubles as a
-  paper-scale estimated-vs-actual evaluation corpus;
-* :func:`best` — compress each chunk with every candidate and keep the
-  smallest payload (exhaustive ground truth for the adaptive policy).
+* ``"NAME"`` or ``"fixed:NAME"`` lists one registry codec;
+* ``"best"`` or ``"best:NAME+NAME"`` lists several (``best`` alone means
+  ``sz+zfp+mgard``).
 
-Policies are small frozen dataclasses so they pickle into the parallel
-chunk-compression workers, and every policy round-trips *losslessly*
-through its ``spec`` string (``"fixed:sz"``, ``"adaptive:sz+zfp:n8:s0"``,
-``"best"``) which is what ``meta.json`` persists and what the store's
-chunk cache keys include — two adaptive policies with different
-``n_blocks``/``seed`` must never share cached chunk results.
+The canonical spec (``"fixed:sz"``, ``"best:sz+zfp+mgard"``) is what
+``meta.json`` persists and what the store's chunk cache keys include.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple, Union
+from typing import Tuple
 
-import numpy as np
-
-from repro.baselines.sampling_estimator import estimate_cr_by_sampling
 from repro.compressors.registry import available_compressors
 
-__all__ = [
-    "CodecChoice",
-    "CodecPolicy",
-    "FixedPolicy",
-    "AdaptivePolicy",
-    "BestPolicy",
-    "fixed",
-    "adaptive",
-    "best",
-    "make_policy",
-]
+__all__ = ["DEFAULT_CANDIDATES", "parse_policy"]
 
-#: Candidate set used when a policy spec does not name one.
+#: The codecs a bare ``best`` lists.
 DEFAULT_CANDIDATES = ("sz", "zfp", "mgard")
 
 
-@dataclass(frozen=True)
-class CodecChoice:
-    """Outcome of one per-chunk policy decision.
+def parse_policy(spec: str) -> Tuple[str, Tuple[str, ...]]:
+    """``(canonical spec, candidate codecs)`` of a policy spec.
 
-    ``candidates`` are the codecs the writer must actually run (one for
-    fixed/adaptive, all of them for best — the writer keeps the smallest
-    payload).  ``estimated_crs`` carries the per-candidate sampling
-    estimates when the policy produced any (the estimated-vs-actual log).
+    Raises :class:`ValueError` naming the spec when it is not a string,
+    has an unknown form, or lists no codec, an unknown codec or one
+    codec twice.
     """
 
-    candidates: Tuple[str, ...]
-    estimated_crs: Dict[str, float]
-
-
-class CodecPolicy:
-    """Base class: maps a chunk to the codec candidates to compress with."""
-
-    spec: str = "abstract"
-
-    def choose(self, chunk: np.ndarray, error_bound: float) -> CodecChoice:
-        raise NotImplementedError
-
-
-def _check_candidates(candidates: Tuple[str, ...]) -> None:
-    if not candidates:
-        raise ValueError("at least one candidate codec is required")
+    if not isinstance(spec, str) or not spec:
+        raise ValueError(f"invalid codec policy spec {spec!r}")
+    head, colon, tail = spec.partition(":")
+    if head == "best":
+        candidates = tuple(tail.split("+")) if tail else DEFAULT_CANDIDATES
+    elif head == "fixed" and tail:
+        candidates = (tail,)
+    elif not colon:
+        head, candidates = "fixed", (spec,)
+    else:
+        raise ValueError(
+            f"invalid codec policy spec {spec!r}; expected NAME, fixed:NAME, "
+            "best or best:NAME+NAME"
+        )
     known = available_compressors()
     for name in candidates:
         if name not in known:
-            raise KeyError(f"unknown codec {name!r}; available: {known}")
-
-
-@dataclass(frozen=True)
-class FixedPolicy(CodecPolicy):
-    """Every chunk uses the same named codec."""
-
-    codec: str
-
-    def __post_init__(self) -> None:
-        _check_candidates((self.codec,))
-
-    @property
-    def spec(self) -> str:
-        return f"fixed:{self.codec}"
-
-    def choose(self, chunk: np.ndarray, error_bound: float) -> CodecChoice:
-        return CodecChoice(candidates=(self.codec,), estimated_crs={})
-
-
-@dataclass(frozen=True)
-class AdaptivePolicy(CodecPolicy):
-    """Pick the codec with the largest block-sampling CR estimate.
-
-    The estimator's per-compressor overhead correction is on (it is what
-    makes cross-codec estimates comparable), and the seed is fixed so a
-    rewrite of the same data reproduces the same choices.
-    """
-
-    candidates: Tuple[str, ...] = DEFAULT_CANDIDATES
-    n_blocks: int = 8
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        _check_candidates(tuple(self.candidates))
-
-    @property
-    def spec(self) -> str:
-        # The sampling parameters are part of the spec so the persisted
-        # policy (and the chunk-cache key derived from it) reconstructs
-        # the exact same per-chunk decisions.
-        return (
-            "adaptive:"
-            + "+".join(self.candidates)
-            + f":n{self.n_blocks}:s{self.seed}"
-        )
-
-    def choose(self, chunk: np.ndarray, error_bound: float) -> CodecChoice:
-        # Tile edge: the estimator's per-ndim default, clamped so chunks
-        # smaller than the default tile are sampled whole.
-        block_size = min(32 if chunk.ndim == 2 else 16, *chunk.shape)
-        # The quad-scale tile targets full-field estimation; at the default
-        # chunk geometry it would be the whole chunk, making the estimate
-        # dearer than just compressing — keep per-chunk selection strictly
-        # cheaper than the exhaustive policy.
-        large_tile = 4 * block_size < min(chunk.shape)
-        estimates: Dict[str, float] = {}
-        for name in self.candidates:
-            estimate = estimate_cr_by_sampling(
-                chunk,
-                name,
-                error_bound,
-                n_blocks=self.n_blocks,
-                block_size=block_size,
-                seed=self.seed,
-                large_tile=large_tile,
+            raise ValueError(
+                f"codec policy spec {spec!r} names unknown codec {name!r}; "
+                f"available: {known}"
             )
-            estimates[name] = float(estimate.estimated_cr)
-        selected = max(estimates, key=estimates.get)
-        return CodecChoice(candidates=(selected,), estimated_crs=estimates)
-
-
-@dataclass(frozen=True)
-class BestPolicy(CodecPolicy):
-    """Compress with every candidate, keep the smallest payload."""
-
-    candidates: Tuple[str, ...] = DEFAULT_CANDIDATES
-
-    def __post_init__(self) -> None:
-        _check_candidates(tuple(self.candidates))
-
-    @property
-    def spec(self) -> str:
-        return "best:" + "+".join(self.candidates)
-
-    def choose(self, chunk: np.ndarray, error_bound: float) -> CodecChoice:
-        return CodecChoice(candidates=tuple(self.candidates), estimated_crs={})
-
-
-def fixed(codec: str) -> FixedPolicy:
-    """Policy compressing every chunk with ``codec``."""
-
-    return FixedPolicy(codec=codec)
-
-
-def adaptive(
-    candidates: Tuple[str, ...] = DEFAULT_CANDIDATES,
-    *,
-    n_blocks: int = 8,
-    seed: int = 0,
-) -> AdaptivePolicy:
-    """Policy picking per chunk via the block-sampling CR estimator."""
-
-    return AdaptivePolicy(candidates=tuple(candidates), n_blocks=n_blocks, seed=seed)
-
-
-def best(candidates: Tuple[str, ...] = DEFAULT_CANDIDATES) -> BestPolicy:
-    """Exhaustive policy: try every candidate, keep the smallest payload."""
-
-    return BestPolicy(candidates=tuple(candidates))
-
-
-def make_policy(spec: Union[str, CodecPolicy]) -> CodecPolicy:
-    """Build a policy from its spec string (idempotent on policy objects).
-
-    Accepted specs: a bare codec name (``"sz"``), ``"fixed:NAME"``,
-    ``"adaptive"`` / ``"adaptive:NAME+NAME[:nN][:sS]"`` (sampling blocks
-    and seed), ``"best"`` / ``"best:NAME+NAME"``.
-    """
-
-    if isinstance(spec, CodecPolicy):
-        return spec
-    if not isinstance(spec, str) or not spec:
-        raise ValueError(f"invalid codec policy spec {spec!r}")
-    head, _, tail = spec.partition(":")
-    if head == "fixed":
-        if not tail:
-            raise ValueError("fixed policy needs a codec name, e.g. 'fixed:sz'")
-        return fixed(tail)
-    if head == "adaptive":
-        candidates = DEFAULT_CANDIDATES
-        options = {"n_blocks": 8, "seed": 0}
-        for segment in (s for s in tail.split(":") if s):
-            if segment[0] == "n" and segment[1:].isdigit():
-                options["n_blocks"] = int(segment[1:])
-            elif segment[0] == "s" and segment[1:].lstrip("-").isdigit():
-                options["seed"] = int(segment[1:])
-            else:
-                candidates = tuple(segment.split("+"))
-        return adaptive(candidates, **options)
-    if head == "best":
-        return best(tuple(tail.split("+")) if tail else DEFAULT_CANDIDATES)
-    if tail:
-        raise ValueError(f"invalid codec policy spec {spec!r}")
-    return fixed(head)
+    if len(set(candidates)) != len(candidates):
+        raise ValueError(f"codec policy spec {spec!r} lists a codec twice")
+    return f"{head}:{'+'.join(candidates)}", candidates

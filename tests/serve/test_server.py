@@ -10,6 +10,7 @@ from repro.serve.client import ServeError, StoreClient
 from repro.store import ArrayStore
 
 from tests.serve.conftest import TOL, build_store
+from tests.store.test_array_store import RETIRED_SPEC, retire_policy
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +199,27 @@ class TestMutation:
         with pytest.raises(ServeError) as err:
             client.append("never-created", field_2d[:8])
         assert err.value.status == 404
+
+    @pytest.mark.parametrize("codec", ["nope", "best:sz+", "best:sz+sz", "adaptive"])
+    def test_put_with_bad_policy_400(self, client, field_2d, codec):
+        with pytest.raises(ServeError) as err:
+            client.put("bad-policy", field_2d, codec=codec)
+        assert err.value.status == 400
+        assert "codec policy spec" in str(err.value)
+
+    def test_store_with_retired_policy_reads_but_refuses_append(
+        self, serve_root, client, field_2d
+    ):
+        build_store(serve_root / "retired", field_2d[:40])
+        retire_policy(serve_root / "retired")
+        assert client.info("retired")["codec_policy"] == RETIRED_SPEC
+        got = client.get("retired")
+        assert np.abs(got - field_2d[:40]).max() <= TOL
+        with pytest.raises(ServeError) as err:
+            client.append("retired", field_2d[40:64])
+        assert err.value.status == 400
+        assert RETIRED_SPEC in str(err.value)
+        np.testing.assert_array_equal(client.get("retired"), got)
 
     def test_compact_after_churn(self, client, field_2d):
         client.put("churny", field_2d[:40], chunk=32)

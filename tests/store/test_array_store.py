@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -151,18 +152,14 @@ class TestDedupAndCache:
         assert cache.misses == 1 and cache.hits == 0
         assert cache.in_call_duplicates == store.n_chunks - 1
 
-    def test_different_adaptive_parameters_do_not_share_cache(self, tmp_path, field_2d):
-        from repro.store.policy import adaptive
-
+    def test_different_policies_do_not_share_cache(self, tmp_path, field_2d):
         cache = ExperimentCache(max_entries=64)
-        a = ArrayStore.create(tmp_path / "a", chunk_shape=64, codec=adaptive(seed=0))
+        a = ArrayStore.create(tmp_path / "a", chunk_shape=64, codec="sz")
         a.write(field_2d, cache=cache)
         misses = cache.misses
-        b = ArrayStore.create(
-            tmp_path / "b", chunk_shape=64, codec=adaptive(seed=99, n_blocks=3)
-        )
+        b = ArrayStore.create(tmp_path / "b", chunk_shape=64, codec="best:sz+zfp")
         b.write(field_2d, cache=cache)
-        # A differently-parameterised policy must recompute, not hit.
+        # A policy listing other codecs must recompute, not hit.
         assert cache.hits == 0
         assert cache.misses - misses == b.n_chunks
 
@@ -271,17 +268,6 @@ class TestAppend:
 
 
 class TestPolicies:
-    def test_adaptive_records_estimates(self, tmp_path, volume_3d):
-        store = make_store(tmp_path / "s", volume_3d, chunk=16, codec="adaptive:sz+zfp")
-        records = store.chunk_records()
-        assert all(np.isfinite(r.estimated_cr) for r in records)
-        assert all(r.codec in ("sz", "zfp") for r in records)
-        info = store.info()
-        assert "estimate_rel_error_mean" in info
-        # The persisted per-chunk log keeps every candidate's estimate.
-        meta = json.loads((tmp_path / "s" / META_NAME).read_text())
-        assert set(meta["chunks"][0]["estimated_crs"]) == {"sz", "zfp"}
-
     def test_best_policy_not_larger_than_any_fixed(self, tmp_path, field_2d):
         best_store = make_store(tmp_path / "best", field_2d, codec="best")
         for codec in ("sz", "zfp", "mgard"):
@@ -297,7 +283,7 @@ class TestPolicies:
         assert record.stats["max_abs_error"] <= TOL
 
     @pytest.mark.parametrize("halo", [False, True], ids=["plain", "halo"])
-    @pytest.mark.parametrize("codec", ["sz", "adaptive", "best"])
+    @pytest.mark.parametrize("codec", ["sz", "best:sz+zfp", "best"])
     def test_chunk_records_report_exact_error_and_ratio(
         self, tmp_path, miranda_64, codec, halo
     ):
@@ -403,6 +389,65 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="finite"):
             store.write(bad)
 
+    def test_create_rejects_bad_policy_before_touching_the_path(self, tmp_path):
+        with pytest.raises(ValueError, match="'best:sz\\+sz'"):
+            ArrayStore.create(tmp_path / "s", codec="best:sz+sz")
+        assert not (tmp_path / "s").exists()
+
+
+RETIRED_SPEC = "adaptive:sz+zfp:n8:s0"
+
+
+def retire_policy(path, spec=RETIRED_SPEC):
+    """Rewrite a store's persisted policy to ``spec`` and give its chunk
+    entries the per-chunk estimates older sampling-policy stores carried.
+    ``load_store_state`` checks only ``index_sha1``, so the store opens."""
+
+    meta_path = path / META_NAME
+    meta = json.loads(meta_path.read_text())
+    meta["codec"] = spec
+    for entry in meta["chunks"]:
+        entry["estimated_cr"] = 7.5
+        entry["estimated_crs"] = {"sz": 7.5, "zfp": 6.0}
+    meta_path.write_text(json.dumps(meta, indent=1))
+
+
+class TestRetiredPolicySpec:
+    """A store whose persisted spec ``parse_policy`` no longer accepts
+    (such as the retired sampling ``adaptive`` policy) still opens and
+    reads, since decoding never needs the policy; writing raises
+    ``ValueError`` naming the spec and leaves the store as it was."""
+
+    @pytest.fixture()
+    def retired(self, tmp_path, volume_3d):
+        make_store(tmp_path / "s", volume_3d[:24], chunk=16)
+        expected = ArrayStore.open(tmp_path / "s").read()
+        retire_policy(tmp_path / "s")
+        return tmp_path / "s", expected
+
+    def test_open_read_and_inspect(self, retired):
+        path, expected = retired
+        store = ArrayStore.open(path)
+        assert store.codec_policy == RETIRED_SPEC
+        np.testing.assert_array_equal(store.read(), expected)
+        info = store.info()
+        assert info["codec_policy"] == RETIRED_SPEC
+        assert info["codec_histogram"] == {"sz": store.n_chunks}
+        assert not any("estimate" in key for key in info)
+        assert all(r.codec == "sz" for r in store.chunk_records())
+
+    @pytest.mark.parametrize("method", ["write", "append"])
+    def test_write_and_append_name_the_spec(self, retired, volume_3d, method):
+        path, expected = retired
+        files = (META_NAME, INDEX_NAME, DATA_NAME)
+        before = {name: (path / name).read_bytes() for name in files}
+        store = ArrayStore.open(path)
+        with pytest.raises(ValueError, match=re.escape(repr(RETIRED_SPEC))):
+            getattr(store, method)(volume_3d[24:], cache=False)
+        for name, payload in before.items():
+            assert (path / name).read_bytes() == payload
+        np.testing.assert_array_equal(store.read(), expected)
+
 
 class TestHaloStore:
     """Halo-aware chunking: odd-parity chunks borrow their even-parity
@@ -501,10 +546,8 @@ class TestHaloStore:
         b = (tmp_path / "par" / DATA_NAME).read_bytes()
         assert a == b
 
-    def test_adaptive_policy_with_halo(self, tmp_path, volume_3d):
-        store = make_store(
-            tmp_path / "s", volume_3d, chunk=16, codec="adaptive", halo=True
-        )
+    def test_best_policy_with_halo(self, tmp_path, volume_3d):
+        make_store(tmp_path / "s", volume_3d, chunk=16, codec="best", halo=True)
         values = ArrayStore.open(tmp_path / "s").read()
         assert np.abs(values - volume_3d).max() <= TOL
 

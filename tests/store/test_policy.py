@@ -1,115 +1,57 @@
-"""Tests for the per-chunk codec policies (repro.store.policy)."""
+"""Tests for the store's codec policy parser (repro.store.policy)."""
 
 from __future__ import annotations
 
-import pickle
-
-import numpy as np
 import pytest
 
-from repro.store.policy import (
-    AdaptivePolicy,
-    BestPolicy,
-    FixedPolicy,
-    adaptive,
-    best,
-    fixed,
-    make_policy,
-)
+from repro.store.policy import DEFAULT_CANDIDATES, parse_policy
 
 
 class TestSpecParsing:
     @pytest.mark.parametrize("spec", ["sz", "zfp", "mgard", "fixed:sz"])
     def test_fixed_specs(self, spec):
-        policy = make_policy(spec)
-        assert isinstance(policy, FixedPolicy)
-        assert policy.codec == spec.split(":")[-1]
+        name = spec.split(":")[-1]
+        assert parse_policy(spec) == (f"fixed:{name}", (name,))
 
-    def test_adaptive_default_candidates(self):
-        policy = make_policy("adaptive")
-        assert isinstance(policy, AdaptivePolicy)
-        assert policy.candidates == ("sz", "zfp", "mgard")
-
-    def test_adaptive_explicit_candidates(self):
-        policy = make_policy("adaptive:sz+zfp")
-        assert policy.candidates == ("sz", "zfp")
+    def test_bare_best_lists_the_default_candidates(self):
+        assert DEFAULT_CANDIDATES == ("sz", "zfp", "mgard")
+        assert parse_policy("best") == ("best:sz+zfp+mgard", DEFAULT_CANDIDATES)
 
     def test_best_spec(self):
-        policy = make_policy("best:sz+mgard")
-        assert isinstance(policy, BestPolicy)
-        assert policy.candidates == ("sz", "mgard")
+        assert parse_policy("best:sz+mgard") == ("best:sz+mgard", ("sz", "mgard"))
 
-    def test_spec_round_trips(self):
-        for policy in (fixed("zfp"), adaptive(("sz", "zfp")), best()):
-            rebuilt = make_policy(policy.spec)
-            assert rebuilt.spec == policy.spec
+    @pytest.mark.parametrize(
+        "spec", ["sz", "fixed:zfp", "best", "best:zfp+sz", "best:mgard"]
+    )
+    def test_spec_round_trips(self, spec):
+        canonical, candidates = parse_policy(spec)
+        assert parse_policy(canonical) == (canonical, candidates)
 
-    def test_adaptive_spec_round_trips_sampling_parameters(self):
-        """n_blocks/seed must survive persistence: a reopened store has to
-        reproduce the exact same per-chunk decisions."""
-
-        policy = adaptive(("sz", "zfp"), n_blocks=3, seed=99)
-        assert policy.spec == "adaptive:sz+zfp:n3:s99"
-        rebuilt = make_policy(policy.spec)
-        assert rebuilt == policy
-
-    def test_adaptive_policies_with_different_parameters_key_differently(self):
-        assert adaptive(seed=0).spec != adaptive(seed=1).spec
-        assert adaptive(n_blocks=8).spec != adaptive(n_blocks=4).spec
-
-    def test_policy_objects_pass_through(self):
-        policy = adaptive()
-        assert make_policy(policy) is policy
-
-    @pytest.mark.parametrize("spec", ["", "fixed:", "nope", "adaptive:nope"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "",
+            None,
+            "fixed:",
+            "fixed",
+            "nope",
+            "fixed:nope",
+            "best:nope",
+            "best:sz+",
+            "sz:zfp",
+            "adaptive",
+            "adaptive:sz+zfp:n8:s0",
+        ],
+    )
     def test_invalid_specs_rejected(self, spec):
-        with pytest.raises((ValueError, KeyError)):
-            make_policy(spec)
+        with pytest.raises(ValueError, match="codec policy spec"):
+            parse_policy(spec)
 
-    def test_policies_pickle(self):
-        for policy in (fixed("sz"), adaptive(), best()):
-            clone = pickle.loads(pickle.dumps(policy))
-            assert clone.spec == policy.spec
+    @pytest.mark.parametrize("spec", ["best:sz+sz", "best:zfp+sz+zfp"])
+    def test_repeated_codec_rejected(self, spec):
+        with pytest.raises(ValueError, match="twice"):
+            parse_policy(spec)
 
-
-class TestChoices:
-    def test_fixed_always_returns_its_codec(self, smooth_field):
-        choice = fixed("mgard").choose(smooth_field, 1e-3)
-        assert choice.candidates == ("mgard",)
-        assert choice.estimated_crs == {}
-
-    def test_adaptive_chooses_one_candidate_with_estimates(self, smooth_field):
-        policy = adaptive(("sz", "zfp"))
-        choice = policy.choose(smooth_field, 1e-3)
-        assert len(choice.candidates) == 1
-        assert choice.candidates[0] in ("sz", "zfp")
-        assert set(choice.estimated_crs) == {"sz", "zfp"}
-        assert all(v > 0 for v in choice.estimated_crs.values())
-        # The winner is the estimate argmax.
-        assert choice.candidates[0] == max(
-            choice.estimated_crs, key=choice.estimated_crs.get
-        )
-
-    def test_adaptive_deterministic(self, smooth_field):
-        policy = adaptive(("sz", "zfp"))
-        a = policy.choose(smooth_field, 1e-3)
-        b = policy.choose(smooth_field, 1e-3)
-        assert a == b
-
-    def test_adaptive_handles_tiny_chunks(self):
-        chunk = np.random.default_rng(0).normal(size=(6, 6))
-        choice = adaptive(("sz", "zfp")).choose(chunk, 1e-3)
-        assert len(choice.candidates) == 1
-
-    def test_adaptive_3d_chunk(self):
-        chunk = np.random.default_rng(1).normal(size=(20, 20, 20))
-        choice = adaptive(("sz", "zfp")).choose(chunk, 1e-2)
-        assert choice.candidates[0] in ("sz", "zfp")
-
-    def test_best_returns_all_candidates(self, smooth_field):
-        choice = best(("sz", "zfp", "mgard")).choose(smooth_field, 1e-3)
-        assert choice.candidates == ("sz", "zfp", "mgard")
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            adaptive(())
+    def test_error_names_the_spec_and_the_codec(self):
+        with pytest.raises(ValueError, match=r"'best:sz\+nope'.*'nope'"):
+            parse_policy("best:sz+nope")

@@ -308,7 +308,7 @@ class TestStoreCommand:
         out = capsys.readouterr().out
         assert "chunk" in out and "32x32" in out
 
-    def test_put_from_dataset_registry_adaptive(self, tmp_path, capsys):
+    def test_put_from_dataset_registry_best(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         code = main(
             [
@@ -322,13 +322,38 @@ class TestStoreCommand:
                 "--chunk",
                 "64",
                 "--codec",
-                "adaptive:sz+zfp",
+                "best:sz+zfp",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "gaussian-single-a16" in out
-        assert "adaptive estimate rel. error" in out
+        assert "best:sz+zfp" in out
+
+    @pytest.mark.parametrize("codec", ["nope", "best:sz+", "best:sz+sz", "adaptive"])
+    def test_bad_codec_policy_is_a_usage_error(self, tmp_path, field_npy, codec, capsys):
+        store_dir = tmp_path / "store"
+        with pytest.raises(SystemExit) as exc:
+            main(["store", "put", str(store_dir), "--field", str(field_npy), "--codec", codec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "codec policy spec" in err
+        assert not store_dir.exists()
+
+    def test_append_to_store_with_retired_policy(self, tmp_path, field_npy, capsys):
+        from tests.store.test_array_store import RETIRED_SPEC, retire_policy
+
+        store_dir = tmp_path / "store"
+        assert main(["store", "put", str(store_dir), "--field", str(field_npy)]) == 0
+        retire_policy(store_dir)
+        assert main(["store", "info", str(store_dir)]) == 0
+        assert RETIRED_SPEC in capsys.readouterr().out
+        assert main(["store", "ls", str(store_dir)]) == 0
+        assert "sz" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["store", "append", str(store_dir), "--field", str(field_npy)])
+        # A message for stderr, not an uncaught ValueError.
+        assert RETIRED_SPEC in exc.value.code
 
     def test_put_unknown_label_lists_available(self, tmp_path):
         with pytest.raises(SystemExit, match="available"):
