@@ -752,6 +752,7 @@ def _open_client(url: str):
 
 
 def _command_store(args: argparse.Namespace) -> int:
+    from repro.serve.client import ServeError
     from repro.store import ArrayStore
 
     handlers = {
@@ -762,7 +763,13 @@ def _command_store(args: argparse.Namespace) -> int:
         "info": _command_store_info,
         "ls": _command_store_ls,
     }
-    return handlers[args.store_command](args, ArrayStore)
+    try:
+        return handlers[args.store_command](args, ArrayStore)
+    except (ServeError, ConnectionError, OSError) as exc:
+        # Local stores keep their own errors; a server's answer is a message.
+        if not getattr(args, "url", None):
+            raise
+        raise SystemExit(f"{args.url}: {exc}") from exc
 
 
 def _command_store_put_stream(args: argparse.Namespace, ArrayStore) -> int:

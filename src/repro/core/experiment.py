@@ -132,11 +132,11 @@ class CompressionRecord:
 
 
 def _fitted(statistic, *args) -> float:
-    """``statistic(*args)``, or NaN where the variogram fit is impossible."""
+    """``statistic(*args)``, or NaN where the field cannot be fitted."""
 
     try:
         return float(statistic(*args))
-    except (ValueError, RuntimeError):
+    except ValueError:
         return float("nan")
 
 
@@ -145,9 +145,9 @@ def measure_statistics(
 ) -> CorrelationStatistics:
     """Compute the requested correlation statistics of one 2D field or 3D volume.
 
-    A variogram fit that raises ``ValueError`` or ``RuntimeError`` records
-    NaN.  The local SVD statistic has no 3D analogue and stays NaN for
-    volumes.
+    A variogram statistic that rejects the field with ``ValueError`` (not
+    finite, or under two points along an axis) records NaN.  The local SVD
+    statistic has no 3D analogue and stays NaN for volumes.
     """
 
     field = ensure_ndim(field, (2, 3), "field")

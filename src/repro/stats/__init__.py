@@ -4,11 +4,13 @@ This subpackage implements the statistical toolbox the paper uses to
 characterise correlation structure:
 
 * :mod:`repro.stats.variogram` -- empirical isotropic semi-variogram
-  (Matheron estimator, paper Eq. 1) of a 2D field or 3D volume, by exact
-  FFT pair enumeration or (2D only) random pair subsampling.
+  (Matheron estimator, paper Eq. 1) of a 2D field or 3D volume, or of a
+  stack of equal-shape ones, by exact FFT pair enumeration or (2D only)
+  random pair subsampling.
 * :mod:`repro.stats.variogram_models` -- parametric variogram models
   (squared-exponential as in the paper, plus exponential/spherical) and
-  least-squares fitting to estimate the variogram *range*.
+  the weighted least-squares fit (closed-form sill, 1-D range search)
+  that estimates the variogram *range*, one field or a stack at a time.
 * :mod:`repro.stats.windows` -- tiling of a field into HxH windows.
 * :mod:`repro.stats.local` -- local (windowed) variogram ranges and their
   standard deviation ("Std of estimated local variogram range (H=32)"),
@@ -37,6 +39,7 @@ from repro.stats.variogram_models import (
     gaussian_variogram,
     spherical_variogram,
     estimate_variogram_range,
+    variogram_ranges,
 )
 from repro.stats.windows import field_windows, window_grid_shape
 from repro.stats.local import (
@@ -78,6 +81,7 @@ __all__ = [
     "spherical_variogram",
     "fit_variogram",
     "estimate_variogram_range",
+    "variogram_ranges",
     "field_windows",
     "window_grid_shape",
     "LocalVariogramResult",

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from repro.stats.variogram import VariogramConfig
-from repro.stats.variogram_models import estimate_variogram_range
+from repro.stats.variogram_models import variogram_ranges
 from repro.stats.windows import field_windows, window_grid_shape
 
 __all__ = ["LocalVariogramResult", "local_variogram_ranges", "std_local_variogram_range"]
@@ -81,10 +81,12 @@ def local_variogram_ranges(
     """Estimate the variogram range inside every complete ``window`` tile.
 
     ``field`` is a 2D field tiled into ``window x window`` squares or a 3D
-    volume tiled into ``window^3`` cubes.  Windows whose data are
-    (numerically) constant carry no correlation information and yield
-    NaN, as do unfittable ones; they are excluded from the summary
-    statistics, mirroring how degenerate windows are dropped in practice.
+    volume tiled into ``window^3`` cubes.  All windows are estimated and
+    fitted as one stack.  Windows whose data are (numerically) constant
+    carry no correlation information and yield NaN, as do windows holding
+    NaN or inf and all windows when the variogram has fewer than 3 bins;
+    they are excluded from the summary statistics, mirroring how
+    degenerate windows are dropped in practice.
     """
 
     if config is None:
@@ -92,12 +94,12 @@ def local_variogram_ranges(
         # pairs per bin for a stable fit.
         config = VariogramConfig(max_lag=window / 2.0, bin_width=1.0)
 
+    windows = [tile for _, tile in field_windows(field, window)]
+    finite = np.array([np.isfinite(tile).all() for tile in windows], dtype=bool)
     ranges = np.full(window_grid_shape(np.shape(field), window), np.nan)
-    for index, tile in field_windows(field, window):
-        try:
-            ranges[index] = estimate_variogram_range(tile, model=model, config=config)
-        except (ValueError, RuntimeError):
-            pass
+    ranges.flat[finite] = variogram_ranges(
+        [tile for tile, ok in zip(windows, finite) if ok], model=model, config=config
+    )
     return LocalVariogramResult(window=window, ranges=ranges)
 
 

@@ -22,6 +22,18 @@ class TestLocalVariogramRanges:
         assert result.n_failed == 2
         assert np.isfinite(result.std)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_window_is_nan_and_excluded(self, bad):
+        field = generate_gaussian_field((64, 64), 4.0, seed=1)
+        clean = local_variogram_ranges(field, window=32)
+        field[40, 5] = bad
+        result = local_variogram_ranges(field, window=32)
+        assert np.isnan(result.ranges[1, 0])
+        assert result.n_failed == 1
+        finite = np.isfinite(result.ranges)
+        np.testing.assert_allclose(result.ranges[finite], clean.ranges[finite], rtol=1e-9)
+        assert result.std == pytest.approx(np.std(clean.ranges[finite]), rel=1e-9)
+
     def test_fully_constant_field_gives_nan_summary(self):
         result = local_variogram_ranges(np.ones((64, 64)), window=32)
         assert result.n_failed == 4

@@ -6,13 +6,19 @@ import numpy as np
 import pytest
 
 from repro.datasets.gaussian import generate_gaussian_field
-from repro.stats.variogram import EmpiricalVariogram, VariogramConfig
+from repro.datasets.miranda import generate_miranda_like_volume
+from repro.stats.variogram import EmpiricalVariogram, VariogramConfig, empirical_variogram
 from repro.stats.variogram_models import (
+    MAX_RANGE_LAGS,
+    MIN_RANGE,
+    MIN_SILL,
+    MODEL_FUNCTIONS,
     estimate_variogram_range,
     exponential_variogram,
     fit_variogram,
     gaussian_variogram,
     spherical_variogram,
+    variogram_ranges,
 )
 
 
@@ -137,3 +143,91 @@ class TestEstimateVariogramRange:
         field[3, 5] = bad
         with pytest.raises(ValueError, match="NaN or inf"):
             estimate_variogram_range(field)
+
+    def test_sampled_pairs_config_accepted(self, smooth_field):
+        # Sampled pairs are drawn unseeded here, so only agreement with the
+        # exact estimator is checked.
+        exact = estimate_variogram_range(smooth_field)
+        config = VariogramConfig(method="pairs", n_pairs=200_000)
+        sampled = estimate_variogram_range(smooth_field, config=config)
+        assert sampled == pytest.approx(exact, rel=0.2)
+        ranges = variogram_ranges([smooth_field, smooth_field.T], config=config)
+        np.testing.assert_allclose(ranges, exact, rtol=0.2)
+
+
+def _scipy_fit(variogram, model: str, fit_nugget: bool):
+    """Reference fit: bounded trust-region least squares from a moment start.
+
+    The iterative optimiser the library used before its closed-form fit;
+    ``(sill, range, nugget)``.
+    """
+
+    from scipy.optimize import least_squares
+
+    lags, values = variogram.lags, variogram.values
+    func = MODEL_FUNCTIONS[model]
+    w = np.sqrt(variogram.pair_counts.astype(np.float64))
+    w = w / w.max()
+    sill0 = max(float(variogram.field_variance), float(values.max()), 1e-12)
+    above = np.nonzero(values >= 0.632 * sill0)[0]
+    range0 = float(lags[above[0]]) if above.size else float(lags[-1] / 2.0)
+    range0 = max(range0, float(lags[0]), 1e-6)
+    lower, upper = [1e-12, 1e-6], [np.inf, 10.0 * float(lags[-1])]
+    x0 = [sill0, range0]
+    if fit_nugget:
+        lower, upper, x0 = lower + [0.0], upper + [sill0], x0 + [0.0]
+
+    def residuals(params):
+        sill, range_, *nugget = params
+        return w * (func(lags, sill, range_, *nugget) - values)
+
+    result = least_squares(residuals, x0=x0, bounds=(lower, upper), method="trf", max_nfev=2000)
+    sill, range_, *nugget = result.x
+    return sill, range_, (nugget[0] if nugget else 0.0)
+
+
+def _weighted_misfit(variogram, model, sill, range_, nugget) -> float:
+    w = np.sqrt(variogram.pair_counts.astype(np.float64))
+    w2 = (w / w.max()) ** 2
+    residual = MODEL_FUNCTIONS[model](variogram.lags, sill, range_, nugget) - variogram.values
+    return float(np.sum(w2 * residual**2))
+
+
+def _reference_variograms():
+    """Synthetic, Gaussian-field and Miranda-window variograms."""
+
+    lags = np.linspace(1.0, 24.0, 20)
+    noise = np.random.default_rng(3).normal(0.0, 0.02, lags.size)
+    synthetic = EmpiricalVariogram(
+        lags=lags,
+        values=np.clip(gaussian_variogram(lags, 1.0, 7.0, 0.1) + noise, 0.0, None),
+        pair_counts=np.linspace(4000, 300, lags.size).astype(np.int64),
+        field_variance=1.1,
+    )
+    volume = generate_miranda_like_volume((32, 32, 32), seed=0)
+    return {
+        "synthetic": synthetic,
+        "gaussian-field": empirical_variogram(generate_gaussian_field((64, 64), 6.0, seed=4)),
+        "miranda-window": empirical_variogram(volume[:16, :16, :16]),
+        "miranda-slice": empirical_variogram(volume[7], VariogramConfig(max_lag=10.0)),
+    }
+
+
+class TestAgainstScipyReference:
+    """The closed-form fit is never a worse fit than the optimiser it replaced."""
+
+    @pytest.mark.parametrize("fit_nugget", [False, True], ids=["no-nugget", "nugget"])
+    @pytest.mark.parametrize("model", sorted(MODEL_FUNCTIONS))
+    def test_objective_no_worse_and_bounds_respected(self, model, fit_nugget):
+        for name, variogram in _reference_variograms().items():
+            fitted = fit_variogram(variogram, model=model, fit_nugget=fit_nugget)
+            reference = _scipy_fit(variogram, model, fit_nugget)
+            ours = _weighted_misfit(variogram, model, fitted.sill, fitted.range, fitted.nugget)
+            theirs = _weighted_misfit(variogram, model, *reference)
+            assert ours <= (1 + 1e-9) * theirs, name
+
+            cap = max(variogram.field_variance, variogram.values.max(), 1e-12)
+            assert MIN_RANGE <= fitted.range <= MAX_RANGE_LAGS * variogram.lags[-1], name
+            assert fitted.sill >= MIN_SILL, name
+            assert 0.0 <= fitted.nugget <= (cap if fit_nugget else 0.0), name
+            assert fitted.converged

@@ -406,6 +406,21 @@ class TestProfileCommand:
         assert "$schema" in json.loads(out.read_text())
 
 
+class TestStoreUrlErrors:
+    def test_server_error_exits_with_message_not_traceback(self, tmp_path, capsys):
+        from repro.serve.server import ServerConfig, ThreadedServer
+
+        field = tmp_path / "f.npy"
+        np.save(field, generate_gaussian_field((32, 32), 4.0, seed=0))
+        with ThreadedServer(ServerConfig(root=str(tmp_path / "root"))) as threaded:
+            url = threaded.url
+            with pytest.raises(SystemExit) as excinfo:
+                main(["store", "append", "missing", "--field", str(field), "--url", url])
+        assert str(excinfo.value) == f"{url}: HTTP 404: no such dataset: missing"
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestTopCommand:
     def test_one_frame_from_a_live_server(self, tmp_path, capsys):
         from repro.serve.client import StoreClient
