@@ -120,7 +120,7 @@ def loaded_server(tmp_path_factory):
     store = ArrayStore.create(
         root / "vol", chunk_shape=8, codec="sz", error_bound=ERROR_BOUND
     )
-    store.write(volume, cache=False)
+    store.write(volume)
     config = ServerConfig(root=str(root), max_concurrency=16)
     with ThreadedServer(config) as threaded:
         # Warm the hot-chunk cache so the measured workload is cache-bound.

@@ -51,7 +51,7 @@ def test_store_put_smoke(benchmark, tmp_path, smoke_volume):
             chunk_stats=False,
             overwrite=True,
         )
-        store.write(smoke_volume, cache=False)
+        store.write(smoke_volume)
         return store
 
     store = benchmark.pedantic(put, rounds=1, iterations=1)
@@ -82,7 +82,7 @@ def test_store_partial_read_speedup(tmp_path, large_volume):
         error_bound=ERROR_BOUND,
         chunk_stats=False,
     )
-    store.write(large_volume, cache=False)
+    store.write(large_volume)
     assert store.n_chunks == 8
     region = (slice(0, 32), slice(0, 32), slice(0, 32))
 
@@ -149,7 +149,7 @@ def test_store_best_policy_beats_every_fixed_codec(benchmark, tmp_path):
                 chunk_stats=False,
                 overwrite=True,
             )
-            store.write(array, cache=False)
+            store.write(array)
             original += store.original_nbytes
             compressed += store.compressed_nbytes
             sizes += [record.nbytes for record in store.chunk_records()]

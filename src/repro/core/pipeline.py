@@ -7,13 +7,10 @@ returns the flat list of :class:`repro.core.experiment.CompressionRecord`.
 Field-level work is embarrassingly parallel and can be distributed over a
 process pool via :class:`repro.utils.parallel.ParallelConfig`.
 
-Repeated cells are memoized: several figure drivers sweep the same
-(field, compressor, bound) combinations — e.g. the global-range and
-local-statistics panels over one dataset realisation — so the per-field
-measurement is cached in an :class:`ExperimentCache` keyed by the field's
-content hash and the sweep configuration.  The default process-wide cache
-can be bypassed per call (``cache=False``) or cleared with
-:func:`clear_default_cache`.
+Memoization is the caller's choice: a sweep measures every field it is
+given.  A caller that expects repeated cells passes its own
+:class:`ExperimentCache`, keyed by the field's content hash and the sweep
+configuration, and owns its lifetime.
 """
 
 from __future__ import annotations
@@ -21,21 +18,18 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.experiment import CompressionRecord, ExperimentConfig, measure_field
 from repro.datasets.registry import DatasetRegistry, default_registry
-from repro.obs.metrics import REGISTRY, publish_cache_counters
 from repro.utils.parallel import ParallelConfig, parallel_map
 from repro.utils.rng import SeedLike
 
 __all__ = [
     "ExperimentCache",
     "ExperimentResult",
-    "default_cache",
-    "clear_default_cache",
     "memoized_map",
     "run_experiment",
     "run_experiment_on_fields",
@@ -65,7 +59,7 @@ class ExperimentCache:
     that were not, and entries dropped by the LRU bound;
     ``in_call_duplicates`` counts items that :func:`memoized_map`
     resolved from an earlier item of the same call.
-    :meth:`counters` snapshots them for the cache's registry collector.
+    :meth:`counters` snapshots them.
     """
 
     def __init__(self, max_entries: int = 512) -> None:
@@ -138,11 +132,17 @@ class ExperimentCache:
         return len(self._entries)
 
 
-def memoized_map(items, key_fn, compute_many, cache: Optional[ExperimentCache]):
+#: The ``cache=`` argument of the memoizing entry points: an
+#: :class:`ExperimentCache` to memoize through, or ``None`` / ``False`` for
+#: no memo.
+CacheArg = Union[ExperimentCache, Literal[False], None]
+
+
+def memoized_map(items, key_fn, compute_many, cache: CacheArg):
     """Bulk map through an :class:`ExperimentCache`, with in-call dedup.
 
-    The shared memoization protocol of the tiled volume pipeline and the
-    chunked array store: every item is keyed (``key_fn(item) -> str``),
+    The shared memoization protocol of the experiment sweep and the tiled
+    volume pipeline: every item is keyed (``key_fn(item) -> str``),
     served from ``cache`` on a hit, and computed otherwise —
     ``compute_many(pending_items)`` returns results aligned with its
     argument, so the caller decides how the batch runs (e.g. a process
@@ -150,13 +150,18 @@ def memoized_map(items, key_fn, compute_many, cache: Optional[ExperimentCache]):
     resolved from the in-call owner, not the cache: LRU eviction may
     already have dropped the owner's entry when the call finishes.
 
-    Returns the results aligned with ``items``; the cache counts the
-    hits, misses, evictions and in-call duplicates.  Cached values are
-    wrapped in 1-tuples.
+    With ``cache`` ``None`` or ``False`` every item is computed.  Returns
+    the results aligned with ``items``; the cache counts the hits,
+    misses, evictions and in-call duplicates.  Cached values are wrapped
+    in 1-tuples.
     """
 
-    if cache is None:
+    if cache is None or cache is False:
         return list(compute_many(list(items)))
+    if not isinstance(cache, ExperimentCache):
+        raise TypeError(
+            f"cache must be an ExperimentCache, None or False, got {cache!r}"
+        )
 
     keys = [key_fn(item) for item in items]
     results = [None] * len(keys)
@@ -184,28 +189,6 @@ def memoized_map(items, key_fn, compute_many, cache: Optional[ExperimentCache]):
         results[idx] = results[first_with_key[keys[idx]]]
     cache.in_call_duplicates += len(duplicates)
     return results
-
-
-_DEFAULT_CACHE = ExperimentCache()
-
-
-def _publish_experiment_cache(registry) -> None:
-    publish_cache_counters(registry, "experiment", _DEFAULT_CACHE.counters())
-
-
-REGISTRY.register_collector(_publish_experiment_cache)
-
-
-def default_cache() -> ExperimentCache:
-    """The process-wide experiment cache used when no cache is passed."""
-
-    return _DEFAULT_CACHE
-
-
-def clear_default_cache() -> None:
-    """Drop all entries (and counters) of the process-wide cache."""
-
-    _DEFAULT_CACHE.clear()
 
 
 @dataclass(frozen=True)
@@ -264,23 +247,17 @@ def run_experiment_on_fields(
     dataset: str,
     config: ExperimentConfig | None = None,
     parallel: ParallelConfig | None = None,
-    cache: Union[ExperimentCache, bool, None] = None,
+    cache: CacheArg = None,
 ) -> ExperimentResult:
     """Measure an explicit list of labelled fields.
 
-    ``cache`` selects the memo for repeated (field, config) cells: ``None``
-    (default) uses the process-wide cache, an :class:`ExperimentCache`
-    instance uses that cache, and ``False`` disables memoization.  Fields
-    go through :func:`memoized_map`, so a field repeated within one call
-    is measured once.
+    ``cache`` is an optional memo for repeated (field, config) cells: an
+    :class:`ExperimentCache` serves earlier results and measures a field
+    repeated within the call once; ``None`` (default) or ``False``
+    measures every field.
     """
 
     config = config or ExperimentConfig()
-    if cache is None or cache is True:
-        cache = _DEFAULT_CACHE
-    elif cache is False:
-        cache = None
-
     tasks = [(dataset, label, np.asarray(field), config) for label, field in fields]
     groups = memoized_map(
         tasks,
@@ -299,7 +276,7 @@ def run_experiment(
     registry: DatasetRegistry | None = None,
     seed: SeedLike = 0,
     parallel: ParallelConfig | None = None,
-    cache: Union[ExperimentCache, bool, None] = None,
+    cache: CacheArg = None,
 ) -> ExperimentResult:
     """Run a full sweep on a named dataset from the registry.
 

@@ -11,7 +11,7 @@ stdlib-only and designed to cost nothing when switched off:
   ``compress_volume`` wavefront.
 * :mod:`repro.obs.metrics` — a process-wide registry of counters, gauges
   and histograms that unifies the repo's scattered ad-hoc counters
-  (experiment/volume/store caches, hot-chunk cache, serve gate), with a
+  (volume and store ops, hot-chunk cache, serve gate), with a
   Prometheus text-exposition renderer backing ``GET /metrics``.
 * :mod:`repro.obs.accesslog` — the JSON-lines access log the serve layer
   writes per request.

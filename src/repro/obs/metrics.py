@@ -19,8 +19,8 @@ Naming scheme (the "documented naming scheme" of the counter
 unification): ``repro_<subsystem>_<quantity>_<unit-or-total>`` with
 sources distinguished by labels, e.g.::
 
-    repro_cache_hits_total{cache="experiment"}
     repro_cache_hits_total{cache="hot-chunk"}
+    repro_volume_tiles_compressed_total{compressor="sz"}
     repro_store_chunks_decoded_total
     repro_serve_requests_total{route="chunk"}
     repro_serve_responses_total{class="5xx"}
@@ -413,7 +413,7 @@ def publish_cache_counters(
     """Publish a cache's ``counters()`` dict under the unified cache names.
 
     Understands the keys the repo's caches expose (``hits``, ``misses``,
-    ``evictions``, ``in_call_duplicates``, ``coalesced``, ``entries``,
+    ``evictions``, ``coalesced``, ``entries``,
     ``nbytes``, ``max_nbytes``) and ignores anything else.
     """
 
@@ -421,7 +421,6 @@ def publish_cache_counters(
         "hits": "repro_cache_hits_total",
         "misses": "repro_cache_misses_total",
         "evictions": "repro_cache_evictions_total",
-        "in_call_duplicates": "repro_cache_in_call_duplicates_total",
         "coalesced": "repro_cache_coalesced_total",
     }
     as_gauge = {

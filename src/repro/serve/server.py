@@ -678,8 +678,8 @@ class ArrayServer:
 
         The per-server registry (requests, latencies, gate, hot-chunk
         cache) and the process-wide :data:`~repro.obs.metrics.REGISTRY`
-        (experiment/volume/store caches, store op counters) use disjoint
-        metric names, so their concatenation is valid exposition output.
+        (volume and store op counters) use disjoint metric names, so
+        their concatenation is valid exposition output.
         """
 
         body = render_prometheus((self.registry, REGISTRY)).encode("utf-8")

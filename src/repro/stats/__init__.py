@@ -16,7 +16,7 @@ characterise correlation structure:
   standard deviation ("Std of estimated local variogram range (H=32)"),
   over HxH squares or HxHxH cubes.
 * :mod:`repro.stats.variogram3d` -- directional variograms, the anisotropy
-  ratio and 3D-only names of the variogram statistics.
+  ratio and the volume-only variogram range.
 * :mod:`repro.stats.svd` -- local SVD truncation levels (number of singular
   modes capturing 99% of variance) and their standard deviation.
 * :mod:`repro.stats.entropy` -- Shannon entropy of quantized fields (the
@@ -66,7 +66,6 @@ from repro.stats.wavelet import (
 from repro.stats.variogram3d import (
     anisotropy_ratio,
     directional_variogram,
-    empirical_variogram_3d,
     estimate_variogram_range_3d,
 )
 
@@ -103,6 +102,5 @@ __all__ = [
     "std_local_wavelet_slope",
     "directional_variogram",
     "anisotropy_ratio",
-    "empirical_variogram_3d",
     "estimate_variogram_range_3d",
 ]

@@ -1,4 +1,4 @@
-"""Directional variograms and the 3D names of the variogram statistics.
+"""Directional variograms and the volume-only variogram range.
 
 The paper analyses 2D slices with an isotropic variogram and flags "a
 design of the statistics to a 3D context" as future work.  The isotropic
@@ -11,10 +11,8 @@ and :mod:`repro.stats.local` take 3D volumes directly; this module adds
 * :func:`anisotropy_ratio` — ratio of the per-axis fitted ranges of a 2D
   field (1 for isotropic data), a cheap diagnostic for when the isotropic
   range is a questionable summary;
-* :func:`empirical_variogram_3d`, :func:`estimate_variogram_range_3d`,
-  :func:`local_variogram_ranges_3d` and :func:`std_local_variogram_range_3d`
-  — the general functions under volume-only names, which reject any input
-  that is not 3D.
+* :func:`estimate_variogram_range_3d` — the general range estimate under
+  a volume-only name, which rejects any input that is not 3D.
 """
 
 from __future__ import annotations
@@ -23,22 +21,14 @@ from typing import Optional
 
 import numpy as np
 
-from repro.stats.local import (
-    LocalVariogramResult,
-    local_variogram_ranges,
-    std_local_variogram_range,
-)
-from repro.stats.variogram import EmpiricalVariogram, VariogramConfig, empirical_variogram
+from repro.stats.variogram import EmpiricalVariogram, VariogramConfig
 from repro.stats.variogram_models import estimate_variogram_range, fit_variogram
 from repro.utils.validation import ensure_2d, ensure_float_array, ensure_ndim
 
 __all__ = [
     "directional_variogram",
     "anisotropy_ratio",
-    "empirical_variogram_3d",
     "estimate_variogram_range_3d",
-    "local_variogram_ranges_3d",
-    "std_local_variogram_range_3d",
 ]
 
 
@@ -94,15 +84,6 @@ def anisotropy_ratio(field: np.ndarray, max_lag: Optional[int] = None) -> float:
     return float(row_range / col_range)
 
 
-def empirical_variogram_3d(
-    volume: np.ndarray, config: VariogramConfig | None = None
-) -> EmpiricalVariogram:
-    """Isotropic semi-variogram of a 3D volume (exact FFT pair enumeration)."""
-
-    volume = ensure_ndim(volume, (3,), "volume")
-    return empirical_variogram(volume, config)
-
-
 def estimate_variogram_range_3d(
     volume: np.ndarray,
     *,
@@ -113,29 +94,3 @@ def estimate_variogram_range_3d(
 
     volume = ensure_ndim(volume, (3,), "volume")
     return estimate_variogram_range(volume, model=model, config=config)
-
-
-def local_variogram_ranges_3d(
-    volume: np.ndarray,
-    window: int = 32,
-    *,
-    model: str = "gaussian",
-    config: Optional[VariogramConfig] = None,
-) -> LocalVariogramResult:
-    """Variogram range inside every complete ``window^3`` cube of a volume."""
-
-    volume = ensure_ndim(volume, (3,), "volume")
-    return local_variogram_ranges(volume, window, model=model, config=config)
-
-
-def std_local_variogram_range_3d(
-    volume: np.ndarray,
-    window: int = 32,
-    *,
-    model: str = "gaussian",
-    config: Optional[VariogramConfig] = None,
-) -> float:
-    """Std of the windowed 3D variogram ranges (Fig. 7's statistic for volumes)."""
-
-    volume = ensure_ndim(volume, (3,), "volume")
-    return std_local_variogram_range(volume, window, model=model, config=config)

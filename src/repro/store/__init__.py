@@ -31,7 +31,6 @@ from repro.store.array_store import (
     ArrayStore,
     ChunkRecord,
     ReadReport,
-    default_store_cache,
 )
 from repro.store.format import (
     INDEX_VERSION,
@@ -53,7 +52,6 @@ __all__ = [
     "load_store_state",
     "parse_region_text",
     "format_region",
-    "default_store_cache",
     "IndexRecord",
     "INDEX_VERSION",
     "StoreFormatError",

@@ -17,12 +17,11 @@ Design points:
   the chunks intersecting the requested region and assembles the
   subarray; :attr:`ArrayStore.last_read` reports exactly how many chunk
   payloads were decoded (the partial-read benchmark asserts on it).
-* **Content dedup** — chunk compression results are memoized in the
-  shared :class:`~repro.core.pipeline.ExperimentCache` (keyed by chunk
-  bytes + shape + policy configuration), and byte-identical payloads are
-  stored once in ``chunks.bin`` with index records sharing the byte
-  range.  Payload SHA-1s are persisted in ``meta.json`` so appends dedup
-  against existing chunks too.
+* **Content dedup** — byte-identical payloads are stored once in
+  ``chunks.bin`` with index records sharing the byte range.  Payload
+  SHA-1s are persisted in ``meta.json`` so appends dedup against existing
+  chunks too.  Every written chunk is compressed; nothing is memoized
+  across writes.
 * **Append** — :meth:`ArrayStore.append` grows the array along axis 0.
   When the current extent is not chunk-aligned the trailing partial
   chunks are re-compressed from their decoded content plus the new data;
@@ -49,12 +48,11 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.pipeline import ExperimentCache, memoized_map
-from repro.obs.metrics import REGISTRY, json_finite, publish_cache_counters
+from repro.obs.metrics import REGISTRY, json_finite
 from repro.obs.trace import span as obs_span
 from repro.compressors.halo import TileHalo, reconstruction_faces
 from repro.compressors.registry import make_compressor
@@ -88,28 +86,11 @@ __all__ = [
     "ChunkRecord",
     "ReadReport",
     "StoreSnapshot",
-    "default_store_cache",
     "DEFAULT_CHUNK_EDGES",
 ]
 
 #: Default chunk edge per dimensionality (the ISSUE's 128^2 / 64^3).
 DEFAULT_CHUNK_EDGES = {2: 128, 3: 64}
-
-_STORE_CACHE = ExperimentCache(max_entries=256)
-
-
-def default_store_cache() -> ExperimentCache:
-    """The process-wide chunk-compression memo used when none is passed."""
-
-    return _STORE_CACHE
-
-
-def _publish_store_cache(registry) -> None:
-    publish_cache_counters(registry, "store-chunk", _STORE_CACHE.counters())
-
-
-REGISTRY.register_collector(_publish_store_cache)
-
 
 @dataclass(frozen=True)
 class ChunkRecord:
@@ -126,7 +107,7 @@ class ChunkRecord:
 
 @dataclass(frozen=True)
 class _ChunkResult:
-    """Worker output for one compressed chunk (cached and persisted).
+    """Worker output for one compressed chunk (persisted).
 
     ``flags`` are the chunk's index halo flags (0 when the payload decodes
     standalone — including halo attempts that fell back to raw).  For
@@ -408,21 +389,12 @@ class ArrayStore:
     orphaned_nbytes = _from_snapshot("orphaned_nbytes")
 
     # -- write / append -------------------------------------------------
-    def _config_key(self) -> str:
-        options = self._meta["compressor_options"]
-        return (
-            f"{self.codec_policy}:{self.error_bound!r}:"
-            f"{sorted((k, sorted(v.items())) for k, v in options.items())!r}:"
-            f"stats={self._meta['chunk_stats']}:halo={self.halo}"
-        )
-
     def _compress_block(
         self,
         offsets: List[Tuple[int, ...]],
         chunks: List[np.ndarray],
         exact_rows: List[int],
         parallel: Optional[ParallelConfig],
-        cache: Union[ExperimentCache, bool, None],
         chunk_shape: Tuple[int, ...],
     ) -> List[_ChunkResult]:
         """Compress one write/append block through its tile plan.
@@ -437,25 +409,13 @@ class ArrayStore:
         chunk outside that slab ever references into it (halo planes look
         toward lower indices only, and a slab's chunks are rewritten
         together).
-
-        Results go through the shared
-        :func:`repro.core.pipeline.memoized_map` protocol, as in
-        :func:`repro.volumes.pipeline.compress_volume`: ``None`` /
-        ``True`` selects the process-wide store cache, ``False`` disables
-        memoization.  Memo keys include each chunk's halo digest and the
-        faces request, so halo variants never alias.
         """
 
-        if cache is None or cache is True:
-            cache = _STORE_CACHE
-        elif cache is False:
-            cache = None
         # A store written under a spec this code no longer accepts still
         # reads; only writing needs the policy, and fails here.
         _, candidates = parse_policy(self.codec_policy)
         options = {k: dict(v) for k, v in self._meta["compressor_options"].items()}
         with_stats = bool(self._meta["chunk_stats"])
-        config_key = self._config_key()
         extents = [chunk.shape for chunk in chunks]
         if self.halo:
             plan = TilePlan.parity(offsets, extents, chunk_shape)
@@ -486,19 +446,6 @@ class ArrayStore:
                 self.halo and not tile.planes,
             )
 
-        def key_fn(task: _ChunkTask) -> str:
-            halo_key = task.halo.digest() if task.halo is not None else "-"
-            return ExperimentCache.key(
-                "store-chunk",
-                f"{config_key}:exact={task.exact_rows}:halo={halo_key}"
-                f":ref={task.ref_axis}:faces={task.want_faces}",
-                task.chunk,
-                "",
-            )
-
-        def memo(tasks, compute):
-            return memoized_map(tasks, key_fn, compute, cache)
-
         def done(index: int, result: _ChunkResult) -> _ChunkResult:
             results[index] = result
             return result
@@ -514,7 +461,6 @@ class ArrayStore:
                 _compress_chunk,
                 enumerate(plan.waves()),
                 build,
-                memo=memo,
                 done=done,
             )
         return results
@@ -534,7 +480,6 @@ class ArrayStore:
         array: np.ndarray,
         *,
         parallel: Optional[ParallelConfig] = None,
-        cache: Union[ExperimentCache, bool, None] = None,
     ) -> "ArrayStore":
         """(Re)write the full array, replacing any existing content."""
 
@@ -544,7 +489,7 @@ class ArrayStore:
                 self._meta["chunk_shape"], array.ndim
             )
             self._write_block(
-                array, 0, 0, parallel, cache, chunk_shape, truncate=True
+                array, 0, 0, parallel, chunk_shape, truncate=True
             )
         REGISTRY.counter(
             "repro_store_writes_total",
@@ -557,7 +502,6 @@ class ArrayStore:
         array: np.ndarray,
         *,
         parallel: Optional[ParallelConfig] = None,
-        cache: Union[ExperimentCache, bool, None] = None,
     ) -> "ArrayStore":
         """Grow the stored array along axis 0 by ``array``.
 
@@ -574,10 +518,10 @@ class ArrayStore:
         """
 
         if self.shape is None:
-            return self.write(array, parallel=parallel, cache=cache)
+            return self.write(array, parallel=parallel)
         array = self._check_array(array)
         with obs_span("store.append", "store", nbytes=int(array.nbytes)):
-            self._append_checked(array, parallel, cache)
+            self._append_checked(array, parallel)
         REGISTRY.counter(
             "repro_store_appends_total",
             help="Store appends (axis-0 growth) performed by this process.",
@@ -588,7 +532,6 @@ class ArrayStore:
         self,
         array: np.ndarray,
         parallel: Optional[ParallelConfig],
-        cache: Union[ExperimentCache, bool, None],
     ) -> None:
         shape = self.shape
         chunk_shape = self.chunk_shape
@@ -606,7 +549,7 @@ class ArrayStore:
         else:
             block = array
         self._write_block(
-            block, base_row, remainder, parallel, cache, chunk_shape, truncate=False
+            block, base_row, remainder, parallel, chunk_shape, truncate=False
         )
 
     def _write_block(
@@ -615,7 +558,6 @@ class ArrayStore:
         base_row: int,
         exact: int,
         parallel: Optional[ParallelConfig],
-        cache: Union[ExperimentCache, bool, None],
         chunk_shape: Tuple[int, ...],
         *,
         truncate: bool,
@@ -640,7 +582,7 @@ class ArrayStore:
         ]
         exact_rows = [exact if local[0] == 0 else 0 for local in local_offsets]
         results = self._compress_block(
-            offsets, chunks, exact_rows, parallel, cache, chunk_shape
+            offsets, chunks, exact_rows, parallel, chunk_shape
         )
 
         # C scan order puts the records of the rows before the block (and

@@ -5,7 +5,6 @@ from repro.volumes.pipeline import (
     VolumeTile,
     compress_volume,
     decompress_volume,
-    default_volume_cache,
     measure_volume_field,
     shard_volume,
     slice_baseline,
@@ -26,7 +25,6 @@ __all__ = [
     "compress_volume_stream",
     "decompress_volume",
     "decompress_volume_stream",
-    "default_volume_cache",
     "measure_volume_field",
     "npy_volume_info",
     "open_slab_source",

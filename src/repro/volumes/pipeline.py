@@ -12,10 +12,10 @@ around them:
 * :func:`compress_volume` runs the tiles of the volume's
   :class:`~repro.utils.schedule.TilePlan` through a compressor on a
   :class:`~repro.utils.schedule.WaveExecutor` — inline, or over a
-  :class:`repro.utils.parallel.ParallelConfig` pool — and memoizes
-  per-tile results in the shared
-  :class:`repro.core.pipeline.ExperimentCache` (content-hash keyed, so
-  repeated tiles such as quiescent far-field regions are compressed once);
+  :class:`repro.utils.parallel.ParallelConfig` pool — and, when the
+  caller passes a :class:`repro.core.pipeline.ExperimentCache`, memoizes
+  per-tile results in it (content-hash keyed, so repeated tiles such as
+  quiescent far-field regions are compressed once);
 * :func:`decompress_volume` replays the same plan into the output volume;
 * :func:`measure_volume_field` produces the same
   :class:`~repro.core.experiment.CompressionRecord` rows the 2D pipeline
@@ -43,7 +43,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -51,8 +50,8 @@ import numpy as np
 from repro.compressors.base import CompressedField
 from repro.compressors.halo import TileHalo, reconstruction_faces
 from repro.compressors.registry import make_compressor
-from repro.core.pipeline import ExperimentCache, memoized_map
-from repro.obs.metrics import REGISTRY, publish_cache_counters
+from repro.core.pipeline import CacheArg, ExperimentCache, memoized_map
+from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
 from repro.pressio.metrics import CompressionMetrics, error_statistics
 from repro.utils.blocking import grid_offsets
@@ -70,28 +69,11 @@ __all__ = [
     "volume_metrics",
     "slice_baseline",
     "measure_volume_field",
-    "default_volume_cache",
 ]
 
 #: Default tile edge; 64^3 float64 tiles are 2 MB — large enough that the
 #: per-tile container overhead vanishes, small enough to parallelise.
 DEFAULT_TILE_SHAPE = (64, 64, 64)
-
-_VOLUME_CACHE = ExperimentCache(max_entries=128)
-
-
-def default_volume_cache() -> ExperimentCache:
-    """The process-wide tile cache used when no cache is passed."""
-
-    return _VOLUME_CACHE
-
-
-def _publish_volume_cache(registry) -> None:
-    publish_cache_counters(registry, "volume-tile", _VOLUME_CACHE.counters())
-
-
-REGISTRY.register_collector(_publish_volume_cache)
-
 
 def _record_compress(result: "CompressedVolume", began: float) -> "CompressedVolume":
     """Publish one compress_volume call into the process-wide registry.
@@ -301,7 +283,7 @@ def _encode_volume(
     tile: Tuple[int, int, int],
     compressor_options: Optional[Dict],
     parallel: Optional[ParallelConfig],
-    cache: Union[ExperimentCache, bool, None],
+    cache: CacheArg,
     halo: bool,
     *,
     stream: bool,
@@ -309,17 +291,13 @@ def _encode_volume(
     """Compress a volume window by window: whole (one-shot) or per slab.
 
     ``read(row_start, rows)`` returns a window's rows.  Memo keys are the
-    same in both modes, so streams and one-shot calls share the tile
+    same in both modes, so streams and one-shot calls share a tile
     cache; a window is released before the next one is read, so a
     stream's peak holds one slab.
     """
 
     ensure_positive(error_bound, "error_bound")
     options = dict(compressor_options or {})
-    if cache is None or cache is True:
-        cache = _VOLUME_CACHE
-    elif cache is False:
-        cache = None
     config_key = f"{compressor}:{error_bound!r}:{sorted(options.items())!r}"
     began = time.perf_counter()
     plan = TilePlan.wavefront(shape, tile, halo=halo)
@@ -473,16 +451,16 @@ def compress_volume(
     tile_shape: Sequence[int] = DEFAULT_TILE_SHAPE,
     compressor_options: Optional[Dict] = None,
     parallel: Optional[ParallelConfig] = None,
-    cache: Union[ExperimentCache, bool, None] = None,
+    cache: CacheArg = None,
     halo: bool = False,
 ) -> CompressedVolume:
     """Compress a 3D volume tile by tile.
 
-    ``cache`` selects the per-tile memo: ``None`` (default) uses the
-    process-wide volume cache, an :class:`ExperimentCache` instance uses
-    that cache, and ``False`` disables memoization.  Tiles are keyed by
-    their content hash plus the (compressor, bound, options) configuration,
-    so byte-identical tiles — constant or repeated regions — compress once.
+    ``cache`` is an optional per-tile memo: with an :class:`ExperimentCache`,
+    tiles are keyed by their content hash plus the (compressor, bound,
+    options) configuration, so byte-identical tiles — constant or repeated
+    regions — compress once.  ``None`` (default) or ``False`` compresses
+    every tile.
 
     ``parallel`` runs each wave's tiles over a worker pool; every task
     carries its own tile.  The bytes never depend on the schedule.

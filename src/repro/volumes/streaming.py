@@ -31,7 +31,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.pipeline import ExperimentCache
+from repro.core.pipeline import CacheArg
 from repro.utils.parallel import ParallelConfig
 from repro.volumes.pipeline import (
     DEFAULT_TILE_SHAPE,
@@ -133,14 +133,14 @@ def compress_volume_stream(
     tile_shape: Sequence[int] = DEFAULT_TILE_SHAPE,
     compressor_options: Optional[Dict] = None,
     parallel: Optional[ParallelConfig] = None,
-    cache: Union[ExperimentCache, bool, None] = None,
+    cache: CacheArg = None,
     halo: bool = False,
 ) -> CompressedVolume:
     """Compress a volume slab by slab; bit-identical to ``compress_volume``.
 
     ``source`` is a 3D array or a path to a C-order ``.npy`` file.  Memo
-    keys match the one-shot pipeline exactly, so the two paths share the
-    tile cache.  With ``parallel``, each slab's tiles fan out over the
+    keys match the one-shot pipeline exactly, so the two paths can share
+    a tile cache.  With ``parallel``, each slab's tiles fan out over the
     pool, every task carrying its own tile; the in-slab schedule is the 2D wavefront over the remaining axes, so
     the halo chain sees tiles in a valid wavefront order either way.
     """

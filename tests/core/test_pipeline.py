@@ -12,8 +12,12 @@ from repro.core.pipeline import (
     run_experiment,
     run_experiment_on_fields,
 )
+from repro.datasets.miranda import generate_miranda_like_volume
 from repro.datasets.registry import DatasetRegistry
+from repro.obs.trace import Tracer, install_tracer
+from repro.store import ArrayStore
 from repro.utils.parallel import ParallelConfig
+from repro.volumes.pipeline import compress_volume
 
 FAST_CONFIG = ExperimentConfig(
     compressors=("sz", "zfp"),
@@ -184,6 +188,40 @@ class TestExperimentCache:
         assert ExperimentCache.key("d", "lcfg", field, "") != ExperimentCache.key(
             "d", "l", field, "cfg"
         )
+
+
+class TestMemoIsOptIn:
+    def test_repeated_calls_do_the_work_again(self, tmp_path, smooth_field):
+        volume = generate_miranda_like_volume((16, 16, 16), seed=3)
+        store = ArrayStore.create(tmp_path / "s", chunk_shape=8, codec="sz")
+        tracer = Tracer()
+        with install_tracer(tracer):
+            for _ in range(2):
+                compress_volume(volume, "sz", 1e-3, tile_shape=(8, 8, 8))
+                store.write(volume)
+        names = [record.name for record in tracer.spans()]
+        # Without a caller's cache nothing is memoized across calls.
+        assert names.count("volume.tile") == 2 * 8
+        assert names.count("store.encode_chunk") == 2 * 8
+
+        # The store has no memo to opt out of; the volume and experiment
+        # entry points still take cache=False and run.
+        with pytest.raises(TypeError):
+            store.write(volume, cache=False)
+        with pytest.raises(TypeError):
+            store.append(volume, cache=False)
+        compressed = compress_volume(
+            volume, "sz", 1e-3, tile_shape=(8, 8, 8), cache=False
+        )
+        assert compressed.n_tiles == 8
+        result = run_experiment_on_fields(
+            [("a", smooth_field)], dataset="t", config=FAST_CONFIG, cache=False
+        )
+        assert len(result.records) == 4
+        with pytest.raises(TypeError):
+            run_experiment_on_fields(
+                [("a", smooth_field)], dataset="t", config=FAST_CONFIG, cache=True
+            )
 
 
 class TestRecordsToTable:

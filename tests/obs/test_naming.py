@@ -54,19 +54,6 @@ class TestStoreInfo:
 
 
 class TestVolumeMetrics:
-    def test_in_call_duplicates_reach_the_registry(self):
-        plane = generate_gaussian_field((16, 16), seed=3)
-        cube = np.broadcast_to(plane, (16, 16, 16)).copy()
-        before = REGISTRY.snapshot()
-        compress_volume(cube, "sz", 1e-3, tile_shape=(8, 8, 8))
-        # 8 tiles, 4 distinct: the axis-0 repeats resolve in the call.
-        label = '{cache="volume-tile"}'
-        assert _delta(before, f"repro_cache_in_call_duplicates_total{label}") == 4
-        assert (
-            _delta(before, f"repro_cache_hits_total{label}")
-            + _delta(before, f"repro_cache_misses_total{label}")
-        ) == 4
-
     def test_volume_keeps_no_counter_copy(self):
         cube = np.zeros((8, 8, 8))
         compressed = compress_volume(cube, "sz", 1e-3, tile_shape=(8, 8, 8))
@@ -75,13 +62,12 @@ class TestVolumeMetrics:
 
 
 class TestProcessRegistry:
-    def test_library_collectors_feed_the_process_registry(self, tmp_path, field):
+    def test_library_layers_publish_no_cache_series(self, tmp_path, field):
         store = ArrayStore.create(
             tmp_path / "reg", chunk_shape=32, codec="sz", error_bound=1e-3
         )
         store.write(field)
+        compress_volume(np.zeros((8, 8, 8)), "sz", 1e-3, tile_shape=(8, 8, 8))
         snapshot = REGISTRY.snapshot()
         assert snapshot["repro_store_writes_total"] >= 1
-        assert 'repro_cache_hits_total{cache="experiment"}' in snapshot
-        assert 'repro_cache_hits_total{cache="store-chunk"}' in snapshot
-        assert 'repro_cache_hits_total{cache="volume-tile"}' in snapshot
+        assert not [name for name in snapshot if name.startswith("repro_cache_")]

@@ -25,7 +25,7 @@ def build_store(path, array, *, chunk=32, codec="sz", **kwargs) -> ArrayStore:
     store = ArrayStore.create(
         path, chunk_shape=chunk, codec=codec, error_bound=BOUND, **kwargs
     )
-    store.write(np.asarray(array), cache=False)
+    store.write(np.asarray(array))
     return store
 
 

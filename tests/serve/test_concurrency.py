@@ -33,7 +33,7 @@ def _append_states(root, name, base, steps):
     store = build_store(root / name, base, chunk=16)
     states = {store.generation: store.read()}
     for step in steps:
-        store.append(step, cache=False)
+        store.append(step)
         states[store.generation] = store.read()
     return states
 
@@ -76,7 +76,7 @@ class TestSnapshotIsolation:
             thread.start()
         try:
             for step in steps:
-                live.append(step, cache=False)
+                live.append(step)
                 time.sleep(0.05)
         finally:
             stop.set()
@@ -96,7 +96,7 @@ class TestSnapshotIsolation:
         store = build_store(tmp_path / "s", field_2d[:40], chunk=16)
         snapshot = StoreSnapshot.open(str(tmp_path / "s"))
         before, _ = snapshot.read()
-        store.append(np.ascontiguousarray(field_2d[40:57]), cache=False)
+        store.append(np.ascontiguousarray(field_2d[40:57]))
         again, _ = snapshot.read()
         np.testing.assert_array_equal(again, before)
         assert ArrayStore.open(str(tmp_path / "s")).shape[0] == 57

@@ -79,6 +79,21 @@ class TestMetricsEndpoint:
         assert "repro_serve_gate_max_concurrency 4" in text
         assert 'repro_serve_request_seconds_bucket{route="read",le="+Inf"}' in text
 
+    def test_only_the_hot_chunk_cache_is_published(self, obs_server, field_2d):
+        # Ingest and read through the server: no process-wide memo of the
+        # library layers may surface as a repro_cache_* series.
+        with StoreClient(obs_server.url) as client:
+            client.put("ingested", field_2d[:64], chunk=32, halo=True)
+            client.append("ingested", field_2d[64:])
+            client.get("ingested")
+            _, payload = client._request("GET", "/metrics")
+        caches = {
+            re.search(r'cache="([^"]*)"', line).group(1)
+            for line in payload.decode("utf-8").splitlines()
+            if line.startswith("repro_cache_")
+        }
+        assert caches == {"hot-chunk"}
+
 
 class TestRequestIds:
     def test_inbound_id_is_honored(self, obs_server):

@@ -7,14 +7,12 @@ import pytest
 
 from repro.datasets.gaussian import generate_gaussian_field
 from repro.datasets.miranda import generate_miranda_like_volume
-from repro.stats.variogram import VariogramConfig
+from repro.stats.local import local_variogram_ranges, std_local_variogram_range
+from repro.stats.variogram import VariogramConfig, empirical_variogram
 from repro.stats.variogram3d import (
     anisotropy_ratio,
     directional_variogram,
-    empirical_variogram_3d,
     estimate_variogram_range_3d,
-    local_variogram_ranges_3d,
-    std_local_variogram_range_3d,
 )
 
 
@@ -62,7 +60,7 @@ class TestAnisotropyRatio:
 class TestVariogram3D:
     def test_constant_volume_zero_variogram(self):
         volume = np.full((8, 8, 8), 2.0)
-        result = empirical_variogram_3d(volume)
+        result = empirical_variogram(volume)
         np.testing.assert_allclose(result.values, 0.0, atol=1e-18)
 
     def test_constant_volume_has_no_range(self):
@@ -72,23 +70,23 @@ class TestVariogram3D:
         # min(shape) // 2, the 2D rule: a smallest edge of 9 caps the lag at
         # 4, where the separate 3D estimator used 4.5 and kept one more bin.
         volume = np.random.default_rng(15).normal(size=(9, 16, 16))
-        result = empirical_variogram_3d(volume)
+        result = empirical_variogram(volume)
         assert result.lags.max() <= 4.0
-        capped = empirical_variogram_3d(volume, VariogramConfig(max_lag=4.0))
+        capped = empirical_variogram(volume, VariogramConfig(max_lag=4.0))
         np.testing.assert_array_equal(result.values, capped.values)
-        old_rule = empirical_variogram_3d(volume, VariogramConfig(max_lag=4.5))
+        old_rule = empirical_variogram(volume, VariogramConfig(max_lag=4.5))
         assert old_rule.n_bins == result.n_bins + 1
 
     def test_white_noise_sill_matches_variance(self):
         volume = np.random.default_rng(5).normal(size=(16, 16, 16))
-        result = empirical_variogram_3d(volume)
+        result = empirical_variogram(volume)
         assert result.values.mean() == pytest.approx(volume.var(), rel=0.15)
 
     def test_matches_brute_force_on_tiny_volume(self):
         rng = np.random.default_rng(6)
         volume = rng.normal(size=(4, 4, 3))
         config = VariogramConfig(max_lag=2.0, bin_width=1.0)
-        result = empirical_variogram_3d(volume, config)
+        result = empirical_variogram(volume, config)
 
         coords = [
             (i, j, k)
@@ -112,7 +110,7 @@ class TestVariogram3D:
 
     def test_rejects_non_3d(self):
         with pytest.raises(ValueError):
-            empirical_variogram_3d(np.zeros((8, 8)))
+            estimate_variogram_range_3d(np.zeros((8, 8)))
 
     def test_smoother_volume_has_larger_fitted_range(self):
         smooth = generate_miranda_like_volume((12, 48, 48), seed=7)
@@ -133,7 +131,7 @@ class TestVariogram3D:
 class TestLocalVariogram3D:
     def test_window_grid_shape_and_summary(self):
         volume = generate_miranda_like_volume((16, 24, 16), seed=10)
-        result = local_variogram_ranges_3d(volume, window=8)
+        result = local_variogram_ranges(volume, window=8)
         assert result.ranges.shape == (2, 3, 2)
         assert result.n_windows == 12
         assert result.valid_ranges.size > 0
@@ -142,15 +140,15 @@ class TestLocalVariogram3D:
 
     def test_std_statistic_matches_result(self):
         volume = generate_miranda_like_volume((16, 16, 16), seed=11)
-        result = local_variogram_ranges_3d(volume, window=8)
-        assert std_local_variogram_range_3d(volume, window=8) == pytest.approx(
+        result = local_variogram_ranges(volume, window=8)
+        assert std_local_variogram_range(volume, window=8) == pytest.approx(
             result.std, nan_ok=True
         )
 
     def test_constant_windows_yield_nan(self):
         volume = np.zeros((16, 16, 16))
         volume[8:] = np.random.default_rng(12).normal(size=(8, 16, 16))
-        result = local_variogram_ranges_3d(volume, window=8)
+        result = local_variogram_ranges(volume, window=8)
         # The four constant windows (first slab) carry no correlation info.
         assert np.isnan(result.ranges[0]).all()
         assert result.n_failed >= 4
@@ -162,14 +160,16 @@ class TestLocalVariogram3D:
         # Half the windows become strongly correlated (smooth) regions.
         smooth = generate_miranda_like_volume((16, 16, 16), seed=14)
         mixed[:, :, 8:] = smooth[:, :, 8:]
-        assert std_local_variogram_range_3d(
+        assert std_local_variogram_range(
             mixed, window=8
-        ) > std_local_variogram_range_3d(stationary, window=8)
+        ) > std_local_variogram_range(stationary, window=8)
 
     def test_no_complete_window_rejected(self):
         with pytest.raises(ValueError):
-            local_variogram_ranges_3d(np.zeros((8, 8, 8)), window=16)
+            local_variogram_ranges(np.zeros((8, 8, 8)), window=16)
 
     def test_rejects_non_3d(self):
-        with pytest.raises(ValueError):
-            local_variogram_ranges_3d(np.zeros((16, 16)), window=8)
+        # The general estimator tiles 2D and 3D fields; other ranks fail.
+        for shape in [(16,), (8, 8, 8, 8)]:
+            with pytest.raises(ValueError):
+                local_variogram_ranges(np.zeros(shape), window=4)

@@ -145,14 +145,17 @@ class TestEstimateVariogramRange:
             estimate_variogram_range(field)
 
     def test_sampled_pairs_config_accepted(self, smooth_field):
-        # Sampled pairs are drawn unseeded here, so only agreement with the
-        # exact estimator is checked.
         exact = estimate_variogram_range(smooth_field)
         config = VariogramConfig(method="pairs", n_pairs=200_000)
         sampled = estimate_variogram_range(smooth_field, config=config)
         assert sampled == pytest.approx(exact, rel=0.2)
+        # The pairs are drawn from a fixed default seed: one field and
+        # config give one range.
+        assert estimate_variogram_range(smooth_field, config=config) == sampled
         ranges = variogram_ranges([smooth_field, smooth_field.T], config=config)
         np.testing.assert_allclose(ranges, exact, rtol=0.2)
+        again = variogram_ranges([smooth_field, smooth_field.T], config=config)
+        np.testing.assert_array_equal(again, ranges)
 
 
 def _scipy_fit(variogram, model: str, fit_nugget: bool):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -10,16 +11,11 @@ import re
 import numpy as np
 import pytest
 
-from repro.core.pipeline import ExperimentCache
 from repro.datasets.gaussian import generate_gaussian_field
 from repro.datasets.miranda import generate_miranda_like_volume
+from repro.obs.trace import Tracer, install_tracer
 from repro.store import ArrayStore, StoreCorruptionError, StoreFormatError
-from repro.store.array_store import (
-    DATA_NAME,
-    INDEX_NAME,
-    META_NAME,
-    default_store_cache,
-)
+from repro.store.array_store import DATA_NAME, INDEX_NAME, META_NAME
 
 BOUND = 1e-3
 TOL = BOUND * (1.0 + 1e-9)
@@ -42,7 +38,7 @@ def miranda_64():
 
 def make_store(path, array, *, chunk=32, codec="sz", **kwargs):
     store = ArrayStore.create(path, chunk_shape=chunk, codec=codec, **kwargs)
-    store.write(array, cache=False)
+    store.write(array)
     return store
 
 
@@ -98,7 +94,7 @@ class TestRoundTrip:
     def test_write_replaces_content(self, tmp_path, field_2d):
         store = make_store(tmp_path / "s", field_2d)
         other = np.ascontiguousarray(field_2d[::-1, :])
-        store.write(other, cache=False)
+        store.write(other)
         values = ArrayStore.open(tmp_path / "s").read()
         assert np.abs(values - other).max() <= TOL
 
@@ -136,38 +132,59 @@ class TestDedupAndCache:
         assert data_size == store.stored_nbytes
 
     def test_chunk_cache_hits_across_writes(self, tmp_path, field_2d):
-        cache = ExperimentCache(max_entries=64)
-        store = ArrayStore.create(tmp_path / "a", chunk_shape=32)
-        store.write(field_2d, cache=cache)
-        assert cache.misses == store.n_chunks and cache.hits == 0
-        other = ArrayStore.create(tmp_path / "b", chunk_shape=32)
-        other.write(field_2d, cache=cache)
-        assert cache.hits == other.n_chunks
-        assert cache.misses == store.n_chunks
+        """With no memo a second write recomputes every chunk, and gets
+        exactly the bytes a memo hit would have returned."""
+
+        first = make_store(tmp_path / "a", field_2d)
+        second = make_store(tmp_path / "b", field_2d)
+        assert (tmp_path / "a" / DATA_NAME).read_bytes() == (
+            tmp_path / "b" / DATA_NAME
+        ).read_bytes()
+        assert (tmp_path / "a" / INDEX_NAME).read_bytes() == (
+            tmp_path / "b" / INDEX_NAME
+        ).read_bytes()
+        assert first.chunk_records() == second.chunk_records()
 
     def test_identical_chunks_resolve_in_call(self, tmp_path):
-        cache = ExperimentCache(max_entries=64)
-        store = ArrayStore.create(tmp_path / "c", chunk_shape=16)
-        store.write(np.full((64, 64), 3.25), cache=cache)
-        assert cache.misses == 1 and cache.hits == 0
-        assert cache.in_call_duplicates == store.n_chunks - 1
+        """Identical chunks are each encoded, then resolve to one stored
+        payload range when the write lays out its bytes."""
+
+        tracer = Tracer()
+        with install_tracer(tracer):
+            store = make_store(tmp_path / "c", np.full((64, 64), 3.25), chunk=16)
+        from repro.store.format import unpack_index
+
+        names = [record.name for record in tracer.spans()]
+        assert names.count("store.encode_chunk") == store.n_chunks == 16
+        records = unpack_index((tmp_path / "c" / INDEX_NAME).read_bytes())
+        assert len(records) == 16
+        assert len({(r.offset, r.length) for r in records}) == 1
+        assert os.path.getsize(tmp_path / "c" / DATA_NAME) == records[0].length
 
     def test_different_policies_do_not_share_cache(self, tmp_path, field_2d):
-        cache = ExperimentCache(max_entries=64)
-        a = ArrayStore.create(tmp_path / "a", chunk_shape=64, codec="sz")
-        a.write(field_2d, cache=cache)
-        misses = cache.misses
-        b = ArrayStore.create(tmp_path / "b", chunk_shape=64, codec="best:sz+zfp")
-        b.write(field_2d, cache=cache)
-        # A policy listing other codecs must recompute, not hit.
-        assert cache.hits == 0
-        assert cache.misses - misses == b.n_chunks
+        """The same array under two policies: each store's chunks come from
+        its own policy's candidates, never from the other store's."""
 
-    def test_cache_disabled(self, tmp_path, field_2d):
-        before = default_store_cache().counters()
-        store = ArrayStore.create(tmp_path / "s", chunk_shape=32)
-        store.write(field_2d, cache=False)
-        assert default_store_cache().counters() == before
+        a = make_store(tmp_path / "a", field_2d, chunk=64, codec="sz")
+        b = make_store(tmp_path / "b", field_2d, chunk=64, codec="best:sz+zfp")
+        assert {r.codec for r in a.chunk_records()} == {"sz"}
+        assert {r.codec for r in b.chunk_records()} <= {"sz", "zfp"}
+        # "best" keeps the smaller candidate per chunk, so it never loses to sz.
+        assert b.stored_nbytes <= a.stored_nbytes
+        for path in ("a", "b"):
+            values = ArrayStore.open(tmp_path / path).read()
+            assert np.abs(values - field_2d).max() <= TOL
+
+    def test_cache_disabled(self):
+        """The store keeps no compression memo: nothing to enable or opt out of."""
+
+        import repro
+        import repro.store
+
+        for module in (repro, repro.store):
+            assert not hasattr(module, "default_store_cache")
+        for method in (ArrayStore.write, ArrayStore.append):
+            assert "cache" not in inspect.signature(method).parameters
 
 
 class TestParallel:
@@ -178,7 +195,6 @@ class TestParallel:
         parallel = ArrayStore.create(tmp_path / "parallel", chunk_shape=16)
         parallel.write(
             volume_3d,
-            cache=False,
             parallel=ParallelConfig(workers=2, use_processes=False),
         )
         assert (tmp_path / "serial" / DATA_NAME).read_bytes() == (
@@ -192,7 +208,7 @@ class TestParallel:
 class TestAppend:
     def test_append_aligned(self, tmp_path, volume_3d):
         store = make_store(tmp_path / "s", volume_3d[:32], chunk=16)
-        store.append(volume_3d[32:], cache=False)
+        store.append(volume_3d[32:])
         values = ArrayStore.open(tmp_path / "s").read()
         assert values.shape == volume_3d.shape
         assert np.abs(values - volume_3d).max() <= TOL
@@ -204,7 +220,7 @@ class TestAppend:
         store = make_store(tmp_path / "s", volume_3d[:24], chunk=16)
         live_before = store.live_payload_nbytes
         assert store.orphaned_nbytes == 0
-        store.append(volume_3d[24:], cache=False)
+        store.append(volume_3d[24:])
         values = ArrayStore.open(tmp_path / "s").read()
         assert values.shape == volume_3d.shape
         assert np.abs(values - volume_3d).max() <= TOL
@@ -220,13 +236,13 @@ class TestAppend:
 
     def test_append_to_empty_store_writes(self, tmp_path, field_2d):
         store = ArrayStore.create(tmp_path / "s", chunk_shape=32)
-        store.append(field_2d, cache=False)
+        store.append(field_2d)
         assert store.shape == field_2d.shape
 
     def test_repeated_small_appends(self, tmp_path, field_2d):
         store = ArrayStore.create(tmp_path / "s", chunk_shape=32)
         for start in range(0, field_2d.shape[0], 24):
-            store.append(field_2d[start : start + 24], cache=False)
+            store.append(field_2d[start : start + 24])
         values = ArrayStore.open(tmp_path / "s").read()
         assert values.shape == field_2d.shape
         assert np.abs(values - field_2d).max() <= TOL
@@ -245,18 +261,18 @@ class TestAppend:
         """
 
         store = ArrayStore.create(tmp_path / codec, chunk_shape=16, codec=codec)
-        store.write(volume_3d[:24], cache=False)
-        store.append(volume_3d[24:34], cache=False)
-        store.append(volume_3d[34:], cache=False)
+        store.write(volume_3d[:24])
+        store.append(volume_3d[24:34])
+        store.append(volume_3d[34:])
         values = ArrayStore.open(tmp_path / codec).read()
         assert values.shape == volume_3d.shape
         assert np.abs(values - volume_3d).max() <= TOL
 
     def test_rewritten_chunks_preserve_stored_rows_exactly(self, tmp_path, volume_3d):
         store = ArrayStore.create(tmp_path / "s", chunk_shape=16, codec="zfp")
-        store.write(volume_3d[:24], cache=False)
+        store.write(volume_3d[:24])
         before = store.read((slice(16, 24),))
-        store.append(volume_3d[24:], cache=False)
+        store.append(volume_3d[24:])
         after = store.read((slice(16, 24),))
         # The once-lossy rows of the rewritten slab are bit-identical.
         np.testing.assert_array_equal(before, after)
@@ -288,7 +304,7 @@ class TestPolicies:
         self, tmp_path, miranda_64, codec, halo
     ):
         store = ArrayStore.create(tmp_path / "s", chunk_shape=16, codec=codec, halo=halo)
-        store.write(miranda_64, cache=False)
+        store.write(miranda_64)
         records = store.chunk_records()
         assert len(records) == 64
         for record, entry in zip(records, store.snapshot().index):
@@ -443,7 +459,7 @@ class TestRetiredPolicySpec:
         before = {name: (path / name).read_bytes() for name in files}
         store = ArrayStore.open(path)
         with pytest.raises(ValueError, match=re.escape(repr(RETIRED_SPEC))):
-            getattr(store, method)(volume_3d[24:], cache=False)
+            getattr(store, method)(volume_3d[24:])
         for name, payload in before.items():
             assert (path / name).read_bytes() == payload
         np.testing.assert_array_equal(store.read(), expected)
@@ -520,10 +536,10 @@ class TestHaloStore:
         store = ArrayStore.create(
             tmp_path / codec, chunk_shape=16, codec=codec, halo=True
         )
-        store.write(volume_3d[:24], cache=False)
+        store.write(volume_3d[:24])
         before = store.read((slice(0, 24),)).copy()
-        store.append(volume_3d[24:34], cache=False)
-        store.append(volume_3d[34:], cache=False)
+        store.append(volume_3d[24:34])
+        store.append(volume_3d[34:])
         reopened = ArrayStore.open(tmp_path / codec)
         values = reopened.read()
         assert values.shape == volume_3d.shape
@@ -540,7 +556,7 @@ class TestHaloStore:
         serial = make_store(tmp_path / "serial", volume_3d, chunk=16, halo=True)
         parallel = ArrayStore.create(tmp_path / "par", chunk_shape=16, halo=True)
         parallel.write(
-            volume_3d, parallel=ParallelConfig(workers=2), cache=False
+            volume_3d, parallel=ParallelConfig(workers=2)
         )
         a = (tmp_path / "serial" / DATA_NAME).read_bytes()
         b = (tmp_path / "par" / DATA_NAME).read_bytes()

@@ -32,9 +32,9 @@ def _churned_store(path, *, halo=False) -> ArrayStore:
     store = ArrayStore.create(
         path, chunk_shape=32, codec="sz", error_bound=BOUND, halo=halo
     )
-    store.write(np.ascontiguousarray(field[:40]), cache=False)
-    store.append(np.ascontiguousarray(field[40:57]), cache=False)
-    store.append(np.ascontiguousarray(field[57:96]), cache=False)
+    store.write(np.ascontiguousarray(field[:40]))
+    store.append(np.ascontiguousarray(field[40:57]))
+    store.append(np.ascontiguousarray(field[57:96]))
     return store
 
 
@@ -74,7 +74,7 @@ class TestCompact:
         extra = generate_gaussian_field(
             (13, 64), correlation_range=10.0, seed=12
         )
-        store.append(extra, cache=False)
+        store.append(extra)
         got = store.read()
         assert got.shape == (109, 64)
         assert np.abs(got[:96] - field).max() <= BOUND * (1 + 1e-9)

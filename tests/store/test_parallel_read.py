@@ -41,7 +41,7 @@ def store(request, tmp_path_factory):
         error_bound=BOUND,
         halo=request.param,
     )
-    store.write(volume, cache=False)
+    store.write(volume)
     return store
 
 
@@ -82,7 +82,7 @@ class TestPayloadDedup:
         store = ArrayStore.create(
             tmp_path / "flat", chunk_shape=16, codec="sz", error_bound=BOUND
         )
-        store.write(np.ones((32, 32, 32)), cache=False)
+        store.write(np.ones((32, 32, 32)))
         serial = store.read()
         serial_decodes = store.last_read.chunks_decoded
         parallel = store.read(parallel=PARALLEL)
@@ -100,7 +100,7 @@ class TestCacheInteraction:
         store = ArrayStore.create(
             tmp_path / "hot", chunk_shape=16, codec="sz", error_bound=BOUND
         )
-        store.write(field, cache=False)
+        store.write(field)
         cache = HotChunkCache(max_nbytes=1 << 20)
         first = store.read(chunk_cache=cache, parallel=PARALLEL)
         second = store.read(chunk_cache=cache, parallel=PARALLEL)
@@ -113,12 +113,8 @@ class TestAppendedStore:
         store = ArrayStore.create(
             tmp_path / "grown", chunk_shape=16, codec="sz", error_bound=BOUND
         )
-        store.write(
-            generate_miranda_like_volume((32, 24, 24), seed=9), cache=False
-        )
-        store.append(
-            generate_miranda_like_volume((9, 24, 24), seed=10), cache=False
-        )
+        store.write(generate_miranda_like_volume((32, 24, 24), seed=9))
+        store.append(generate_miranda_like_volume((9, 24, 24), seed=10))
         np.testing.assert_array_equal(
             store.read(parallel=PARALLEL), store.read()
         )
@@ -131,7 +127,7 @@ class TestCorruptRawChunk:
         store = ArrayStore.create(
             tmp_path / "raw", chunk_shape=16, codec="sz", error_bound=BOUND
         )
-        store.write(generate_miranda_like_volume((32, 32, 32), seed=4), cache=False)
+        store.write(generate_miranda_like_volume((32, 32, 32), seed=4))
         index_path = tmp_path / "raw" / INDEX_NAME
         records = unpack_index(index_path.read_bytes())
         records[0] = dataclasses.replace(records[0], codec=RAW_CODEC)
@@ -164,7 +160,7 @@ class TestCorruptHaloFlags:
             error_bound=BOUND,
             halo=True,
         )
-        store.write(field, cache=False)
+        store.write(field)
         return store
 
     @pytest.mark.parametrize(

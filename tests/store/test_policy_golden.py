@@ -53,8 +53,8 @@ def _build_store(root: pathlib.Path, volume, codec: str, halo: bool) -> dict:
         chunk_stats=False,
         halo=halo,
     )
-    store.write(volume[:16], cache=False)
-    store.append(volume[16:], cache=False)
+    store.write(volume[:16])
+    store.append(volume[16:])
     return {
         name: hashlib.sha1((path / name).read_bytes()).hexdigest() for name in FILES
     }

@@ -34,11 +34,8 @@ def store_dir(tmp_path):
     store = ArrayStore.create(
         tmp_path / "s", chunk_shape=16, codec="sz", error_bound=BOUND
     )
-    store.write(field, cache=False)
-    store.append(
-        generate_gaussian_field((9, 48), correlation_range=9.0, seed=22),
-        cache=False,
-    )
+    store.write(field)
+    store.append(generate_gaussian_field((9, 48), correlation_range=9.0, seed=22))
     return tmp_path / "s"
 
 
@@ -57,7 +54,7 @@ class TestTornStates:
 
         old_meta, _ = _freeze(store_dir)
         store = ArrayStore.open(str(store_dir))
-        store.append(np.zeros((7, 48)), cache=False)
+        store.append(np.zeros((7, 48)))
         with open(store_dir / "meta.json", "wb") as handle:
             handle.write(old_meta)
         with pytest.raises(StoreCorruptionError):
@@ -68,7 +65,7 @@ class TestTornStates:
     def test_new_meta_with_stale_index_detected(self, store_dir):
         _, old_index = _freeze(store_dir)
         store = ArrayStore.open(str(store_dir))
-        store.append(np.zeros((7, 48)), cache=False)
+        store.append(np.zeros((7, 48)))
         with open(store_dir / "index.bin", "wb") as handle:
             handle.write(old_index)
         with pytest.raises(StoreCorruptionError):
@@ -85,9 +82,13 @@ class TestTornStates:
             json.dump(old_meta, handle)
 
         def heal() -> None:
+            # Replace meta.json atomically, as a store flush does: a plain
+            # truncate-and-write lets the reader see an empty file, which is
+            # corruption, not a torn state.
             time.sleep(0.05)
-            with open(store_dir / "meta.json", "wb") as handle:
+            with open(store_dir / "meta.json.tmp", "wb") as handle:
                 handle.write(good_meta)
+            os.replace(store_dir / "meta.json.tmp", store_dir / "meta.json")
 
         healer = threading.Thread(target=heal)
         healer.start()
@@ -132,9 +133,9 @@ class TestFlushDiscipline:
             tmp_path / "g", chunk_shape=16, codec="sz", error_bound=BOUND
         )
         seen = [store.generation]
-        store.write(np.ones((20, 20)), cache=False)
+        store.write(np.ones((20, 20)))
         seen.append(store.generation)
-        store.append(np.ones((5, 20)), cache=False)
+        store.append(np.ones((5, 20)))
         seen.append(store.generation)
         store.compact()
         seen.append(store.generation)
@@ -174,7 +175,7 @@ class TestSnapshotReads:
             error_bound=BOUND,
             halo=True,
         )
-        store.write(field, cache=False)
+        store.write(field)
         snapshot = StoreSnapshot.open(str(tmp_path / "h"))
         region = (slice(18, 30), slice(18, 30))  # inside a halo chunk
         np.testing.assert_array_equal(
@@ -201,7 +202,7 @@ class TestSnapshotReads:
         store = ArrayStore.create(
             tmp_path / "h", chunk_shape=16, codec="sz", error_bound=BOUND, halo=True
         )
-        store.write(field, cache=False)
+        store.write(field)
         snapshot = StoreSnapshot.open(str(tmp_path / "h"))
         cache = HotChunkCache(max_nbytes=64 * 1024 * 1024)
         region = (slice(18, 30), slice(34, 46))  # inside halo chunk (1, 2)
@@ -215,8 +216,6 @@ class TestSnapshotReads:
     def test_snapshot_is_immutable_under_append(self, store_dir):
         snapshot = StoreSnapshot.open(str(store_dir))
         before, _ = snapshot.read()
-        ArrayStore.open(str(store_dir)).append(
-            np.zeros((6, 48)), cache=False
-        )
+        ArrayStore.open(str(store_dir)).append(np.zeros((6, 48)))
         after, _ = snapshot.read()
         np.testing.assert_array_equal(after, before)

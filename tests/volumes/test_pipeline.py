@@ -12,7 +12,6 @@ from repro.utils.parallel import ParallelConfig
 from repro.volumes.pipeline import (
     compress_volume,
     decompress_volume,
-    default_volume_cache,
     measure_volume_field,
     shard_volume,
     slice_baseline,
@@ -106,9 +105,6 @@ class TestCompressVolume:
         compress_volume(volume, "sz", 1e-3, tile_shape=(16, 16, 16), cache=cache)
         assert cache.hits == 8
         assert cache.misses == 8
-        before = default_volume_cache().counters()
-        compress_volume(volume, "sz", 1e-3, tile_shape=(16, 16, 16), cache=False)
-        assert default_volume_cache().counters() == before
 
     def test_constant_tiles_deduplicate(self):
         cache = ExperimentCache(max_entries=64)
