@@ -26,15 +26,20 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.encoding.bitio import BitReader
-from repro.encoding.context import EntropyContext, stream_width
+from repro.encoding import huffman
+from repro.encoding.context import EntropyContext
 from repro.encoding.rle import rle_decode, rle_encode
-from repro.encoding.huffman import huffman_decode, huffman_encode, huffman_encode_with_code
-from repro.encoding.varint import Reader, Writer, encode_varint
+from repro.encoding.huffman import (
+    _count_symbols,
+    huffman_decode,
+    huffman_plan,
+    huffman_size_bound,
+)
+from repro.encoding.varint import Reader, Writer, varint_size
 from repro.encoding.zstd_like import zstd_like_compress, zstd_like_decompress
 from repro.utils.validation import ensure_in
 
@@ -126,7 +131,7 @@ def entropy_context(streams, wanted: bool) -> Optional[EntropyContext]:
 
 
 class LosslessBackend:
-    """Final lossless stage shared by the SZ-like and MGARD-like compressors.
+    """Final lossless stage shared by the SZ-like, ZFP-like and MGARD-like compressors.
 
     ``"huffman"`` (default) run-length codes the symbol stream and Huffman
     codes both the run values and run lengths — fully vectorised, fast.
@@ -136,32 +141,46 @@ class LosslessBackend:
     ``"raw"`` stores the symbols as fixed-width integers — the "no entropy
     coding" ablation.
 
-    For the ``"huffman"`` and ``"zstd"`` backends the encoder also builds a
-    plain fixed-width bit-packed candidate and keeps whichever is smaller.
-    High-entropy code streams (rough data at tight error bounds) would
-    otherwise pay a Huffman symbol-table overhead larger than the data
-    itself; real entropy coders degrade to near-raw coding in that regime,
-    and so does this one.  When the entropy lower bound alone proves that
-    packing wins (wide near-uniform alphabets, e.g. the ZFP-like DC
-    planes), the Huffman build is skipped outright.  The stream stays
-    self-describing via a tag byte.
+    The ``"huffman"`` and ``"zstd"`` backends encode every stream by one
+    selection rule over self-describing candidates, each tagged by its
+    leading byte:
+
+    * the entropy stream: ``H`` (Huffman-coded run values and run lengths)
+      or, when runs do not pay, ``D`` (the symbols Huffman-coded directly);
+      the ``zstd`` backend wraps it as ``Z``;
+    * ``P``: fixed-width bit packing.  High-entropy streams (rough data at
+      tight bounds) would otherwise pay a Huffman table larger than the
+      data itself; real entropy coders degrade to near-raw coding there;
+    * ``C``: the table-free code of an entropy context's pool, when the
+      caller passes a context with a pool of the stream's bit width.
+
+    Every candidate's exact byte size follows from the stream's symbol
+    counts before any bit is packed, and only the winner is built.  A
+    Huffman candidate whose lower bound (exact table bytes plus the
+    entropy) already loses to the best exact size is not even given a
+    code.  Ties go to the entropy stream, then ``P``, then ``C``, so a
+    context never makes a stream larger.  ``Z``'s size is known only once
+    it is built, so the ``zstd`` ablation builds it.
     """
 
     NAMES = ("huffman", "zstd", "raw")
 
+    #: Run fraction above which run-length coding stops paying: almost every
+    #: run has length 1, so the runs stream costs a second Huffman pass (and
+    #: a second decode) for no size win — code the symbols directly instead.
+    _RLE_RUN_FRACTION = 0.7
+
     def __init__(self, name: str = "huffman") -> None:
         self.name = ensure_in(name, self.NAMES, "lossless backend")
 
-    # -- encoding ------------------------------------------------------
+    # -- fixed-width packing -------------------------------------------
     @staticmethod
     def _pack_fixed_width(values: np.ndarray, width: int) -> bytes:
         """Fixed-``width`` MSB-first bit packing of non-negative values.
 
         A single broadcasted shift expands every symbol into exactly
-        ``width`` MSB-first bits — byte-identical to the general
-        variable-width ``BitWriter.write_bits_array`` path, without its
-        per-symbol repeat/cumsum machinery.  ``BitReader.read_bits_array``
-        is the matching decoder.
+        ``width`` MSB-first bits.  :meth:`_unpack_fixed_width` is the
+        matching decoder.
         """
 
         if values.size == 0:
@@ -171,172 +190,145 @@ class LosslessBackend:
         return np.packbits(bits.astype(np.uint8).ravel()).tobytes()
 
     @staticmethod
-    def _encode_packed(symbols: np.ndarray) -> bytes:
-        """Self-describing fixed-width packing of a symbol stream."""
+    def _unpack_fixed_width(data: bytes, count: int, width: int) -> np.ndarray:
+        """Inverse of :meth:`_pack_fixed_width`: ``count`` values of ``width`` bits.
 
-        body = Writer()
-        body.varint(symbols.size)
-        if symbols.size == 0:
-            body.varint(0)
-            return bytes(body)
-        width = max(1, int(symbols.max()).bit_length())
-        body.varint(width)
+        ``count`` and ``width`` come from the payload, so both are checked
+        against ``data`` before anything of their size is allocated.  Each
+        value's bits are left-padded to a 1/2/4/8-byte big-endian word.
+        """
+
+        if not 1 <= width <= 64:
+            raise ValueError(f"invalid fixed bit width {width}")
+        total = count * width
+        if total > 8 * len(data):
+            raise EOFError("bit stream exhausted")
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=(total + 7) >> 3))
+        word = max(8, 1 << (width - 1).bit_length())
+        padded = np.zeros((count, word), dtype=np.uint8)
+        padded[:, word - width :] = bits[:total].reshape(count, width)
+        return np.packbits(padded, axis=1).view(f">u{word // 8}").ravel().astype(np.int64)
+
+    @staticmethod
+    def _encode_packed(symbols: np.ndarray, width: int) -> bytes:
+        body = Writer(b"P")
+        body.varints((symbols.size, width))
         body.extend(LosslessBackend._pack_fixed_width(symbols, width))
         return bytes(body)
 
-    @staticmethod
-    def _decode_packed(body: Reader) -> np.ndarray:
-        count = body.varint()
-        width = body.varint()
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        bits = BitReader(body.take(body.remaining))
-        return bits.read_bits_array(np.full(count, width, dtype=np.int64)).astype(np.int64)
-
-    #: Run fraction above which run-length coding stops paying: almost every
-    #: run has length 1, so the runs stream costs a second Huffman pass (and
-    #: a second decode) for no size win — code the symbols directly instead.
-    _RLE_RUN_FRACTION = 0.7
-
-    @staticmethod
-    def _encode_huffman_body(symbols: np.ndarray, values: np.ndarray, runs: np.ndarray) -> bytes:
-        body = Writer()
-        body.varint(symbols.size)
-        body.blob(huffman_encode(values))
-        body.blob(huffman_encode(runs))
-        return bytes(body)
-
-    @staticmethod
-    def _encode_direct_body(symbols: np.ndarray) -> bytes:
-        body = Writer()
-        body.varint(symbols.size)
-        body.extend(huffman_encode(symbols))
-        return bytes(body)
-
-    @staticmethod
-    def _packed_beats_entropy_bound(symbols: np.ndarray) -> bool:
-        """True when fixed-width packing provably beats any direct Huffman
-        stream, so the tree build can be skipped outright.
-
-        Any direct-Huffman candidate costs at least ``n*H/8`` payload bytes
-        (entropy lower bound) plus 2 bytes per alphabet entry of symbol
-        table.  Wide, near-uniform streams (e.g. the DC-side coefficient
-        planes of the ZFP-like compressor) fail that bound analytically;
-        building and then discarding their multi-thousand-symbol Huffman
-        tables was the dominant cost of the whole encode.
-        """
-
-        n = symbols.size
-        vmin = int(symbols.min())
-        span = int(symbols.max()) - vmin + 1
-        if span > max(65536, 4 * n):
-            return False  # histogram too wide to be worth the pre-check
-        counts = np.bincount(symbols - vmin, minlength=span)
-        counts = counts[counts > 0]
-        p = counts / n
-        entropy_bytes = float(-(p * np.log2(p)).sum()) * n / 8.0
-        lower_bound = 2.0 + 2.0 * counts.size + entropy_bytes
-        return LosslessBackend._packed_size(symbols) <= lower_bound
-
-    @staticmethod
-    def _packed_size(symbols: np.ndarray) -> int:
-        """Exact byte size of ``b"P" + _encode_packed(symbols)`` without building it."""
-
-        if symbols.size == 0:
-            return 3  # tag, count 0, width 0
-        width = max(1, int(symbols.max()).bit_length())
-        return (
-            1
-            + len(encode_varint(symbols.size))
-            + len(encode_varint(width))
-            + (symbols.size * width + 7) // 8
-        )
-
+    # -- encoding ------------------------------------------------------
     def encode_symbols(self, symbols: np.ndarray, *, context=None) -> bytes:
         """Losslessly encode a non-negative integer symbol stream.
 
         ``context`` is an optional :class:`repro.encoding.context.EntropyContext`
         (the pooled symbol statistics of an already-reconstructed reference
-        tile).  When given, a table-free context-coded candidate (tag
-        ``C``) competes against the self-describing candidates and wins
-        only when strictly smaller — so context can never make a stream
-        larger, and ``context=None`` reproduces the exact legacy bytes.
+        tile).  It adds the table-free ``C`` candidate to the selection;
+        ``context=None`` gives the context-free bytes.
         """
 
         symbols = np.asarray(symbols, dtype=np.int64).ravel()
         if symbols.size and symbols.min() < 0:
             raise ValueError("symbols must be non-negative")
-        best = self._encode_symbols_plain(symbols)
-        if context is not None and self.name != "raw" and symbols.size:
-            candidate = self._encode_context_candidate(symbols, context)
-            if candidate is not None and len(candidate) < len(best):
-                return candidate
-        return best
-
-    def _encode_symbols_plain(self, symbols: np.ndarray) -> bytes:
-        """The self-describing (context-free) encoding of a symbol stream."""
-
         if self.name == "raw":
             body = Writer(b"R")
             body.varint(symbols.size)
             body.extend(symbols.astype("<i8").tobytes())
             return bytes(body)
+        _, build = self._select(symbols, context)
+        return build()
 
-        values, runs = rle_encode(symbols)
-        if runs.size > self._RLE_RUN_FRACTION * symbols.size:
-            # Runs do not pay, so only the direct-Huffman candidate remains;
-            # skip even that when packing wins on the entropy lower bound
-            # alone.  (The zstd backend always builds its candidate: the
-            # ablation measures the full LZ77+Huffman pipeline.)
-            if self.name == "huffman" and symbols.size and self._packed_beats_entropy_bound(
-                symbols
-            ):
-                return b"P" + self._encode_packed(symbols)
-            entropy_candidate = b"D" + self._encode_direct_body(symbols)
+    def _select(self, symbols: np.ndarray, context) -> Tuple[int, Callable[[], bytes]]:
+        """The winning candidate: its exact byte size and its builder."""
+
+        if symbols.size == 0:
+            # Tag, count 0, width 0: every entropy stream's header is longer.
+            return 3, lambda: self._encode_packed(symbols, 0)
+        values, inverse, counts = _count_symbols(symbols)
+        width = max(1, int(values[-1]).bit_length())
+        packed_size = (
+            1 + varint_size(symbols.size) + varint_size(width) + (symbols.size * width + 7) // 8
+        )
+        candidates = [(packed_size, lambda: self._encode_packed(symbols, width))]
+        pool = None if context is None else context.pool(width)
+        if pool is not None:
+            candidates.append(
+                self._context_candidate(symbols, values, inverse, counts, width, pool)
+            )
+        entropy = self._entropy_candidate(
+            symbols, values, inverse, counts, min(size for size, _ in candidates)
+        )
+        if entropy is not None:
+            candidates.insert(0, entropy)
+        # ``min`` keeps the first of equal sizes: entropy stream, P, then C.
+        return min(candidates, key=lambda candidate: candidate[0])
+
+    def _entropy_candidate(self, symbols, values, inverse, counts, rival: int):
+        """The ``H``/``D`` stream (``Z``-wrapped by the zstd backend) as
+        ``(size, build)``, or ``None`` when its lower bound exceeds ``rival``."""
+
+        n_runs = 1 + np.count_nonzero(symbols[1:] != symbols[:-1])
+        if n_runs > self._RLE_RUN_FRACTION * symbols.size:
+            tag, streams = b"D", [(values, inverse, counts)]
         else:
-            entropy_candidate = b"H" + self._encode_huffman_body(symbols, values, runs)
+            tag, streams = b"H", [_count_symbols(part) for part in rle_encode(symbols)]
+        # A D body is one Huffman stream; an H body frames two as blobs.
+        framing = varint_size if tag == b"H" else (lambda size: 0)
+        head = 1 + varint_size(symbols.size)
+        if self.name == "huffman":
+            bounds = [huffman_size_bound(v, c) for v, _, c in streams]
+            if head + sum(framing(b) + b for b in bounds) > rival:
+                return None
+        plans = [huffman_plan(*stream) for stream in streams]
+
+        def build() -> bytes:
+            body = Writer(tag)
+            body.varint(symbols.size)
+            for _, pack in plans:
+                (body.blob if tag == b"H" else body.extend)(pack())
+            return bytes(body)
+
         if self.name == "zstd":
-            # The Z stream wraps the better of the two entropy bodies (its
-            # own leading tag included), mirroring the real SZ/MGARD
-            # Huffman-then-Zstd stage.
-            entropy_candidate = b"Z" + zstd_like_compress(entropy_candidate)
-        # The fixed-width candidate's size is known analytically; only pay
-        # for building it when it actually beats the entropy-coded stream.
-        if self._packed_size(symbols) < len(entropy_candidate):
-            return b"P" + self._encode_packed(symbols)
-        return entropy_candidate
+            # The Z stream wraps the whole tagged entropy stream, mirroring
+            # the real SZ/MGARD Huffman-then-Zstd stage.
+            wrapped = b"Z" + zstd_like_compress(build())
+            return len(wrapped), lambda: wrapped
+        return head + sum(framing(size) + size for size, _ in plans), build
 
     # -- context-coded (halo) streams ----------------------------------
-    def _encode_context_candidate(self, symbols: np.ndarray, context) -> Optional[bytes]:
-        """Tag-``C`` candidate: code against the reference-tile histogram.
+    def _context_candidate(self, symbols, values, inverse, counts, width: int, pool):
+        """Tag-``C`` candidate as ``(size, build)``: code against the
+        reference-tile histogram.
 
         Layout: ``C | varint n | varint pool_width | varint n_escapes |
         packed escape values (pool_width bits each) | bit stream``.  The
         canonical code is derived from the context pool plus the escape
-        pseudo-symbol on both sides, so no table is stored.
+        pseudo-symbol on both sides, so no table is stored.  The size
+        needs only the stream's distinct symbols; ``inverse`` spreads their
+        code slots over the stream when it is built.
         """
 
-        width = stream_width(symbols)
-        pool = context.pool(width)
-        if pool is None:
-            return None
-        esc_symbol = pool.escape_symbol
-        syms_c, lens_c, codes_c = pool.code
+        lens, codes = pool.code_by_symbol
+        escape_slot = pool.symbols.size
+        slot = np.minimum(np.searchsorted(pool.symbols, values), escape_slot - 1)
+        slot[pool.symbols[slot] != values] = escape_slot
+        n_escapes = int(counts[slot == escape_slot].sum())
+        size = (
+            1 + varint_size(symbols.size) + varint_size(width) + varint_size(n_escapes)
+            + (n_escapes * width + 7) // 8
+            + (int(counts @ lens[slot]) + 7) // 8
+        )
 
-        in_alphabet = np.isin(symbols, pool.symbols)
-        escapes = symbols[~in_alphabet]
-        coded = np.where(in_alphabet, symbols, esc_symbol)
-        bitstream = huffman_encode_with_code(coded, syms_c, lens_c, codes_c)
+        def build() -> bytes:
+            slots = slot[inverse]
+            body = Writer(b"C")
+            body.varints((symbols.size, width, n_escapes))
+            body.extend(self._pack_fixed_width(symbols[slots == escape_slot], width))
+            body.extend(huffman._pack_codes(codes[slots], lens[slots]))
+            return bytes(body)
 
-        body = Writer(b"C")
-        body.varints((symbols.size, width, escapes.size))
-        body.extend(self._pack_fixed_width(escapes, width))
-        body.extend(bitstream)
-        return bytes(body)
+        return size, build
 
     def _decode_context_stream(self, body: Reader, context) -> np.ndarray:
-        from repro.encoding.huffman import huffman_decode_with_code
-
         if context is None:
             raise ValueError("context-coded (halo) stream but no entropy context supplied")
         count = body.varint()
@@ -345,12 +337,11 @@ class LosslessBackend:
         pool = context.pool(width)
         if pool is None:
             raise ValueError(f"entropy context has no pool for stream width {width}")
-        escapes = BitReader(body.take((n_escapes * width + 7) // 8)).read_bits_array(
-            np.full(n_escapes, width, dtype=np.int64)
-        ).astype(np.int64)
-
+        escapes = self._unpack_fixed_width(
+            body.take((n_escapes * width + 7) // 8), n_escapes, width
+        )
         syms_c, lens_c, _ = pool.code
-        decoded = huffman_decode_with_code(body.take(body.remaining), count, syms_c, lens_c)
+        decoded = huffman.huffman_decode_with_code(body.take(body.remaining), count, syms_c, lens_c)
         escape_positions = np.flatnonzero(decoded == pool.escape_symbol)
         if escape_positions.size != n_escapes:
             raise ValueError("context stream escape count mismatch")
@@ -377,7 +368,11 @@ class LosslessBackend:
             count = body.varint()
             return np.frombuffer(body.take(8 * count), dtype="<i8").astype(np.int64)
         if tag == b"P":
-            return self._decode_packed(body)
+            count = body.varint()
+            width = body.varint()
+            if count == 0:
+                return np.empty(0, dtype=np.int64)
+            return self._unpack_fixed_width(body.take(body.remaining), count, width)
         if tag == b"Z":
             # The decompressed body is a complete tagged entropy stream
             # (H or D, whichever the encoder picked).

@@ -5,8 +5,8 @@ all end with a lossless entropy-coding stage (the real SZ uses Huffman +
 Zstd, MGARD uses Zlib/Zstd, ZFP uses an embedded bit-plane code).  This
 subpackage implements that substrate from scratch:
 
-* :mod:`repro.encoding.bitio` -- bit-level writer/reader used by the
-  Huffman coder and the ZFP-like embedded coder.
+* :mod:`repro.encoding.bitio` -- bit-level writer/reader; the codecs'
+  vectorised bit packers are tested byte-for-byte against it.
 * :mod:`repro.encoding.varint` -- LEB128-style variable-length integers for
   headers and side channels.
 * :mod:`repro.encoding.huffman` -- canonical Huffman coding of integer

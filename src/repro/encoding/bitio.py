@@ -1,12 +1,13 @@
-"""Bit-level I/O used by the entropy coders.
+"""General bit-level I/O: the reference bit order of the entropy coders.
 
 The writer accumulates bits most-significant-first into a Python
 ``bytearray``; the reader consumes them in the same order.  Both support
 bulk operations on NumPy arrays of per-symbol codes
-(:meth:`BitWriter.write_bits_array` / :meth:`BitReader.read_bits_array`)
-so the packed fixed-width streams of the lossless backends avoid
-Python-level loops on the hot path; the bulk forms produce bit-identical
-streams to their scalar counterparts applied element-wise.
+(:meth:`BitWriter.write_bits_array` / :meth:`BitReader.read_bits_array`);
+the bulk forms produce bit-identical streams to their scalar
+counterparts applied element-wise.  The codecs' own packers
+(``huffman._pack_codes`` and the lossless backend's fixed-width
+pack/unpack) are specialised and are tested against these.
 """
 
 from __future__ import annotations

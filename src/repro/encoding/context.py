@@ -96,9 +96,22 @@ class ContextPool:
             np.append(self.counts, self.escape_count),
         )
 
+    @cached_property
+    def code_by_symbol(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lens, codes)`` of :attr:`code` in symbol order: aligned with
+        ``symbols``, the escape last (it is the largest symbol)."""
+
+        syms, lens, codes = self.code
+        order = np.argsort(syms)
+        return lens[order], codes[order]
+
     def __getstate__(self) -> dict:
-        # The memoised code is rebuilt on demand and never rides a pickle.
-        return {key: value for key, value in self.__dict__.items() if key != "code"}
+        # The memoised codes are rebuilt on demand and never ride a pickle.
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if key not in ("code", "code_by_symbol")
+        }
 
 
 class EntropyContext:
@@ -126,7 +139,7 @@ class EntropyContext:
         pools: Dict[int, ContextPool] = {}
         for width, arrays in by_width.items():
             merged = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-            symbols, counts = np.unique(merged, return_counts=True)
+            symbols, _, counts = huffman._count_symbols(merged)
             pools[width] = ContextPool(
                 symbols=symbols.astype(np.int64), counts=counts.astype(np.int64)
             )

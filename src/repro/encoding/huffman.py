@@ -12,6 +12,11 @@ canonical Huffman implementation:
   *length-limited* (zlib-style Kraft repair) so every codeword fits the
   decoder's lookup table,
 * codes are made *canonical* so the decoder only needs the code lengths,
+* a stream is sized before it is packed: :func:`huffman_size_bound`
+  bounds its bytes from the symbol counts alone, and
+  :func:`huffman_plan` builds the code and gives the exact size plus the
+  packing step, so a caller choosing between encodings packs only the
+  winner,
 * encoding packs per symbol, not per bit (:func:`_pack_codes`): each
   codeword is shifted into a window of at most 8 bytes ending on its
   last bit, and the windows are merged into the output bytes,
@@ -31,11 +36,13 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.encoding.varint import Reader, Writer, encode_varint_array
+from repro.encoding.varint import Reader, Writer, encode_varint_array, varint_size
 
 __all__ = [
     "HuffmanCode",
     "huffman_code_lengths",
+    "huffman_size_bound",
+    "huffman_plan",
     "huffman_encode",
     "huffman_decode",
     "canonical_code_from_counts",
@@ -273,6 +280,70 @@ def _pack_codes(codes: np.ndarray, lens: np.ndarray) -> bytes:
     return out.tobytes()
 
 
+def _stream_size(n: int, values: np.ndarray, payload: int) -> int:
+    """Bytes of a :func:`huffman_encode` stream of ``n`` symbols over the
+    ascending alphabet ``values`` with a ``payload``-byte bit stream.
+
+    Every code length is below 128, so each takes one varint byte of the
+    table; each symbol takes one more byte per 7 bits past the first 7.
+    """
+
+    table = 2 * values.size
+    threshold = 1 << 7
+    while values.size and int(values[-1]) >= threshold:
+        table += values.size - int(np.searchsorted(values, threshold))
+        threshold <<= 7
+    return varint_size(n) + varint_size(values.size) + table + varint_size(payload) + payload
+
+
+def huffman_size_bound(values: np.ndarray, counts: np.ndarray) -> int:
+    """A lower bound on ``len(huffman_encode(stream))`` from its histogram alone.
+
+    ``values`` / ``counts`` are the stream's distinct symbols, ascending,
+    and their counts.  The header and table are exact, and no prefix code
+    beats the entropy, so the payload takes at least
+    ``n*H = n*log2(n) - sum(c*log2(c))`` bits.  Its byte count is floored
+    and less one byte, so float round-off in ``n*H`` (exact on dyadic
+    counts) can never lift the bound above the true size.
+    """
+
+    n = int(counts.sum())
+    entropy_bits = n * np.log2(n) - float(counts @ np.log2(counts))
+    return _stream_size(n, values, max(0, int(entropy_bits // 8) - 1))
+
+
+def huffman_plan(values: np.ndarray, inverse: np.ndarray, counts: np.ndarray):
+    """``(nbytes, pack)`` for a non-empty stream counted by :func:`_count_symbols`
+    (ascending distinct ``values``, each symbol's slot ``inverse``, ``counts``).
+
+    The code is built and ``nbytes`` is exactly ``len(pack())``, so a caller
+    can weigh the stream against other encodings and pack it only if it wins.
+    """
+
+    lengths = _code_lengths_array(counts)
+    lengths = _limit_lengths_array(values, lengths, min(_LENGTH_LIMIT, _MAX_CODE_LENGTH))
+    order, syms_c, lens_c, codes_c = _canonical_codes_array(values, lengths)
+    payload = (int(counts @ lengths) + 7) >> 3
+
+    def pack() -> bytes:
+        # Header: symbol count, table size, then (symbol, length) pairs.
+        out = Writer()
+        out.varints((inverse.size, syms_c.size))
+        pairs = np.empty(2 * syms_c.size, dtype=np.int64)
+        pairs[0::2] = syms_c
+        pairs[1::2] = lens_c
+        out.extend(encode_varint_array(pairs))
+        # ``inverse`` maps each symbol to its slot in the sorted alphabet and
+        # ``rank`` maps slots to canonical order: one gather, no search.
+        rank = np.empty(values.size, dtype=np.int64)
+        rank[order] = np.arange(values.size)
+        index = rank[inverse]
+        out.blob(_pack_codes(codes_c[index], lens_c[index]))
+        return bytes(out)
+
+    return _stream_size(inverse.size, values, payload), pack
+
+
 def huffman_encode(symbols: Sequence[int]) -> bytes:
     """Encode a sequence of non-negative integers into a self-describing blob."""
 
@@ -281,35 +352,10 @@ def huffman_encode(symbols: Sequence[int]) -> bytes:
         arr = arr.ravel()
     if arr.size and arr.min() < 0:
         raise ValueError("huffman_encode requires non-negative symbols")
-    out = Writer()
     if arr.size == 0:
-        out.varints((0, 0))
-        return bytes(out)
-
-    values, inverse, counts = _count_symbols(arr)
-    lengths = _code_lengths_array(np.asarray(counts, dtype=np.int64))
-    lengths = _limit_lengths_array(
-        np.asarray(values, dtype=np.int64), lengths, min(_LENGTH_LIMIT, _MAX_CODE_LENGTH)
-    )
-    order, syms_c, lens_c, codes_c = _canonical_codes_array(
-        np.asarray(values, dtype=np.int64), lengths
-    )
-    # Header: symbol count, table size, then (symbol, length) pairs.
-    out.varints((arr.size, syms_c.size))
-    pairs = np.empty(2 * syms_c.size, dtype=np.int64)
-    pairs[0::2] = syms_c
-    pairs[1::2] = lens_c
-    out.extend(encode_varint_array(pairs))
-
-    # Vectorised lookup of (code, length) per input symbol: ``inverse`` maps
-    # each symbol to its slot in the sorted alphabet (``values``), and the
-    # inverse of the canonical permutation maps those slots to canonical
-    # order — no per-symbol searchsorted over the input needed.
-    rank = np.empty(values.size, dtype=np.int64)
-    rank[order] = np.arange(values.size)
-    index = rank[np.asarray(inverse).ravel()]
-    out.blob(_pack_codes(codes_c[index], lens_c[index]))
-    return bytes(out)
+        return b"\x00\x00"  # symbol count 0, table size 0
+    _, pack = huffman_plan(*_count_symbols(arr))
+    return pack()
 
 
 def _decode_vectorized(
@@ -456,10 +502,12 @@ def _decode_canonical(
 ) -> np.ndarray:
     """Decode ``n_symbols`` (> 0) codewords of a code in canonical order."""
 
+    # Every codeword takes at least one bit: a count the payload cannot
+    # hold is rejected before anything of its size is allocated.
+    if n_symbols > 8 * len(payload):
+        raise EOFError("bit stream exhausted")
     if syms_canonical.size == 1:
         # Degenerate single-symbol code: one bit per symbol.
-        if len(payload) * 8 < n_symbols:
-            raise EOFError("bit stream exhausted")
         return np.full(n_symbols, int(syms_canonical[0]), dtype=np.int64)
     if int(lens_canonical[-1]) <= _MAX_TABLE_BITS:
         return _decode_vectorized(syms_canonical, lens_canonical, payload, n_symbols)

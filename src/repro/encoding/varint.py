@@ -29,6 +29,7 @@ __all__ = [
     "decode_varint",
     "encode_signed_varint",
     "decode_signed_varint",
+    "varint_size",
     "encode_varint_array",
     "decode_varint_array",
     "encode_signed_varint_array",
@@ -82,6 +83,12 @@ def decode_signed_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
 # ----------------------------------------------------------------------
 # array codecs (byte-identical to the scalar codecs, no Python loops)
 # ----------------------------------------------------------------------
+def varint_size(value: int) -> int:
+    """LEB128 byte count of one non-negative integer."""
+
+    return max(1, (value.bit_length() + 6) // 7)
+
+
 def encode_varint_array(values: np.ndarray) -> bytes:
     """LEB128-encode an array of non-negative integers (uint64 range)."""
 

@@ -413,15 +413,14 @@ def publish_cache_counters(
     """Publish a cache's ``counters()`` dict under the unified cache names.
 
     Understands the keys the repo's caches expose (``hits``, ``misses``,
-    ``evictions``, ``coalesced``, ``entries``,
-    ``nbytes``, ``max_nbytes``) and ignores anything else.
+    ``evictions``, ``entries``, ``nbytes``, ``max_nbytes``) and ignores
+    anything else.
     """
 
     as_counter = {
         "hits": "repro_cache_hits_total",
         "misses": "repro_cache_misses_total",
         "evictions": "repro_cache_evictions_total",
-        "coalesced": "repro_cache_coalesced_total",
     }
     as_gauge = {
         "entries": "repro_cache_entries",

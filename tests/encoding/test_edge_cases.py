@@ -3,11 +3,14 @@
 Targets the corners the compressor hot paths rely on: empty inputs,
 degenerate single-symbol Huffman alphabets, bit-stream flushes at non-byte
 boundaries, varint extremes, the vectorized array codecs matching their
-scalar counterparts byte-for-byte, and the lossless backend's stream-tag
-dispatch (Huffman+RLE vs direct Huffman vs fixed-width packing).
+scalar counterparts byte-for-byte, the lossless backend's stream-tag
+dispatch (Huffman+RLE vs direct Huffman vs fixed-width packing), and its
+rejection of length fields that no payload byte backs.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,3 +286,52 @@ class TestBackendTagDispatch:
         np.testing.assert_array_equal(
             backend.decode_symbols(backend.encode_symbols(arr)), arr
         )
+
+
+class TestFixedWidthUnpack:
+    @pytest.mark.parametrize("width", [1, 3, 8, 9, 17, 33, 57, 63, 64])
+    def test_inverse_of_pack_at_every_word_size(self, width):
+        rng = np.random.default_rng(width)
+        values = rng.integers(0, 2**63, 37, dtype=np.uint64) >> np.uint64(64 - width)
+        data = LosslessBackend._pack_fixed_width(values, width)
+        unpacked = LosslessBackend._unpack_fixed_width(data, values.size, width)
+        np.testing.assert_array_equal(unpacked, values.astype(np.int64))
+        reference = BitReader(data).read_bits_array(np.full(values.size, width))
+        np.testing.assert_array_equal(unpacked, reference.astype(np.int64))
+
+    @pytest.mark.parametrize("width", [0, 65])
+    def test_width_outside_1_to_64_rejected(self, width):
+        blob = b"P" + encode_varint(5) + encode_varint(width) + bytes(64)
+        with pytest.raises(ValueError):
+            LosslessBackend("huffman").decode_symbols(blob)
+
+
+class TestCorruptLengthFields:
+    """A payload's count field must fail typed before anything of its size
+    is allocated: a ``P`` count beyond its bits, a ``D`` or ``C`` symbol
+    count beyond one bit per symbol."""
+
+    @staticmethod
+    def _blob(tag: str, count: int) -> bytes:
+        if tag == "P":
+            return b"P" + encode_varint(count) + encode_varint(8) + bytes(4)
+        if tag == "C":
+            return b"C" + encode_varint(count) + encode_varint(2) + encode_varint(0) + bytes(4)
+        table = encode_varint(count) + encode_varint(2) + encode_varint_array(np.array([0, 1, 1, 1]))
+        return b"D" + encode_varint(count) + table + encode_varint(4) + bytes(4)
+
+    @pytest.mark.parametrize("count", [2**27, 2**40])
+    @pytest.mark.parametrize("tag", ["P", "D", "C"])
+    def test_oversized_count_raises_without_allocating(self, tag, count):
+        from repro.encoding.context import EntropyContext
+
+        context = EntropyContext.from_streams([np.array([0, 1, 2, 3, 3])])
+        blob = self._blob(tag, count)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EOFError):
+                LosslessBackend("huffman").decode_symbols(blob, context=context)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -16,6 +16,7 @@ from repro.encoding.varint import (
     encode_signed_varint_array,
     encode_varint,
     encode_varint_array,
+    varint_size,
 )
 
 
@@ -55,6 +56,13 @@ class TestUnsignedVarint:
     def test_roundtrip_property(self, value):
         decoded, _ = decode_varint(encode_varint(value))
         assert decoded == value
+
+
+class TestVarintSizes:
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_size_is_the_encoded_length(self, value):
+        assert varint_size(value) == len(encode_varint(value))
 
 
 class TestSignedVarint:
