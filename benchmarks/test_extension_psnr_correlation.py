@@ -17,11 +17,117 @@ Expectations checked:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
+
 import numpy as np
 
 from benchmarks.conftest import BENCH_SEED, global_range_config, print_series_table
-from repro.core.pipeline import run_experiment
-from repro.core.quality import quality_series_from_result, rate_distortion_table
+from repro.core.figures import STATISTIC_KEYS, FigureSeries
+from repro.core.pipeline import ExperimentResult, run_experiment
+from repro.core.regression import LogRegressionFit, fit_log_regression
+
+#: Metrics of :class:`repro.pressio.metrics.CompressionMetrics` that can be
+#: analysed against the correlation statistics.
+QUALITY_METRICS = ("psnr", "rmse", "bit_rate", "max_abs_error")
+
+
+def quality_series_from_result(
+    result: ExperimentResult,
+    statistic: str,
+    metric: str = "psnr",
+    *,
+    figure: str = "quality",
+    compressors: Optional[Sequence[str]] = None,
+) -> List[FigureSeries]:
+    """Group records into series of a quality metric vs a correlation statistic.
+
+    The returned :class:`repro.core.figures.FigureSeries` reuse the
+    ``compression_ratios`` field to carry the metric values (the fitting and
+    reporting machinery is metric-agnostic); the ``figure`` label records
+    which metric was analysed.
+    """
+
+    if statistic not in STATISTIC_KEYS:
+        raise ValueError(f"statistic must be one of {STATISTIC_KEYS}, got {statistic!r}")
+    if metric not in QUALITY_METRICS:
+        raise ValueError(f"metric must be one of {QUALITY_METRICS}, got {metric!r}")
+    wanted = list(compressors) if compressors is not None else result.compressors
+    series: List[FigureSeries] = []
+    for compressor in wanted:
+        for bound in result.error_bounds:
+            records = result.filter(compressor=compressor, error_bound=bound)
+            if not records:
+                continue
+            x = np.array([r.statistics.as_dict()[statistic] for r in records])
+            values = np.array([getattr(r.metrics, metric) for r in records], dtype=np.float64)
+            fit: Optional[LogRegressionFit]
+            valid = np.isfinite(x) & np.isfinite(values) & (x > 0)
+            try:
+                fit = fit_log_regression(x[valid], values[valid]) if valid.sum() >= 2 else None
+            except ValueError:
+                fit = None
+            series.append(
+                FigureSeries(
+                    figure=f"{figure}:{metric}",
+                    dataset=result.dataset,
+                    statistic=statistic,
+                    compressor=compressor,
+                    error_bound=bound,
+                    x=x,
+                    compression_ratios=values,
+                    fit=fit,
+                )
+            )
+    return series
+
+
+@dataclass(frozen=True)
+class RateDistortionPoint:
+    """One (compressor, bound) cell of the rate-distortion table."""
+
+    compressor: str
+    error_bound: float
+    mean_bit_rate: float
+    mean_psnr: float
+    mean_compression_ratio: float
+    n_fields: int
+
+
+def rate_distortion_table(result: ExperimentResult) -> Dict[str, List[RateDistortionPoint]]:
+    """Average bit-rate / PSNR / CR per (compressor, bound) across the sweep.
+
+    The per-compressor lists are ordered by increasing bit rate, so each is
+    a rate-distortion curve: plotting ``mean_psnr`` against
+    ``mean_bit_rate`` reproduces the classical R-D view of the same
+    experiments the paper reports as CR only.
+    """
+
+    table: Dict[str, List[RateDistortionPoint]] = {}
+    for compressor in result.compressors:
+        points: List[RateDistortionPoint] = []
+        for bound in result.error_bounds:
+            records = result.filter(compressor=compressor, error_bound=bound)
+            if not records:
+                continue
+            finite_psnr = [
+                r.metrics.psnr for r in records if np.isfinite(r.metrics.psnr)
+            ]
+            points.append(
+                RateDistortionPoint(
+                    compressor=compressor,
+                    error_bound=bound,
+                    mean_bit_rate=float(np.mean([r.metrics.bit_rate for r in records])),
+                    mean_psnr=float(np.mean(finite_psnr)) if finite_psnr else float("inf"),
+                    mean_compression_ratio=float(
+                        np.mean([r.compression_ratio for r in records])
+                    ),
+                    n_fields=len(records),
+                )
+            )
+        points.sort(key=lambda p: p.mean_bit_rate)
+        table[compressor] = points
+    return table
 
 
 def _run(bench_registry):

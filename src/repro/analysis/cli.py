@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.analysis.checkers import all_checkers
 from repro.analysis.core import LintResult, run_lint
@@ -108,9 +108,3 @@ def run_lint_command(args: argparse.Namespace) -> int:
         for line in _render_text(result, args.show_suppressed):
             print(line)
     return result.exit_code
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover
-    parser = argparse.ArgumentParser(prog="repro lint")
-    add_lint_arguments(parser)
-    return run_lint_command(parser.parse_args(list(argv) if argv else None))

@@ -157,9 +157,6 @@ class FileContext:
         visit(self.tree, None)
 
     # -- structure queries ----------------------------------------------
-    def parent(self, node: ast.AST) -> Optional[ast.AST]:
-        return self.parents.get(node)
-
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
         current = self.parents.get(node)
         while current is not None:

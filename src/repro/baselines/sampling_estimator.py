@@ -72,12 +72,6 @@ class BlockSamplingEstimate:
     #: scales when the overhead correction took them).
     scales: Tuple[int, ...] = ()
 
-    @property
-    def cr_std(self) -> float:
-        """Dispersion of the per-block compression ratios."""
-
-        return float(np.std(self.per_block_crs)) if self.per_block_crs else float("nan")
-
 
 def measure_fixed_overhead(compressor, block_size: int, *, ndim: int = 2) -> int:
     """Fixed container overhead of one ``block_size`` tile, in bytes.

@@ -350,6 +350,21 @@ class LosslessBackend:
             decoded[escape_positions] = escapes
         return decoded
 
+    @staticmethod
+    def _check_run_total(runs: np.ndarray, count: int) -> None:
+        """Reject run lengths that do not add up to ``count`` before they expand.
+
+        Each run must lie in ``[1, count]``, so ``n`` runs total at most
+        ``n * count``; the int64 sum is exact whenever that fits, and a
+        Python sum takes over for the (forged) counts where it does not.
+        """
+
+        if runs.size and (int(runs.min()) < 1 or int(runs.max()) > count):
+            raise ValueError("lossless payload run length out of range")
+        total = int(runs.sum()) if runs.size * count < 2**63 else sum(runs.tolist())
+        if total != count:
+            raise ValueError("lossless payload symbol count mismatch")
+
     def decode_symbols(self, blob: bytes, *, context=None) -> np.ndarray:
         """Inverse of :meth:`encode_symbols`.
 
@@ -384,7 +399,9 @@ class LosslessBackend:
             symbols = huffman_decode(body.take(body.remaining))
         else:
             values = huffman_decode(body.blob())
-            symbols = rle_decode(values, huffman_decode(body.blob()))
+            runs = huffman_decode(body.blob())
+            self._check_run_total(runs, count)
+            symbols = rle_decode(values, runs)
         if symbols.size != count:
             raise ValueError("lossless payload symbol count mismatch")
         return symbols
@@ -466,11 +483,6 @@ class Compressor(ABC):
         return halo
 
     # ------------------------------------------------------------------
-    def compression_ratio(self, field: np.ndarray) -> float:
-        """Convenience: compress and return only the compression ratio."""
-
-        return self.compress(field).compression_ratio
-
     def check_error_bound(
         self, original: np.ndarray, reconstruction: np.ndarray, *, tolerance_factor: float = 1.0 + 1e-9
     ) -> float:
@@ -490,6 +502,3 @@ class Compressor(ABC):
                 f"error bound {self.error_bound:.3e}"
             )
         return max_error
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(error_bound={self.error_bound!r})"

@@ -22,8 +22,7 @@ Layer map
   ``beta0 + beta_i*i + beta_j*j`` in 2D, the trilinear-regression
   hyperplane ``beta0 + beta_i*i + beta_j*j + beta_k*k`` in 3D.
 * **Quantization** — :func:`quantize_to_grid` (single ``np.rint`` pass onto
-  the ``2*eb`` grid with overflow detection) and :func:`linear_quantize`
-  (residual quantization with batched unpredictable-value handling).
+  the ``2*eb`` grid with overflow detection).
 * **Block codec** — :class:`BlockCodec` composes the above into the
   encode/decode pipeline shared by the SZ-like compressor: pre-quantize,
   predict with every enabled predictor, select the cheaper mode per block,
@@ -61,7 +60,6 @@ __all__ = [
     "dequantize_plane_coefficients",
     "plane_predictions",
     "quantize_to_grid",
-    "linear_quantize",
     "select_block_modes",
     "split_unpredictable",
     "merge_unpredictable",
@@ -389,46 +387,6 @@ def quantize_to_grid(
     return codes.astype(np.int64)
 
 
-def linear_quantize(
-    values: np.ndarray,
-    predictions: np.ndarray,
-    error_bound: float,
-    *,
-    code_radius: int = DEFAULT_CODE_RADIUS,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize ``values - predictions`` with bin width ``2 * error_bound``.
-
-    One vectorized pass: round residuals onto the grid, mark entries whose
-    code magnitude exceeds ``code_radius`` (or whose reconstruction would
-    violate the bound due to floating-point corner cases, or whose code is
-    non-finite) as *unpredictable*, and reconstruct predictable entries at
-    ``prediction + step * code`` while unpredictable ones keep the exact
-    value.  Returns ``(codes, unpredictable_mask, reconstruction)``.
-    """
-
-    ensure_positive(error_bound, "error_bound")
-    ensure_positive(code_radius, "code_radius")
-    values = np.asarray(values, dtype=np.float64)
-    predictions = np.asarray(predictions, dtype=np.float64)
-    if values.shape != predictions.shape:
-        raise ValueError(
-            f"values shape {values.shape} != predictions shape {predictions.shape}"
-        )
-
-    step = 2.0 * error_bound
-    with np.errstate(invalid="ignore", over="ignore"):
-        residuals = values - predictions
-        codes = np.rint(residuals / step)
-        out_of_range = np.abs(codes) > code_radius
-        reconstruction = predictions + step * codes
-        violates = np.abs(reconstruction - values) > error_bound
-    unpredictable = out_of_range | violates | ~np.isfinite(codes)
-
-    codes = np.where(unpredictable, 0, codes).astype(np.int64)
-    reconstruction = np.where(unpredictable, values, predictions + step * codes)
-    return codes, unpredictable, reconstruction
-
-
 # ----------------------------------------------------------------------
 # per-block mode selection and the unpredictable side channel
 # ----------------------------------------------------------------------
@@ -519,18 +477,6 @@ class BlockEncoding:
     outliers: np.ndarray  # exact residual codes beyond the radius, scan order
     coeff_codes: Optional[np.ndarray]  # (n_regression_blocks, 1 + ndim) or None
     reconstruction: np.ndarray
-
-    @property
-    def ndim(self) -> int:
-        return len(self.n_blocks)
-
-    @property
-    def nbi(self) -> int:
-        return self.n_blocks[0]
-
-    @property
-    def nbj(self) -> int:
-        return self.n_blocks[1]
 
     @property
     def unpredictable_fraction(self) -> float:

@@ -31,13 +31,11 @@ from repro.utils.validation import ensure_ndim, ensure_positive
 
 __all__ = [
     "max_levels",
-    "coarsen_shape",
     "restrict",
     "prolong",
     "detail_mask",
     "MultigridDecomposition",
     "decompose",
-    "reconstruct",
 ]
 
 #: Dimensionalities the decomposition supports.
@@ -54,12 +52,6 @@ def max_levels(shape: Tuple[int, ...], min_size: int = 4) -> int:
         dims = tuple((d + 1) // 2 for d in dims)
         levels += 1
     return levels
-
-
-def coarsen_shape(shape: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Shape of the grid obtained by keeping every other point (indices 0, 2, ...)."""
-
-    return tuple((d + 1) // 2 for d in shape)
 
 
 def _even_slices(ndim: int) -> Tuple[slice, ...]:
@@ -190,19 +182,3 @@ def decompose(field: np.ndarray, levels: int) -> MultigridDecomposition:
         shapes.append(coarse.shape)
         current = coarse
     return MultigridDecomposition(coarse=current, details=details, shapes=shapes)
-
-
-def reconstruct(decomposition: MultigridDecomposition) -> np.ndarray:
-    """Invert :func:`decompose` exactly (up to floating point round-off)."""
-
-    current = np.asarray(decomposition.coarse, dtype=np.float64)
-    for level in range(len(decomposition.details) - 1, -1, -1):
-        fine_shape = decomposition.shapes[level]
-        predicted = prolong(current, fine_shape)
-        mask = detail_mask(fine_shape)
-        fine = predicted.copy()
-        fine[mask] += decomposition.details[level]
-        # Injection points are exact copies of the coarse values.
-        fine[_even_slices(len(fine_shape))] = current
-        current = fine
-    return current

@@ -33,9 +33,9 @@ payloads are bit-identical to the pre-halo format.
 
 See the engine's docstring for why predicting in pre-quantized integer-code
 space is equivalent to the reference feedback formulation; the scalar
-reference is kept in :func:`repro.compressors.lorenzo.lorenzo_predict_feedback`
-and the test suite checks the two agree on the error-bound invariant and
-produce similar code statistics.
+reference is kept in the test suite (``tests/reference/lorenzo.py``), which
+checks the two agree on the error-bound invariant and produce similar code
+statistics.
 """
 
 from __future__ import annotations
@@ -118,18 +118,6 @@ class SZCompressor(Compressor):
             code_radius=code_radius,
         )
         self.backend = LosslessBackend(backend)
-
-    @property
-    def block_size(self) -> int:
-        return self._codec.block_size
-
-    @property
-    def block_size_3d(self) -> int:
-        return self._codec_3d.block_size
-
-    @property
-    def predictors(self) -> Tuple[str, ...]:
-        return self._codec.predictors
 
     @property
     def code_radius(self) -> int:

@@ -43,11 +43,6 @@ from repro.core.reporting import (
     series_to_markdown,
     write_records_csv,
 )
-from repro.core.quality import (
-    QUALITY_METRICS,
-    quality_series_from_result,
-    rate_distortion_table,
-)
 
 __all__ = [
     "LogRegressionFit",
@@ -76,7 +71,4 @@ __all__ = [
     "records_to_csv",
     "write_records_csv",
     "series_to_markdown",
-    "QUALITY_METRICS",
-    "quality_series_from_result",
-    "rate_distortion_table",
 ]

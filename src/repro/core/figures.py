@@ -73,16 +73,6 @@ class FigureSeries:
     def n_points(self) -> int:
         return int(self.x.size)
 
-    def legend_label(self) -> str:
-        """Legend string in the paper's style (bound + fitted coefficients)."""
-
-        if self.fit is None:
-            return f"{self.compressor} eb={self.error_bound:g} (no fit)"
-        return (
-            f"{self.compressor} eb={self.error_bound:g}: "
-            f"alpha={self.fit.alpha:.3g}, beta={self.fit.beta:.3g}"
-        )
-
 
 def series_from_result(
     result: ExperimentResult,

@@ -158,10 +158,6 @@ class CompressionRatioPredictor:
             out[i] = float((design @ self._models[record.compressor])[0])
         return out
 
-    @property
-    def fitted_compressors(self) -> List[str]:
-        return sorted(self._models)
-
 
 def _safe_log(value: float) -> float:
     """Natural log returning NaN for non-positive or non-finite input."""

@@ -56,18 +56,6 @@ class LogRegressionFit:
     n_points: int
     log_base: float = float(np.e)
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Predicted CR at the given statistic values."""
-
-        x = np.asarray(x, dtype=np.float64)
-        return self.alpha + self.beta * (np.log(x) / np.log(self.log_base))
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CR = {self.alpha:.3g} + {self.beta:.3g}*log(x)  "
-            f"(R^2={self.r_squared:.3f}, n={self.n_points})"
-        )
-
 
 def fit_log_regression(
     x: Sequence[float],

@@ -20,10 +20,7 @@ used by the experiment pipeline (:mod:`repro.datasets.registry`).
 
 from repro.datasets.covariance import (
     CovarianceModel,
-    ExponentialCovariance,
-    MaternCovariance,
     MixtureCovariance,
-    SphericalCovariance,
     SquaredExponentialCovariance,
 )
 from repro.datasets.gaussian import (
@@ -41,15 +38,12 @@ from repro.datasets.nonstationary import (
     split_range_map,
 )
 from repro.datasets.slicing import slice_volume, slice_indices
-from repro.datasets.io import load_field, save_field, load_raw, save_raw
+from repro.datasets.io import load_field, load_raw
 from repro.datasets.registry import DatasetRegistry, default_registry
 
 __all__ = [
     "CovarianceModel",
     "SquaredExponentialCovariance",
-    "ExponentialCovariance",
-    "MaternCovariance",
-    "SphericalCovariance",
     "MixtureCovariance",
     "GaussianFieldConfig",
     "GaussianRandomFieldGenerator",
@@ -66,9 +60,7 @@ __all__ = [
     "slice_volume",
     "slice_indices",
     "load_field",
-    "save_field",
     "load_raw",
-    "save_raw",
     "DatasetRegistry",
     "default_registry",
 ]

@@ -2,14 +2,9 @@
 
 The paper's synthetic fields use the squared-exponential (Gaussian)
 covariance ``C(h) = sigma^2 * exp(-h^2 / a^2)`` where ``a`` is the
-correlation range (paper Eq. 2).  We additionally provide the exponential,
-Matern and spherical families — standard geostatistical models — because
-they are useful for robustness experiments (how the variogram-range/CR
-relationship depends on the correlation family) and for the parametric
-variogram fits in :mod:`repro.stats.variogram_models`.
-
-Every model maps an array of distances ``h >= 0`` to covariances and also
-exposes its theoretical semi-variogram ``gamma(h) = C(0) - C(h)``.
+correlation range (paper Eq. 2); its multi-range fields superpose such
+components (:class:`MixtureCovariance`).  Every model maps an array of
+distances ``h >= 0`` to covariances.
 """
 
 from __future__ import annotations
@@ -19,16 +14,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, kv
 
 from repro.utils.validation import ensure_positive
 
 __all__ = [
     "CovarianceModel",
     "SquaredExponentialCovariance",
-    "ExponentialCovariance",
-    "MaternCovariance",
-    "SphericalCovariance",
     "MixtureCovariance",
 ]
 
@@ -42,22 +33,6 @@ class CovarianceModel(ABC):
     @abstractmethod
     def __call__(self, distances: np.ndarray) -> np.ndarray:
         """Covariance at the given (non-negative) distances."""
-
-    def semivariogram(self, distances: np.ndarray) -> np.ndarray:
-        """Theoretical semi-variogram ``gamma(h) = C(0) - C(h)``."""
-
-        h = np.asarray(distances, dtype=np.float64)
-        return self.variance - self(h)
-
-    @property
-    @abstractmethod
-    def effective_range(self) -> float:
-        """Distance at which correlation has essentially vanished.
-
-        Conventions follow standard geostatistics: for models that approach
-        the sill only asymptotically (squared-exponential, exponential,
-        Matern) this is the distance at which the correlation drops to 5 %.
-        """
 
 
 @dataclass(frozen=True)
@@ -74,90 +49,6 @@ class SquaredExponentialCovariance(CovarianceModel):
     def __call__(self, distances: np.ndarray) -> np.ndarray:
         h = np.asarray(distances, dtype=np.float64)
         return self.variance * np.exp(-((h / self.range) ** 2))
-
-    @property
-    def effective_range(self) -> float:
-        # exp(-(h/a)^2) = 0.05  =>  h = a * sqrt(ln 20)
-        return float(self.range * np.sqrt(np.log(20.0)))
-
-
-@dataclass(frozen=True)
-class ExponentialCovariance(CovarianceModel):
-    """``C(h) = variance * exp(-h/range)``."""
-
-    range: float = 10.0
-    variance: float = 1.0
-
-    def __post_init__(self) -> None:
-        ensure_positive(self.range, "range")
-        ensure_positive(self.variance, "variance")
-
-    def __call__(self, distances: np.ndarray) -> np.ndarray:
-        h = np.asarray(distances, dtype=np.float64)
-        return self.variance * np.exp(-h / self.range)
-
-    @property
-    def effective_range(self) -> float:
-        return float(self.range * np.log(20.0))
-
-
-@dataclass(frozen=True)
-class MaternCovariance(CovarianceModel):
-    """Matern covariance with smoothness ``nu`` and scale ``range``."""
-
-    range: float = 10.0
-    variance: float = 1.0
-    nu: float = 1.5
-
-    def __post_init__(self) -> None:
-        ensure_positive(self.range, "range")
-        ensure_positive(self.variance, "variance")
-        ensure_positive(self.nu, "nu")
-
-    def __call__(self, distances: np.ndarray) -> np.ndarray:
-        h = np.asarray(distances, dtype=np.float64)
-        scaled = np.sqrt(2.0 * self.nu) * h / self.range
-        out = np.empty_like(scaled)
-        zero = scaled == 0
-        out[zero] = self.variance
-        s = scaled[~zero]
-        coeff = self.variance * (2.0 ** (1.0 - self.nu)) / gamma_fn(self.nu)
-        out[~zero] = coeff * (s**self.nu) * kv(self.nu, s)
-        return out
-
-    @property
-    def effective_range(self) -> float:
-        # Solve numerically for the 5% correlation distance.
-        target = 0.05 * self.variance
-        lo, hi = 1e-9, self.range * 50.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self(np.array([mid]))[0] > target:
-                lo = mid
-            else:
-                hi = mid
-        return float(0.5 * (lo + hi))
-
-
-@dataclass(frozen=True)
-class SphericalCovariance(CovarianceModel):
-    """Spherical model: exactly zero covariance beyond ``range``."""
-
-    range: float = 10.0
-    variance: float = 1.0
-
-    def __post_init__(self) -> None:
-        ensure_positive(self.range, "range")
-        ensure_positive(self.variance, "variance")
-
-    def __call__(self, distances: np.ndarray) -> np.ndarray:
-        h = np.asarray(distances, dtype=np.float64)
-        ratio = np.clip(h / self.range, 0.0, 1.0)
-        return self.variance * (1.0 - 1.5 * ratio + 0.5 * ratio**3)
-
-    @property
-    def effective_range(self) -> float:
-        return float(self.range)
 
 
 class MixtureCovariance(CovarianceModel):
@@ -194,7 +85,3 @@ class MixtureCovariance(CovarianceModel):
         for weight, component in zip(self.weights, self.components):
             total += weight * component(h)
         return total
-
-    @property
-    def effective_range(self) -> float:
-        return float(max(c.effective_range for c in self.components))

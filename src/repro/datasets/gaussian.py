@@ -16,8 +16,8 @@ covariance matrix is block-circulant and therefore diagonalised by the 2D
 FFT.  Sampling is then two FFTs — O(N log N) — and *exact* when the
 embedding is positive semi-definite (we clip tiny negative eigenvalues that
 arise from floating point noise, and raise if the energy clipped is
-non-negligible unless ``allow_approximate`` is set).  A dense Cholesky
-sampler is provided for small grids and as a cross-check in the tests.
+non-negligible unless ``allow_approximate`` is set).  The tests check it
+against a dense Cholesky sampler on small grids.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class GaussianRandomFieldGenerator:
                 raise ValueError(
                     "circulant embedding is not positive semi-definite "
                     f"(clipped {clipped_energy:.3e} of {total_energy:.3e}); "
-                    "set allow_approximate=True or use sample_cholesky()"
+                    "set allow_approximate=True"
                 )
             spectrum = np.clip(spectrum, 0.0, None)
         self._spectrum_cache = spectrum
@@ -131,46 +131,6 @@ class GaussianRandomFieldGenerator:
         sample = np.fft.fft2(coeff * noise)
         field_2d = sample.real[:rows, :cols]
         return field_2d + self.config.mean
-
-    # ------------------------------------------------------------------
-    # dense Cholesky sampler (reference implementation, small grids only)
-    # ------------------------------------------------------------------
-    def sample_cholesky(self, seed: SeedLike = None, jitter: float = 1e-10) -> np.ndarray:
-        """Draw one realisation by dense Cholesky factorisation.
-
-        Complexity is O((rows*cols)^3); intended for grids up to ~64x64 and
-        used in the tests as a ground-truth cross-check of the FFT sampler.
-        """
-
-        rows, cols = self.config.shape
-        n = rows * cols
-        if n > 64 * 64:
-            raise ValueError(
-                f"sample_cholesky is limited to 4096 grid points, got {n}; "
-                "use sample() for larger grids"
-            )
-        rng = make_rng(seed)
-        ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-        coords = np.column_stack([ii.ravel(), jj.ravel()]).astype(np.float64)
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        cov = self.config.covariance(dist)
-        cov[np.diag_indices_from(cov)] += jitter
-        chol = np.linalg.cholesky(cov)
-        z = rng.normal(size=n)
-        return (chol @ z).reshape(rows, cols) + self.config.mean
-
-    def sample_many(self, count: int, seed: SeedLike = None) -> np.ndarray:
-        """Draw ``count`` independent realisations, shape ``(count, rows, cols)``."""
-
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        rng = make_rng(seed)
-        rows, cols = self.config.shape
-        out = np.empty((count, rows, cols), dtype=np.float64)
-        for k in range(count):
-            out[k] = self.sample(rng)
-        return out
 
 
 def generate_gaussian_field(

@@ -2,29 +2,20 @@
 
 SDRBench distributes fields as headerless little-endian ``float32``/
 ``float64`` binaries with the shape documented externally; these helpers
-read and write that layout (so a user who *does* have the original Miranda
-file can drop it in) as well as ``.npy`` files for internal use.
+read that layout (so a user who *does* have the original Miranda file can
+drop it in) as well as ``.npy`` files.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
-__all__ = ["save_raw", "load_raw", "save_field", "load_field"]
+__all__ = ["load_raw", "load_field"]
 
 PathLike = Union[str, os.PathLike]
-
-
-def save_raw(path: PathLike, field: np.ndarray, dtype: str = "float32") -> None:
-    """Write ``field`` as a headerless little-endian binary (SDRBench layout)."""
-
-    arr = np.asarray(field)
-    np_dtype = np.dtype(dtype).newbyteorder("<")
-    arr.astype(np_dtype).tofile(str(path))
 
 
 def load_raw(
@@ -48,16 +39,7 @@ def load_raw(
     return data.reshape(tuple(shape)).astype(np.float64)
 
 
-def save_field(path: PathLike, field: np.ndarray) -> None:
-    """Save a field as ``.npy`` (shape and dtype preserved)."""
-
-    path = Path(path)
-    if path.suffix != ".npy":
-        path = path.with_suffix(".npy")
-    np.save(path, np.asarray(field))
-
-
 def load_field(path: PathLike) -> np.ndarray:
-    """Load a ``.npy`` field saved by :func:`save_field`."""
+    """Load a ``.npy`` field."""
 
     return np.load(str(path))

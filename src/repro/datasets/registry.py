@@ -48,9 +48,6 @@ class DatasetRegistry:
 
         return sorted(self._factories)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._factories
-
     def create(self, name: str, seed: SeedLike = None) -> List[Tuple[str, np.ndarray]]:
         """Instantiate the named dataset; returns ``(label, field)`` pairs."""
 

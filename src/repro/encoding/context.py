@@ -150,10 +150,6 @@ class EntropyContext:
 
         return self._pools.get(width)
 
-    @property
-    def widths(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._pools))
-
     def digest(self) -> str:
         """Stable content hash (cache keys must distinguish contexts)."""
 
@@ -167,6 +163,3 @@ class EntropyContext:
 
     def __bool__(self) -> bool:
         return bool(self._pools)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"EntropyContext(widths={self.widths})"

@@ -40,13 +40,11 @@ from repro.encoding.varint import Reader, Writer, encode_varint_array, varint_si
 
 __all__ = [
     "HuffmanCode",
-    "huffman_code_lengths",
     "huffman_size_bound",
     "huffman_plan",
     "huffman_encode",
     "huffman_decode",
     "canonical_code_from_counts",
-    "huffman_encode_with_code",
     "huffman_decode_with_code",
 ]
 
@@ -178,29 +176,6 @@ def _canonical_codes_array(symbols: np.ndarray, lengths: np.ndarray):
     return order, syms, lens, codes
 
 
-def huffman_code_lengths(
-    frequencies: Dict[int, int], *, max_length: int = _LENGTH_LIMIT
-) -> Dict[int, int]:
-    """Return the Huffman code length for every symbol with non-zero frequency.
-
-    Lengths are limited to ``max_length`` bits (Kraft-repaired, see
-    :func:`_limit_lengths_array`) so the vectorised decoder's prefix table
-    stays bounded; the limit is raised automatically when the alphabet is
-    too large for it.  A single-symbol alphabet gets length 1 (a degenerate
-    but decodable code).  Dict-interface wrapper over the array core used
-    by :func:`huffman_encode`.
-    """
-
-    items = sorted((s, f) for s, f in frequencies.items() if f > 0)
-    if not items:
-        return {}
-    symbols = np.array([s for s, _ in items], dtype=np.int64)
-    counts = np.array([f for _, f in items], dtype=np.int64)
-    lengths = _code_lengths_array(counts)
-    lengths = _limit_lengths_array(symbols, lengths, min(max_length, _MAX_CODE_LENGTH))
-    return {int(s): int(l) for s, l in zip(symbols, lengths)}
-
-
 @dataclass(frozen=True)
 class HuffmanCode:
     """A canonical Huffman code: symbols, lengths, and the codewords."""
@@ -227,11 +202,6 @@ class HuffmanCode:
             prev_len = length
         return cls(symbols=symbols, lengths=lens, codes=tuple(codes))
 
-    def as_lookup(self) -> Dict[int, Tuple[int, int]]:
-        """Return ``symbol -> (code, length)``."""
-
-        return {s: (c, l) for s, c, l in zip(self.symbols, self.codes, self.lengths)}
-
 
 def _count_symbols(arr: np.ndarray):
     """``np.unique(..., return_inverse, return_counts)`` without the sort
@@ -252,7 +222,7 @@ def _count_symbols(arr: np.ndarray):
 def _pack_codes(codes: np.ndarray, lens: np.ndarray) -> bytes:
     """MSB-first concatenation of each ``codes[i]`` in ``lens[i]`` bits.
 
-    Byte-identical to ``BitWriter.write_bits_array(codes, lens)``.  Each
+    Equal to writing the codewords one at a time, MSB first.  Each
     codeword is shifted to end on the last bit of its end byte, a window
     of ``k = ceil((max_len + 7) / 8) <= 8`` bytes (codes have at most 57
     bits).  Codewords share no bit, so the OR of the windows ending on one
@@ -545,43 +515,13 @@ def canonical_code_from_counts(
     return syms_c, lens_c, codes_c
 
 
-def huffman_encode_with_code(
-    stream: np.ndarray,
-    syms_canonical: np.ndarray,
-    lens_canonical: np.ndarray,
-    codes_canonical: np.ndarray,
-) -> bytes:
-    """Encode ``stream`` as a bare bit stream using a pre-agreed code.
-
-    Unlike :func:`huffman_encode` no symbol table is written — the decoder
-    derives the identical code out of band.  Every stream symbol must be
-    in the code's alphabet (callers route out-of-alphabet symbols through
-    an escape symbol first).
-    """
-
-    stream = np.asarray(stream, dtype=np.int64).ravel()
-    if stream.size == 0:
-        return b""
-    # Map stream symbols to canonical slots via one searchsorted over the
-    # symbol-sorted alphabet.
-    sym_order = np.argsort(syms_canonical, kind="stable")
-    sorted_syms = syms_canonical[sym_order]
-    pos = np.searchsorted(sorted_syms, stream)
-    if int(pos.max(initial=0)) >= sorted_syms.size or not np.array_equal(
-        sorted_syms[pos], stream
-    ):
-        raise ValueError("stream contains symbols outside the agreed code")
-    slots = sym_order[pos]
-    return _pack_codes(codes_canonical[slots], lens_canonical[slots])
-
-
 def huffman_decode_with_code(
     payload: bytes,
     n_symbols: int,
     syms_canonical: np.ndarray,
     lens_canonical: np.ndarray,
 ) -> np.ndarray:
-    """Inverse of :func:`huffman_encode_with_code` (code supplied out of band)."""
+    """Decode a bare bit stream of ``n_symbols`` under a code supplied out of band."""
 
     if n_symbols == 0:
         return np.empty(0, dtype=np.int64)

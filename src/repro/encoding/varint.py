@@ -10,9 +10,10 @@ so a cut payload fails at its first incomplete field.
 
 The array codecs (:func:`encode_varint_array` / :func:`decode_varint_array`
 and their zigzag-signed variants) process a whole NumPy array per call and
-emit exactly the bytes of the scalar codecs applied element-wise; the
-side channels (regression coefficients, outliers) and the Huffman symbol
-table use them.
+emit exactly the bytes of :func:`encode_varint` applied element-wise (of
+ZigZag ``(v << 1) ^ (v >> 63)`` first, for the signed ones); the side
+channels (regression coefficients, outliers) and the Huffman symbol table
+use them.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ __all__ = [
     "Reader",
     "Writer",
     "encode_varint",
-    "decode_varint",
-    "encode_signed_varint",
-    "decode_signed_varint",
     "varint_size",
     "encode_varint_array",
     "decode_varint_array",
@@ -53,35 +51,8 @@ def encode_varint(value: int) -> bytes:
             return bytes(out)
 
 
-def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
-    """Decode a LEB128 integer from ``data`` starting at ``offset``.
-
-    Returns ``(value, next_offset)``.
-    """
-
-    reader = Reader(data)
-    reader.pos = offset
-    return reader.varint(), reader.pos
-
-
-def encode_signed_varint(value: int) -> bytes:
-    """ZigZag-encode a signed integer then LEB128 it."""
-
-    zigzag = (value << 1) if value >= 0 else ((-value) << 1) - 1
-    return encode_varint(zigzag)
-
-
-def decode_signed_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
-    """Inverse of :func:`encode_signed_varint`."""
-
-    zigzag, pos = decode_varint(data, offset)
-    if zigzag & 1:
-        return -((zigzag + 1) >> 1), pos
-    return zigzag >> 1, pos
-
-
 # ----------------------------------------------------------------------
-# array codecs (byte-identical to the scalar codecs, no Python loops)
+# array codecs (byte-identical to encode_varint per element, no Python loops)
 # ----------------------------------------------------------------------
 def varint_size(value: int) -> int:
     """LEB128 byte count of one non-negative integer."""
@@ -155,7 +126,7 @@ def decode_varint_array(data: bytes, count: int, offset: int = 0) -> Tuple[np.nd
 
 
 def encode_signed_varint_array(values: np.ndarray) -> bytes:
-    """ZigZag + LEB128 encode an int64 array (matches the scalar codec)."""
+    """ZigZag + LEB128 encode an int64 array."""
 
     v = np.asarray(values, dtype=np.int64).ravel()
     zigzag = (v << 1) ^ (v >> 63)

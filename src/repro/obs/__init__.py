@@ -20,13 +20,12 @@ stdlib-only and designed to cost nothing when switched off:
 from __future__ import annotations
 
 from repro.obs.metrics import REGISTRY, MetricsRegistry, render_prometheus
-from repro.obs.trace import Tracer, install_tracer, span, tracing_enabled
+from repro.obs.trace import Tracer, install_tracer, span
 
 __all__ = [
     "Tracer",
     "span",
     "install_tracer",
-    "tracing_enabled",
     "MetricsRegistry",
     "REGISTRY",
     "render_prometheus",

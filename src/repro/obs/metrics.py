@@ -212,19 +212,6 @@ class MetricsRegistry:
             collector(self)
 
     # -- reading ---------------------------------------------------------
-    def value(
-        self, name: str, labels: Optional[Mapping[str, str]] = None
-    ) -> Optional[float]:
-        """Current value of a counter or gauge series (``None`` if unset)."""
-
-        items = _label_items(labels)
-        with self._lock:
-            for table in (self._counters, self._gauges):
-                series = table.get(name)
-                if series is not None and items in series:
-                    return series[items]
-        return None
-
     def snapshot(self, run_collectors: bool = True) -> Dict[str, float]:
         """Flat ``name{labels} -> value`` map of counters and gauges."""
 
@@ -325,14 +312,6 @@ class MetricsRegistry:
                 f"{_format_value(histogram.total)}"
             )
             lines.append(f"{name}_count{_format_labels(items)} {histogram.count}")
-
-    def reset(self) -> None:
-        """Drop all recorded series (collectors stay registered). Test use."""
-
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
 
 
 #: Process-wide registry used by the library layers (pipelines, store).

@@ -15,8 +15,6 @@ code needs instrumentation.
   its own stacks, keyed by thread name), with a configurable rate.
   Frames are keyed by ``(function, file, first line)`` so every call
   site of a function aggregates into one node.
-* **Collapsed-stack export** (:meth:`SamplingProfiler.collapsed`) — the
-  ``frame;frame;frame count`` text format every flamegraph tool eats.
 * **Speedscope export** (:meth:`SamplingProfiler.speedscope`) — the
   JSON file format of https://www.speedscope.app (one ``sampled``
   profile per thread, weights in seconds), which renders time-ordered,
@@ -44,7 +42,6 @@ __all__ = [
     "DEFAULT_HZ",
     "FrameKey",
     "SamplingProfiler",
-    "profile_for",
 ]
 
 #: Default sampling rate in samples per second.
@@ -177,17 +174,6 @@ class SamplingProfiler:
         return rows[:top]
 
     # -- exports ---------------------------------------------------------
-    def collapsed(self) -> str:
-        """Collapsed-stack text: one ``thread;frame;...;frame count`` line."""
-
-        lines: List[str] = []
-        snapshot = self.stacks()
-        for lane in sorted(snapshot):
-            for stack, n in sorted(snapshot[lane].items()):
-                frames = ";".join(_frame_label(key) for key in stack)
-                lines.append(f"{lane};{frames} {n}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def speedscope(self, name: str = "repro profile") -> Dict:
         """The profile as a speedscope JSON document (one lane per thread).
 
@@ -251,24 +237,6 @@ class SamplingProfiler:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.speedscope(name), handle)
             handle.write("\n")
-
-
-def profile_for(seconds: float, hz: float = DEFAULT_HZ) -> SamplingProfiler:
-    """Blocking convenience: sample for ``seconds``, return the profiler.
-
-    Used by the CLI paths; the server's on-demand endpoint drives
-    :meth:`~SamplingProfiler.start` / ``stop`` itself around an
-    ``asyncio.sleep`` so the event loop never blocks.
-    """
-
-    if not seconds > 0:
-        raise ValueError(f"profile duration must be positive, got {seconds!r}")
-    profiler = SamplingProfiler(hz=hz)
-    profiler.start()
-    # This helper runs on a plain (non-async) CLI path; the sampling
-    # thread does the work while we block here.
-    time.sleep(seconds)
-    return profiler.stop()
 
 
 def _frame_label(key: FrameKey) -> str:

@@ -49,7 +49,6 @@ __all__ = [
     "Tracer",
     "span",
     "traced",
-    "tracing_enabled",
     "install_tracer",
     "active_tracer",
     "request_tracer",
@@ -381,12 +380,6 @@ _ACTIVE: Optional[Tracer] = None
 _REQUEST_TRACER: "contextvars.ContextVar[Optional[Tracer]]" = (
     contextvars.ContextVar("repro_request_tracer", default=None)
 )
-
-
-def tracing_enabled() -> bool:
-    """Whether a tracer is installed (i.e. spans are being recorded)."""
-
-    return _ACTIVE is not None or _REQUEST_TRACER.get() is not None
 
 
 def active_tracer() -> Optional[Tracer]:

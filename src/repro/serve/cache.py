@@ -92,11 +92,6 @@ class HotChunkCache:
                 self._nbytes -= old_values.nbytes
                 self._evictions += 1
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._nbytes = 0
-
     def counters(self) -> Dict[str, int]:
         """Snapshot of hit/miss/eviction/occupancy counters."""
 

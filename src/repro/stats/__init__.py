@@ -5,8 +5,7 @@ characterise correlation structure:
 
 * :mod:`repro.stats.variogram` -- empirical isotropic semi-variogram
   (Matheron estimator, paper Eq. 1) of a 2D field or 3D volume, or of a
-  stack of equal-shape ones, by exact FFT pair enumeration or (2D only)
-  random pair subsampling.
+  stack of equal-shape ones, by exact FFT pair enumeration.
 * :mod:`repro.stats.variogram_models` -- parametric variogram models
   (squared-exponential as in the paper, plus exponential/spherical) and
   the weighted least-squares fit (closed-form sill, 1-D range search)
@@ -21,9 +20,8 @@ characterise correlation structure:
   modes capturing 99% of variance) and their standard deviation.
 * :mod:`repro.stats.entropy` -- Shannon entropy of quantized fields (the
   classical lossless compressibility bound, used by the baselines).
-* :mod:`repro.stats.correlation` -- autocorrelation-function based
-  correlation length estimators (an independent cross-check of the
-  variogram range).
+* :mod:`repro.stats.wavelet` -- Haar wavelet energy spectra, a
+  multiscale summary of a field's correlation structure.
 """
 
 from repro.stats.variogram import (
@@ -54,12 +52,9 @@ from repro.stats.svd import (
     svd_truncation_level,
 )
 from repro.stats.entropy import quantized_entropy, shannon_entropy
-from repro.stats.correlation import acf_correlation_length, autocorrelation_1d
 from repro.stats.wavelet import (
     WaveletEnergySummary,
     haar_transform_2d,
-    inverse_haar_transform_2d,
-    std_local_wavelet_slope,
     wavelet_decompose,
     wavelet_energy_statistics,
 )
@@ -92,14 +87,10 @@ __all__ = [
     "std_local_svd_truncation",
     "shannon_entropy",
     "quantized_entropy",
-    "autocorrelation_1d",
-    "acf_correlation_length",
     "WaveletEnergySummary",
     "haar_transform_2d",
-    "inverse_haar_transform_2d",
     "wavelet_decompose",
     "wavelet_energy_statistics",
-    "std_local_wavelet_slope",
     "directional_variogram",
     "anisotropy_ratio",
     "estimate_variogram_range_3d",

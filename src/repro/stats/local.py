@@ -49,26 +49,11 @@ class LocalVariogramResult:
         return flat[np.isfinite(flat)]
 
     @property
-    def mean(self) -> float:
-        """Mean local variogram range."""
-
-        valid = self.valid_ranges
-        return float(valid.mean()) if valid.size else float("nan")
-
-    @property
     def std(self) -> float:
         """Standard deviation of the local variogram ranges (the paper's statistic)."""
 
         valid = self.valid_ranges
         return float(valid.std()) if valid.size else float("nan")
-
-    @property
-    def n_windows(self) -> int:
-        return int(self.ranges.size)
-
-    @property
-    def n_failed(self) -> int:
-        return int(np.count_nonzero(~np.isfinite(self.ranges)))
 
 
 def local_variogram_ranges(

@@ -72,22 +72,10 @@ class LocalSVDResult:
     levels: np.ndarray
 
     @property
-    def mean(self) -> float:
-        return float(self.levels.mean()) if self.levels.size else float("nan")
-
-    @property
     def std(self) -> float:
         """The paper's statistic: std of local SVD truncation levels."""
 
         return float(self.levels.std()) if self.levels.size else float("nan")
-
-    @property
-    def max(self) -> int:
-        return int(self.levels.max()) if self.levels.size else 0
-
-    @property
-    def n_windows(self) -> int:
-        return int(self.levels.size)
 
 
 def local_svd_truncation_levels(

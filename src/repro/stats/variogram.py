@@ -9,44 +9,34 @@ The paper's Eq. (1) is the classical Matheron estimator
 computed over grid-point pairs at (binned) Euclidean distance ``h`` of a
 2D field or, through the same code, a 3D volume.
 
-Two estimation strategies are provided:
-
-``method="fft"`` (default)
-    Exact enumeration of *all* pairs.  For a gridded field the sum of
-    squared differences at an integer offset ``d`` expands into
-    ``sum z(x)^2 + sum z(x+d)^2 - 2 sum z(x) z(x+d)`` over the positions
-    where both points lie inside the grid.  The cross term is the field's
-    autocorrelation, taken for every offset by one real FFT padded to
-    ``n + max_lag`` along each axis (enough that no offset up to the
-    largest lag wraps around).  The two squared terms are sums of ``z^2``
-    over an axis-aligned box, read off one prefix-sum array, and the pair
-    count is the product of ``n - |d|`` over the axes.  Offsets are then
-    binned by their Euclidean length.  A stack of equal-shape fields (the
-    windows of the paper's local statistic, or a store's chunks) shares
-    the offsets, pair counts and bins, and takes one transform over the
-    whole stack.  This is both faster and statistically better (no
-    sampling noise) than pair subsampling and is what the library uses
-    everywhere by default.
-
-``method="pairs"``
-    Monte-Carlo subsampling of point pairs of a 2D field, the approach
-    typically used for scattered (non-gridded) data; kept as an independent
-    cross-check and for the ablation study on estimator sampling
-    (``benchmarks/test_ablation_variogram_sampling.py``).
+The estimator enumerates *all* pairs exactly.  For a gridded field the
+sum of squared differences at an integer offset ``d`` expands into
+``sum z(x)^2 + sum z(x+d)^2 - 2 sum z(x) z(x+d)`` over the positions where
+both points lie inside the grid.  The cross term is the field's
+autocorrelation, taken for every offset by one real FFT padded to
+``n + max_lag`` along each axis (enough that no offset up to the largest
+lag wraps around).  The two squared terms are sums of ``z^2`` over an
+axis-aligned box, read off one prefix-sum array, and the pair count is the
+product of ``n - |d|`` over the axes.  Offsets are then binned by their
+Euclidean length.  A stack of equal-shape fields (the windows of the
+paper's local statistic, or a store's chunks) shares the offsets, pair
+counts and bins, and takes one transform over the whole stack.  This is
+both faster and statistically better (no sampling noise) than pair
+subsampling, which ``benchmarks/test_ablation_variogram_sampling.py``
+compares it with.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import fft
 
-from repro.utils.rng import SeedLike, make_rng
-from repro.utils.validation import ensure_float_array, ensure_in, ensure_ndim, ensure_positive
+from repro.utils.validation import ensure_float_array, ensure_ndim, ensure_positive
 
 __all__ = [
     "VariogramConfig",
@@ -74,26 +64,18 @@ class VariogramConfig:
     bin_width:
         Width of the distance bins; 1.0 gives (approximately) one bin per
         integer lag on a unit grid.
-    method:
-        ``"fft"`` or ``"pairs"`` (see module docstring).
-    n_pairs:
-        Number of random pairs drawn when ``method="pairs"``.
     min_pairs_per_bin:
         Bins with fewer pairs than this are dropped from the output.
     """
 
     max_lag: Optional[float] = None
     bin_width: float = 1.0
-    method: str = "fft"
-    n_pairs: int = 100_000
     min_pairs_per_bin: int = 1
 
     def __post_init__(self) -> None:
         if self.max_lag is not None:
             ensure_positive(self.max_lag, "max_lag")
         ensure_positive(self.bin_width, "bin_width")
-        ensure_in(self.method, ("fft", "pairs"), "method")
-        ensure_positive(self.n_pairs, "n_pairs")
         ensure_positive(self.min_pairs_per_bin, "min_pairs_per_bin")
 
 
@@ -156,8 +138,7 @@ def _bin_pairs(
 ) -> EmpiricalVariogram:
     """Bin each row of squared-difference ``sums`` over ``counts`` pairs by distance.
 
-    The binning step both estimators share; ``sums`` is ``(n, pairs)``
-    and the result is stacked.
+    ``sums`` is ``(n, pairs)`` and the result is stacked.
     """
 
     n_bins = int(np.ceil(max_lag / config.bin_width))
@@ -284,24 +265,13 @@ def _variogram_batches(
 
     ``fields`` is a sequence of 2D or 3D arrays of one shape (e.g. the
     windows of :func:`repro.stats.windows.field_windows`, or an ``(n,
-    *shape)`` array).  With the FFT method each yielded variogram stacks
-    consecutive fields, as many as fit :data:`BATCH_POINTS` padded grid
-    points (at least one), so memory stays bounded however many fields
-    there are.  Sampled pairs give every field its own lags, so the
-    ``"pairs"`` method yields one single-row variogram per field.
+    *shape)`` array).  Each yielded variogram stacks consecutive fields,
+    as many as fit :data:`BATCH_POINTS` padded grid points (at least one),
+    so memory stays bounded however many fields there are.
     """
 
     config = config or VariogramConfig()
     if len(fields) == 0:
-        return
-    if config.method == "pairs":
-        for field in fields:
-            single = empirical_variogram(field, config)
-            yield replace(
-                single,
-                values=single.values[None],
-                field_variance=np.array([single.field_variance]),
-            )
         return
     fields = [check_field(field) for field in fields]
     plan = _lag_plan(fields[0].shape, config)
@@ -310,36 +280,8 @@ def _variogram_batches(
         yield _variogram_fft(np.stack(fields[start:start + rows]), config)
 
 
-def _variogram_pairs(
-    field: np.ndarray, config: VariogramConfig, seed: SeedLike
-) -> EmpiricalVariogram:
-    rows, cols = field.shape
-    max_lag = _resolve_max_lag(field.shape, config.max_lag)
-    rng = make_rng(seed)
-
-    n_points = rows * cols
-    n_pairs = int(min(config.n_pairs, n_points * (n_points - 1) // 2))
-    idx_a = rng.integers(0, n_points, size=n_pairs)
-    idx_b = rng.integers(0, n_points, size=n_pairs)
-    keep = idx_a != idx_b
-    idx_a, idx_b = idx_a[keep], idx_b[keep]
-
-    ra, ca = np.divmod(idx_a, cols)
-    rb, cb = np.divmod(idx_b, cols)
-    dist = np.sqrt((ra - rb) ** 2.0 + (ca - cb) ** 2.0)
-    in_range = (dist > 0) & (dist <= max_lag)
-    dist = dist[in_range]
-    za = field[ra[in_range], ca[in_range]]
-    zb = field[rb[in_range], cb[in_range]]
-    return _bin_pairs(
-        dist, ((za - zb) ** 2)[None], np.ones_like(dist), max_lag, config, np.array([field.var()])
-    )
-
-
 def empirical_variogram(
-    field: np.ndarray,
-    config: VariogramConfig | None = None,
-    seed: SeedLike = 0,
+    field: np.ndarray, config: VariogramConfig | None = None
 ) -> EmpiricalVariogram:
     """Estimate the empirical semi-variogram of a 2D field or 3D volume.
 
@@ -349,21 +291,11 @@ def empirical_variogram(
         2D or 3D array of the studied variable (e.g. a velocityx slice or
         volume).  It must be finite.
     config:
-        Estimator configuration; defaults to the exact FFT method with unit
-        lag bins up to half the smallest field dimension.
-    seed:
-        Only used by the ``"pairs"`` method for pair subsampling.  The
-        fixed default makes one field and config give one variogram.
+        Estimator configuration; defaults to unit lag bins up to half the
+        smallest field dimension.
     """
 
-    field = check_field(field)
-    config = config or VariogramConfig()
-    if config.method == "fft":
-        stacked = _variogram_fft(field[None], config)
-    elif field.ndim != 2:
-        raise ValueError(f"the pairs method takes 2D fields, got shape {field.shape}")
-    else:
-        stacked = _variogram_pairs(field, config, seed=seed)
+    stacked = _variogram_fft(check_field(field)[None], config or VariogramConfig())
     return EmpiricalVariogram(
         lags=stacked.lags,
         values=stacked.values[0],

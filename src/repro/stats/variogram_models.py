@@ -133,21 +133,6 @@ class FittedVariogram:
     rmse: float
     converged: bool
 
-    def __call__(self, h: np.ndarray) -> np.ndarray:
-        """Evaluate the fitted variogram at distances ``h``."""
-
-        return MODEL_FUNCTIONS[self.model](np.asarray(h), self.sill, self.range, self.nugget)
-
-    @property
-    def effective_range(self) -> float:
-        """Distance at which the model reaches 95% of the sill."""
-
-        if self.model == "spherical":
-            return self.range
-        if self.model == "exponential":
-            return float(self.range * np.log(20.0))
-        return float(self.range * np.sqrt(np.log(20.0)))
-
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Broadcast dot product over the last (lag) axis, with no broadcast temporary."""

@@ -5,14 +5,13 @@ as the standard tool for identifying multiscale components of scientific
 datasets, and leaves their detailed use to future work.  This module
 implements that direction:
 
-* a separable 2D Haar wavelet transform (orthonormal, exactly invertible
-  for even-sized inputs, with odd edges handled by symmetric padding),
+* a separable 2D Haar wavelet transform (orthonormal, with odd edges
+  handled by symmetric padding),
 * per-level detail-energy fractions — the wavelet energy spectrum of a
   field, a direct multiscale summary of its correlation structure, and
 * :func:`wavelet_energy_statistics`, whose *slope* over levels plays the
   same role as the variogram range (long-range-correlated fields
-  concentrate energy in coarse levels) and whose windowed standard
-  deviation mirrors the paper's local statistics.
+  concentrate energy in coarse levels).
 """
 
 from __future__ import annotations
@@ -22,16 +21,13 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.stats.windows import field_windows
 from repro.utils.validation import ensure_2d, ensure_float_array, ensure_positive
 
 __all__ = [
     "haar_transform_2d",
-    "inverse_haar_transform_2d",
     "wavelet_decompose",
     "wavelet_energy_statistics",
     "WaveletEnergySummary",
-    "std_local_wavelet_slope",
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -70,35 +66,6 @@ def haar_transform_2d(field: np.ndarray) -> Dict[str, np.ndarray]:
     ll, lh = split_cols(low_rows)
     hl, hh = split_cols(high_rows)
     return {"LL": ll, "LH": lh, "HL": hl, "HH": hh}
-
-
-def inverse_haar_transform_2d(
-    bands: Dict[str, np.ndarray], original_shape: Tuple[int, int] | None = None
-) -> np.ndarray:
-    """Invert :func:`haar_transform_2d`; crops to ``original_shape`` if given."""
-
-    for key in ("LL", "LH", "HL", "HH"):
-        if key not in bands:
-            raise ValueError(f"missing sub-band {key!r}")
-    ll, lh, hl, hh = bands["LL"], bands["LH"], bands["HL"], bands["HH"]
-    if not (ll.shape == lh.shape == hl.shape == hh.shape):
-        raise ValueError("all sub-bands must have the same shape")
-    rows2, cols2 = ll.shape
-
-    def merge_cols(low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        out = np.empty((low.shape[0], 2 * cols2), dtype=np.float64)
-        out[:, 0::2] = (low + high) / _SQRT2
-        out[:, 1::2] = (low - high) / _SQRT2
-        return out
-
-    low_rows = merge_cols(ll, lh)
-    high_rows = merge_cols(hl, hh)
-    out = np.empty((2 * rows2, low_rows.shape[1]), dtype=np.float64)
-    out[0::2, :] = (low_rows + high_rows) / _SQRT2
-    out[1::2, :] = (low_rows - high_rows) / _SQRT2
-    if original_shape is not None:
-        out = out[: original_shape[0], : original_shape[1]]
-    return out
 
 
 def wavelet_decompose(field: np.ndarray, levels: int) -> List[Dict[str, np.ndarray]]:
@@ -143,10 +110,6 @@ class WaveletEnergySummary:
     approximation_fraction: float
     spectral_slope: float
 
-    @property
-    def n_levels(self) -> int:
-        return int(self.level_energy_fraction.size)
-
 
 def wavelet_energy_statistics(field: np.ndarray, levels: int = 4) -> WaveletEnergySummary:
     """Multiscale energy summary of a field via the Haar wavelet transform."""
@@ -176,24 +139,3 @@ def wavelet_energy_statistics(field: np.ndarray, levels: int = 4) -> WaveletEner
         approximation_fraction=approx_energy / total if total > 0 else 1.0,
         spectral_slope=slope,
     )
-
-
-def std_local_wavelet_slope(field: np.ndarray, window: int = 32, levels: int = 3) -> float:
-    """Std of the windowed wavelet spectral slope — a local multiscale statistic.
-
-    The windowed analogue of :func:`wavelet_energy_statistics`, in the same
-    spirit as the paper's windowed variogram and SVD statistics: windows
-    whose multiscale energy distribution differs strongly from their
-    neighbours raise the statistic, flagging spatial heterogeneity.
-    """
-
-    field = ensure_2d(field, "field")
-    slopes = []
-    for _, tile in field_windows(field, window):
-        tile_arr = np.asarray(tile, dtype=np.float64)
-        if float(tile_arr.std()) < 1e-15:
-            continue
-        slopes.append(wavelet_energy_statistics(tile_arr, levels=levels).spectral_slope)
-    if not slopes:
-        return float("nan")
-    return float(np.std(slopes))

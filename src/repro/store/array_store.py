@@ -360,11 +360,6 @@ class ArrayStore:
         meta, index = load_store_state(path)
         return cls(path, meta, index)
 
-    def snapshot(self) -> StoreSnapshot:
-        """Immutable read view of this instance's current in-memory state."""
-
-        return self._snapshot
-
     def _refresh_snapshot(self) -> None:
         # The snapshot owns copies of the mutable parts: writes replace
         # and extend ``_meta["chunks"]`` and ``_index`` in place.

@@ -3,8 +3,8 @@
 This subpackage contains small, dependency-free helpers used across the
 library:
 
-* :mod:`repro.utils.blocking` -- views and iteration over tiled blocks of
-  2D arrays (used by the block-based compressors and the windowed
+* :mod:`repro.utils.blocking` -- padded views of tiled blocks of N-d
+  arrays (used by the block-based compressors and the windowed
   correlation statistics).
 * :mod:`repro.utils.parallel` -- a thin process/thread pool wrapper for
   embarrassingly parallel sweeps over (field, compressor, bound)
@@ -17,7 +17,6 @@ library:
 
 from repro.utils.blocking import (
     block_view,
-    iter_blocks,
     pad_to_multiple,
     reassemble_blocks,
     window_starts,
@@ -33,7 +32,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "block_view",
-    "iter_blocks",
     "pad_to_multiple",
     "reassemble_blocks",
     "window_starts",

@@ -17,19 +17,17 @@ multiples of the block size.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.utils.validation import ensure_2d, ensure_ndim, ensure_positive
+from repro.utils.validation import ensure_ndim, ensure_positive
 
 __all__ = [
     "pad_to_multiple",
     "block_view",
-    "iter_blocks",
     "reassemble_blocks",
     "window_starts",
-    "block_count",
     "grid_offsets",
 ]
 
@@ -93,32 +91,6 @@ def block_view(field: np.ndarray, block_size: int) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(field, shape=shape, strides=strides)
 
 
-def block_count(shape: Tuple[int, ...], block_size: int) -> Tuple[int, ...]:
-    """Number of blocks along each dimension after padding to a multiple."""
-
-    return tuple(-(-length // block_size) for length in shape)
-
-
-def iter_blocks(
-    field: np.ndarray, block_size: int
-) -> Iterator[Tuple[Tuple[int, int], np.ndarray]]:
-    """Yield ``((i, j), block)`` for every ``block_size`` block of ``field``.
-
-    Blocks at the right/bottom edges may be smaller than ``block_size``.
-    This iterator does not pad; it is used by the windowed statistics where
-    partial windows are simply skipped or handled by the caller.
-    """
-
-    field = ensure_2d(field, "field")
-    ensure_positive(block_size, "block_size")
-    rows, cols = field.shape
-    for i in range(0, rows, block_size):
-        for j in range(0, cols, block_size):
-            yield (i // block_size, j // block_size), field[
-                i : i + block_size, j : j + block_size
-            ]
-
-
 def reassemble_blocks(
     blocks: np.ndarray, original_shape: Tuple[int, ...]
 ) -> np.ndarray:
@@ -152,8 +124,7 @@ def grid_offsets(
     The grid is anchored at the origin with one chunk every ``chunk_shape``
     steps per axis; trailing chunks may extend past ``shape`` (callers clip
     to the array bounds).  This is the shared tiling used by the volume
-    pipeline (:func:`repro.volumes.pipeline.tile_offsets`) and the chunked
-    array store (:mod:`repro.store`).
+    pipeline's tile plans and the chunked array store (:mod:`repro.store`).
     """
 
     if len(shape) != len(chunk_shape):

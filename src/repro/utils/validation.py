@@ -12,7 +12,6 @@ __all__ = [
     "ensure_positive",
     "ensure_float_array",
     "ensure_in",
-    "ensure_odd",
 ]
 
 T = TypeVar("T")
@@ -75,12 +74,3 @@ def ensure_in(value: T, allowed: Sequence[T], name: str = "value") -> T:
     if value not in allowed:
         raise ValueError(f"{name} must be one of {list(allowed)}, got {value!r}")
     return value
-
-
-def ensure_odd(value: int, name: str = "value") -> int:
-    """Validate that ``value`` is an odd positive integer."""
-
-    ensure_positive(value, name)
-    if int(value) != value or value % 2 == 0:
-        raise ValueError(f"{name} must be an odd integer, got {value!r}")
-    return int(value)

@@ -6,9 +6,7 @@ from repro.volumes.pipeline import (
     compress_volume,
     decompress_volume,
     measure_volume_field,
-    shard_volume,
     slice_baseline,
-    tile_offsets,
     volume_metrics,
 )
 from repro.volumes.streaming import (
@@ -28,8 +26,6 @@ __all__ = [
     "measure_volume_field",
     "npy_volume_info",
     "open_slab_source",
-    "shard_volume",
     "slice_baseline",
-    "tile_offsets",
     "volume_metrics",
 ]

@@ -5,11 +5,8 @@ snapshots); with the dimension-general block-codec engine the compressors
 accept 3D arrays natively, and this module supplies the scale-out layer
 around them:
 
-* :func:`shard_volume` cuts a large volume into axis-aligned tiles (edge
-  tiles may be smaller — the compressors pad internally), so a volume far
-  larger than memory-friendly working sets streams through the codec one
-  tile at a time;
-* :func:`compress_volume` runs the tiles of the volume's
+* :func:`compress_volume` runs the axis-aligned tiles (edge tiles may be
+  smaller — the compressors pad internally) of the volume's
   :class:`~repro.utils.schedule.TilePlan` through a compressor on a
   :class:`~repro.utils.schedule.WaveExecutor` — inline, or over a
   :class:`repro.utils.parallel.ParallelConfig` pool — and, when the
@@ -54,7 +51,6 @@ from repro.core.pipeline import CacheArg, ExperimentCache, memoized_map
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
 from repro.pressio.metrics import CompressionMetrics, error_statistics
-from repro.utils.blocking import grid_offsets
 from repro.utils.parallel import ParallelConfig
 from repro.utils.schedule import PlanTile, TilePlan, WaveExecutor
 from repro.utils.validation import ensure_ndim, ensure_positive
@@ -62,8 +58,6 @@ from repro.utils.validation import ensure_ndim, ensure_positive
 __all__ = [
     "VolumeTile",
     "CompressedVolume",
-    "tile_offsets",
-    "shard_volume",
     "compress_volume",
     "decompress_volume",
     "volume_metrics",
@@ -155,31 +149,6 @@ def _check_tile_shape(tile_shape: Sequence[int]) -> Tuple[int, int, int]:
     for edge in tile:
         ensure_positive(edge, "tile edge")
     return tile
-
-
-def tile_offsets(
-    shape: Sequence[int], tile_shape: Sequence[int]
-) -> List[Tuple[int, int, int]]:
-    """Scan-order offsets of the tiles covering ``shape``."""
-
-    tile = _check_tile_shape(tile_shape)
-    return grid_offsets(tuple(int(s) for s in shape), tile)
-
-
-def shard_volume(
-    volume: np.ndarray, tile_shape: Sequence[int] = DEFAULT_TILE_SHAPE
-) -> List[Tuple[Tuple[int, int, int], np.ndarray]]:
-    """Cut a volume into C-contiguous tiles; edge tiles may be smaller."""
-
-    vol = _check_volume(volume)
-    tile = _check_tile_shape(tile_shape)
-    out: List[Tuple[Tuple[int, int, int], np.ndarray]] = []
-    for offset in tile_offsets(vol.shape, tile):
-        region = tuple(
-            slice(start, start + edge) for start, edge in zip(offset, tile)
-        )
-        out.append((offset, np.ascontiguousarray(vol[region])))
-    return out
 
 
 class _EncodeTask(NamedTuple):

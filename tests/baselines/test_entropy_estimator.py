@@ -26,7 +26,7 @@ class TestEntropyCrBound:
         # based compressors headroom beyond the (correlation-blind) marginal
         # entropy bound.
         bound = 1e-3
-        sz_cr = SZCompressor(bound).compression_ratio(smooth_field)
+        sz_cr = SZCompressor(bound).compress(smooth_field).compression_ratio
         marginal_bound = entropy_cr_bound(smooth_field, bound)
         assert sz_cr > marginal_bound
 
@@ -35,7 +35,7 @@ class TestEntropyCrBound:
         # entropy of the quantized marginal is (close to) the real limit and
         # a practical compressor with per-stream overheads stays under it.
         bound = 1e-3
-        sz_cr = SZCompressor(bound).compression_ratio(white_noise_field)
+        sz_cr = SZCompressor(bound).compress(white_noise_field).compression_ratio
         marginal_bound = entropy_cr_bound(white_noise_field, bound)
         assert sz_cr < marginal_bound * 1.2
 

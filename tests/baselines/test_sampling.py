@@ -25,7 +25,7 @@ class TestBlockSamplingEstimate:
             estimates.append(
                 estimate_cr_by_sampling(field, "sz", bound, n_blocks=12, seed=3).estimated_cr
             )
-            truths.append(SZCompressor(bound).compression_ratio(field))
+            truths.append(SZCompressor(bound).compress(field).compression_ratio)
         # The estimator must preserve the ordering of compressibility.
         assert np.argsort(estimates).tolist() == np.argsort(truths).tolist()
 
@@ -38,7 +38,6 @@ class TestBlockSamplingEstimate:
         assert estimate.block_size == 16
         assert len(estimate.per_block_crs) == 4
         assert 0 < estimate.sampled_fraction <= 1.0
-        assert estimate.cr_std >= 0
 
     def test_block_size_larger_than_field_rejected(self, smooth_field):
         with pytest.raises(ValueError):
@@ -98,7 +97,7 @@ class TestScales:
         from repro.datasets.gaussian import generate_gaussian_field
 
         field = generate_gaussian_field((128, 128), 2.0, seed=11)
-        true_cr = SZCompressor(1e-3).compression_ratio(field)
+        true_cr = SZCompressor(1e-3).compress(field).compression_ratio
         with_quad = estimate_cr_by_sampling(
             field, "sz", 1e-3, seed=0
         ).estimated_cr

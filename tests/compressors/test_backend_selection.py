@@ -19,13 +19,13 @@ from repro.encoding.context import EntropyContext, stream_width
 from repro.encoding.huffman import (
     _count_symbols,
     huffman_encode,
-    huffman_encode_with_code,
     huffman_plan,
     huffman_size_bound,
 )
 from repro.encoding.rle import rle_encode
 from repro.encoding.varint import Writer
 from repro.encoding.zstd_like import zstd_like_compress
+from tests.reference.huffman import huffman_encode_with_code
 
 
 def _reference_encode(name: str, symbols: np.ndarray, context) -> bytes:
@@ -152,7 +152,7 @@ def test_huffman_backend_packs_only_the_winner(case, use_context, monkeypatch):
 def test_losing_huffman_candidate_builds_no_code(monkeypatch):
     """Where ``C`` or ``P`` wins on the entropy bound, no code is built."""
 
-    for width in CONTEXT.widths:
+    for width in CONTEXT._pools:
         CONTEXT.pool(width).code_by_symbol  # the shared pool codes are built up front
     builds = []
     lengths = huffman._code_lengths_array

@@ -17,7 +17,6 @@ from repro.compressors.blocks import (
     MODE_REGRESSION,
     BlockCodec,
     fit_block_planes,
-    linear_quantize,
     lorenzo_reconstruct,
     lorenzo_residuals,
     merge_field,
@@ -45,28 +44,6 @@ def scalar_lorenzo_residuals(code_blocks: np.ndarray) -> np.ndarray:
                     diag = code_blocks[a, b, i - 1, j - 1] if i > 0 and j > 0 else 0
                     out[a, b, i, j] = code_blocks[a, b, i, j] - up - left + diag
     return out
-
-
-def scalar_linear_quantize(values, predictions, error_bound, code_radius):
-    step = 2.0 * error_bound
-    codes = np.zeros(values.shape, dtype=np.int64)
-    unpredictable = np.zeros(values.shape, dtype=bool)
-    recon = np.zeros(values.shape, dtype=np.float64)
-    for idx in np.ndindex(values.shape):
-        residual = values[idx] - predictions[idx]
-        code = np.rint(residual / step)
-        candidate = predictions[idx] + step * code
-        if (
-            not np.isfinite(code)
-            or abs(code) > code_radius
-            or abs(candidate - values[idx]) > error_bound
-        ):
-            unpredictable[idx] = True
-            recon[idx] = values[idx]
-        else:
-            codes[idx] = int(code)
-            recon[idx] = candidate
-    return codes, unpredictable, recon
 
 
 class TestPartitionMerge:
@@ -133,19 +110,9 @@ class TestQuantizeToGrid:
         np.testing.assert_array_equal(codes, [[1, -1, 2, 0]])
 
 
-class TestLinearQuantizeEquivalence:
-    @pytest.mark.parametrize("bound", [1e-4, 1e-2, 0.5])
-    def test_matches_scalar_reference(self, bound):
-        rng = np.random.default_rng(4)
-        values = rng.normal(size=(9, 7))
-        predictions = values + rng.normal(scale=5 * bound, size=(9, 7))
-        codes, mask, recon = linear_quantize(values, predictions, bound, code_radius=4)
-        ref_codes, ref_mask, ref_recon = scalar_linear_quantize(
-            values, predictions, bound, 4
-        )
-        np.testing.assert_array_equal(codes, ref_codes)
-        np.testing.assert_array_equal(mask, ref_mask)
-        np.testing.assert_array_equal(recon, ref_recon)
+class TestCodeRadius:
+    def test_default_radius_matches_sz(self):
+        assert DEFAULT_CODE_RADIUS == 2**15
 
 
 class TestModeSelection:
@@ -238,7 +205,7 @@ class TestBlockCodec:
         )
         codec = BlockCodec(0.05, block_size=2, predictors=("lorenzo",), code_radius=100)
         enc = codec.encode(field)
-        assert enc.nbi == enc.nbj == 2
+        assert enc.n_blocks == (2, 2)
         assert (enc.modes == MODE_LORENZO).all()
         q = np.rint(field / 0.1).astype(np.int64)
         np.testing.assert_array_equal(

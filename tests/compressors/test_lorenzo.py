@@ -1,5 +1,5 @@
 """Tests for the block Lorenzo of repro.compressors.blocks and the
-feedback reference in repro.compressors.lorenzo."""
+feedback reference in tests.reference.lorenzo."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.compressors.blocks import lorenzo_reconstruct, lorenzo_residuals
-from repro.compressors.lorenzo import lorenzo_predict_feedback
+from tests.reference.lorenzo import lorenzo_predict_feedback
 from repro.utils.blocking import block_view
 
 
@@ -101,3 +101,18 @@ class TestFeedbackLorenzo:
             lorenzo_predict_feedback(np.ones(5), 1e-3)
         with pytest.raises(ValueError):
             lorenzo_predict_feedback(np.ones((4, 4)), -1.0)
+
+
+class TestFeedbackAgreesWithBlockEngine:
+    """On a field already on the quantization grid the feedback pass
+    reconstructs every value exactly, so its codes are the block engine's
+    integer Lorenzo residuals over one block that covers the field."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (8, 8), (5, 7), (16, 16)])
+    def test_codes_equal_single_block_residuals(self, shape):
+        bound = 0.125
+        q = np.random.default_rng(sum(shape)).integers(-500, 500, size=shape)
+        codes, unpredictable, recon = lorenzo_predict_feedback(q * (2 * bound), bound)
+        assert not unpredictable.any()
+        np.testing.assert_array_equal(recon, q * (2 * bound))
+        np.testing.assert_array_equal(codes, lorenzo_residuals(q[None, None])[0, 0])

@@ -67,14 +67,16 @@ class TestRoundTrip:
 
 class TestCompressionBehaviour:
     def test_cr_increases_with_error_bound(self, smooth_field):
-        crs = [MGARDCompressor(b).compression_ratio(smooth_field) for b in (1e-5, 1e-3, 1e-1)]
+        crs = [
+            MGARDCompressor(b).compress(smooth_field).compression_ratio for b in (1e-5, 1e-3, 1e-1)
+        ]
         assert crs[0] < crs[1] < crs[2]
 
     def test_smoother_data_compresses_better(self, smooth_field, rough_field):
         bound = 1e-3
-        assert MGARDCompressor(bound).compression_ratio(smooth_field) > MGARDCompressor(
+        assert MGARDCompressor(bound).compress(smooth_field).compression_ratio > MGARDCompressor(
             bound
-        ).compression_ratio(rough_field)
+        ).compress(rough_field).compression_ratio
 
     def test_budget_ratio_changes_stream(self, smooth_field):
         a = MGARDCompressor(1e-3, budget_ratio=0.3).compress(smooth_field)

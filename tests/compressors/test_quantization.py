@@ -1,4 +1,10 @@
-"""Tests for the linear quantizer of repro.compressors.blocks."""
+"""Tests for the quantization stage of repro.compressors.blocks.
+
+The SZ-like codec quantizes in two steps: :func:`quantize_to_grid` rounds
+the field onto the ``2*eb`` grid (or reports that it cannot), and
+:func:`split_unpredictable` moves residual codes beyond the code radius
+into an exact side channel that :func:`merge_unpredictable` restores.
+"""
 
 from __future__ import annotations
 
@@ -8,55 +14,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.compressors.blocks import DEFAULT_CODE_RADIUS, linear_quantize
+from repro.compressors.blocks import (
+    MAX_SAFE_CODE,
+    merge_unpredictable,
+    quantize_to_grid,
+    split_unpredictable,
+)
 
 
-class TestLinearQuantize:
-    def test_perfect_prediction_gives_zero_codes(self):
-        values = np.random.default_rng(0).normal(size=(8, 8))
-        codes, unpredictable, reconstruction = linear_quantize(values, values, 1e-3)
+class TestQuantizeToGrid:
+    def test_zero_field_gives_zero_codes(self):
+        codes = quantize_to_grid(np.zeros((8, 8)), 2e-3)
+        assert codes is not None
+        assert codes.dtype == np.int64
         np.testing.assert_array_equal(codes, 0)
-        assert not unpredictable.any()
-        np.testing.assert_allclose(reconstruction, values, atol=1e-3)
 
-    def test_error_bound_respected(self):
-        rng = np.random.default_rng(1)
-        values = rng.normal(size=(16, 16))
-        predictions = values + rng.normal(scale=0.1, size=(16, 16))
-        for bound in (1e-4, 1e-2, 1e-1):
-            _, _, reconstruction = linear_quantize(values, predictions, bound)
-            assert np.abs(reconstruction - values).max() <= bound * (1 + 1e-12)
+    @pytest.mark.parametrize("bound", [1e-4, 1e-2, 1e-1])
+    def test_error_bound_respected(self, bound):
+        values = np.random.default_rng(1).normal(size=(16, 16))
+        step = 2.0 * bound
+        codes = quantize_to_grid(values, step)
+        assert np.abs(codes * step - values).max() <= bound * (1 + 1e-12)
 
-    def test_large_residuals_marked_unpredictable(self):
-        values = np.array([[0.0, 1e9]])
-        predictions = np.zeros((1, 2))
-        _, unpredictable, reconstruction = linear_quantize(
-            values, predictions, 1e-6, code_radius=100
-        )
-        assert unpredictable[0, 1]
-        assert not unpredictable[0, 0]
-        # Unpredictable entries reconstruct exactly.
-        assert reconstruction[0, 1] == 1e9
+    def test_values_on_the_grid_are_exact(self):
+        grid = np.arange(-20, 21, dtype=np.int64).reshape(1, -1)
+        codes = quantize_to_grid(grid * 0.25, 0.25)
+        np.testing.assert_array_equal(codes, grid)
 
-    def test_codes_are_integers_with_expected_values(self):
-        values = np.array([[0.25, -0.25, 0.5]])
-        predictions = np.zeros((1, 3))
-        codes, _, _ = linear_quantize(values, predictions, 0.125)
-        np.testing.assert_array_equal(codes, [[1, -1, 2]])
+    def test_max_code_is_inclusive(self):
+        values = np.array([[-3.0, 3.0]])
+        np.testing.assert_array_equal(quantize_to_grid(values, 1.0, max_code=3), [[-3, 3]])
+        assert quantize_to_grid(values, 1.0, max_code=2) is None
 
-    def test_non_finite_codes_handled(self):
-        values = np.array([[np.inf, 1.0]])
-        predictions = np.zeros((1, 2))
-        _, unpredictable, _ = linear_quantize(values, predictions, 1e-3)
-        assert unpredictable[0, 0]
+    def test_default_max_code_is_the_int64_safe_limit(self):
+        assert quantize_to_grid(np.array([MAX_SAFE_CODE]), 1.0) is not None
+        assert quantize_to_grid(np.array([4 * MAX_SAFE_CODE]), 1.0) is None
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            linear_quantize(np.zeros((2, 2)), np.zeros((3, 3)), 1e-3)
-
-    def test_invalid_bound_rejected(self):
-        with pytest.raises(ValueError):
-            linear_quantize(np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
+    def test_empty_field_quantizes(self):
+        codes = quantize_to_grid(np.zeros((0, 4)), 1e-3)
+        assert codes is not None and codes.shape == (0, 4)
 
     @given(
         values=hnp.arrays(
@@ -68,9 +64,33 @@ class TestLinearQuantize:
     )
     @settings(max_examples=60, deadline=None)
     def test_error_bound_property(self, values, bound):
-        predictions = np.zeros_like(values)
-        _, _, reconstruction = linear_quantize(values, predictions, bound)
-        assert np.abs(reconstruction - values).max(initial=0.0) <= bound * (1 + 1e-9)
+        step = 2.0 * bound
+        codes = quantize_to_grid(values, step)
+        assert codes is not None
+        assert np.abs(codes * step - values).max(initial=0.0) <= bound * (1 + 1e-9)
 
-    def test_default_radius_matches_sz(self):
-        assert DEFAULT_CODE_RADIUS == 2**15
+
+class TestUnpredictableSideChannel:
+    def test_large_residuals_go_to_the_side_channel(self):
+        residuals = np.array([[0, 10**9, -3]])
+        symbols, outliers = split_unpredictable(residuals, 100)
+        np.testing.assert_array_equal(symbols, [[101, 0, 98]])
+        np.testing.assert_array_equal(outliers, [10**9])
+
+    def test_radius_is_inclusive(self):
+        symbols, outliers = split_unpredictable(np.array([-5, 5, 6, -6]), 5)
+        np.testing.assert_array_equal(symbols, [1, 11, 0, 0])
+        np.testing.assert_array_equal(outliers, [6, -6])
+
+    @given(
+        residuals=hnp.arrays(
+            np.int64, (5, 9), elements=st.integers(min_value=-(2**40), max_value=2**40)
+        ),
+        radius=st.integers(min_value=1, max_value=2**20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_merge_roundtrip_property(self, residuals, radius):
+        symbols, outliers = split_unpredictable(residuals, radius)
+        assert symbols.min() >= 0 and symbols.max() <= 2 * radius + 1
+        assert outliers.size == int(np.count_nonzero(symbols == 0))
+        np.testing.assert_array_equal(merge_unpredictable(symbols, outliers, radius), residuals)

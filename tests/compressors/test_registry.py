@@ -27,7 +27,7 @@ class TestRegistry:
 
     def test_make_compressor_forwards_options(self):
         compressor = make_compressor("sz", 1e-3, block_size=8)
-        assert compressor.block_size == 8
+        assert compressor._codec.block_size == 8
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="available"):

@@ -67,20 +67,22 @@ class TestRoundTrip:
 
 class TestCompressionBehaviour:
     def test_cr_increases_with_error_bound(self, smooth_field):
-        crs = [SZCompressor(b).compression_ratio(smooth_field) for b in (1e-5, 1e-3, 1e-1)]
+        crs = [
+            SZCompressor(b).compress(smooth_field).compression_ratio for b in (1e-5, 1e-3, 1e-1)
+        ]
         assert crs[0] < crs[1] < crs[2]
 
     def test_smoother_data_compresses_better(self, smooth_field, rough_field):
         bound = 1e-3
-        assert SZCompressor(bound).compression_ratio(smooth_field) > SZCompressor(
+        assert SZCompressor(bound).compress(smooth_field).compression_ratio > SZCompressor(
             bound
-        ).compression_ratio(rough_field)
+        ).compress(rough_field).compression_ratio
 
     def test_beats_white_noise_on_correlated_data(self, smooth_field, white_noise_field):
         bound = 1e-3
-        assert SZCompressor(bound).compression_ratio(smooth_field) > SZCompressor(
+        assert SZCompressor(bound).compress(smooth_field).compression_ratio > SZCompressor(
             bound
-        ).compression_ratio(white_noise_field)
+        ).compress(white_noise_field).compression_ratio
 
     def test_extras_reported(self, smooth_field):
         compressed = SZCompressor(1e-3).compress(smooth_field)
@@ -97,13 +99,10 @@ class TestCompressionBehaviour:
 
     def test_hybrid_at_least_as_good_as_worst_single_predictor(self, multi_range_field):
         bound = 1e-3
-        hybrid = SZCompressor(bound).compression_ratio(multi_range_field)
-        lorenzo = SZCompressor(bound, predictors=("lorenzo",)).compression_ratio(
-            multi_range_field
-        )
-        regression = SZCompressor(bound, predictors=("regression",)).compression_ratio(
-            multi_range_field
-        )
+        hybrid = SZCompressor(bound).compress(multi_range_field).compression_ratio
+        lorenzo = SZCompressor(bound, predictors=("lorenzo",)).compress(multi_range_field)
+        regression = SZCompressor(bound, predictors=("regression",)).compress(multi_range_field)
+        lorenzo, regression = lorenzo.compression_ratio, regression.compression_ratio
         assert hybrid >= min(lorenzo, regression) * 0.95
 
     def test_zstd_backend_roundtrip(self, smooth_field):

@@ -142,7 +142,7 @@ class TestVolumeEdgeCases:
     def test_sz_3d_block_size_option(self):
         volume = generate_miranda_like_volume((12, 12, 12), seed=6)
         codec = SZCompressor(1e-3, block_size_3d=4)
-        assert codec.block_size_3d == 4
+        assert codec._codec_3d.block_size == 4
         _ = codec.decompress(codec.compress(volume))
 
     @pytest.mark.parametrize("ndim", [2, 3])

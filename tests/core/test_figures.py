@@ -85,13 +85,6 @@ class TestSeriesFromResult:
         with pytest.raises(ValueError):
             series_from_result(gaussian_single_result, "entropy", figure="x")
 
-    def test_legend_label_contains_coefficients(self, gaussian_single_result):
-        series = series_from_result(
-            gaussian_single_result, "global_variogram_range", figure="figure3"
-        )
-        label = series[0].legend_label()
-        assert "alpha=" in label and "beta=" in label
-
 
 class TestFigure3:
     def test_structure_and_positive_slopes(self, gaussian_single_result):

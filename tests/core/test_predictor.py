@@ -77,7 +77,6 @@ class TestCompressionRatioPredictor:
         predictor = CompressionRatioPredictor()
         reports = predictor.fit(records)
         assert {r.compressor for r in reports} == {"sz", "zfp"}
-        assert predictor.fitted_compressors == ["sz", "zfp"]
 
     def test_predict_unknown_compressor_raises(self):
         predictor = CompressionRatioPredictor()

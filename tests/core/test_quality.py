@@ -1,13 +1,16 @@
-"""Tests for repro.core.quality."""
+"""Tests for the quality analysis of benchmarks/test_extension_psnr_correlation.py."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from benchmarks.test_extension_psnr_correlation import (
+    quality_series_from_result,
+    rate_distortion_table,
+)
 from repro.core.experiment import ExperimentConfig
 from repro.core.pipeline import run_experiment_on_fields
-from repro.core.quality import quality_series_from_result, rate_distortion_table
 from repro.datasets.gaussian import generate_gaussian_field
 
 CONFIG = ExperimentConfig(

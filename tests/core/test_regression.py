@@ -36,12 +36,6 @@ class TestFitLogRegression:
         fit_e = fit_log_regression(x, cr)
         assert fit_e.beta == pytest.approx(3.0 / np.log(10.0), abs=1e-9)
 
-    def test_predict_matches_model(self):
-        fit = fit_log_regression([1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 3.0, 4.0])
-        predicted = fit.predict(np.array([1.0, 8.0]))
-        assert predicted[0] == pytest.approx(fit.alpha)
-        assert predicted[1] == pytest.approx(fit.alpha + fit.beta * np.log(8.0))
-
     def test_non_positive_and_non_finite_points_dropped(self):
         x = [0.0, -1.0, np.nan, 1.0, np.e, np.e**2]
         cr = [99.0, 99.0, 99.0, 1.0, 2.0, 3.0]

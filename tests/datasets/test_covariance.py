@@ -7,19 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets.covariance import (
-    ExponentialCovariance,
-    MaternCovariance,
-    MixtureCovariance,
-    SphericalCovariance,
-    SquaredExponentialCovariance,
-)
+from repro.datasets.covariance import MixtureCovariance, SquaredExponentialCovariance
 
 ALL_MODELS = [
     SquaredExponentialCovariance(range=8.0, variance=2.0),
-    ExponentialCovariance(range=8.0, variance=2.0),
-    MaternCovariance(range=8.0, variance=2.0, nu=1.5),
-    SphericalCovariance(range=8.0, variance=2.0),
+    MixtureCovariance(
+        [SquaredExponentialCovariance(range=2.0), SquaredExponentialCovariance(range=20.0)]
+    ),
 ]
 
 
@@ -38,16 +32,6 @@ class TestCommonProperties:
     def test_non_negative(self, model):
         h = np.linspace(0, 100, 500)
         assert np.all(model(h) >= -1e-12)
-
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
-    def test_semivariogram_complements_covariance(self, model):
-        h = np.linspace(0, 30, 100)
-        np.testing.assert_allclose(model.semivariogram(h), model.variance - model(h), atol=1e-12)
-
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
-    def test_effective_range_has_low_correlation(self, model):
-        h = np.array([model.effective_range])
-        assert model(h)[0] <= 0.06 * model.variance
 
 
 class TestSquaredExponential:
@@ -69,20 +53,6 @@ class TestSquaredExponential:
         assert 0.0 <= value <= 1.0
 
 
-class TestMatern:
-    def test_finite_at_zero_distance(self):
-        model = MaternCovariance(range=5.0, nu=0.5)
-        assert np.isfinite(model(np.array([0.0]))[0])
-
-    def test_nu_half_matches_exponential(self):
-        # With nu=1/2 the Matern kernel reduces to exp(-sqrt(2*nu)*h/range)
-        # = exp(-h/range), i.e. the exponential covariance with equal range.
-        matern = MaternCovariance(range=7.0, variance=1.0, nu=0.5)
-        expo = ExponentialCovariance(range=7.0, variance=1.0)
-        h = np.linspace(0.1, 30, 50)
-        np.testing.assert_allclose(matern(h), expo(h), rtol=1e-6)
-
-
 class TestMixture:
     def test_equal_weights_by_default(self):
         mix = MixtureCovariance(
@@ -99,12 +69,6 @@ class TestMixture:
             weights=[0.25, 0.75],
         )
         assert mix.variance == pytest.approx(0.25 * 1.0 + 0.75 * 3.0)
-
-    def test_effective_range_is_dominated_by_longest_component(self):
-        short = SquaredExponentialCovariance(range=2.0)
-        long = SquaredExponentialCovariance(range=30.0)
-        mix = MixtureCovariance([short, long])
-        assert mix.effective_range == pytest.approx(long.effective_range)
 
     def test_rejects_empty_and_bad_weights(self):
         with pytest.raises(ValueError):

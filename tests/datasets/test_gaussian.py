@@ -12,6 +12,8 @@ from repro.datasets.gaussian import (
     generate_gaussian_field,
     generate_multi_range_field,
 )
+from repro.utils.rng import make_rng
+from tests.reference.gaussian import sample_cholesky
 
 
 class TestConfig:
@@ -50,7 +52,8 @@ class TestSampling:
             shape=(64, 64), covariance=SquaredExponentialCovariance(range=3.0, variance=1.0)
         )
         generator = GaussianRandomFieldGenerator(config)
-        fields = generator.sample_many(8, seed=0)
+        rng = make_rng(0)
+        fields = np.stack([generator.sample(rng) for _ in range(8)])
         assert fields.shape == (8, 64, 64)
         assert abs(fields.var() - 1.0) < 0.15
 
@@ -64,20 +67,17 @@ class TestSampling:
     def test_empirical_correlation_matches_model(self):
         # Lag-h sample correlation should track exp(-(h/a)^2).
         a = 8.0
-        fields = GaussianRandomFieldGenerator(
+        generator = GaussianRandomFieldGenerator(
             GaussianFieldConfig(shape=(96, 96), covariance=SquaredExponentialCovariance(range=a))
-        ).sample_many(6, seed=2)
+        )
+        rng = make_rng(2)
+        fields = np.stack([generator.sample(rng) for _ in range(6)])
         for lag in (2, 4, 8):
             x = fields[:, :, :-lag].ravel()
             y = fields[:, :, lag:].ravel()
             empirical = np.corrcoef(x, y)[0, 1]
             expected = np.exp(-((lag / a) ** 2))
             assert abs(empirical - expected) < 0.1
-
-    def test_sample_many_count_zero(self):
-        generator = GaussianRandomFieldGenerator(GaussianFieldConfig(shape=(16, 16)))
-        assert generator.sample_many(0).shape == (0, 16, 16)
-
 
 class TestCholeskyReference:
     def test_matches_fft_sampler_statistically(self):
@@ -87,7 +87,7 @@ class TestCholeskyReference:
         )
         generator = GaussianRandomFieldGenerator(config)
         fft_fields = np.stack([generator.sample(seed=i) for i in range(12)])
-        chol_fields = np.stack([generator.sample_cholesky(seed=100 + i) for i in range(12)])
+        chol_fields = np.stack([sample_cholesky(config, seed=100 + i) for i in range(12)])
 
         def lag1(fields):
             return np.corrcoef(fields[:, :, :-1].ravel(), fields[:, :, 1:].ravel())[0, 1]
@@ -95,9 +95,8 @@ class TestCholeskyReference:
         assert abs(lag1(fft_fields) - lag1(chol_fields)) < 0.1
 
     def test_rejects_large_grids(self):
-        generator = GaussianRandomFieldGenerator(GaussianFieldConfig(shape=(128, 128)))
         with pytest.raises(ValueError, match="limited"):
-            generator.sample_cholesky()
+            sample_cholesky(GaussianFieldConfig(shape=(128, 128)))
 
 
 class TestMultiRange:

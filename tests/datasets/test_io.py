@@ -5,45 +5,35 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.datasets.io import load_field, load_raw, save_field, save_raw
+from repro.datasets.io import load_field, load_raw
 
 
 class TestRawIO:
     def test_roundtrip_float32(self, tmp_path):
         field = np.random.default_rng(0).normal(size=(12, 18)).astype(np.float32)
         path = tmp_path / "field.raw"
-        save_raw(path, field, dtype="float32")
+        field.astype("<f4").tofile(path)
         loaded = load_raw(path, (12, 18), dtype="float32")
         np.testing.assert_allclose(loaded, field, rtol=1e-6)
 
     def test_roundtrip_float64(self, tmp_path):
         field = np.random.default_rng(1).normal(size=(7, 9))
         path = tmp_path / "field64.raw"
-        save_raw(path, field, dtype="float64")
+        field.astype("<f8").tofile(path)
         loaded = load_raw(path, (7, 9), dtype="float64")
         np.testing.assert_array_equal(loaded, field)
-
-    def test_sdrbench_layout_is_headerless_little_endian(self, tmp_path):
-        field = np.arange(6, dtype=np.float32).reshape(2, 3)
-        path = tmp_path / "sdr.raw"
-        save_raw(path, field, dtype="float32")
-        raw = path.read_bytes()
-        assert len(raw) == 6 * 4
-        np.testing.assert_array_equal(
-            np.frombuffer(raw, dtype="<f4").reshape(2, 3), field
-        )
 
     def test_wrong_shape_raises(self, tmp_path):
         field = np.zeros((4, 4), dtype=np.float32)
         path = tmp_path / "bad.raw"
-        save_raw(path, field, dtype="float32")
+        field.astype("<f4").tofile(path)
         with pytest.raises(ValueError, match="expected"):
             load_raw(path, (5, 5), dtype="float32")
 
     def test_3d_volume_roundtrip(self, tmp_path):
         volume = np.random.default_rng(2).normal(size=(3, 4, 5)).astype(np.float32)
         path = tmp_path / "vol.raw"
-        save_raw(path, volume, dtype="float32")
+        volume.astype("<f4").tofile(path)
         loaded = load_raw(path, (3, 4, 5), dtype="float32")
         np.testing.assert_allclose(loaded, volume, rtol=1e-6)
 
@@ -52,11 +42,5 @@ class TestNpyIO:
     def test_roundtrip(self, tmp_path):
         field = np.random.default_rng(3).normal(size=(10, 11))
         path = tmp_path / "field.npy"
-        save_field(path, field)
+        np.save(path, field)
         np.testing.assert_array_equal(load_field(path), field)
-
-    def test_suffix_is_added(self, tmp_path):
-        field = np.ones((2, 2))
-        path = tmp_path / "noext"
-        save_field(path, field)
-        assert (tmp_path / "noext.npy").exists()

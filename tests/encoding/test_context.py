@@ -16,8 +16,8 @@ from repro.encoding.context import EntropyContext, stream_width
 from repro.encoding.huffman import (
     canonical_code_from_counts,
     huffman_decode_with_code,
-    huffman_encode_with_code,
 )
+from tests.reference.huffman import huffman_encode_with_code
 
 
 def _peaked(rng, n, scale=3, outlier_rate=0.01, outlier_span=(500, 4000)):
@@ -35,7 +35,7 @@ class TestEntropyContext:
         context = EntropyContext.from_streams(
             [np.array([1, 2, 3]), np.array([100, 200]), np.array([2, 2])]
         )
-        assert context.widths == (2, 8)
+        assert sorted(context._pools) == [2, 8]
         pool = context.pool(2)
         assert pool is not None
         assert pool.symbols.tolist() == [1, 2, 3]
@@ -45,7 +45,7 @@ class TestEntropyContext:
     def test_empty_streams_ignored(self):
         context = EntropyContext.from_streams([np.empty(0, dtype=np.int64)])
         assert not context
-        assert context.widths == ()
+        assert not context._pools
 
     def test_stream_width(self):
         assert stream_width(np.empty(0, dtype=np.int64)) == 0
@@ -251,7 +251,7 @@ class TestPoolCodeMemo:
 
         pools = Counter()
         for context in contexts:
-            for width in context.widths:
+            for width in sorted(context._pools):
                 pool = context.pool(width)
                 pools[
                     (

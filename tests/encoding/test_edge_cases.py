@@ -18,18 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compressors.base import LosslessBackend
-from repro.encoding.bitio import BitReader, BitWriter
 from repro.encoding.huffman import huffman_decode, huffman_encode
 from repro.encoding.rle import rle_decode, rle_encode
 from repro.encoding.varint import (
+    Writer,
     decode_signed_varint_array,
-    decode_varint,
     decode_varint_array,
-    encode_signed_varint,
     encode_signed_varint_array,
     encode_varint,
     encode_varint_array,
 )
+from tests.reference.bitio import BitReader, BitWriter
+from tests.reference.huffman import code_lookup
+from tests.reference.varint import decode_varint, encode_signed_varint
 
 
 class TestEmptyInputs:
@@ -220,7 +221,7 @@ class TestHuffmanRobustness:
             header.extend(encode_varint(sym))
             header.extend(encode_varint(length))
         writer = BitWriter()
-        lookup = code.as_lookup()
+        lookup = code_lookup(code)
         for sym in [0, 1, 2, 3]:
             cw, ln = lookup[sym]
             writer.write_bits(cw, ln)
@@ -335,3 +336,39 @@ class TestCorruptLengthFields:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "count, runs",
+        [(5, [2**40]), (5, [3, 3]), (5, [2, 0, 3]), (2**62, [2**62] * 5)],
+        ids=["one-huge-run", "total-over-count", "zero-run", "int64-wrap"],
+    )
+    def test_h_run_lengths_checked_before_expanding(self, count, runs):
+        # The last case's total, 5 * 2**62, wraps to the declared count in int64.
+        body = Writer(b"H")
+        body.varint(count)
+        body.blob(huffman_encode([3] * len(runs)))
+        body.blob(huffman_encode(runs))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="run length|symbol count"):
+                LosslessBackend("huffman").decode_symbols(bytes(body))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "count, runs",
+        [(5, [5]), (4, [1, 1, 1, 1]), (7, [3, 4]), (2**20, [2**19, 2**19])],
+        ids=["one-run-of-count", "unit-runs", "two-runs", "large-runs"],
+    )
+    def test_h_runs_summing_to_count_decode(self, count, runs):
+        # The run check must not reject a well-formed stream, including a
+        # single run as long as the stream and runs at the boundary.
+        values = np.arange(len(runs), dtype=np.int64) + 3
+        body = Writer(b"H")
+        body.varint(count)
+        body.blob(huffman_encode(values))
+        body.blob(huffman_encode(runs))
+        decoded = LosslessBackend("huffman").decode_symbols(bytes(body))
+        np.testing.assert_array_equal(decoded, np.repeat(values, runs))

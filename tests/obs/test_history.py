@@ -93,7 +93,7 @@ class TestSeries:
         history = _history(registry)
         registry.counter("repro_t_total", 10)
         history.sample_now()
-        registry.reset()
+        registry._counters.clear()  # as after a process restart
         registry.counter("repro_t_total", 1)  # restarted from scratch
         history.sample_now()
         last = history.series()["points"][-1]

@@ -16,36 +16,29 @@ class TestCountersAndGauges:
         reg = MetricsRegistry()
         reg.counter("repro_x_total")
         reg.counter("repro_x_total", 4)
-        assert reg.value("repro_x_total") == 5
+        assert reg.snapshot().get("repro_x_total") == 5
 
     def test_labels_distinguish_series(self):
         reg = MetricsRegistry()
         reg.counter("repro_x_total", labels={"route": "read"})
         reg.counter("repro_x_total", labels={"route": "chunk"})
         reg.counter("repro_x_total", labels={"route": "read"})
-        assert reg.value("repro_x_total", {"route": "read"}) == 2
-        assert reg.value("repro_x_total", {"route": "chunk"}) == 1
-        assert reg.value("repro_x_total") is None
+        assert reg.snapshot().get('repro_x_total{route="read"}') == 2
+        assert reg.snapshot().get('repro_x_total{route="chunk"}') == 1
+        assert reg.snapshot().get("repro_x_total") is None
 
     def test_set_counter_overwrites(self):
         reg = MetricsRegistry()
         reg.set_counter("repro_x_total", 10)
         reg.set_counter("repro_x_total", 12)
-        assert reg.value("repro_x_total") == 12
+        assert reg.snapshot().get("repro_x_total") == 12
 
     def test_gauge_holds_last_value(self):
         reg = MetricsRegistry()
         reg.gauge("repro_gate_active", 3)
         reg.gauge("repro_gate_active", 1)
-        assert reg.value("repro_gate_active") == 1
+        assert reg.snapshot().get("repro_gate_active") == 1
 
-    def test_reset_clears_series_keeps_collectors(self):
-        reg = MetricsRegistry()
-        reg.register_collector(lambda r: r.gauge("repro_live", 7))
-        reg.counter("repro_x_total")
-        reg.reset()
-        assert reg.value("repro_x_total") is None
-        assert reg.snapshot()["repro_live"] == 7
 
 
 class TestHistograms:
@@ -163,13 +156,13 @@ class TestCacheCounterBridge:
                 "mystery": 99,
             },
         )
-        labels = {"cache": "hot-chunk"}
-        assert reg.value("repro_cache_hits_total", labels) == 5
-        assert reg.value("repro_cache_misses_total", labels) == 2
-        assert reg.value("repro_cache_evictions_total", labels) == 1
-        assert reg.value("repro_cache_entries", labels) == 4
-        assert reg.value("repro_cache_nbytes", labels) == 1024
-        assert reg.value("repro_cache_max_nbytes", labels) == 4096
+        snapshot = reg.snapshot()
+        assert snapshot['repro_cache_hits_total{cache="hot-chunk"}'] == 5
+        assert snapshot['repro_cache_misses_total{cache="hot-chunk"}'] == 2
+        assert snapshot['repro_cache_evictions_total{cache="hot-chunk"}'] == 1
+        assert snapshot['repro_cache_entries{cache="hot-chunk"}'] == 4
+        assert snapshot['repro_cache_nbytes{cache="hot-chunk"}'] == 1024
+        assert snapshot['repro_cache_max_nbytes{cache="hot-chunk"}'] == 4096
         # No cache reports a coalesced count; the key is ignored like any other.
         assert all(
             "mystery" not in key and "coalesced" not in key for key in reg.snapshot()
@@ -178,5 +171,5 @@ class TestCacheCounterBridge:
     def test_partial_dicts_publish_partially(self):
         reg = MetricsRegistry()
         publish_cache_counters(reg, "experiment", {"hits": 1, "misses": 0})
-        assert reg.value("repro_cache_hits_total", {"cache": "experiment"}) == 1
-        assert reg.value("repro_cache_entries", {"cache": "experiment"}) is None
+        assert reg.snapshot()['repro_cache_hits_total{cache="experiment"}'] == 1
+        assert 'repro_cache_entries{cache="experiment"}' not in reg.snapshot()

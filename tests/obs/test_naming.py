@@ -10,6 +10,7 @@ import pytest
 from repro.datasets.gaussian import generate_gaussian_field
 from repro.obs.metrics import REGISTRY
 from repro.store import ArrayStore
+from repro.store.snapshot import StoreSnapshot
 from repro.volumes.pipeline import compress_volume
 
 
@@ -35,7 +36,7 @@ class TestStoreInfo:
             assert alias not in info
         for attribute in ("chunks_decoded_total", "last_write_cache_counters"):
             assert not hasattr(store, attribute)
-        summary = store.snapshot().info()
+        summary = StoreSnapshot.open(store.path).info()
         assert {key: info[key] for key in summary} == summary
         assert set(info) - set(summary) == {"path", "chunks"}
         assert info["orphaned_nbytes"] == store.orphaned_nbytes

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.obs.profile import SamplingProfiler, profile_for
+from repro.obs.profile import SamplingProfiler
 
 
 def _spin_until(stop: threading.Event) -> None:
@@ -93,29 +93,8 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             SamplingProfiler(hz=hz)
 
-    def test_profile_for_validates_duration(self):
-        with pytest.raises(ValueError):
-            profile_for(0.0)
-
-    def test_profile_for_runs_and_stops(self):
-        profiler = profile_for(0.1, hz=100)
-        assert profiler.sample_count > 0
-        assert profiler._thread is not None and not profiler._thread.is_alive()
-
 
 class TestExports:
-    def test_collapsed_format(self, busy_thread):
-        with SamplingProfiler(hz=200) as profiler:
-            time.sleep(0.2)
-        text = profiler.collapsed()
-        assert text.endswith("\n")
-        lines = text.strip().splitlines()
-        assert lines
-        for line in lines:
-            stack_part, count = line.rsplit(" ", 1)
-            assert int(count) > 0
-            assert ";" in stack_part  # lane;frame;...
-
     def test_speedscope_document_shape(self, busy_thread):
         with SamplingProfiler(hz=200) as profiler:
             time.sleep(0.25)
@@ -168,7 +147,6 @@ class TestExports:
 
     def test_empty_profiler_exports_cleanly(self):
         profiler = SamplingProfiler()
-        assert profiler.collapsed() == ""
         doc = profiler.speedscope()
         assert doc["profiles"] == []
         assert profiler.hot_functions() == []

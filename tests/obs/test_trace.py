@@ -18,13 +18,11 @@ from repro.obs.trace import (
     install_tracer,
     span,
     traced,
-    tracing_enabled,
 )
 
 
 class TestDisabled:
     def test_disabled_is_the_default(self):
-        assert not tracing_enabled()
         assert active_tracer() is None
 
     def test_span_returns_shared_noop(self):

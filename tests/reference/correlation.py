@@ -1,8 +1,8 @@
 """Autocorrelation-based correlation-length estimators.
 
 An independent (non-variogram) estimate of the spatial correlation scale,
-used in the test suite as a cross-check of the variogram range estimator
-and available to users who prefer ACF-based summaries.  For a field with
+which the tests use to check the Gaussian field generator's range
+without going through the variogram code.  For a field with
 squared-exponential correlation ``exp(-h^2/a^2)`` the lag at which the ACF
 drops to ``1/e`` equals ``a``; the e-folding estimator below exploits that.
 """
@@ -14,9 +14,6 @@ from typing import Optional
 import numpy as np
 
 from repro.utils.validation import ensure_2d, ensure_float_array
-
-__all__ = ["autocorrelation_1d", "acf_correlation_length"]
-
 
 def autocorrelation_1d(values: np.ndarray, max_lag: Optional[int] = None) -> np.ndarray:
     """Sample autocorrelation of a 1D sequence for lags ``0..max_lag``.

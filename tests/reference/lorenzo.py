@@ -25,9 +25,6 @@ import numpy as np
 from repro.compressors.blocks import DEFAULT_CODE_RADIUS
 from repro.utils.validation import ensure_2d, ensure_positive
 
-__all__ = ["lorenzo_predict_feedback"]
-
-
 def lorenzo_predict_feedback(
     field: np.ndarray,
     error_bound: float,

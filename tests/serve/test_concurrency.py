@@ -157,8 +157,9 @@ class TestCoalescingAndGate:
     def test_concurrent_identical_reads_coalesce_and_share_cache(
         self, serve_root, server, volume_3d
     ):
-        build_store(serve_root / "coal", volume_3d, chunk=8)
-        server.server.cache.clear()
+        # Content no other test stores, so no chunk of it is in the shared
+        # server's hot cache yet.
+        build_store(serve_root / "coal", volume_3d + 0.5, chunk=8)
         coalesced_before = server.server.coalesced_reads
         misses_before = server.server.cache.counters()["misses"]
 

@@ -13,7 +13,7 @@ import pytest
 from repro.compressors import make_compressor
 from repro.serve.client import ServeError, StoreClient
 from repro.serve.server import ServerConfig, SlowRequestLog, ThreadedServer
-from repro.store import ArrayStore
+from repro.store.snapshot import StoreSnapshot
 
 from .conftest import build_store
 
@@ -142,7 +142,7 @@ class TestSlowRequests:
         # same payload via another dataset would mask the corruption.
         store_path = debug_root / "flaky"
         build_store(store_path, np.random.default_rng(77).random((96, 80)))
-        snapshot = ArrayStore.open(store_path).snapshot()
+        snapshot = StoreSnapshot.open(store_path)
         record = snapshot.index[snapshot.n_chunks - 1]
         with open(str(store_path) + "/chunks.bin", "r+b") as handle:
             handle.seek(record.offset + record.length // 2)

@@ -19,6 +19,7 @@ import pytest
 from repro.serve.client import ServeError, StoreClient
 from repro.serve.server import ServerConfig, ThreadedServer
 from repro.store import ArrayStore
+from repro.store.snapshot import StoreSnapshot
 
 from tests.serve.conftest import build_store
 
@@ -26,7 +27,7 @@ from tests.serve.conftest import build_store
 def _corrupt_chunk(path, linear: int) -> None:
     """Flip one byte inside the payload of chunk ``linear``."""
 
-    snapshot = ArrayStore.open(path).snapshot()
+    snapshot = StoreSnapshot.open(path)
     record = snapshot.index[linear]
     with open(str(path) + "/chunks.bin", "r+b") as handle:
         handle.seek(record.offset + record.length // 2)
@@ -44,7 +45,7 @@ class TestCorruption:
         # even via another dataset — would mask the corruption.
         build_store(serve_root / "victim", field_2d)
         build_store(serve_root / "bystander", np.asarray(field_2d)[::-1].copy())
-        snapshot = ArrayStore.open(serve_root / "victim").snapshot()
+        snapshot = StoreSnapshot.open(serve_root / "victim")
         last = snapshot.n_chunks - 1
         assert last > 0
         bad, good = snapshot.index[last], snapshot.index[0]

@@ -8,6 +8,7 @@ import pytest
 from repro.obs.metrics import REGISTRY
 from repro.serve.client import ServeError, StoreClient
 from repro.store import ArrayStore
+from repro.store.snapshot import StoreSnapshot
 
 from tests.serve.conftest import TOL, build_store
 from tests.store.test_array_store import RETIRED_SPEC, retire_policy
@@ -163,9 +164,8 @@ class TestHotChunkCache:
 class TestChunkEndpoint:
     def test_payload_and_etag_round_trip(self, serve_root, client, field_2d):
         build_store(serve_root / "etag", field_2d)
-        store = ArrayStore.open(serve_root / "etag")
         payload, etag = client.chunk("etag", 0)
-        snapshot = store.snapshot()
+        snapshot = StoreSnapshot.open(serve_root / "etag")
         record = snapshot.index[0]
         assert len(payload) == record.length
         assert etag == f'"{snapshot.payload_sha1(0)}"'

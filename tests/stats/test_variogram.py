@@ -19,9 +19,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             VariogramConfig(bin_width=0.0)
         with pytest.raises(ValueError):
-            VariogramConfig(method="magic")
-        with pytest.raises(ValueError):
-            VariogramConfig(n_pairs=0)
+            VariogramConfig(min_pairs_per_bin=0)
+
+    @pytest.mark.parametrize("option", ["method", "n_pairs"])
+    def test_sampled_pair_options_are_gone(self, option):
+        # The estimator is the exact FFT one over every pair; no config
+        # selects another.
+        with pytest.raises(TypeError):
+            VariogramConfig(**{option: 1})
+
+    def test_estimator_takes_no_seed(self):
+        with pytest.raises(TypeError):
+            empirical_variogram(np.zeros((8, 8)), seed=0)
+
+    def test_min_pairs_per_bin_drops_sparse_bins(self, smooth_field):
+        full = empirical_variogram(smooth_field, VariogramConfig(max_lag=20.0))
+        threshold = int(np.median(full.pair_counts)) + 1
+        kept = empirical_variogram(
+            smooth_field, VariogramConfig(max_lag=20.0, min_pairs_per_bin=threshold)
+        )
+        assert 0 < kept.lags.size < full.lags.size
+        assert (kept.pair_counts >= threshold).all()
+        np.testing.assert_allclose(kept.values, full.values[full.pair_counts >= threshold])
 
 
 class TestResultInvariants:
@@ -109,7 +128,7 @@ class TestFFTEstimator:
         field = generate_gaussian_field((128, 128), a, seed=11)
         result = empirical_variogram(field, VariogramConfig(max_lag=30.0))
         model = SquaredExponentialCovariance(range=a, variance=field.var())
-        expected = model.semivariogram(result.lags)
+        expected = model.variance - model(result.lags)
         # Allow generous tolerance: single realisation, finite domain.
         correlation = np.corrcoef(result.values, expected)[0, 1]
         assert correlation > 0.97
@@ -132,36 +151,3 @@ class TestFFTEstimator:
     def test_rejects_other_dimensions(self, shape):
         with pytest.raises(ValueError, match="2D/3D"):
             empirical_variogram(np.random.default_rng(4).normal(size=shape))
-
-
-class TestPairSamplingEstimator:
-    def test_agrees_with_fft_estimator(self, smooth_field):
-        fft_result = empirical_variogram(smooth_field, VariogramConfig(max_lag=10.0))
-        pair_result = empirical_variogram(
-            smooth_field,
-            VariogramConfig(max_lag=10.0, method="pairs", n_pairs=200_000),
-            seed=0,
-        )
-        # Interpolate both onto common lags for comparison.
-        common = np.intersect1d(
-            np.round(fft_result.lags, 1), np.round(pair_result.lags, 1)
-        )
-        assert common.size >= 5
-        fft_interp = np.interp(common, fft_result.lags, fft_result.values)
-        pair_interp = np.interp(common, pair_result.lags, pair_result.values)
-        np.testing.assert_allclose(pair_interp, fft_interp, rtol=0.25)
-
-    def test_reproducible_given_seed(self, rough_field):
-        config = VariogramConfig(method="pairs", n_pairs=5000)
-        a = empirical_variogram(rough_field, config, seed=42)
-        b = empirical_variogram(rough_field, config, seed=42)
-        np.testing.assert_array_equal(a.values, b.values)
-
-    def test_pair_counts_bounded_by_requested_pairs(self, rough_field):
-        config = VariogramConfig(method="pairs", n_pairs=1000)
-        result = empirical_variogram(rough_field, config, seed=0)
-        assert result.pair_counts.sum() <= 1000
-
-    def test_volumes_rejected(self):
-        with pytest.raises(ValueError, match="pairs method takes 2D"):
-            empirical_variogram(np.ones((4, 4, 4)), VariogramConfig(method="pairs"))

@@ -18,7 +18,6 @@ from repro.stats.variogram_models import (
     fit_variogram,
     gaussian_variogram,
     spherical_variogram,
-    variogram_ranges,
 )
 
 
@@ -98,18 +97,6 @@ class TestFitVariogram:
         with pytest.raises(ValueError, match="at least 3"):
             fit_variogram(variogram)
 
-    def test_fitted_model_is_callable(self):
-        variogram = self._synthetic_variogram(1.0, 10.0)
-        fitted = fit_variogram(variogram)
-        values = fitted(np.array([0.0, 10.0, 100.0]))
-        assert values[0] == pytest.approx(fitted.nugget, abs=1e-9)
-        assert values[-1] == pytest.approx(fitted.sill + fitted.nugget, rel=0.01)
-
-    def test_effective_range_exceeds_range_for_gaussian(self):
-        variogram = self._synthetic_variogram(1.0, 10.0)
-        fitted = fit_variogram(variogram)
-        assert fitted.effective_range > fitted.range
-
 
 class TestEstimateVariogramRange:
     @pytest.mark.parametrize("true_range", [4.0, 8.0, 16.0])
@@ -143,19 +130,6 @@ class TestEstimateVariogramRange:
         field[3, 5] = bad
         with pytest.raises(ValueError, match="NaN or inf"):
             estimate_variogram_range(field)
-
-    def test_sampled_pairs_config_accepted(self, smooth_field):
-        exact = estimate_variogram_range(smooth_field)
-        config = VariogramConfig(method="pairs", n_pairs=200_000)
-        sampled = estimate_variogram_range(smooth_field, config=config)
-        assert sampled == pytest.approx(exact, rel=0.2)
-        # The pairs are drawn from a fixed default seed: one field and
-        # config give one range.
-        assert estimate_variogram_range(smooth_field, config=config) == sampled
-        ranges = variogram_ranges([smooth_field, smooth_field.T], config=config)
-        np.testing.assert_allclose(ranges, exact, rtol=0.2)
-        again = variogram_ranges([smooth_field, smooth_field.T], config=config)
-        np.testing.assert_array_equal(again, ranges)
 
 
 def _scipy_fit(variogram, model: str, fit_nugget: bool):

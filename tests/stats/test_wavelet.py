@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from repro.datasets.gaussian import generate_gaussian_field
 from repro.stats.wavelet import (
     haar_transform_2d,
-    inverse_haar_transform_2d,
-    std_local_wavelet_slope,
     wavelet_decompose,
     wavelet_energy_statistics,
 )
+from tests.reference.wavelet import inverse_haar_transform_2d
 
 
 class TestHaarTransform:
@@ -114,24 +113,3 @@ class TestWaveletEnergyStatistics:
             wavelet_energy_statistics(smooth, 3).approximation_fraction
             > wavelet_energy_statistics(noise, 3).approximation_fraction
         )
-
-
-class TestLocalWaveletSlope:
-    def test_scalar_output_and_heterogeneity_sensitivity(self):
-        homogeneous = generate_gaussian_field((128, 128), 8.0, seed=6)
-        rows = np.linspace(0, 1, 128)[:, None]
-        heterogeneous = (
-            np.random.default_rng(7).normal(size=(128, 128)) * rows
-            + generate_gaussian_field((128, 128), 24.0, seed=8) * (1 - rows)
-        )
-        homo = std_local_wavelet_slope(homogeneous, 32)
-        hetero = std_local_wavelet_slope(heterogeneous, 32)
-        assert np.isfinite(homo) and np.isfinite(hetero)
-        assert hetero > homo
-
-    def test_too_small_field_rejected(self):
-        with pytest.raises(ValueError):
-            std_local_wavelet_slope(np.zeros((16, 16)), 32)
-
-    def test_constant_field_gives_nan(self):
-        assert np.isnan(std_local_wavelet_slope(np.ones((64, 64)), 32))

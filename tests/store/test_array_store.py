@@ -16,6 +16,7 @@ from repro.datasets.miranda import generate_miranda_like_volume
 from repro.obs.trace import Tracer, install_tracer
 from repro.store import ArrayStore, StoreCorruptionError, StoreFormatError
 from repro.store.array_store import DATA_NAME, INDEX_NAME, META_NAME
+from repro.store.snapshot import StoreSnapshot
 
 BOUND = 1e-3
 TOL = BOUND * (1.0 + 1e-9)
@@ -307,7 +308,7 @@ class TestPolicies:
         store.write(miranda_64)
         records = store.chunk_records()
         assert len(records) == 64
-        for record, entry in zip(records, store.snapshot().index):
+        for record, entry in zip(records, StoreSnapshot.open(store.path).index):
             region = tuple(slice(o, o + e) for o, e in zip(record.offset, record.shape))
             error = float(np.abs(store.read(region) - miranda_64[region]).max())
             assert record.stats["max_abs_error"] == error

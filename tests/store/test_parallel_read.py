@@ -172,7 +172,7 @@ class TestCorruptHaloFlags:
         ids=["past-edge", "halo-anchor"],
     )
     def test_edited_anchor_flags_fail_typed(self, halo_store, grid, message):
-        snapshot = halo_store.snapshot()
+        snapshot = StoreSnapshot.open(halo_store.path)
         linear = snapshot.linear_index(grid)
         assert snapshot.index[linear].flags == 0
         index = list(snapshot.index)

@@ -13,14 +13,13 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.datasets.gaussian import generate_gaussian_field
-from repro.datasets.io import save_field, save_raw
 
 
 @pytest.fixture()
 def field_npy(tmp_path):
     field = generate_gaussian_field((64, 64), 12.0, seed=0)
     path = tmp_path / "field.npy"
-    save_field(path, field)
+    np.save(path, field)
     return path
 
 
@@ -87,7 +86,7 @@ class TestWorkerCounts:
 
         monkeypatch.setattr(pipeline, "compress_volume", spy)
         path = tmp_path / "vol.npy"
-        save_field(path, np.random.default_rng(4).normal(size=(16, 16, 16)))
+        np.save(path, np.random.default_rng(4).normal(size=(16, 16, 16)))
         argv = ["compress", str(path), "--volume", "--tile", "8", "--error-bound", "1e-2"]
         assert main(argv + ["--workers", "2"]) == 0
         assert main(argv + ["--workers", "1"]) == 0
@@ -105,7 +104,7 @@ class TestCompressCommand:
     def test_compress_raw_with_shape(self, tmp_path, capsys):
         field = generate_gaussian_field((32, 40), 6.0, seed=1)
         path = tmp_path / "field.raw"
-        save_raw(path, field, dtype="float32")
+        field.astype("<f4").tofile(path)
         code = main(
             [
                 "compress",
@@ -125,14 +124,14 @@ class TestCompressCommand:
     def test_compress_3d_takes_middle_slice(self, tmp_path, capsys):
         volume = np.random.default_rng(2).normal(size=(6, 24, 24))
         path = tmp_path / "vol.npy"
-        save_field(path, volume)
+        np.save(path, volume)
         code = main(["compress", str(path), "--error-bound", "1e-2"])
         assert code == 0
 
     def test_compress_3d_volume_natively(self, tmp_path, capsys):
         volume = np.random.default_rng(3).normal(size=(8, 20, 20))
         path = tmp_path / "vol.npy"
-        save_field(path, volume)
+        np.save(path, volume)
         code = main(
             [
                 "compress",
@@ -168,7 +167,7 @@ class TestCompressCommand:
         self, tmp_path, capsys, shape, flags
     ):
         path = tmp_path / "const.npy"
-        save_field(path, np.full(shape, 3.5))
+        np.save(path, np.full(shape, 3.5))
         argv = ["compress", str(path), "--mode", "rel", "--error-bound", "1e-3"]
         code = main(argv + flags)
         out = capsys.readouterr().out
@@ -181,7 +180,7 @@ class TestCompressCommand:
     ):
         volume = np.random.default_rng(4).normal(size=(16, 12, 12))
         path = tmp_path / "vol.npy"
-        save_field(path, volume)
+        np.save(path, volume)
         expected = f"{1e-2 * (volume.max() - volume.min()):g} (abs)"
         for flags in (["--volume"], ["--volume", "--stream"]):
             argv = ["compress", str(path), "--mode", "rel", "--error-bound", "1e-2"]
@@ -192,7 +191,7 @@ class TestCompressCommand:
         self, tmp_path, capsys
     ):
         path = tmp_path / "const.npy"
-        save_field(path, np.full((16, 16, 16), 0.1234567))
+        np.save(path, np.full((16, 16, 16), 0.1234567))
         rows = []
         for flags in (["--volume"], ["--volume", "--stream"]):
             main(["compress", str(path), "--tile", "8"] + flags)
@@ -214,7 +213,7 @@ class TestStatsCommand:
     def test_stats_small_field_skips_local(self, tmp_path, capsys):
         field = generate_gaussian_field((24, 24), 4.0, seed=3)
         path = tmp_path / "small.npy"
-        save_field(path, field)
+        np.save(path, field)
         code = main(["stats", str(path), "--window", "32"])
         out = capsys.readouterr().out
         assert code == 0
@@ -388,7 +387,7 @@ class TestProfileCommand:
         from repro.datasets.miranda import generate_miranda_like_volume
 
         volume = tmp_path / "vol.npy"
-        save_field(volume, generate_miranda_like_volume((32, 32, 32), seed=3))
+        np.save(volume, generate_miranda_like_volume((32, 32, 32), seed=3))
         out = tmp_path / "prof.json"
         argv = ["compress", str(volume), "--volume", "--tile", "16"]
         assert main(["profile", "--out", str(out), "--hz", "1000", "--"] + argv) == 0

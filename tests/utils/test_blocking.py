@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.blocking import (
-    block_count,
     block_view,
-    iter_blocks,
     pad_to_multiple,
     reassemble_blocks,
     window_starts,
@@ -96,21 +94,6 @@ class TestReassembleBlocks:
         np.testing.assert_array_equal(restored, field)
 
 
-class TestIterBlocks:
-    def test_covers_whole_field_without_overlap(self):
-        field = np.arange(35, dtype=float).reshape(5, 7)
-        seen = np.zeros_like(field, dtype=int)
-        for (bi, bj), block in iter_blocks(field, 3):
-            seen[bi * 3 : bi * 3 + block.shape[0], bj * 3 : bj * 3 + block.shape[1]] += 1
-        np.testing.assert_array_equal(seen, np.ones_like(seen))
-
-    def test_edge_blocks_are_partial(self):
-        field = np.zeros((5, 7))
-        shapes = [block.shape for _, block in iter_blocks(field, 4)]
-        assert (4, 4) in shapes
-        assert (1, 3) in shapes
-
-
 class TestWindowStarts:
     def test_complete_windows_only_by_default(self):
         assert window_starts(10, 4) == [0, 4]
@@ -125,7 +108,3 @@ class TestWindowStarts:
     def test_window_larger_than_length(self):
         assert window_starts(3, 8) == []
         assert window_starts(3, 8, include_partial=True) == [0]
-
-    def test_block_count_matches_padding(self):
-        assert block_count((5, 7), 4) == (2, 2)
-        assert block_count((8, 8), 4) == (2, 2)

@@ -9,7 +9,6 @@ from repro.utils.validation import (
     ensure_2d,
     ensure_float_array,
     ensure_in,
-    ensure_odd,
     ensure_positive,
 )
 
@@ -75,14 +74,3 @@ class TestEnsureIn:
     def test_rejects_non_member(self):
         with pytest.raises(ValueError, match="must be one of"):
             ensure_in("c", ("a", "b"))
-
-
-class TestEnsureOdd:
-    def test_accepts_odd(self):
-        assert ensure_odd(5) == 5
-
-    def test_rejects_even_and_non_integers(self):
-        with pytest.raises(ValueError):
-            ensure_odd(4)
-        with pytest.raises(ValueError):
-            ensure_odd(2.5)

@@ -13,9 +13,7 @@ from repro.volumes.pipeline import (
     compress_volume,
     decompress_volume,
     measure_volume_field,
-    shard_volume,
     slice_baseline,
-    tile_offsets,
     volume_metrics,
 )
 
@@ -26,37 +24,15 @@ def volume():
 
 
 class TestSharding:
-    def test_tile_offsets_cover_shape(self):
-        offsets = tile_offsets((10, 8, 5), (4, 4, 4))
-        assert offsets[0] == (0, 0, 0)
-        assert (8, 4, 4) in offsets
-        assert len(offsets) == 3 * 2 * 2
-
-    def test_shard_and_reassemble_losslessly(self, volume):
-        shards = shard_volume(volume, (16, 16, 16))
-        out = np.zeros_like(volume)
-        for offset, tile in shards:
-            region = tuple(
-                slice(start, start + edge) for start, edge in zip(offset, tile.shape)
-            )
-            out[region] = tile
-        np.testing.assert_array_equal(out, volume)
-
-    def test_edge_tiles_are_partial(self, volume):
-        shards = dict(shard_volume(volume, (16, 16, 16)))
-        assert shards[(16, 16, 16)].shape == (8, 16, 12)
-
     def test_rejects_non_3d(self):
-        with pytest.raises(ValueError):
-            shard_volume(np.zeros((4, 4)), (2, 2, 2))
         with pytest.raises(ValueError):
             compress_volume(np.zeros((4, 4)), "sz", 1e-3)
 
     def test_rejects_bad_tile_shape(self, volume):
         with pytest.raises(ValueError):
-            shard_volume(volume, (0, 4, 4))
+            compress_volume(volume, "sz", 1e-3, tile_shape=(0, 4, 4))
         with pytest.raises(ValueError):
-            shard_volume(volume, (4, 4))
+            compress_volume(volume, "sz", 1e-3, tile_shape=(4, 4))
 
 
 class TestCompressVolume:
