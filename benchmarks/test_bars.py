@@ -71,8 +71,9 @@ def test_stream_peak_rss(tmp_path):
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU cannot show a parallel gain")
 def test_vol_decode_speedup():
     """The parallel wavefront decode of a 64^3 halo volume is >= 1.5x the
-    serial decode, best of three each.  The pool starts inside every
-    parallel call, so its start-up counts against the gain."""
+    serial decode, best of three each.  The shared process pool outlives
+    each call, so at least the last two parallel decodes run on warm
+    workers and the best of three does not pay pool start-up."""
 
     volume = generate_miranda_like_volume((64, 64, 64), seed=BENCH_SEED)
     compressed = compress_volume(

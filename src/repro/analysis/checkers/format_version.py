@@ -9,8 +9,10 @@ makes the rule mechanical:
 
 * it parses the tag registry out of the source (module-level
   ``*MAGIC* = b"XXXX"`` assignments) and cross-checks that every tag's
-  bytes appear in some golden fixture under ``tests/**/data/`` (zip
-  archives such as ``.npz`` goldens are searched inside);
+  bytes appear in some golden fixture under ``tests/**/data/`` of the
+  linted tree's root, the nearest directory above the linted files that
+  holds ``tests/`` (zip archives such as ``.npz`` goldens are searched
+  inside);
 * for the store index it parses ``INDEX_VERSION*`` constants out of
   ``store/format.py`` and checks each version number appears in the
   header of at least one pinned ``RPST`` index fixture;

@@ -339,6 +339,26 @@ def _ignored_rules(display_path: str) -> frozenset:
     return frozenset(ignored)
 
 
+def _project_root(contexts: Sequence[FileContext]) -> str:
+    """The nearest directory above the linted files that holds ``tests/``.
+
+    Golden fixtures live under the linted tree's ``tests/**/data/``, not
+    under the directory ``repro lint`` happens to run from; the working
+    directory is the fallback for a tree without ``tests/``.
+    """
+
+    for ctx in contexts:
+        folder = os.path.dirname(os.path.abspath(ctx.path))
+        while True:
+            if os.path.isdir(os.path.join(folder, "tests")):
+                return folder
+            parent = os.path.dirname(folder)
+            if parent == folder:
+                break
+            folder = parent
+    return os.getcwd()
+
+
 def run_lint(
     paths: Sequence[str],
     checkers: Sequence[Checker],
@@ -385,7 +405,7 @@ def run_lint(
                 continue
             raw.extend(checker.check_file(ctx))
 
-    project = ProjectContext(contexts, project_root or os.getcwd())
+    project = ProjectContext(contexts, project_root or _project_root(contexts))
     by_display = {ctx.display_path: ctx for ctx in contexts}
     for checker in checkers:
         for finding in checker.check_project(project):

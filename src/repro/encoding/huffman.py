@@ -463,6 +463,10 @@ def huffman_decode(blob: bytes) -> np.ndarray:
 
     if table_size == 0 or lens.min() < 1:
         raise ValueError("invalid Huffman symbol table")
+    # The encoder never writes a longer code (see _limit_lengths_array);
+    # a longer one is forged and would send the decode to the scalar path.
+    if int(lens.max()) > max(_LENGTH_LIMIT, (table_size - 1).bit_length()):
+        raise ValueError("invalid Huffman code length")
     order = np.lexsort((syms, lens))
     return _decode_canonical(payload, n_symbols, syms[order], lens[order])
 

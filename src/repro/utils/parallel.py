@@ -14,6 +14,16 @@ wrapper around :mod:`concurrent.futures` that
   ``spawn`` / ``forkserver``) so CI can exercise worker code under spawn,
   where fork's copy-on-write cannot paper over pickling bugs.
 
+Process pools are shared: one pool per ``(workers, start method)`` lives
+for the life of the process, started on the first non-empty map and
+reused by every later map with that key, so a sweep of many short calls
+pays worker start-up (and a fresh worker's page faults) once.  Workers
+start once, at first use: module state patched after that is not seen
+by them.  :func:`shutdown_pools` joins every shared pool's workers; it
+runs at interpreter exit, and a forked child starts with no pools.
+Thread pools are not shared: a shared thread pool could starve when a
+task maps on it again.
+
 Tasks carry their input arrays and workers return their output arrays
 through the executor's pickle channel, so serial runs, thread pools and
 process pools run the same worker code on the same values.
@@ -21,16 +31,20 @@ process pools run the same worker code on the same values.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
 import os
+import threading
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 __all__ = [
     "ParallelConfig",
     "parallel_map",
     "WorkerPool",
+    "shutdown_pools",
     "start_method",
     "ENV_START_METHOD",
 ]
@@ -63,13 +77,60 @@ def start_method() -> Optional[str]:
     return method
 
 
-def _process_pool(workers: int) -> ProcessPoolExecutor:
+#: The shared process pools, by ``(workers, start method)``.
+_POOLS: Dict[Tuple[int, Optional[str]], ProcessPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
+#: Pools a forked child inherited.  They stay referenced: collecting one
+#: would take a lock and signal a pipe that belong to the parent's pool.
+_INHERITED: List[ProcessPoolExecutor] = []
+
+
+def _shared_process_pool(workers: int) -> ProcessPoolExecutor:
     method = start_method()
-    if method is None:
-        return ProcessPoolExecutor(max_workers=workers)
-    return ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context(method)
-    )
+    with _POOLS_LOCK:
+        pool = _POOLS.get((workers, method))
+        if pool is None:
+            pool = _POOLS[(workers, method)] = ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context(method)
+            )
+        return pool
+
+
+def _discard(pool: ProcessPoolExecutor) -> None:
+    """Forget a broken shared pool, so the next map starts a new one."""
+
+    with _POOLS_LOCK:
+        for key in [key for key, shared in _POOLS.items() if shared is pool]:
+            del _POOLS[key]
+    pool.shutdown(wait=True)
+
+
+def shutdown_pools() -> None:
+    """Join every shared process pool's workers and forget the pools.
+
+    Runs at interpreter exit.  A later map starts a new pool.
+    """
+
+    with _POOLS_LOCK:
+        pools = list(_POOLS.values())
+        _POOLS.clear()
+    for pool in pools:
+        pool.shutdown(wait=True)
+
+
+def _forget_pools_in_child() -> None:
+    # A forked child has none of its parent's pool threads or workers.
+    # The lock is replaced, not taken: another thread may have held it
+    # at the fork.
+    global _POOLS, _POOLS_LOCK
+    _INHERITED.extend(_POOLS.values())
+    _POOLS = {}
+    _POOLS_LOCK = threading.Lock()
+
+
+atexit.register(shutdown_pools)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools_in_child)
 
 
 @dataclass(frozen=True)
@@ -95,19 +156,21 @@ class ParallelConfig:
 
 
 class WorkerPool:
-    """A reusable executor honouring a :class:`ParallelConfig`.
+    """An executor honouring a :class:`ParallelConfig`, for a ``with`` block.
 
-    ``parallel_map`` creates (and tears down) a pool per call, which is
-    fine for one big batch but wasteful for wavefront schedules that
-    submit many small batches back to back — process pool startup would
-    be paid once per wave.  A ``WorkerPool`` keeps one executor alive for
-    the duration of a ``with`` block; :meth:`map` behaves exactly like
-    :func:`parallel_map` (ordered results, worker exceptions propagate).
+    :meth:`map` behaves exactly like :func:`parallel_map` (ordered
+    results, worker exceptions propagate), so wavefront schedules that
+    submit many small batches back to back can hold one pool for all of
+    them.  A process config maps on the shared pool for its worker count
+    and start method, which outlives the block; a thread config gets its
+    own thread pool, shut down when the block ends.  When a worker dies,
+    the map raises :class:`~concurrent.futures.process.BrokenProcessPool`
+    and the next map starts a new pool.
 
     A pool over a serial config (``workers == 1`` or ``None``) has no
     executor at all and maps inline, so callers need no special-casing.
-    The executor is created lazily on the first non-empty :meth:`map`, so
-    a run that turns out fully memoized never pays pool startup.
+    The executor is taken on the first non-empty :meth:`map`, so a run
+    that turns out fully memoized never starts a pool.
     """
 
     def __init__(self, config: Optional[ParallelConfig]) -> None:
@@ -118,18 +181,18 @@ class WorkerPool:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._executor is not None:
+        if isinstance(self._executor, ThreadPoolExecutor):
             self._executor.shutdown(wait=True)
-            self._executor = None
+        self._executor = None
 
     def _ensure_executor(self) -> Optional[Executor]:
-        if self._executor is None and self.config.workers > 1:
+        if self.config.workers > 1:
             if self.config.use_processes:
-                self._executor = _process_pool(self.config.workers)
-            else:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.config.workers
-                )
+                # Looked up on every map: a broken or shut-down pool has
+                # been replaced by then.
+                self._executor = _shared_process_pool(self.config.workers)
+            elif self._executor is None:
+                self._executor = ThreadPoolExecutor(max_workers=self.config.workers)
         return self._executor
 
     def map(self, func: Callable[[T], R], items: Iterable[T]) -> List[R]:
@@ -139,7 +202,12 @@ class WorkerPool:
         executor = self._ensure_executor()
         if executor is None:
             return [func(item) for item in items_list]
-        return list(executor.map(func, items_list))
+        try:
+            return list(executor.map(func, items_list))
+        except BrokenProcessPool:
+            if isinstance(executor, ProcessPoolExecutor):
+                _discard(executor)
+            raise
 
 
 def parallel_map(
@@ -155,4 +223,3 @@ def parallel_map(
 
     with WorkerPool(config) as pool:
         return pool.map(func, items)
-

@@ -37,3 +37,12 @@ class TestSelfCheck:
         suppressed = [f for f in result.findings if f.suppressed]
         assert suppressed, "expected the documented suppressions to be visible"
         assert all(f.suppression_reason for f in suppressed)
+
+    def test_src_tree_is_lint_clean_from_another_directory(self, tmp_path, monkeypatch):
+        # Goldens are found from the linted tree's root, not the cwd.
+        monkeypatch.chdir(tmp_path)
+        result = run_lint([str(REPO_ROOT / "src")], all_checkers())
+        assert result.unsuppressed == [], [
+            f"{f.path}:{f.line}: {f.rule}: {f.message}"
+            for f in result.unsuppressed
+        ]

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compressors.base import LosslessBackend
-from repro.encoding.huffman import huffman_decode, huffman_encode
+from repro.encoding.huffman import huffman_decode, huffman_decode_with_code, huffman_encode
 from repro.encoding.rle import rle_decode, rle_encode
 from repro.encoding.varint import (
     Writer,
@@ -209,8 +209,10 @@ class TestHuffmanRobustness:
         np.testing.assert_array_equal(huffman_decode(blob), np.full(1000, 7))
 
     def test_long_codes_fall_back_to_scalar_decoder(self):
-        # A hand-built header with code lengths above the table limit still
-        # decodes through the scalar path (foreign/legacy streams).
+        # Code lengths above the table limit decode through the scalar
+        # path when the code comes out of band.  In a self-describing
+        # stream they are longer than any the encoder writes for a 4-symbol
+        # table, so huffman_decode rejects the header instead.
         from repro.encoding.huffman import HuffmanCode, _MAX_TABLE_BITS
 
         code = HuffmanCode.from_lengths({0: 1, 1: 2, 2: _MAX_TABLE_BITS + 2, 3: _MAX_TABLE_BITS + 2})
@@ -228,7 +230,12 @@ class TestHuffmanRobustness:
         payload = writer.getvalue()
         header.extend(encode_varint(len(payload)))
         header.extend(payload)
-        np.testing.assert_array_equal(huffman_decode(bytes(header)), [0, 1, 2, 3])
+        with pytest.raises(ValueError, match="code length"):
+            huffman_decode(bytes(header))
+        decoded = huffman_decode_with_code(
+            payload, 4, np.asarray(code.symbols), np.asarray(code.lengths)
+        )
+        np.testing.assert_array_equal(decoded, [0, 1, 2, 3])
 
 
 class TestBackendTagDispatch:

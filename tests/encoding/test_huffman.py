@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from repro.encoding.huffman import (
     huffman_decode,
     huffman_encode,
 )
+from repro.encoding.varint import Writer
 from tests.reference.huffman import code_lookup, huffman_code_lengths
 
 
@@ -111,6 +114,45 @@ class TestEncodeDecode:
     def test_roundtrip_property(self, symbols):
         decoded = huffman_decode(huffman_encode(symbols))
         np.testing.assert_array_equal(decoded, np.asarray(symbols, dtype=np.int64))
+
+
+def _forged_long_code_stream() -> bytes:
+    """A 64 KiB stream over a code of lengths 21..40 that repeats the
+    40-bit codeword: no encoder writes it, and the per-bit scalar decoder
+    takes seconds over it."""
+
+    lens = np.arange(21, 41, dtype=np.int64)
+    syms = np.arange(lens.size, dtype=np.int64)
+    _, _, lens_c, codes_c = _canonical_codes_array(syms, lens)
+    n_symbols = 64 * 1024 * 8 // 40
+    payload = _pack_codes(np.full(n_symbols, codes_c[-1]), np.full(n_symbols, lens_c[-1]))
+    out = Writer()
+    out.varints((n_symbols, lens.size))
+    out.varints(np.stack([syms, lens], axis=1).ravel().tolist())
+    out.blob(payload)
+    return bytes(out)
+
+
+class TestForgedCodeLengths:
+    """A header code length above what the encoder writes is rejected
+    before decoding.  The containers pinned under ``tests/**/data/`` still
+    decode: their golden tests run every one of them through this check."""
+
+    def test_forged_long_codes_fail_fast(self):
+        blob = _forged_long_code_stream()
+        assert len(blob) > 64 * 1024
+        began = time.perf_counter()
+        with pytest.raises(ValueError, match="code length"):
+            huffman_decode(blob)
+        assert time.perf_counter() - began < 0.1
+
+    def test_longest_length_the_encoder_writes_decodes(self):
+        # 2**17 + 1 distinct symbols need 18-bit codes, above the 16-bit
+        # limit: the bound follows the alphabet size as the encoder does.
+        symbols = np.arange((1 << 17) + 1, dtype=np.int64)
+        symbols = np.concatenate([symbols, np.zeros(1 << 18, dtype=np.int64)])
+        blob = huffman_encode(symbols)
+        np.testing.assert_array_equal(huffman_decode(blob), symbols)
 
 
 def _bit_writer_bytes(codes, lens) -> bytes:

@@ -13,7 +13,9 @@ function entered:
 * every script under ``examples/``.
 
 Pool workers are forked, and each forked child reports what it ran when
-it exits, so worker-side code counts too.
+it exits, so worker-side code counts too.  Pool workers live until their
+pool shuts down, so the driver shuts every shared pool down before it
+reads the reports.
 
 Every ``def`` in ``src/repro`` whose body was never entered, and that is
 not nested in another such def, is checked against the allowlist
@@ -149,7 +151,8 @@ class Recorder:
         # Runs in every forked multiprocessing child, after the child has
         # dropped the parent's finalizers; the child reports what it ran
         # from multiprocessing's exit handler, which pool workers reach.
-        self.codes = set()
+        # The inherited set is kept: the fork's own hooks ran in the
+        # child before this one and are recorded only there.
         sys.setprofile(self._hook)
         threading.setprofile(self._hook)
         multiprocessing.util.Finalize(None, self._dump_child, exitpriority=0)
@@ -232,16 +235,13 @@ def drive_commands(work: str, fields: Dict[str, str]) -> None:
         _cli("figure", number, "--size", 32, "--markdown")
     _cli("figure", "3", "--size", 32, "--workers", 2)
     _cli("profile", "--out", os.path.join(out, "prof.json"), "--", "compress", f2)
-    os.chdir(ROOT)  # the format rule finds goldens from the repo root
-    try:
-        _cli("lint", "src")
-        _cli("lint", "--format", "json", "src/repro/cli.py")
-        _cli("lint", "--list-rules")
-        # Code that breaks every rule: the lint rules' finding paths.
-        _cli("lint", "tests/analysis/fixtures", expect=1)
-        _cli("lint", "--format", "json", "tests/analysis/fixtures", expect=1)
-    finally:
-        os.chdir(work)
+    _cli("lint", os.path.join(ROOT, "src"))
+    _cli("lint", "--format", "json", os.path.join(PACKAGE, "cli.py"))
+    _cli("lint", "--list-rules")
+    # Code that breaks every rule: the lint rules' finding paths.
+    fixtures = os.path.join(ROOT, "tests", "analysis", "fixtures")
+    _cli("lint", fixtures, expect=1)
+    _cli("lint", "--format", "json", fixtures, expect=1)
 
     stores = os.path.join(work, "stores")
     for name, extra in (
@@ -416,6 +416,8 @@ def unreached(defs: List[Def], entered: Set[CodeKey]) -> List[Def]:
 
 def main() -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
+    from repro.utils.parallel import shutdown_pools
+
     os.environ["MP_START_METHOD"] = "fork"  # children must inherit the hook
     defs = collect_defs()
     recorder = Recorder()
@@ -425,9 +427,14 @@ def main() -> int:
     try:
         with contextlib.redirect_stdout(sink):
             drive_everything()
+    finally:
+        # Shared pool workers report what they ran when they exit, so
+        # they must exit before the reports are read.
+        shutdown_pools()
+        recorder.stop()
+    try:
         entered = recorder.entered()
     finally:
-        recorder.stop()
         shutil.rmtree(recorder.child_dir, ignore_errors=True)
     elapsed = time.perf_counter() - started
     missed = unreached(defs, entered)
