@@ -25,8 +25,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Prints the peak RSS growth (bytes) of streaming the ``.npy`` file
 #: argv[1] through the compressor.  execve resets ``VmHWM`` (fork+exec
-#: keeps ``ru_maxrss``), and a tiny warm-up first pins the interpreter
-#: and NumPy into the mark, so the delta is the streaming run's own.
+#: keeps ``ru_maxrss``), and a tiny warm-up stream of the ``.npy`` file
+#: argv[2] first pins the interpreter and NumPy into the mark, so the
+#: delta is the streaming run's own.
 _PEAK_PROBE = """
 import sys
 import numpy as np
@@ -36,17 +37,17 @@ def peak_kb():
     with open('/proc/self/status') as fh:
         return int([line for line in fh if line.startswith('VmHWM')][0].split()[1])
 
-compress_volume_stream(np.ones((8, 8, 8)), 'sz', 1e-3, tile_shape=(8, 8, 8), cache=False)
+compress_volume_stream(sys.argv[2], 'sz', 1e-3, tile_shape=(8, 8, 8), cache=False)
 before = peak_kb()
 compress_volume_stream(sys.argv[1], 'sz', 1e-3, tile_shape=(32, 32, 32), cache=False)
 print((peak_kb() - before) * 1024)
 """
 
 
-def _peak_rss_growth(path: Path) -> int:
+def _peak_rss_growth(path: Path, warm: Path) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
-    result = subprocess.run([sys.executable, "-c", _PEAK_PROBE, str(path)],
+    result = subprocess.run([sys.executable, "-c", _PEAK_PROBE, str(path), str(warm)],
                             capture_output=True, text=True, env=env, check=True)
     return int(result.stdout)
 
@@ -61,9 +62,10 @@ def test_stream_peak_rss(tmp_path):
     big = generate_miranda_like_volume((256, 256, 256), seed=BENCH_SEED)
     np.save(tmp_path / "vol256.npy", big)
     np.save(tmp_path / "slab.npy", np.ascontiguousarray(big[:32]))
+    np.save(tmp_path / "warm.npy", np.ones((8, 8, 8)))
     del big
-    one_slab = _peak_rss_growth(tmp_path / "slab.npy")
-    stream = _peak_rss_growth(tmp_path / "vol256.npy")
+    one_slab = _peak_rss_growth(tmp_path / "slab.npy", tmp_path / "warm.npy")
+    stream = _peak_rss_growth(tmp_path / "vol256.npy", tmp_path / "warm.npy")
     print(f"\nstream-peak-rss: {stream / 2**20:.1f} MiB (one slab {one_slab / 2**20:.1f} MiB)")
     assert stream < 2 * one_slab
 

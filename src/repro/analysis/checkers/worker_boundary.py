@@ -7,9 +7,11 @@ is the worker every task of every wave runs through.  Whatever is
 submitted must pickle: lambdas and closures fail outright (or, with fork
 tricks, silently copy the enclosing frame per task).  The repo's worker
 protocol is therefore *module-level functions over self-contained task
-tuples* (``_encode_tile`` / ``_decode_chunk``), and workers return the
-documented payload — a result tuple, a named result object or an entropy
-context — never a bare ndarray whose meaning the scheduler has to guess.
+tuples* (the tile workers ``encode_tile`` / ``decode_tile`` of
+:mod:`repro.compressors.tiles`, which every tiled path imports and
+submits), and workers return the documented payload — a result tuple, a
+named result object or an entropy context — never a bare ndarray whose
+meaning the scheduler has to guess.
 
 Bulk arrays cross the boundary by value: a task carries its input
 arrays and the worker returns its output arrays through the executor's
@@ -29,7 +31,9 @@ Flags:
 * any ``SharedMemory`` construction — arrays travel by value in the
   task and its result;
 * inside a worker function (a module-level function submitted in the
-  same file): ``return np.<...>(...)`` /
+  same file; the returns of an imported worker, such as the tile
+  workers' named result tuples, are not seen from the submitting file):
+  ``return np.<...>(...)`` /
   ``return <x>.astype(...)`` bare-ndarray returns where the protocol
   expects the documented result tuple or a named result object.
 """

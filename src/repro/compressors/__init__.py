@@ -20,6 +20,8 @@ Shared machinery lives in :mod:`repro.compressors.base` (interfaces and the
 compressed-container format), :mod:`repro.compressors.blocks` (prediction,
 quantization and the block codec), :mod:`repro.compressors.halo`,
 :mod:`repro.compressors.transform` and :mod:`repro.compressors.multigrid`;
+:mod:`repro.compressors.tiles` holds the one tile encode/decode worker
+pair every tiled path (volumes, store writes and reads) runs;
 the scalar feedback Lorenzo pass the tests compare the block engine
 against is ``tests/reference/lorenzo.py``.
 :func:`repro.compressors.registry.make_compressor` is how every caller

@@ -328,10 +328,9 @@ class LosslessBackend:
 
         return size, build
 
-    def _decode_context_stream(self, body: Reader, context) -> np.ndarray:
+    def _decode_context_stream(self, body: Reader, count: int, context) -> np.ndarray:
         if context is None:
             raise ValueError("context-coded (halo) stream but no entropy context supplied")
-        count = body.varint()
         width = body.varint()
         n_escapes = body.varint()
         pool = context.pool(width)
@@ -365,36 +364,45 @@ class LosslessBackend:
         if total != count:
             raise ValueError("lossless payload symbol count mismatch")
 
-    def decode_symbols(self, blob: bytes, *, context=None) -> np.ndarray:
+    def decode_symbols(
+        self, blob: bytes, *, context=None, max_count: Optional[int] = None
+    ) -> np.ndarray:
         """Inverse of :meth:`encode_symbols`.
 
         ``context`` must be the same :class:`EntropyContext` the encoder
         used whenever the stream carries the ``C`` tag; self-describing
-        streams ignore it.
+        streams ignore it.  ``max_count`` is the most symbols the
+        caller's container can hold: a stream declaring more raises
+        :class:`ValueError` before anything of its size is allocated.
         """
 
         if not blob:
             raise ValueError("empty lossless payload")
         body = Reader(blob)
         tag = body.take(1)
+        if tag == b"Z":
+            # The decompressed body is a complete tagged entropy stream
+            # (H or D, whichever the encoder picked).
+            return self.decode_symbols(
+                zstd_like_decompress(body.take(body.remaining)), max_count=max_count
+            )
+        if tag not in (b"C", b"R", b"P", b"D", b"H"):
+            raise ValueError(f"unknown lossless backend tag {tag!r}")
+        count = body.varint()
+        if max_count is not None and count > max_count:
+            raise ValueError(
+                f"lossless payload declares {count} symbols; its container "
+                f"holds at most {max_count}"
+            )
         if tag == b"C":
-            return self._decode_context_stream(body, context)
+            return self._decode_context_stream(body, count, context)
         if tag == b"R":
-            count = body.varint()
             return np.frombuffer(body.take(8 * count), dtype="<i8").astype(np.int64)
         if tag == b"P":
-            count = body.varint()
             width = body.varint()
             if count == 0:
                 return np.empty(0, dtype=np.int64)
             return self._unpack_fixed_width(body.take(body.remaining), count, width)
-        if tag == b"Z":
-            # The decompressed body is a complete tagged entropy stream
-            # (H or D, whichever the encoder picked).
-            return self.decode_symbols(zstd_like_decompress(body.take(body.remaining)))
-        if tag not in (b"D", b"H"):
-            raise ValueError(f"unknown lossless backend tag {tag!r}")
-        count = body.varint()
         if tag == b"D":
             symbols = huffman_decode(body.take(body.remaining))
         else:

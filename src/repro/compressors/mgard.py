@@ -305,7 +305,9 @@ class MGARDCompressor(Compressor):
             if width == 0:
                 parts.extend(np.zeros(size, dtype=np.int64) for size in sizes)
                 continue
-            stream = self.backend.decode_symbols(reader.blob(), context=halo_context)
+            stream = self.backend.decode_symbols(
+                reader.blob(), context=halo_context, max_count=sum(part_sizes)
+            )
             context_streams.append(stream)
             if stream.size != sum(sizes):
                 raise CompressorError("mgard: level group length mismatch")

@@ -272,7 +272,9 @@ class SZCompressor(Compressor):
         if coeffs.remaining:
             raise CompressorError("regression coefficient stream length mismatch")
 
-        symbols = self.backend.decode_symbols(reader.blob(), context=halo_context)
+        symbols = self.backend.decode_symbols(
+            reader.blob(), context=halo_context, max_count=total_blocks * block_size**ndim
+        )
         n_outliers = reader.varint()
         outliers = Reader(reader.blob()).signed_varints(n_outliers)
 

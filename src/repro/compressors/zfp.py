@@ -391,8 +391,11 @@ class ZFPCompressor(Compressor):
         counts = tuple(reader.varint() for _ in range(ndim))
         n_blocks = int(np.prod(counts))
         n_planes = bs**ndim
+        # Every stream holds at most one symbol per padded element.
+        decode = self.backend.decode_symbols
+        max_count = n_blocks * n_planes
 
-        flags = self.backend.decode_symbols(reader.blob(), context=halo_context)
+        flags = decode(reader.blob(), context=halo_context, max_count=max_count)
         if flags.size != n_blocks:
             raise CompressorError("zfp: block flag stream length mismatch")
         context_streams = [flags]
@@ -403,7 +406,7 @@ class ZFPCompressor(Compressor):
         n_active = int(active.sum())
 
         emax_min = reader.varint() - _EMAX_OFFSET
-        emax_shifted = self.backend.decode_symbols(reader.blob(), context=halo_context)
+        emax_shifted = decode(reader.blob(), context=halo_context, max_count=max_count)
         context_streams.append(emax_shifted)
         if emax_shifted.size != n_active:
             raise CompressorError("zfp: exponent stream length mismatch")
@@ -419,7 +422,7 @@ class ZFPCompressor(Compressor):
             if plane + group_planes > n_planes:
                 raise CompressorError("zfp: coefficient plane groups exceed block size")
             if width > 0:
-                group = self.backend.decode_symbols(reader.blob(), context=halo_context)
+                group = decode(reader.blob(), context=halo_context, max_count=max_count)
                 if group.size != group_planes * n_active:
                     raise CompressorError("zfp: coefficient group length mismatch")
                 context_streams.append(group)

@@ -139,7 +139,7 @@ def figure1_variogram_anatomy(
 
     field = generate_gaussian_field(shape, correlation_range, seed=seed)
     variogram = empirical_variogram(field, VariogramConfig())
-    fitted = fit_variogram(variogram, model="gaussian", fit_nugget=True)
+    fitted = fit_variogram(variogram, fit_nugget=True)
     return {
         "lags": variogram.lags,
         "semivariance": variogram.values,

@@ -6,10 +6,10 @@ characterise correlation structure:
 * :mod:`repro.stats.variogram` -- empirical isotropic semi-variogram
   (Matheron estimator, paper Eq. 1) of a 2D field or 3D volume, or of a
   stack of equal-shape ones, by exact FFT pair enumeration.
-* :mod:`repro.stats.variogram_models` -- parametric variogram models
-  (squared-exponential as in the paper, plus exponential/spherical) and
-  the weighted least-squares fit (closed-form sill, 1-D range search)
-  that estimates the variogram *range*, one field or a stack at a time.
+* :mod:`repro.stats.variogram_models` -- the paper's squared-exponential
+  variogram model and its weighted least-squares fit (closed-form sill,
+  1-D range search) that estimates the variogram *range*, one field or a
+  stack at a time.
 * :mod:`repro.stats.windows` -- tiling of a field into HxH windows.
 * :mod:`repro.stats.local` -- local (windowed) variogram ranges and their
   standard deviation ("Std of estimated local variogram range (H=32)"),
@@ -31,11 +31,8 @@ from repro.stats.variogram import (
 )
 from repro.stats.variogram_models import (
     FittedVariogram,
-    VariogramModel,
-    exponential_variogram,
     fit_variogram,
     gaussian_variogram,
-    spherical_variogram,
     estimate_variogram_range,
     variogram_ranges,
 )
@@ -69,10 +66,7 @@ __all__ = [
     "VariogramConfig",
     "empirical_variogram",
     "FittedVariogram",
-    "VariogramModel",
     "gaussian_variogram",
-    "exponential_variogram",
-    "spherical_variogram",
     "fit_variogram",
     "estimate_variogram_range",
     "variogram_ranges",

@@ -60,7 +60,6 @@ def local_variogram_ranges(
     field: np.ndarray,
     window: int = 32,
     *,
-    model: str = "gaussian",
     config: Optional[VariogramConfig] = None,
 ) -> LocalVariogramResult:
     """Estimate the variogram range inside every complete ``window`` tile.
@@ -83,7 +82,7 @@ def local_variogram_ranges(
     finite = np.array([np.isfinite(tile).all() for tile in windows], dtype=bool)
     ranges = np.full(window_grid_shape(np.shape(field), window), np.nan)
     ranges.flat[finite] = variogram_ranges(
-        [tile for tile, ok in zip(windows, finite) if ok], model=model, config=config
+        [tile for tile, ok in zip(windows, finite) if ok], config=config
     )
     return LocalVariogramResult(window=window, ranges=ranges)
 
@@ -92,9 +91,8 @@ def std_local_variogram_range(
     field: np.ndarray,
     window: int = 32,
     *,
-    model: str = "gaussian",
     config: Optional[VariogramConfig] = None,
 ) -> float:
     """The paper's local statistic: std of the windowed variogram ranges."""
 
-    return local_variogram_ranges(field, window, model=model, config=config).std
+    return local_variogram_ranges(field, window, config=config).std

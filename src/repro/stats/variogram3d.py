@@ -87,10 +87,9 @@ def anisotropy_ratio(field: np.ndarray, max_lag: Optional[int] = None) -> float:
 def estimate_variogram_range_3d(
     volume: np.ndarray,
     *,
-    model: str = "gaussian",
     config: Optional[VariogramConfig] = None,
 ) -> float:
     """Fitted variogram range of a 3D volume (volumetric analogue of Fig. 3's x-axis)."""
 
     volume = ensure_ndim(volume, (3,), "volume")
-    return estimate_variogram_range(volume, model=model, config=config)
+    return estimate_variogram_range(volume, config=config)

@@ -8,12 +8,10 @@ The paper fits the squared-exponential (often called "Gaussian") variogram
 
 to the empirical variogram by least squares and reports the fitted *range*
 ``a`` (the distance beyond which spatial correlation essentially vanishes).
-This module implements that fit plus the exponential and spherical
-families and an optional nugget term, mirroring what the ``gstat`` R
-package provides.
+This module implements that fit, with an optional nugget term.
 
 The weighted least-squares problem is solved without an iterative
-optimiser.  With the range fixed, every model is linear in the sill (and
+optimiser.  With the range fixed, the model is linear in the sill (and
 in the nugget), so those have a closed form: a ratio of weighted sums
 clamped to the sill's lower bound, or, with a nugget, a 2x2 solve whose
 box-constrained optimum is the best of the interior solution and the
@@ -34,7 +32,7 @@ the statistic on the x-axis of the paper's Figures 3 and 4;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,18 +41,13 @@ from repro.stats.variogram import (
     VariogramConfig,
     _variogram_batches,
 )
-from repro.utils.validation import ensure_in
 
 __all__ = [
-    "VariogramModel",
     "FittedVariogram",
     "gaussian_variogram",
-    "exponential_variogram",
-    "spherical_variogram",
     "fit_variogram",
     "estimate_variogram_range",
     "variogram_ranges",
-    "MODEL_FUNCTIONS",
 ]
 
 #: Bounds of the fitted parameters: the sill is at least ``MIN_SILL``,
@@ -80,40 +73,12 @@ def gaussian_variogram(h: np.ndarray, sill: float, range_: float, nugget: float 
     return nugget + sill * (1.0 - np.exp(-(h**2) / (range_**2)))
 
 
-def exponential_variogram(h: np.ndarray, sill: float, range_: float, nugget: float = 0.0) -> np.ndarray:
-    """Exponential variogram ``nugget + sill * (1 - exp(-h / range))``."""
-
-    h = np.asarray(h, dtype=np.float64)
-    return nugget + sill * (1.0 - np.exp(-h / range_))
-
-
-def spherical_variogram(h: np.ndarray, sill: float, range_: float, nugget: float = 0.0) -> np.ndarray:
-    """Spherical variogram: reaches the sill exactly at ``range``."""
-
-    h = np.asarray(h, dtype=np.float64)
-    ratio = np.clip(h / range_, 0.0, 1.0)
-    return nugget + sill * (1.5 * ratio - 0.5 * ratio**3)
-
-
-MODEL_FUNCTIONS: Dict[str, Callable[..., np.ndarray]] = {
-    "gaussian": gaussian_variogram,
-    "exponential": exponential_variogram,
-    "spherical": spherical_variogram,
-}
-
-#: Alias accepted for the paper's model name.
-VariogramModel = str
-
-
 @dataclass(frozen=True)
 class FittedVariogram:
-    """Result of a parametric variogram fit.
+    """Result of a Gaussian variogram fit.
 
     Attributes
     ----------
-    model:
-        Name of the fitted family (``"gaussian"``, ``"exponential"``,
-        ``"spherical"``).
     sill:
         Fitted partial sill :math:`c_0`.
     range:
@@ -126,7 +91,6 @@ class FittedVariogram:
         Whether the fit reached a finite misfit (always, for finite data).
     """
 
-    model: str
     sill: float
     range: float
     nugget: float
@@ -187,19 +151,18 @@ def _profile(
 
 
 def _fit_stack(
-    variogram: EmpiricalVariogram, model: str, fit_nugget: bool, weights: str
+    variogram: EmpiricalVariogram, fit_nugget: bool
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(sill, range, nugget, misfit)`` per row of a stacked ``variogram``.
 
     Minimises ``sum(w^2 (model(lags) - values)^2)`` with ``w^2`` the pair
-    counts over their maximum (``"pairs"``) or ones.
+    counts over their maximum.
     """
 
     lags = np.asarray(variogram.lags, dtype=np.float64)
     values = np.atleast_2d(np.asarray(variogram.values, dtype=np.float64))
-    func = MODEL_FUNCTIONS[model]
     counts = np.asarray(variogram.pair_counts, dtype=np.float64)
-    w2 = counts / counts.max() if weights == "pairs" else np.ones_like(lags)
+    w2 = counts / counts.max()
     cap = None
     if fit_nugget:
         variance = np.broadcast_to(np.asarray(variogram.field_variance, dtype=np.float64), len(values))
@@ -210,54 +173,40 @@ def _fit_stack(
     upper = MAX_RANGE_LAGS * float(lags[-1])
     spacing = np.log(upper / MIN_RANGE) / (GRID_POINTS - 1)
     grid = np.minimum(MIN_RANGE * np.exp(spacing * np.arange(GRID_POINTS)), upper)
-    grid_misfit = _profile(func(lags, 1.0, grid[:, None]), values[:, None, :], w2, row_cap)[2]
+    shape = gaussian_variogram(lags, 1.0, grid[:, None])
+    grid_misfit = _profile(shape, values[:, None, :], w2, row_cap)[2]
     best = grid[np.argmin(np.nan_to_num(grid_misfit, nan=np.inf), axis=1)]
     # Each zoom spans one spacing of the previous grid on either side of
     # its best point, in log range; the centre offset is exactly 0, so
     # the best point stays a candidate and the misfit never rises.
     for _ in range(ZOOM_LEVELS):
         candidates = np.clip(best[:, None] * np.exp(spacing * _ZOOM), MIN_RANGE, upper)
-        misfit = _profile(func(lags, 1.0, candidates[..., None]), values[:, None, :], w2, row_cap)[2]
+        shape = gaussian_variogram(lags, 1.0, candidates[..., None])
+        misfit = _profile(shape, values[:, None, :], w2, row_cap)[2]
         best = candidates[np.arange(len(values)), np.argmin(misfit, axis=1)]
         spacing = 2.0 * spacing / (ZOOM_POINTS - 1)
-    sill, nugget, misfit = _profile(func(lags, 1.0, best[:, None]), values, w2, cap)
+    sill, nugget, misfit = _profile(gaussian_variogram(lags, 1.0, best[:, None]), values, w2, cap)
     return sill, best, nugget, misfit
 
 
 def fit_variogram(
-    variogram: EmpiricalVariogram,
-    model: str = "gaussian",
-    *,
-    fit_nugget: bool = False,
-    weights: str = "pairs",
+    variogram: EmpiricalVariogram, *, fit_nugget: bool = False
 ) -> FittedVariogram:
-    """Weighted least-squares fit of a parametric model to an empirical variogram.
+    """Weighted least-squares fit of the paper's Gaussian model to an empirical variogram.
 
-    Parameters
-    ----------
-    variogram:
-        Output of :func:`repro.stats.variogram.empirical_variogram`.
-    model:
-        Parametric family; the paper uses ``"gaussian"`` (squared
-        exponential).
-    fit_nugget:
-        Include a nugget parameter.  The paper's synthetic fields have no
-        measurement noise so the default is nugget-free.
-    weights:
-        ``"pairs"`` weights residuals by the square root of the pair count
-        per bin (more pairs = more reliable bin), ``"uniform"`` uses no
-        weighting — matching an ordinary least squares fit.
+    Residuals are weighted by the square root of the pair count per bin
+    (more pairs = more reliable bin).  ``variogram`` is the output of
+    :func:`repro.stats.variogram.empirical_variogram`; ``fit_nugget``
+    includes a nugget parameter (the paper's synthetic fields have no
+    measurement noise, so the default is nugget-free).
     """
 
-    ensure_in(model, tuple(MODEL_FUNCTIONS), "model")
-    ensure_in(weights, ("pairs", "uniform"), "weights")
     if variogram.n_bins < 3:
         raise ValueError("need at least 3 variogram bins to fit a model")
-    sill, range_, nugget, misfit = _fit_stack(variogram, model, fit_nugget, weights)
-    fitted_values = MODEL_FUNCTIONS[model](variogram.lags, sill[0], range_[0], nugget[0])
+    sill, range_, nugget, misfit = _fit_stack(variogram, fit_nugget)
+    fitted_values = gaussian_variogram(variogram.lags, sill[0], range_[0], nugget[0])
     rmse = float(np.sqrt(np.mean((fitted_values - variogram.values) ** 2)))
     return FittedVariogram(
-        model=model,
         sill=float(sill[0]),
         range=float(range_[0]),
         nugget=float(nugget[0]),
@@ -269,7 +218,6 @@ def fit_variogram(
 def variogram_ranges(
     fields: Sequence[np.ndarray],
     *,
-    model: str = "gaussian",
     config: Optional[VariogramConfig] = None,
     fit_nugget: bool = False,
 ) -> np.ndarray:
@@ -282,13 +230,12 @@ def variogram_ranges(
     yields NaN, as does a field whose variogram has fewer than 3 bins.
     """
 
-    ensure_in(model, tuple(MODEL_FUNCTIONS), "model")
     ranges = [np.empty(0)]
     for variogram in _variogram_batches(fields, config):
         if variogram.n_bins < 3:
             ranges.append(np.full(len(variogram.values), np.nan))
             continue
-        fitted = _fit_stack(variogram, model, fit_nugget, "pairs")[1]
+        fitted = _fit_stack(variogram, fit_nugget)[1]
         constant = np.sqrt(variogram.field_variance) < 1e-15
         ranges.append(np.where(constant, np.nan, fitted))
     return np.concatenate(ranges)
@@ -297,7 +244,6 @@ def variogram_ranges(
 def estimate_variogram_range(
     field: np.ndarray,
     *,
-    model: str = "gaussian",
     config: Optional[VariogramConfig] = None,
     fit_nugget: bool = False,
 ) -> float:
@@ -311,4 +257,4 @@ def estimate_variogram_range(
     NaN.
     """
 
-    return float(variogram_ranges([field], model=model, config=config, fit_nugget=fit_nugget)[0])
+    return float(variogram_ranges([field], config=config, fit_nugget=fit_nugget)[0])

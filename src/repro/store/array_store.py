@@ -7,9 +7,8 @@ The array is sharded into fixed-size chunks on a grid anchored at the
 origin (``128^2`` for planes, ``64^3`` for volumes by default; edge
 chunks are smaller), and every chunk is compressed independently by the
 smallest payload among the codecs its policy lists (see
-:mod:`repro.store.policy`): :func:`~repro.compressors.registry.make_compressor`
-builds each and the chunk worker calls it directly, as the volume
-pipeline's tile workers do.
+:mod:`repro.store.policy`), through the tile workers the volume pipeline
+runs too (:mod:`repro.compressors.tiles`).
 
 Design points:
 
@@ -48,14 +47,13 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.obs.metrics import REGISTRY, json_finite
 from repro.obs.trace import span as obs_span
-from repro.compressors.halo import TileHalo, reconstruction_faces
-from repro.compressors.registry import make_compressor
+from repro.compressors.tiles import EncodedTile, EncodeTask, borrowed_halo, encode_tile
 from repro.store.format import (
     IndexRecord,
     StoreCorruptionError,
@@ -70,7 +68,6 @@ from repro.store.snapshot import (
     META_FORMAT,
     META_NAME,
     META_VERSION,
-    RAW_CODEC,
     ReadReport,
     StoreSnapshot,
     load_store_state,
@@ -78,7 +75,7 @@ from repro.store.snapshot import (
 )
 from repro.utils.blocking import grid_offsets
 from repro.utils.parallel import ParallelConfig
-from repro.utils.schedule import TilePlan, WaveExecutor
+from repro.utils.schedule import PlanTile, TilePlan, WaveExecutor
 from repro.utils.validation import ensure_positive
 
 __all__ = [
@@ -105,131 +102,11 @@ class ChunkRecord:
     stats: Dict[str, float]
 
 
-@dataclass(frozen=True)
-class _ChunkResult:
-    """Worker output for one compressed chunk (persisted).
+def _index_flags(tile: PlanTile) -> int:
+    """The index flags of a chunk its codec coded against its halo."""
 
-    ``flags`` are the chunk's index halo flags (0 when the payload decodes
-    standalone — including halo attempts that fell back to raw).  For
-    anchor chunks in a halo store, ``faces`` carries the reconstruction's
-    high-index planes and ``context`` the chunk's entropy context, i.e.
-    exactly what neighbouring halo chunks borrow.
-    """
-
-    codec: str
-    payload: bytes
-    compression_ratio: float
-    stats: Dict[str, float]
-    flags: int = 0
-    faces: Optional[Dict[int, np.ndarray]] = None
-    context: Optional[object] = None
-
-
-def _chunk_statistics(chunk: np.ndarray) -> Dict[str, float]:
-    """Cheap moments plus the chunk's (2D or 3D) variogram range.
-
-    Each chunk is one window of the paper's windowed analysis, so the
-    per-chunk variogram range is the store-scale version of the local
-    correlation statistics (Fig. 7); NaN where the fit is impossible
-    (constant or too-small chunks).
-    """
-
-    stats = {
-        "mean": float(chunk.mean()),
-        "std": float(chunk.std()),
-        "variogram_range": float("nan"),
-    }
-    if min(chunk.shape) >= 8:
-        try:
-            from repro.stats.variogram_models import estimate_variogram_range
-
-            stats["variogram_range"] = float(estimate_variogram_range(chunk))
-        except (ValueError, RuntimeError):
-            pass
-    return stats
-
-
-def _raw_result(
-    chunk: np.ndarray, with_stats: bool, want_faces: bool = False
-) -> _ChunkResult:
-    """Exact (uncompressed) chunk result."""
-
-    payload = np.ascontiguousarray(chunk, dtype="<f8").tobytes()
-    stats = _chunk_statistics(chunk) if with_stats else {}
-    stats["max_abs_error"] = 0.0
-    return _ChunkResult(
-        codec=RAW_CODEC,
-        payload=payload,
-        compression_ratio=1.0,
-        stats=stats,
-        faces=(
-            reconstruction_faces(np.asarray(chunk, dtype=np.float64))
-            if want_faces
-            else None
-        ),
-    )
-
-
-class _ChunkTask(NamedTuple):
-    """One chunk of :func:`_compress_chunk`'s work."""
-
-    chunk: np.ndarray
-    error_bound: float
-    candidates: Tuple[str, ...]
-    options: Dict[str, Dict]
-    with_stats: bool
-    exact_rows: int
-    halo: Optional[TileHalo]
-    ref_axis: Optional[int]
-    want_faces: bool
-
-
-def _compress_chunk(task: _ChunkTask) -> _ChunkResult:
-    """Top-level worker so chunk jobs pickle for process pools.
-
-    The chunk is compressed with each of ``candidates`` and keeps the
-    smallest payload (the first listed wins a tie).
-
-    ``exact_rows`` marks leading axis-0 rows that hold previously-stored
-    (already once-lossy) data: the chosen codec's reconstruction must
-    reproduce them bit-for-bit, otherwise the chunk falls back to the
-    exact raw codec — the store's error bound is relative to the data as
-    first written, and a second lossy pass over those rows would let the
-    error drift up to twice the bound.
-
-    In a halo store, ``halo``/``ref_axis`` carry the neighbour planes and
-    entropy context the chunk may compress against (flags record what the
-    payload actually needs to decode), and ``want_faces`` makes the worker
-    return the reconstruction faces + context that *this* chunk's halo
-    neighbours will borrow (anchor chunks only).
-    """
-
-    chunk, halo, want_faces = task.chunk, task.halo, task.want_faces
-    best_name = best = None
-    for name in task.candidates:
-        codec = make_compressor(name, task.error_bound, **task.options.get(name, {}))
-        compressed = codec.compress(chunk, halo=halo, collect_context=want_faces)
-        if best is None or compressed.compressed_nbytes < best.compressed_nbytes:
-            best_name, best = name, compressed
-    reconstruction = best.reconstruction
-    rows = task.exact_rows
-    if rows and not np.array_equal(reconstruction[:rows], chunk[:rows]):
-        return _raw_result(chunk, task.with_stats, want_faces)
-    stats = _chunk_statistics(chunk) if task.with_stats else {}
-    # The max-error formula of repro.pressio.metrics.error_statistics.
-    stats["max_abs_error"] = float(np.abs(reconstruction - chunk).max())
-    flags = 0
-    if halo is not None and best.extras.get("halo_coded"):
-        flags = halo_flags(halo.axes_mask, task.ref_axis)
-    return _ChunkResult(
-        codec=best_name,
-        payload=best.data,
-        compression_ratio=float(best.compression_ratio),
-        stats=stats,
-        flags=flags,
-        faces=reconstruction_faces(reconstruction) if want_faces else None,
-        context=best.entropy_context if want_faces else None,
-    )
+    axes_mask = sum(1 << axis for axis, dep in enumerate(tile.planes) if dep is not None)
+    return halo_flags(axes_mask, tile.ref_axis)
 
 
 def _normalize_chunk_shape(
@@ -391,7 +268,7 @@ class ArrayStore:
         exact_rows: List[int],
         parallel: Optional[ParallelConfig],
         chunk_shape: Tuple[int, ...],
-    ) -> List[_ChunkResult]:
+    ) -> Tuple[List[EncodedTile], List[int]]:
         """Compress one write/append block through its tile plan.
 
         Halo-off stores compress every chunk standalone, in one wave.
@@ -403,7 +280,7 @@ class ArrayStore:
         a later append rewrites only the trailing axis-0 slab, and no
         chunk outside that slab ever references into it (halo planes look
         toward lower indices only, and a slab's chunks are rewritten
-        together).
+        together).  Returns each chunk's result and its index halo flags.
         """
 
         # A store written under a spec this code no longer accepts still
@@ -416,34 +293,24 @@ class ArrayStore:
             plan = TilePlan.parity(offsets, extents, chunk_shape)
         else:
             plan = TilePlan.independent(offsets, extents)
-        results: List[Optional[_ChunkResult]] = [None] * len(chunks)
+        results: List[Optional[EncodedTile]] = [None] * len(chunks)
 
-        def build(index: int, tile) -> _ChunkTask:
-            halo = None
-            if tile.deps:
-                anchors = executor.results
-                planes = [
-                    None if dep is None else anchors[dep].faces[axis]
-                    for axis, dep in enumerate(tile.planes)
-                ]
-                context = None if tile.context is None else anchors[tile.context].context
-                halo = TileHalo.build(planes, context)
-            return _ChunkTask(
+        def build(index: int, tile: PlanTile) -> EncodeTask:
+            return EncodeTask(
                 chunks[index],
                 self.error_bound,
                 candidates,
                 options,
                 with_stats,
                 exact_rows[index],
-                halo,
-                tile.ref_axis,
+                borrowed_halo(tile, executor.results),
                 # Parity anchors borrow nothing and lend their faces.
                 self.halo and not tile.planes,
             )
 
-        def done(index: int, result: _ChunkResult) -> _ChunkResult:
+        def done(index: int, result: EncodedTile):
             results[index] = result
-            return result
+            return result.faces, result.context
 
         with WaveExecutor(
             plan,
@@ -453,12 +320,16 @@ class ArrayStore:
             category="store",
         ) as executor:
             executor.run_waves(
-                _compress_chunk,
+                encode_tile,
                 enumerate(plan.waves()),
                 build,
                 done=done,
             )
-        return results
+        flags = [
+            _index_flags(tile) if result.compressed.extras.get("halo_coded") else 0
+            for tile, result in zip(plan.tiles, results)
+        ]
+        return results, flags
 
     def _check_array(self, array: np.ndarray) -> np.ndarray:
         array = np.asarray(array, dtype=np.float64)
@@ -576,7 +447,7 @@ class ArrayStore:
             for local in local_offsets
         ]
         exact_rows = [exact if local[0] == 0 else 0 for local in local_offsets]
-        results = self._compress_block(
+        results, flags = self._compress_block(
             offsets, chunks, exact_rows, parallel, chunk_shape
         )
 
@@ -599,6 +470,7 @@ class ArrayStore:
             offsets,
             chunks,
             results,
+            flags,
             base_offset=base_offset,
             existing_digests=existing_digests,
         )
@@ -614,7 +486,8 @@ class ArrayStore:
         self,
         offsets: List[Tuple[int, ...]],
         chunks: List[np.ndarray],
-        results: List[_ChunkResult],
+        results: List[EncodedTile],
+        flags: List[int],
         *,
         base_offset: int,
         existing_digests: Dict[str, Tuple[int, int]],
@@ -625,35 +498,36 @@ class ArrayStore:
         data = bytearray()
         index: List[IndexRecord] = []
         chunk_meta: List[Dict] = []
-        for offset, chunk, result in zip(offsets, chunks, results):
-            digest = hashlib.sha1(result.payload).hexdigest()
+        for offset, chunk, result, chunk_flags in zip(offsets, chunks, results, flags):
+            payload, codec = result.compressed.data, result.compressed.compressor
+            digest = hashlib.sha1(payload).hexdigest()
             if digest in digests:
                 payload_offset, payload_length = digests[digest]
             else:
                 payload_offset = base_offset + len(data)
-                payload_length = len(result.payload)
-                data.extend(result.payload)
+                payload_length = len(payload)
+                data.extend(payload)
                 digests[digest] = (payload_offset, payload_length)
             index.append(
                 IndexRecord(
                     offset=payload_offset,
                     length=payload_length,
-                    codec=result.codec,
-                    checksum=zlib.crc32(result.payload),
-                    flags=result.flags,
+                    codec=codec,
+                    checksum=zlib.crc32(payload),
+                    flags=chunk_flags,
                 )
             )
             entry = {
                 "offset": [int(o) for o in offset],
                 "shape": [int(s) for s in chunk.shape],
-                "codec": result.codec,
+                "codec": codec,
                 "nbytes": payload_length,
-                "cr": result.compression_ratio,
+                "cr": float(result.compressed.compression_ratio),
                 "payload_sha1": digest,
                 "stats": result.stats,
             }
-            if result.flags:
-                entry["halo_flags"] = int(result.flags)
+            if chunk_flags:
+                entry["halo_flags"] = int(chunk_flags)
             chunk_meta.append(entry)
         return index, chunk_meta, bytes(data)
 

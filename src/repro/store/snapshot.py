@@ -47,13 +47,18 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.compressors.base import CompressedField
-from repro.compressors.halo import TileHalo
-from repro.compressors.registry import make_compressor
+from repro.compressors.halo import reconstruction_faces
+from repro.compressors.tiles import (
+    RAW_CODEC,
+    DecodedTile,
+    DecodeTask,
+    borrowed_halo,
+    decode_tile,
+)
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
 from repro.utils.parallel import ParallelConfig
@@ -84,9 +89,6 @@ INDEX_NAME = "index.bin"
 DATA_NAME = "chunks.bin"
 META_FORMAT = "repro-store"
 META_VERSION = 1
-
-#: Codec tag of chunks stored as exact little-endian float64 bytes.
-RAW_CODEC = "raw"
 
 
 @dataclass(frozen=True)
@@ -186,67 +188,6 @@ def load_store_state(
         f"store at {path!r} failed consistency checks {retries} times ({reason}); "
         f"either a writer is replacing it continuously or the store is corrupt"
     )
-
-
-class _ChunkDecode(NamedTuple):
-    """One chunk of :func:`_decode_chunk`'s work."""
-
-    #: CRC-checked payload bytes, or — on a serial read, where the worker
-    #: runs in the reading process — a call that reads them on demand, so
-    #: cache hits never touch the data and a corrupt chunk fails where the
-    #: decode reaches it.
-    payload: Union[bytes, Callable[[], bytes]]
-    codec: str
-    extent: Tuple[int, ...]
-    error_bound: float
-    dtype: str
-    options: Dict
-    slot: int
-    #: Per-axis high faces of the anchors; None: standalone.
-    planes: Optional[Tuple[Optional[np.ndarray], ...]]
-    context: Optional[object]
-    want_context: bool
-
-
-def _decode_chunk(task: _ChunkDecode):
-    """The chunk-decode worker of every store read (top-level, picklable).
-
-    Decodes one payload; halo chunks decode against their anchors' high
-    faces (the anchors decoded in an earlier wave).  Returns the
-    documented ``(values, context)`` pair; the context is ``None`` unless
-    ``want_context``.
-    """
-
-    payload = task.payload() if callable(task.payload) else task.payload
-    if task.codec == RAW_CODEC:
-        expected = int(np.prod(task.extent)) * 8
-        if len(payload) != expected:
-            raise StoreCorruptionError(
-                f"raw chunk payload of {len(payload)} bytes, expected {expected}"
-            )
-        values = np.frombuffer(payload, dtype="<f8").reshape(task.extent)
-        context = None
-    else:
-        halo = None
-        if task.planes is not None:
-            halo = TileHalo.build(task.planes, task.context)
-        codec = make_compressor(task.codec, task.error_bound, **task.options)
-        compressed = CompressedField(
-            data=payload,
-            original_shape=task.extent,
-            original_dtype=np.dtype(task.dtype),
-            compressor=task.codec,
-            error_bound=task.error_bound,
-        )
-        if task.want_context:
-            values, context = codec.decompress_with_context(compressed, halo=halo)
-        else:
-            values, context = codec.decompress(compressed, halo=halo), None
-        if tuple(values.shape) != tuple(task.extent):
-            raise StoreCorruptionError(
-                f"chunk decoded to shape {values.shape}, expected {task.extent}"
-            )
-    return values, context
 
 
 class StoreSnapshot:
@@ -536,13 +477,12 @@ class StoreSnapshot:
         if chunk_cache is not None:
             parallel = None
         options_of = self._meta.get("compressor_options", {})
-        dtype = str(self.dtype)
         # Everything the decode depends on besides the payload bytes; part
         # of the shared-cache key so two stores serving byte-identical
         # chunks under different bounds/options never alias.
         decode_config = (
             float(self.error_bound),
-            dtype,
+            str(self.dtype),
             repr(sorted((k, sorted(v.items())) for k, v in options_of.items())),
         )
         error_bound, halo_store = self.error_bound, self.halo
@@ -559,53 +499,38 @@ class StoreSnapshot:
             category="store",
         ) as executor, self.payload_reader() as fetch:
 
-            def build(slot: int, tile: PlanTile) -> _ChunkDecode:
-                planes = None
-                if tile.planes:
-                    planes = tuple(
-                        None
-                        if dep is None
-                        else np.take(decoded[dep], -1, axis=axis)
-                        for axis, dep in enumerate(tile.planes)
-                    )
+            def build(slot: int, tile: PlanTile) -> DecodeTask:
                 record = self._index[linears[slot]]
                 read = partial(fetch, record)
-                codec = record.codec
-                return _ChunkDecode(
+                return DecodeTask(
                     payload=read() if executor.pooled else read,
-                    codec=codec,
+                    codec=record.codec,
                     extent=tile.extent,
                     error_bound=error_bound,
-                    dtype=dtype,
-                    options=dict(options_of.get(codec, {})),
-                    slot=slot,
-                    planes=planes,
-                    context=None if tile.context is None else executor.results[tile.context],
+                    options=dict(options_of.get(record.codec, {})),
+                    halo=borrowed_halo(tile, executor.results),
                     # Anchors double as entropy-context references in a
                     # halo store; deriving the context in the same decode
                     # avoids a second pass when a halo chunk needs it.
-                    want_context=halo_store and not tile.planes,
+                    lends=halo_store and not tile.planes,
                 )
 
-            def hot(tasks, compute):
+            def hot(slots, tasks, compute):
                 nonlocal hits
                 results = [None] * len(tasks)
                 missed = []
-                for n, task in enumerate(tasks):
+                for n, (slot, task) in enumerate(zip(slots, tasks)):
                     key = None
-                    sha1 = self.payload_sha1(linears[task.slot])
+                    sha1 = self.payload_sha1(linears[slot])
                     if sha1 is not None:
-                        halo = None
-                        if task.planes is not None:
-                            halo = TileHalo.build(task.planes, task.context)
                         key = (
                             sha1,
                             task.codec,
                             task.extent,
-                            None if halo is None else halo.digest(),
+                            None if task.halo is None else task.halo.digest(),
                             decode_config,
                         )
-                        results[n] = chunk_cache.get(key, want_context=task.want_context)
+                        results[n] = chunk_cache.get(key, want_context=task.lends)
                         if results[n] is not None:
                             hits += 1
                             continue
@@ -617,9 +542,10 @@ class StoreSnapshot:
                         chunk_cache.put(key, *result)
                 return results
 
-            def done(slot: int, result):
+            def done(slot: int, result: DecodedTile):
                 decoded[slot], context = result
-                return context
+                lends = halo_store and not plan.tiles[slot].planes
+                return (reconstruction_faces(decoded[slot]) if lends else {}), context
 
             span = (
                 obs_span(
@@ -634,7 +560,7 @@ class StoreSnapshot:
             )
             with span:
                 executor.run_waves(
-                    _decode_chunk,
+                    decode_tile,
                     enumerate(plan.waves()),
                     build,
                     memo=hot if chunk_cache is not None else None,

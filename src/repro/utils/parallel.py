@@ -8,8 +8,8 @@ wrapper around :mod:`concurrent.futures` that
 * preserves input ordering in the results,
 * degrades gracefully to serial execution for ``workers <= 1`` (useful in
   tests and when the work items are tiny, where pool overhead dominates),
-* supports both process pools (CPU-bound NumPy work that releases the GIL
-  only partially) and thread pools (cheap tasks, avoids pickling),
+* runs process pools (CPU-bound NumPy work that releases the GIL only
+  partially),
 * honours the ``MP_START_METHOD`` environment variable (``fork`` /
   ``spawn`` / ``forkserver``) so CI can exercise worker code under spawn,
   where fork's copy-on-write cannot paper over pickling bugs.
@@ -21,12 +21,10 @@ pays worker start-up (and a fresh worker's page faults) once.  Workers
 start once, at first use: module state patched after that is not seen
 by them.  :func:`shutdown_pools` joins every shared pool's workers; it
 runs at interpreter exit, and a forked child starts with no pools.
-Thread pools are not shared: a shared thread pool could starve when a
-task maps on it again.
 
 Tasks carry their input arrays and workers return their output arrays
-through the executor's pickle channel, so serial runs, thread pools and
-process pools run the same worker code on the same values.
+through the executor's pickle channel, so serial runs and process pools
+run the same worker code on the same values.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import atexit
 import multiprocessing
 import os
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
@@ -140,15 +138,11 @@ class ParallelConfig:
     Attributes
     ----------
     workers:
-        Number of worker processes/threads.  ``1`` (default) runs serially
-        in the calling process.
-    use_processes:
-        Select :class:`~concurrent.futures.ProcessPoolExecutor` (default)
-        versus :class:`~concurrent.futures.ThreadPoolExecutor`.
+        Number of worker processes.  ``1`` (default) runs serially in the
+        calling process.
     """
 
     workers: int = 1
-    use_processes: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -161,11 +155,10 @@ class WorkerPool:
     :meth:`map` behaves exactly like :func:`parallel_map` (ordered
     results, worker exceptions propagate), so wavefront schedules that
     submit many small batches back to back can hold one pool for all of
-    them.  A process config maps on the shared pool for its worker count
-    and start method, which outlives the block; a thread config gets its
-    own thread pool, shut down when the block ends.  When a worker dies,
-    the map raises :class:`~concurrent.futures.process.BrokenProcessPool`
-    and the next map starts a new pool.
+    them.  It maps on the shared pool for its worker count and start
+    method, which outlives the block.  When a worker dies, the map raises
+    :class:`~concurrent.futures.process.BrokenProcessPool` and the next
+    map starts a new pool.
 
     A pool over a serial config (``workers == 1`` or ``None``) has no
     executor at all and maps inline, so callers need no special-casing.
@@ -175,38 +168,27 @@ class WorkerPool:
 
     def __init__(self, config: Optional[ParallelConfig]) -> None:
         self.config = config or ParallelConfig()
-        self._executor: Optional[Executor] = None
+        self._executor: Optional[ProcessPoolExecutor] = None
 
     def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if isinstance(self._executor, ThreadPoolExecutor):
-            self._executor.shutdown(wait=True)
         self._executor = None
-
-    def _ensure_executor(self) -> Optional[Executor]:
-        if self.config.workers > 1:
-            if self.config.use_processes:
-                # Looked up on every map: a broken or shut-down pool has
-                # been replaced by then.
-                self._executor = _shared_process_pool(self.config.workers)
-            elif self._executor is None:
-                self._executor = ThreadPoolExecutor(max_workers=self.config.workers)
-        return self._executor
 
     def map(self, func: Callable[[T], R], items: Iterable[T]) -> List[R]:
         items_list: Sequence[T] = list(items)
         if not items_list:
             return []
-        executor = self._ensure_executor()
-        if executor is None:
+        if self.config.workers <= 1:
             return [func(item) for item in items_list]
+        # Looked up on every map: a broken or shut-down pool has been
+        # replaced by then.
+        self._executor = _shared_process_pool(self.config.workers)
         try:
-            return list(executor.map(func, items_list))
+            return list(self._executor.map(func, items_list))
         except BrokenProcessPool:
-            if isinstance(executor, ProcessPoolExecutor):
-                _discard(executor)
+            _discard(self._executor)
             raise
 
 
@@ -217,8 +199,8 @@ def parallel_map(
 ) -> List[R]:
     """Apply ``func`` to every item, optionally in parallel, preserving order.
 
-    ``func`` and the items must be picklable when ``use_processes=True`` and
-    ``workers > 1``.  Exceptions raised by workers propagate to the caller.
+    ``func`` and the items must be picklable when ``workers > 1``.
+    Exceptions raised by workers propagate to the caller.
     """
 
     with WorkerPool(config) as pool:

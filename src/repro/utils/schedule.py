@@ -22,9 +22,16 @@ they share two pieces:
 * :class:`WaveExecutor` — runs waves over one
   :class:`~repro.utils.parallel.WorkerPool`, opens one wave span per
   wave and traces every task once.  Tasks carry their input arrays and
-  workers return their output arrays by value, so serial runs, thread
-  pools and process pools share one code path; a serial executor maps
-  inline and creates no executor at all.
+  workers return their output arrays by value, so serial runs and
+  process pools share one code path; a serial executor maps inline and
+  creates no executor at all.
+
+Every path runs the same two workers over them
+(:func:`~repro.compressors.tiles.encode_tile` and
+:func:`~repro.compressors.tiles.decode_tile`), and every path's
+``done`` keeps a lending tile's ``(faces, context)`` in
+:attr:`WaveExecutor.results` for
+:func:`~repro.compressors.tiles.borrowed_halo`.
 """
 
 from __future__ import annotations
@@ -216,8 +223,8 @@ def _traced_task(job):
     """Run one task under its own span capture (top-level, picklable).
 
     The capture is bound context-locally, so the same wrapper serves pool
-    processes, pool threads and inline serial runs (including serve
-    requests with their own request-scoped tracer).  Returns the
+    processes and inline serial runs (including serve requests with
+    their own request-scoped tracer).  Returns the
     documented ``(result, span_tuples)`` payload.
     """
 
@@ -276,12 +283,12 @@ class WaveExecutor:
         """Run ``(wave_id, tile indices)`` waves in order.
 
         ``build(index, tile)`` makes a tile's task and may read its
-        dependencies' results from :attr:`results`.  ``memo(tasks,
-        compute)`` optionally stands between a wave and the pool (a cache
-        resolves some tasks, ``compute`` runs the rest); ``done(index,
-        result)`` sees every result, in wave order before the next wave is
-        built, and returns what :attr:`results` keeps for the tile's
-        borrowers (without ``done``, the result itself).
+        dependencies' results from :attr:`results`.  ``memo(indices,
+        tasks, compute)`` optionally stands between a wave and the pool
+        (a cache resolves some tasks, ``compute`` runs the rest);
+        ``done(index, result)`` sees every result, in wave order before
+        the next wave is built, and returns what :attr:`results` keeps
+        for the tile's borrowers (without ``done``, the result itself).
         """
 
         for wave_id, indices in waves:
@@ -292,7 +299,9 @@ class WaveExecutor:
                 return self._map(worker, pending, wave_id, tasks, indices)
 
             with obs_span(self.wave_span, self.category, wave=wave_id, tiles=len(tasks)):
-                results = memo(tasks, compute) if memo is not None else compute(tasks)
+                results = (
+                    memo(indices, tasks, compute) if memo is not None else compute(tasks)
+                )
             for index, result in zip(indices, results):
                 if done is not None:
                     result = done(index, result)

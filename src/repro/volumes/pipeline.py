@@ -7,13 +7,16 @@ around them:
 
 * :func:`compress_volume` runs the axis-aligned tiles (edge tiles may be
   smaller — the compressors pad internally) of the volume's
-  :class:`~repro.utils.schedule.TilePlan` through a compressor on a
+  :class:`~repro.utils.schedule.TilePlan` through the tile encode worker
+  the array store runs too (:mod:`repro.compressors.tiles`) on a
   :class:`~repro.utils.schedule.WaveExecutor` — inline, or over a
   :class:`repro.utils.parallel.ParallelConfig` pool — and, when the
   caller passes a :class:`repro.core.pipeline.ExperimentCache`, memoizes
   per-tile results in it (content-hash keyed, so repeated tiles such as
   quiescent far-field regions are compressed once);
-* :func:`decompress_volume` replays the same plan into the output volume;
+* :func:`decompress_volume` replays the same plan into the output volume
+  through the tile decode worker, halo tiles borrowing their lenders'
+  faces and contexts as on compress;
 * :func:`measure_volume_field` produces the same
   :class:`~repro.core.experiment.CompressionRecord` rows the 2D pipeline
   emits, with the 3D variogram range as the correlation statistic, which
@@ -29,14 +32,13 @@ same plan grouped slab-major, one slab resident at a time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from typing import (
     Callable,
     Dict,
     Iterator,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -45,8 +47,17 @@ from typing import (
 import numpy as np
 
 from repro.compressors.base import CompressedField
-from repro.compressors.halo import TileHalo, reconstruction_faces
+from repro.compressors.halo import reconstruction_faces
 from repro.compressors.registry import make_compressor
+from repro.compressors.tiles import (
+    DecodedTile,
+    DecodeTask,
+    EncodedTile,
+    EncodeTask,
+    borrowed_halo,
+    decode_tile,
+    encode_tile,
+)
 from repro.core.pipeline import CacheArg, ExperimentCache, memoized_map
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
@@ -151,77 +162,11 @@ def _check_tile_shape(tile_shape: Sequence[int]) -> Tuple[int, int, int]:
     return tile
 
 
-class _EncodeTask(NamedTuple):
-    """One tile of :func:`_encode_tile`'s work."""
-
-    compressor: str
-    error_bound: float
-    options: Dict
-    #: A view into the window: pickling copies just the tile, and serial
-    #: or threaded runs copy nothing.
-    tile: np.ndarray
-    halo_mode: bool
-    halo: Optional[TileHalo]
-
-
-def _encode_tile(task: _EncodeTask):
-    """The volume encode worker (top-level, picklable).
-
-    Returns the documented ``(compressed, faces, context)`` triple.  The
-    reconstruction is dropped — it would double the IPC payload — and in
-    halo mode only what the tile's high neighbours borrow travels back:
-    its three high faces and its entropy context.
-    """
-
-    compressor = make_compressor(task.compressor, task.error_bound, **task.options)
-    if not task.halo_mode:
-        return replace(compressor.compress(task.tile), reconstruction=None), {}, None
-    compressed = compressor.compress(task.tile, halo=task.halo, collect_context=True)
-    faces = reconstruction_faces(compressed.reconstruction)
-    context = compressed.entropy_context
-    return replace(compressed, reconstruction=None, entropy_context=None), faces, context
-
-
-class _DecodeTask(NamedTuple):
-    """One tile of :func:`_decode_tile`'s work."""
-
-    compressor: str
-    error_bound: float
-    compressed: CompressedField
-    #: Per-axis halo planes sliced from the output; None: halo off.
-    planes: Optional[Tuple[Optional[np.ndarray], ...]]
-    context: Optional[object]
-
-
-def _decode_tile(task: _DecodeTask):
-    """The volume decode worker (top-level, picklable).
-
-    Decodes against the halo planes its low neighbours (decoded in earlier
-    waves) left in the output and returns the documented ``(values,
-    context)`` pair; the context is ``None`` with halo off.
-    """
-
-    codec = make_compressor(task.compressor, task.error_bound)
-    if task.planes is None:
-        return codec.decompress(task.compressed), None
-    halo = TileHalo.build(task.planes, task.context)
-    return codec.decompress_with_context(task.compressed, halo=halo)
-
-
 def _local(tile: PlanTile, origin: Sequence[int]) -> Tuple[slice, ...]:
     """The tile's region in a window whose corner is ``origin``."""
 
     return tuple(
         slice(o - g, o - g + e) for o, e, g in zip(tile.offset, tile.extent, origin)
-    )
-
-
-def _plane_below(tile: PlanTile, axis: int, origin: Sequence[int]) -> tuple:
-    """The window region of the plane just below the tile's low face."""
-
-    return tuple(
-        o - g - 1 if a == axis else slice(o - g, o - g + e)
-        for a, (o, e, g) in enumerate(zip(tile.offset, tile.extent, origin))
     )
 
 
@@ -273,9 +218,9 @@ def _encode_volume(
     windows = _windows(plan, shape, tile[0], stream)
     payloads: List[Optional[CompressedField]] = [None] * len(plan.tiles)
 
-    def done(index: int, result):
-        payloads[index] = result[0]
-        return result
+    def done(index: int, result: EncodedTile):
+        payloads[index] = result.compressed
+        return result.faces, result.context
 
     with WaveExecutor(plan, parallel) as executor, obs_span(
         "volume.compress.stream" if stream else "volume.compress",
@@ -290,28 +235,19 @@ def _encode_volume(
             window = read(row_start, rows)
             origin = (row_start, 0, 0)
 
-            def build(index: int, plan_tile: PlanTile) -> _EncodeTask:
-                tile_halo = None
-                if halo:
-                    borrowed = executor.results
-                    planes = [
-                        None if dep is None else borrowed[dep][1].get(axis)
-                        for axis, dep in enumerate(plan_tile.planes)
-                    ]
-                    context = (
-                        None if plan_tile.context is None else borrowed[plan_tile.context][2]
-                    )
-                    tile_halo = TileHalo.build(planes, context)
-                return _EncodeTask(
-                    compressor,
-                    error_bound,
-                    options,
+            def build(index: int, plan_tile: PlanTile) -> EncodeTask:
+                return EncodeTask(
                     window[_local(plan_tile, origin)],
+                    error_bound,
+                    (compressor,),
+                    {compressor: options},
+                    False,
+                    0,
+                    borrowed_halo(plan_tile, executor.results),
                     halo,
-                    tile_halo,
                 )
 
-            def key_fn(task: _EncodeTask) -> str:
+            def key_fn(task: EncodeTask) -> str:
                 if not halo:
                     return ExperimentCache.key("volume-tile", config_key, task.tile, "")
                 halo_key = task.halo.digest() if task.halo is not None else "-"
@@ -322,10 +258,10 @@ def _encode_volume(
                     "",
                 )
 
-            def memo(tasks, compute):
+            def memo(indices, tasks, compute):
                 return memoized_map(tasks, key_fn, compute, cache)
 
-            executor.run_waves(_encode_tile, waves, build, memo=memo, done=done)
+            executor.run_waves(encode_tile, waves, build, memo=memo, done=done)
 
         for row_start, rows, waves in windows:
             run_window(row_start, rows, waves)
@@ -354,43 +290,37 @@ def _decode_volume(
 ) -> Iterator[Tuple[int, np.ndarray]]:
     """Decode a volume window by window: whole (one-shot) or per slab.
 
-    Yields ``(row_start, values)``.  A later slab's window starts one row
-    early and holds the previous slab's last row — the axis-0 halo planes
-    of its tiles — so a stream keeps one slab plus one boundary row.
+    Yields ``(row_start, values)``.  Halo tiles borrow from their
+    lenders' faces, which the executor keeps until the last borrower is
+    built, so a stream holds one slab plus the previous slab's lent
+    faces.
     """
 
     shape = compressed.shape
     plan = TilePlan.wavefront(shape, compressed.tile_shape, halo=compressed.halo)
-    payloads = {tile.offset: tile.compressed for tile in compressed.tiles}
+    payloads = {tile.offset: tile.compressed.data for tile in compressed.tiles}
 
     with WaveExecutor(plan, parallel, tile_span="volume.tile.decode") as executor:
 
-        def run_window(row_start: int, rows: int, waves, carry) -> np.ndarray:
-            lead = 0 if carry is None else 1
-            origin = (row_start - lead, 0, 0)
-            window = np.empty((rows + lead,) + tuple(shape[1:]), np.float64)
-            if carry is not None:
-                window[0] = carry
+        def build(index: int, tile: PlanTile) -> DecodeTask:
+            return DecodeTask(
+                payloads[tile.offset],
+                compressed.compressor,
+                tile.extent,
+                compressed.error_bound,
+                {},
+                borrowed_halo(tile, executor.results),
+                compressed.halo,
+            )
 
-            def build(index: int, tile: PlanTile) -> _DecodeTask:
-                planes = None
-                if compressed.halo:
-                    planes = tuple(
-                        None if dep is None else window[_plane_below(tile, axis, origin)]
-                        for axis, dep in enumerate(tile.planes)
-                    )
-                return _DecodeTask(
-                    compressed.compressor,
-                    compressed.error_bound,
-                    payloads[tile.offset],
-                    planes,
-                    None if tile.context is None else executor.results[tile.context],
-                )
+        def run_window(row_start: int, rows: int, waves) -> np.ndarray:
+            origin = (row_start, 0, 0)
+            window = np.empty((rows,) + tuple(shape[1:]), np.float64)
 
-            def done(index: int, result):
+            def done(index: int, result: DecodedTile):
                 values, context = result
                 window[_local(plan.tiles[index], origin)] = values
-                return context
+                return (reconstruction_faces(values) if compressed.halo else {}), context
 
             with obs_span(
                 "volume.decompress",
@@ -399,17 +329,13 @@ def _decode_volume(
                 tiles=sum(len(indices) for _, indices in waves),
                 halo=compressed.halo,
             ):
-                executor.run_waves(_decode_tile, waves, build, done=done)
-            return window[lead:]
+                executor.run_waves(decode_tile, waves, build, done=done)
+            return window
 
-        carry = None
         for row_start, rows, waves in _windows(
             plan, shape, compressed.tile_shape[0], stream
         ):
-            values = run_window(row_start, rows, waves, carry)
-            if stream and compressed.halo:
-                carry = values[-1].copy()
-            yield row_start, values
+            yield row_start, run_window(row_start, rows, waves)
 
 
 def compress_volume(
@@ -469,14 +395,14 @@ def decompress_volume(
     """Reassemble the volume from its compressed tiles.
 
     Replays the compress-side plan: every halo tile decodes after its
-    low-face neighbours, slicing its halo planes straight out of the
-    output and regenerating its entropy context — bit-identical to what
-    the encoder saw, by construction.
+    low-face neighbours, taking its halo planes from the faces they lent
+    and regenerating its own entropy context — bit-identical to what the
+    encoder saw, by construction.
 
     ``parallel`` decodes the tiles of each anti-diagonal wave
-    concurrently; each task carries its halo planes and returns its
-    values, which are written into the output before the next wave is
-    built.  The output never depends on the schedule.
+    concurrently; each task carries its halo and returns its values and
+    what it lends, which are kept before the next wave is built.  The
+    output never depends on the schedule.
     """
 
     ((_, volume),) = _decode_volume(compressed, parallel, stream=False)

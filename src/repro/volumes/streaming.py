@@ -10,24 +10,25 @@ tile's faces and context once the last tile borrowing them is built.
 Peak memory therefore holds at most
 
 * the current slab,
-* the previous slab's axis-0 halo faces (one volume cross-section), and
-* the entropy contexts the wavefront chain still needs,
+* the faces and entropy contexts the previous slab's tiles lent, until
+  the last tile borrowing them is built,
 
-regardless of volume depth.  The outputs are **bit-identical** to the
-one-shot pipeline: slab-major and anti-diagonal waves are two
-topological orders of the same plan, and halo planes and entropy
-contexts do not depend on the order.
+regardless of volume depth — on compress and on decode alike, since both
+run the same tile workers (:mod:`repro.compressors.tiles`).  The outputs
+are **bit-identical** to the one-shot pipeline: slab-major and
+anti-diagonal waves are two topological orders of the same plan, and
+halo planes and entropy contexts do not depend on the order.
 
-Sources are either in-memory arrays or ``.npy`` paths.  File sources are
-read with explicit per-slab ``seek`` + :func:`numpy.fromfile` rather than
-:func:`numpy.memmap`: mapped pages count toward RSS until the OS reclaims
-them, which would defeat the memory bound this module exists to provide
-(and which ``benchmarks/test_bars.py::test_stream_peak_rss`` gates).
+Sources are ``.npy`` paths, read with explicit per-slab ``seek`` +
+:func:`numpy.fromfile` rather than :func:`numpy.memmap`: mapped pages
+count toward RSS until the OS reclaims them, which would defeat the
+memory bound this module exists to provide (and which
+``benchmarks/test_bars.py::test_stream_peak_rss`` gates).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,35 +99,18 @@ class _NpySlabSource:
         return flat.reshape((rows,) + self.shape[1:])
 
 
-class _ArraySlabSource:
-    """Slab reader over an in-memory (or memory-mapped) 3D array."""
+def open_slab_source(path) -> _NpySlabSource:
+    """A slab reader for a C-order 3D ``.npy`` file.
 
-    def __init__(self, volume: np.ndarray) -> None:
-        if volume.ndim != 3:
-            raise ValueError(f"streaming expects a 3D volume, got {volume.ndim}D")
-        self._volume = volume
-        self.shape = tuple(int(s) for s in volume.shape)
-        self.dtype = volume.dtype
-
-    def read(self, row_start: int, rows: int) -> np.ndarray:
-        return np.ascontiguousarray(self._volume[row_start : row_start + rows])
-
-
-def open_slab_source(source) -> Union[_NpySlabSource, _ArraySlabSource]:
-    """A slab reader for ``source`` (a 3D ndarray or an ``.npy`` path).
-
-    Path sources give the strict memory bound (each slab is read with an
-    explicit ``seek``/``fromfile``); array sources stream whatever the
-    caller already holds.
+    Each slab is read with an explicit ``seek``/``fromfile``, which is
+    what gives a stream its memory bound.
     """
 
-    if isinstance(source, np.ndarray):
-        return _ArraySlabSource(source)
-    return _NpySlabSource(source)
+    return _NpySlabSource(path)
 
 
 def compress_volume_stream(
-    source,
+    path,
     compressor: str = "sz",
     error_bound: float = 1e-3,
     *,
@@ -138,14 +122,15 @@ def compress_volume_stream(
 ) -> CompressedVolume:
     """Compress a volume slab by slab; bit-identical to ``compress_volume``.
 
-    ``source`` is a 3D array or a path to a C-order ``.npy`` file.  Memo
-    keys match the one-shot pipeline exactly, so the two paths can share
-    a tile cache.  With ``parallel``, each slab's tiles fan out over the
-    pool, every task carrying its own tile; the in-slab schedule is the 2D wavefront over the remaining axes, so
-    the halo chain sees tiles in a valid wavefront order either way.
+    ``path`` names a C-order 3D ``.npy`` file.  Memo keys match the
+    one-shot pipeline exactly, so the two paths can share a tile cache.
+    With ``parallel``, each slab's tiles fan out over the pool, every task
+    carrying its own tile; the in-slab schedule is the 2D wavefront over
+    the remaining axes, so the halo chain sees tiles in a valid wavefront
+    order either way.
     """
 
-    reader = open_slab_source(source)
+    reader = open_slab_source(path)
     return _encode_volume(
         reader.read,
         reader.shape,
@@ -167,9 +152,9 @@ def decompress_volume_stream(
 
     The streaming counterpart of
     :func:`repro.volumes.pipeline.decompress_volume`: at most one slab is
-    resident, plus the single boundary row-plane and the entropy contexts
-    the halo chain carries forward.  Slabs concatenated along axis 0 are
-    bit-identical to the one-shot decode.
+    resident, plus the faces and entropy contexts the previous slab's
+    halo tiles lent.  Slabs concatenated along axis 0 are bit-identical
+    to the one-shot decode.
     """
 
     yield from _decode_volume(compressed, None, stream=True)

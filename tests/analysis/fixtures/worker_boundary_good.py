@@ -5,11 +5,17 @@ hand-rolled SharedMemory segments."""
 
 import numpy as np
 
+from repro.compressors.tiles import encode_tile
 from repro.utils.parallel import ParallelConfig, WorkerPool, parallel_map
 
 
 def run_all(tasks):
     return list(parallel_map(_encode_worker, tasks))
+
+
+def run_plan(executor, waves, build):
+    # A module-level worker imported from the shared tile module.
+    executor.run_waves(encode_tile, waves, build)
 
 
 def run_pooled(volume, regions, scale):

@@ -72,15 +72,15 @@ class TestRunExperiment:
 
     def test_parallel_matches_serial(self):
         serial = run_experiment("toy", config=FAST_CONFIG, registry=_toy_registry(), seed=1)
-        threaded = run_experiment(
+        pooled = run_experiment(
             "toy",
             config=FAST_CONFIG,
             registry=_toy_registry(),
             seed=1,
-            parallel=ParallelConfig(workers=2, use_processes=False),
+            parallel=ParallelConfig(workers=2),
         )
         assert [r.compression_ratio for r in serial.records] == [
-            r.compression_ratio for r in threaded.records
+            r.compression_ratio for r in pooled.records
         ]
 
     def test_unknown_dataset_raises(self):

@@ -21,6 +21,7 @@ from repro.compressors.base import LosslessBackend
 from repro.encoding.huffman import huffman_decode, huffman_decode_with_code, huffman_encode
 from repro.encoding.rle import rle_decode, rle_encode
 from repro.encoding.varint import (
+    Reader,
     Writer,
     decode_signed_varint_array,
     decode_varint_array,
@@ -379,3 +380,51 @@ class TestCorruptLengthFields:
         body.blob(huffman_encode(runs))
         decoded = LosslessBackend("huffman").decode_symbols(bytes(body))
         np.testing.assert_array_equal(decoded, np.repeat(values, runs))
+
+    def test_sz_h_run_total_bounded_by_container_shape(self):
+        # A count that equals its one huge run passes the run check; only
+        # the container's shape (a 16^2 field, 256 padded elements) can
+        # refuse it before np.repeat allocates 8 TiB.
+        from dataclasses import replace
+
+        from repro.compressors.sz import SZCompressor
+
+        codec = SZCompressor(1e-2)
+        compressed = codec.compress(np.sin(np.add.outer(np.arange(16.0), np.arange(16.0)) / 5))
+        data = compressed.data
+        reader = Reader(data)
+        assert reader.take(4) == b"SZR1" and reader.varint() == 0
+        reader.varints(2)  # field shape
+        reader.varint(), reader.f64(), reader.varint()  # block size, bound, radius
+        reader.varints(2)  # block grid
+        reader.blob(), reader.blob()  # block modes, regression coefficients
+        start = reader.pos
+        reader.blob()  # the symbol stream
+        forged = Writer(b"H")
+        forged.varint(2**40)
+        forged.blob(huffman_encode([3]))
+        forged.blob(huffman_encode([2**40]))
+        body = Writer(data[:start])
+        body.blob(bytes(forged))
+        blob = bytes(body) + data[reader.pos :]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at most 256"):
+                codec.decompress(replace(compressed, data=blob))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("backend", ["huffman", "zstd", "raw"])
+    def test_max_count_admits_a_full_container_and_nothing_more(self, backend):
+        # The bound is the container's size: a stream that fills it decodes,
+        # one symbol more is refused, also through the zstd wrapper.
+        symbols = np.repeat(np.array([1, 2, 3]), [100, 50, 50])
+        codec = LosslessBackend(backend)
+        blob = codec.encode_symbols(symbols)
+        np.testing.assert_array_equal(
+            codec.decode_symbols(blob, max_count=symbols.size), symbols
+        )
+        with pytest.raises(ValueError, match=f"holds at most {symbols.size - 1}"):
+            codec.decode_symbols(blob, max_count=symbols.size - 1)

@@ -159,12 +159,13 @@ class TestDecodeTrees:
 
 
 class TestStreamWaveIds:
-    def test_wave_ids_are_unique_and_increasing(self):
-        volume = generate_miranda_like_volume((24, 24, 24), seed=5)
+    def test_wave_ids_are_unique_and_increasing(self, tmp_path):
+        path = tmp_path / "v.npy"
+        np.save(path, generate_miranda_like_volume((24, 24, 24), seed=5))
         tracer = Tracer()
         with install_tracer(tracer):
             compress_volume_stream(
-                volume, "sz", BOUND, tile_shape=(8, 8, 8), halo=True, cache=False
+                str(path), "sz", BOUND, tile_shape=(8, 8, 8), halo=True, cache=False
             )
         spans = tracer.spans()
         waves = sorted(

@@ -12,12 +12,9 @@ from repro.stats.variogram_models import (
     MAX_RANGE_LAGS,
     MIN_RANGE,
     MIN_SILL,
-    MODEL_FUNCTIONS,
     estimate_variogram_range,
-    exponential_variogram,
     fit_variogram,
     gaussian_variogram,
-    spherical_variogram,
 )
 
 
@@ -29,20 +26,9 @@ class TestModelFunctions:
     def test_nugget_shifts_origin(self):
         assert gaussian_variogram(np.array([0.0]), 2.0, 5.0, nugget=0.3)[0] == pytest.approx(0.3)
 
-    def test_exponential_monotone(self):
-        h = np.linspace(0, 50, 100)
-        values = exponential_variogram(h, 1.0, 8.0)
-        assert np.all(np.diff(values) > 0)
-
-    def test_spherical_reaches_sill_exactly_at_range(self):
-        assert spherical_variogram(np.array([8.0]), 1.5, 8.0)[0] == pytest.approx(1.5)
-        assert spherical_variogram(np.array([20.0]), 1.5, 8.0)[0] == pytest.approx(1.5)
-
     def test_models_increase_with_distance(self):
-        h = np.linspace(0, 30, 50)
-        for func in (gaussian_variogram, exponential_variogram, spherical_variogram):
-            values = func(h, 1.0, 10.0)
-            assert np.all(np.diff(values) >= -1e-12)
+        values = gaussian_variogram(np.linspace(0, 30, 50), 1.0, 10.0)
+        assert np.all(np.diff(values) >= -1e-12)
 
 
 class TestFitVariogram:
@@ -60,32 +46,21 @@ class TestFitVariogram:
 
     def test_recovers_known_parameters(self):
         variogram = self._synthetic_variogram(sill=2.0, range_=12.0)
-        fitted = fit_variogram(variogram, model="gaussian")
+        fitted = fit_variogram(variogram)
         assert fitted.sill == pytest.approx(2.0, rel=0.02)
         assert fitted.range == pytest.approx(12.0, rel=0.02)
         assert fitted.converged
 
     def test_recovers_nugget_when_requested(self):
         variogram = self._synthetic_variogram(sill=1.5, range_=8.0, nugget=0.25)
-        fitted = fit_variogram(variogram, model="gaussian", fit_nugget=True)
+        fitted = fit_variogram(variogram, fit_nugget=True)
         assert fitted.nugget == pytest.approx(0.25, abs=0.05)
         assert fitted.range == pytest.approx(8.0, rel=0.1)
 
     def test_robust_to_noise(self):
         variogram = self._synthetic_variogram(sill=1.0, range_=15.0, noise=0.03, seed=1)
-        fitted = fit_variogram(variogram, model="gaussian")
+        fitted = fit_variogram(variogram)
         assert fitted.range == pytest.approx(15.0, rel=0.2)
-
-    def test_weighting_options(self):
-        variogram = self._synthetic_variogram(sill=1.0, range_=10.0)
-        by_pairs = fit_variogram(variogram, weights="pairs")
-        uniform = fit_variogram(variogram, weights="uniform")
-        assert by_pairs.range == pytest.approx(uniform.range, rel=0.05)
-
-    def test_unknown_model_rejected(self):
-        variogram = self._synthetic_variogram(1.0, 5.0)
-        with pytest.raises(ValueError):
-            fit_variogram(variogram, model="cubic")
 
     def test_too_few_bins_rejected(self):
         variogram = EmpiricalVariogram(
@@ -132,7 +107,7 @@ class TestEstimateVariogramRange:
             estimate_variogram_range(field)
 
 
-def _scipy_fit(variogram, model: str, fit_nugget: bool):
+def _scipy_fit(variogram, fit_nugget: bool):
     """Reference fit: bounded trust-region least squares from a moment start.
 
     The iterative optimiser the library used before its closed-form fit;
@@ -142,7 +117,6 @@ def _scipy_fit(variogram, model: str, fit_nugget: bool):
     from scipy.optimize import least_squares
 
     lags, values = variogram.lags, variogram.values
-    func = MODEL_FUNCTIONS[model]
     w = np.sqrt(variogram.pair_counts.astype(np.float64))
     w = w / w.max()
     sill0 = max(float(variogram.field_variance), float(values.max()), 1e-12)
@@ -156,17 +130,17 @@ def _scipy_fit(variogram, model: str, fit_nugget: bool):
 
     def residuals(params):
         sill, range_, *nugget = params
-        return w * (func(lags, sill, range_, *nugget) - values)
+        return w * (gaussian_variogram(lags, sill, range_, *nugget) - values)
 
     result = least_squares(residuals, x0=x0, bounds=(lower, upper), method="trf", max_nfev=2000)
     sill, range_, *nugget = result.x
     return sill, range_, (nugget[0] if nugget else 0.0)
 
 
-def _weighted_misfit(variogram, model, sill, range_, nugget) -> float:
+def _weighted_misfit(variogram, sill, range_, nugget) -> float:
     w = np.sqrt(variogram.pair_counts.astype(np.float64))
     w2 = (w / w.max()) ** 2
-    residual = MODEL_FUNCTIONS[model](variogram.lags, sill, range_, nugget) - variogram.values
+    residual = gaussian_variogram(variogram.lags, sill, range_, nugget) - variogram.values
     return float(np.sum(w2 * residual**2))
 
 
@@ -193,14 +167,15 @@ def _reference_variograms():
 class TestAgainstScipyReference:
     """The closed-form fit is never a worse fit than the optimiser it replaced."""
 
-    @pytest.mark.parametrize("fit_nugget", [False, True], ids=["no-nugget", "nugget"])
-    @pytest.mark.parametrize("model", sorted(MODEL_FUNCTIONS))
-    def test_objective_no_worse_and_bounds_respected(self, model, fit_nugget):
+    @pytest.mark.parametrize(
+        "fit_nugget", [False, True], ids=["gaussian-no-nugget", "gaussian-nugget"]
+    )
+    def test_objective_no_worse_and_bounds_respected(self, fit_nugget):
         for name, variogram in _reference_variograms().items():
-            fitted = fit_variogram(variogram, model=model, fit_nugget=fit_nugget)
-            reference = _scipy_fit(variogram, model, fit_nugget)
-            ours = _weighted_misfit(variogram, model, fitted.sill, fitted.range, fitted.nugget)
-            theirs = _weighted_misfit(variogram, model, *reference)
+            fitted = fit_variogram(variogram, fit_nugget=fit_nugget)
+            reference = _scipy_fit(variogram, fit_nugget)
+            ours = _weighted_misfit(variogram, fitted.sill, fitted.range, fitted.nugget)
+            theirs = _weighted_misfit(variogram, *reference)
             assert ours <= (1 + 1e-9) * theirs, name
 
             cap = max(variogram.field_variance, variogram.values.max(), 1e-12)

@@ -196,7 +196,7 @@ class TestParallel:
         parallel = ArrayStore.create(tmp_path / "parallel", chunk_shape=16)
         parallel.write(
             volume_3d,
-            parallel=ParallelConfig(workers=2, use_processes=False),
+            parallel=ParallelConfig(workers=2),
         )
         assert (tmp_path / "serial" / DATA_NAME).read_bytes() == (
             tmp_path / "parallel" / DATA_NAME

@@ -65,10 +65,6 @@ class TestParity:
         )
         assert parallel_report.chunks_decoded == serial_report.chunks_decoded
 
-    def test_thread_read_matches_serial(self, store):
-        threads = ParallelConfig(workers=2, use_processes=False)
-        np.testing.assert_array_equal(store.read(parallel=threads), store.read())
-
     def test_serial_config_is_the_serial_path(self, store):
         np.testing.assert_array_equal(
             store.read(parallel=ParallelConfig(workers=1)), store.read()

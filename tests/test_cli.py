@@ -13,6 +13,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.datasets.gaussian import generate_gaussian_field
+from repro.datasets.miranda import generate_miranda_like_volume
 
 
 @pytest.fixture()
@@ -186,6 +187,19 @@ class TestCompressCommand:
             argv = ["compress", str(path), "--mode", "rel", "--error-bound", "1e-2"]
             assert main(argv + flags + ["--tile", "8"]) == 0
             assert expected in capsys.readouterr().out
+
+    def test_streamed_halo_volume_matches_one_shot_ratio(self, tmp_path, capsys):
+        # 20 rows in 8-row slabs: the last slab is partial, and its halo
+        # tiles borrow the previous slab's lent faces on decode.
+        path = tmp_path / "v.npy"
+        np.save(path, generate_miranda_like_volume((20, 20, 20), seed=0))
+        ratios = []
+        for flags in (["--volume", "--halo"], ["--volume", "--halo", "--stream"]):
+            assert main(["compress", str(path), "--tile", "8"] + flags) == 0
+            out = capsys.readouterr().out
+            ratios.append(re.search(r"compression ratio\s+(\S+)", out).group(1))
+            assert re.search(r"bound satisfied\s+True", out)
+        assert ratios[1] == ratios[0]
 
     def test_constant_volume_reports_one_psnr_streamed_or_not(
         self, tmp_path, capsys
@@ -384,8 +398,6 @@ class TestStoreCommand:
 
 class TestProfileCommand:
     def test_writes_a_speedscope_profile_with_samples(self, tmp_path, capsys):
-        from repro.datasets.miranda import generate_miranda_like_volume
-
         volume = tmp_path / "vol.npy"
         np.save(volume, generate_miranda_like_volume((32, 32, 32), seed=3))
         out = tmp_path / "prof.json"

@@ -83,19 +83,14 @@ class TestParallelMap:
     def test_empty_input(self):
         assert parallel_map(_square, []) == []
 
-    def test_preserves_order_with_threads(self):
-        config = ParallelConfig(workers=4, use_processes=False)
-        items = list(range(25))
-        assert parallel_map(_square, items, config) == [x * x for x in items]
-
     def test_preserves_order_with_processes(self):
-        config = ParallelConfig(workers=2, use_processes=True)
+        config = ParallelConfig(workers=2)
         items = list(range(8))
         assert parallel_map(_square, items, config) == [x * x for x in items]
 
     def test_worker_exception_propagates(self):
         with pytest.raises(RuntimeError, match="boom"):
-            parallel_map(_fail, [1], ParallelConfig(workers=2, use_processes=False))
+            parallel_map(_fail, [1], ParallelConfig(workers=2))
 
     def test_serial_exception_propagates(self):
         with pytest.raises(RuntimeError, match="boom"):
@@ -116,7 +111,7 @@ class TestWorkerPool:
             assert pool._executor is None
 
     def test_reuse_across_batches(self):
-        with WorkerPool(ParallelConfig(workers=2, use_processes=False)) as pool:
+        with WorkerPool(ParallelConfig(workers=2)) as pool:
             first = pool.map(_double, [1, 2])
             executor = pool._executor
             second = pool.map(_double, [3, 4])
@@ -182,14 +177,6 @@ class TestSharedProcessPools:
         assert parallel_map(_double, [1, 2], ParallelConfig(workers=2)) == [2, 4]
         assert parallel._POOLS[(2, other)] is not pools[(2, method)]
         assert parallel._POOLS[(2, method)] is pools[(2, method)]
-
-    def test_thread_pools_are_not_shared(self):
-        config = ParallelConfig(workers=2, use_processes=False)
-        with WorkerPool(config) as a, WorkerPool(config) as b:
-            a.map(_double, [1])
-            b.map(_double, [1])
-            assert a._executor is not b._executor
-        assert parallel._POOLS == {}
 
     def test_broken_pool_is_replaced_on_the_next_map(self):
         config = ParallelConfig(workers=2)

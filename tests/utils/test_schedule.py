@@ -144,8 +144,8 @@ def _echo(task):
 class TestWaveExecutor:
     @pytest.mark.parametrize(
         "parallel",
-        [None, ParallelConfig(workers=2, use_processes=False)],
-        ids=["serial", "threads"],
+        [None, ParallelConfig(workers=2)],
+        ids=["serial", "pooled"],
     )
     def test_results_live_until_the_last_borrower(self, parallel):
         plan = TilePlan.wavefront((4, 5), (1, 1))
@@ -163,18 +163,17 @@ class TestWaveExecutor:
         assert seen == {index: index * index for index in range(len(plan.tiles))}
 
     @pytest.mark.parametrize(
-        "parallel",
-        [ParallelConfig(workers=1), ParallelConfig(workers=2, use_processes=False)],
-        ids=["serial", "threads"],
+        "parallel", [ParallelConfig(workers=1), None], ids=["serial", "default"]
     )
     def test_in_process_run_passes_arrays_through(self, parallel):
-        # Serial runs and thread pools hand the task's own arrays to the
-        # worker and its returned arrays to ``done``: nothing is copied.
+        # A serial run (one worker, or no config at all) hands the task's
+        # own arrays to the worker and its returned arrays to ``done``:
+        # nothing is copied.
         plan = TilePlan.wavefront((4, 4), (2, 2), halo=False)
         volume = np.arange(16.0).reshape(4, 4)
         seen = {}
         with WaveExecutor(plan, parallel) as executor:
-            assert executor.pooled == (parallel.workers > 1)
+            assert not executor.pooled
             executor.run_waves(
                 _echo,
                 enumerate(plan.waves()),

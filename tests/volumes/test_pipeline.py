@@ -114,7 +114,7 @@ class TestCompressVolume:
             1e-3,
             tile_shape=(16, 16, 16),
             cache=False,
-            parallel=ParallelConfig(workers=2, use_processes=False),
+            parallel=ParallelConfig(workers=2),
         )
         assert [t.compressed.data for t in serial.tiles] == [
             t.compressed.data for t in parallel.tiles
@@ -214,21 +214,11 @@ class TestHaloVolume:
             tile_shape=(16, 16, 16),
             cache=False,
             halo=True,
-            parallel=ParallelConfig(workers=2, use_processes=False),
+            parallel=ParallelConfig(workers=2),
         )
         assert [t.compressed.data for t in serial.tiles] == [
             t.compressed.data for t in parallel.tiles
         ]
-
-    def test_thread_decode_matches_serial(self, volume):
-        compressed = compress_volume(
-            volume, "sz", 1e-3, tile_shape=(16, 16, 16), cache=False, halo=True
-        )
-        threads = ParallelConfig(workers=2, use_processes=False)
-        np.testing.assert_array_equal(
-            decompress_volume(compressed, parallel=threads),
-            decompress_volume(compressed),
-        )
 
     def test_memo_key_distinguishes_halo(self, volume):
         cache = ExperimentCache(max_entries=256)

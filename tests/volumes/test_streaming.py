@@ -1,10 +1,9 @@
 """Streaming pipeline equivalence and .npy slab-source validation.
 
 ``compress_volume_stream`` / ``decompress_volume_stream`` must be
-bit-identical to the one-shot pipeline for every source kind (array,
-path) and schedule (serial, process pool), halo on and off — the
-slab-major re-grouping of the wavefront changes nothing the encoders
-see."""
+bit-identical to the one-shot pipeline for every schedule (serial,
+process pool), halo on and off — the slab-major re-grouping of the
+wavefront changes nothing the encoders see."""
 
 from __future__ import annotations
 
@@ -31,6 +30,13 @@ TILE = (16, 16, 16)
 def volume() -> np.ndarray:
     # Deliberately not tile-aligned on any axis: 3/2.5/3.5 tiles.
     return generate_miranda_like_volume((48, 40, 56), seed=7)
+
+
+@pytest.fixture(scope="module")
+def volume_path(volume, tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("stream") / "v.npy"
+    np.save(path, volume)
+    return str(path)
 
 
 def _tile_bytes(compressed):
@@ -76,15 +82,9 @@ class TestNpyVolumeInfo:
 
 
 class TestSlabSources:
-    def test_array_source_slabs(self, volume):
-        source = open_slab_source(volume)
+    def test_path_source_slabs(self, volume, volume_path):
+        source = open_slab_source(volume_path)
         assert source.shape == volume.shape
-        np.testing.assert_array_equal(source.read(16, 16), volume[16:32])
-
-    def test_path_source_slabs(self, volume, tmp_path):
-        path = tmp_path / "v.npy"
-        np.save(path, volume)
-        source = open_slab_source(path)
         np.testing.assert_array_equal(source.read(32, 16), volume[32:48])
         # Final ragged slab.
         np.testing.assert_array_equal(source.read(40, 8), volume[40:48])
@@ -92,27 +92,16 @@ class TestSlabSources:
 
 @pytest.mark.parametrize("halo", [False, True], ids=["grid", "halo"])
 class TestBitIdentity:
-    def test_array_source_matches_one_shot(self, volume, halo):
+    def test_path_source_matches_one_shot(self, volume, volume_path, halo):
         one_shot = compress_volume(
             volume, "sz", BOUND, tile_shape=TILE, halo=halo, cache=False
         )
         streamed = compress_volume_stream(
-            volume, "sz", BOUND, tile_shape=TILE, halo=halo, cache=False
+            volume_path, "sz", BOUND, tile_shape=TILE, halo=halo, cache=False
         )
         assert _tile_bytes(streamed) == _tile_bytes(one_shot)
         assert streamed.shape == one_shot.shape
         assert streamed.halo == one_shot.halo
-
-    def test_path_source_matches_one_shot(self, volume, tmp_path, halo):
-        path = tmp_path / "v.npy"
-        np.save(path, volume)
-        one_shot = compress_volume(
-            volume, "sz", BOUND, tile_shape=TILE, halo=halo, cache=False
-        )
-        streamed = compress_volume_stream(
-            str(path), "sz", BOUND, tile_shape=TILE, halo=halo, cache=False
-        )
-        assert _tile_bytes(streamed) == _tile_bytes(one_shot)
 
     def test_streaming_decode_matches_one_shot(self, volume, halo):
         compressed = compress_volume(
@@ -125,12 +114,12 @@ class TestBitIdentity:
 
 
 class TestParallelStreaming:
-    def test_pool_matches_serial_stream(self, volume):
+    def test_pool_matches_serial_stream(self, volume_path):
         serial = compress_volume_stream(
-            volume, "sz", BOUND, tile_shape=TILE, halo=True, cache=False
+            volume_path, "sz", BOUND, tile_shape=TILE, halo=True, cache=False
         )
         pooled = compress_volume_stream(
-            volume,
+            volume_path,
             "sz",
             BOUND,
             tile_shape=TILE,
@@ -142,9 +131,10 @@ class TestParallelStreaming:
 
 
 class TestStreamedDecodeMemory:
-    """A streamed decode holds one slab plus a boundary row and the
-    carried contexts, whatever the volume depth: decoded tiles are
-    written into the slab and only their contexts outlive the wave."""
+    """A streamed decode holds one slab plus the faces and contexts the
+    previous slab's tiles lent, whatever the volume depth: decoded tiles
+    are written into the slab and only what they lend outlives the
+    wave, until the last borrower is built."""
 
     @staticmethod
     def _decode_peak(depth: int) -> int:
@@ -171,7 +161,7 @@ class TestStreamedDecodeMemory:
 
 
 class TestCacheSharing:
-    def test_stream_and_one_shot_share_tile_cache(self, volume):
+    def test_stream_and_one_shot_share_tile_cache(self, volume, volume_path):
         from repro.core.pipeline import ExperimentCache
 
         cache = ExperimentCache(max_entries=256)
@@ -180,7 +170,7 @@ class TestCacheSharing:
         )
         misses = cache.misses
         streamed = compress_volume_stream(
-            volume, "sz", BOUND, tile_shape=TILE, halo=False, cache=cache
+            volume_path, "sz", BOUND, tile_shape=TILE, halo=False, cache=cache
         )
         assert cache.hits == streamed.n_tiles
         assert cache.misses == misses
