@@ -14,6 +14,7 @@ import pytest
 
 from benchmarks.conftest import BENCH_SEED
 from repro.compressors.registry import make_compressor
+from repro.compressors.zfp import ZFPCompressor
 from repro.datasets.gaussian import generate_gaussian_field
 
 ERROR_BOUND = 1e-3
@@ -51,7 +52,7 @@ def test_zfp_zstd_backend_compress_throughput(benchmark, bench_field):
     watches for both the sequency-partitioned ZFP stream and the vectorized
     LZ77 staying functional and fast."""
 
-    compressor = make_compressor("zfp", ERROR_BOUND, backend="zstd")
+    compressor = ZFPCompressor(ERROR_BOUND, backend="zstd")
     compressed = benchmark(compressor.compress, bench_field)
     decompressed = compressor.decompress(compressed)
     assert np.abs(decompressed - bench_field).max() <= ERROR_BOUND * (1 + 1e-9)

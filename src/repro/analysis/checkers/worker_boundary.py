@@ -31,8 +31,8 @@ Flags:
 * any ``SharedMemory`` construction — arrays travel by value in the
   task and its result;
 * inside a worker function (a module-level function submitted in the
-  same file; the returns of an imported worker, such as the tile
-  workers' named result tuples, are not seen from the submitting file):
+  same file, or one the submitting file imports from another linted
+  file, as every tiled path imports the tile workers):
   ``return np.<...>(...)`` /
   ``return <x>.astype(...)`` bare-ndarray returns where the protocol
   expects the documented result tuple or a named result object.
@@ -42,19 +42,80 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.core import Checker, FileContext, Finding, dotted_name
+from repro.analysis.core import Checker, FileContext, Finding, ProjectContext, dotted_name
 
 __all__ = ["WorkerBoundaryChecker"]
 
 #: Calls whose first argument is the worker callable.
 _SUBMIT_FUNCS = {"parallel_map", "run_waves"}
 _PARALLEL_MODULE_SUFFIX = os.path.join("utils", "parallel.py")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _tail(name: Optional[str]) -> str:
     return "" if name is None else name.rsplit(".", 1)[-1]
+
+
+def _submitted(ctx: FileContext) -> Iterator[ast.AST]:
+    """The callable of every pool submission in ``ctx``, partials peeled off."""
+
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        func_tail = _tail(dotted_name(node.func))
+        # Pool-style `.map` submission (WorkerPool / Executor); the
+        # builtin `map(...)` is a plain Name call and stays out of scope.
+        if func_tail in _SUBMIT_FUNCS or func_tail == "submit" or (
+            func_tail == "map" and isinstance(node.func, ast.Attribute)
+        ):
+            arg = node.args[0]
+            while isinstance(arg, ast.Call) and arg.args and (
+                _tail(dotted_name(arg.func)) == "partial"
+            ):
+                arg = arg.args[0]
+            yield arg
+
+
+def _nested_funcs(ctx: FileContext) -> Set[str]:
+    return {
+        node.name
+        for node in ast.walk(ctx.tree)
+        if isinstance(node, _DEFS) and ctx.enclosing_function(node) is not None
+    }
+
+
+def _module_def(ctx: FileContext, name: str) -> Optional[ast.AST]:
+    for node in ctx.tree.body:
+        if isinstance(node, _DEFS) and node.name == name:
+            return node
+    return None
+
+
+def _resolve(
+    project: ProjectContext, ctx: FileContext, name: str
+) -> Optional[Tuple[FileContext, ast.AST]]:
+    """The module-level ``def`` that ``name`` means in ``ctx``: defined
+    there, or imported (``from package.module import name``) from another
+    linted file."""
+
+    worker = _module_def(ctx, name)
+    if worker is not None:
+        return ctx, worker
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.ImportFrom) or node.level:
+            continue
+        module = os.sep + os.path.join(*node.module.split("."))
+        for alias in node.names:
+            if (alias.asname or alias.name) != name:
+                continue
+            for other in project.files:
+                if os.path.splitext(os.path.abspath(other.path))[0].endswith(module):
+                    worker = _module_def(other, alias.name)
+                    if worker is not None:
+                        return other, worker
+    return None
 
 
 class WorkerBoundaryChecker(Checker):
@@ -66,19 +127,6 @@ class WorkerBoundaryChecker(Checker):
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         findings: List[Finding] = []
-        module_funcs: Dict[str, ast.AST] = {
-            node.name: node
-            for node in ctx.tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        nested_funcs: Set[str] = {
-            node.name
-            for node in ast.walk(ctx.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and ctx.enclosing_function(node) is not None
-        }
-
-        worker_names: Set[str] = set()
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -95,8 +143,7 @@ class WorkerBoundaryChecker(Checker):
                         "hygiene has one enforcement point",
                     )
                 )
-                continue
-            if func_tail == "SharedMemory":
+            elif func_tail == "SharedMemory":
                 findings.append(
                     ctx.finding(
                         self.name,
@@ -106,73 +153,45 @@ class WorkerBoundaryChecker(Checker):
                         "result, which the executor pickles",
                     )
                 )
-                continue
-            if func_tail in _SUBMIT_FUNCS and node.args:
-                findings.extend(
-                    self._check_submitted(ctx, node.args[0], worker_names,
-                                          nested_funcs)
-                )
-            elif func_tail == "submit" and node.args:
-                findings.extend(
-                    self._check_submitted(ctx, node.args[0], worker_names,
-                                          nested_funcs)
-                )
-            elif (
-                func_tail == "map"
-                and isinstance(node.func, ast.Attribute)
-                and node.args
-            ):
-                # Pool-style `.map` submission (WorkerPool / Executor).
-                # The builtin `map(...)` is a plain Name call and stays
-                # out of scope.
-                findings.extend(
-                    self._check_submitted(ctx, node.args[0], worker_names,
-                                          nested_funcs)
-                )
 
-        for name in sorted(worker_names):
-            worker = module_funcs.get(name)
-            if worker is None:
-                continue
-            findings.extend(self._check_worker_returns(ctx, worker))
+        nested_funcs = _nested_funcs(ctx)
+        for callable_arg in _submitted(ctx):
+            if isinstance(callable_arg, ast.Lambda):
+                findings.append(
+                    ctx.finding(
+                        self.name,
+                        callable_arg,
+                        "lambda submitted to the worker pool; lambdas don't pickle "
+                        "across the process boundary — use a module-level function "
+                        "over a self-contained task tuple",
+                    )
+                )
+            elif isinstance(callable_arg, ast.Name) and callable_arg.id in nested_funcs:
+                findings.append(
+                    ctx.finding(
+                        self.name,
+                        callable_arg,
+                        f"closure {callable_arg.id!r} submitted to the worker "
+                        "pool; nested functions don't pickle (and capture their "
+                        "enclosing frame) — hoist it to module level",
+                    )
+                )
         return findings
 
-    def _check_submitted(
-        self,
-        ctx: FileContext,
-        callable_arg: ast.AST,
-        worker_names: Set[str],
-        nested_funcs: Set[str],
-    ) -> Iterable[Finding]:
-        if isinstance(callable_arg, ast.Lambda):
-            yield ctx.finding(
-                self.name,
-                callable_arg,
-                "lambda submitted to the worker pool; lambdas don't pickle "
-                "across the process boundary — use a module-level function "
-                "over a self-contained task tuple",
-            )
-            return
-        if (
-            isinstance(callable_arg, ast.Call)
-            and _tail(dotted_name(callable_arg.func)) == "partial"
-            and callable_arg.args
-        ):
-            yield from self._check_submitted(
-                ctx, callable_arg.args[0], worker_names, nested_funcs
-            )
-            return
-        if isinstance(callable_arg, ast.Name):
-            if callable_arg.id in nested_funcs:
-                yield ctx.finding(
-                    self.name,
-                    callable_arg,
-                    f"closure {callable_arg.id!r} submitted to the worker "
-                    "pool; nested functions don't pickle (and capture their "
-                    "enclosing frame) — hoist it to module level",
-                )
-            else:
-                worker_names.add(callable_arg.id)
+    def check_project(self, project: ProjectContext) -> Iterable[Finding]:
+        """Every submitted worker's returns, checked once in the file that
+        defines it, wherever it is submitted from."""
+
+        workers = {}
+        for ctx in project.files:
+            nested_funcs = _nested_funcs(ctx)
+            for arg in _submitted(ctx):
+                if isinstance(arg, ast.Name) and arg.id not in nested_funcs:
+                    found = _resolve(project, ctx, arg.id)
+                    if found is not None:
+                        workers[(found[0].path, found[1].name)] = found
+        for key in sorted(workers):
+            yield from self._check_worker_returns(*workers[key])
 
     def _check_worker_returns(
         self, ctx: FileContext, worker: ast.AST

@@ -96,7 +96,6 @@ def estimate_cr_by_sampling(
     seed: SeedLike = None,
     overhead_correction: bool = True,
     large_tile: bool = True,
-    **compressor_options,
 ) -> BlockSamplingEstimate:
     """Estimate the compression ratio of ``field`` from sampled blocks.
 
@@ -125,7 +124,7 @@ def estimate_cr_by_sampling(
         )
 
     rng = make_rng(seed)
-    codec = make_compressor(compressor, error_bound, **compressor_options)
+    codec = make_compressor(compressor, error_bound)
 
     def sample(count: int, size: int):
         original = 0

@@ -82,7 +82,9 @@ class CompressedField:
         persisted payload).
     extras:
         Free-form per-compressor diagnostics (e.g. fraction of unpredictable
-        values for SZ, truncated bit planes for ZFP).
+        values for SZ, truncated bit planes for ZFP).  Every codec's
+        ``compress`` reports ``"max_error"``, the maximum absolute error
+        it measured against the bound (0.0 for verbatim storage).
     entropy_context:
         Optional :class:`repro.encoding.context.EntropyContext` derived from
         this field's backend symbol streams (in-memory by-product, not part
@@ -469,7 +471,7 @@ class Compressor(ABC):
             compressor=self.name,
             error_bound=self.error_bound,
             reconstruction=values.copy(),
-            extras={"raw_fallback": 1.0},
+            extras={"raw_fallback": 1.0, "max_error": 0.0},
         )
 
     @staticmethod
@@ -502,6 +504,11 @@ class Compressor(ABC):
         """
 
         max_error = float(np.max(np.abs(np.asarray(original) - np.asarray(reconstruction))))
+        return self._require_bound(max_error, tolerance_factor)
+
+    def _require_bound(self, max_error: float, tolerance_factor: float = 1.0 + 1e-9) -> float:
+        """``max_error``, or :class:`ErrorBoundExceededError` when it breaks the bound."""
+
         # Negated <= so a NaN max error (a reconstruction that went
         # non-finite) fails the check instead of slipping past a ``>``.
         if not (max_error <= self.error_bound * tolerance_factor):

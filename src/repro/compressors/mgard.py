@@ -210,7 +210,7 @@ class MGARDCompressor(Compressor):
                 context_streams.append(stream)
                 payload.blob(self.backend.encode_symbols(stream, context=halo_context))
 
-        compressed = CompressedField(
+        return CompressedField(
             data=bytes(payload),
             original_shape=values.shape,
             original_dtype=original_dtype,
@@ -219,14 +219,12 @@ class MGARDCompressor(Compressor):
             reconstruction=reconstruction,
             extras={
                 "n_levels": float(decomposition.n_levels),
-                "max_error": max_error,
+                "max_error": self._require_bound(max_error),
                 "level_stream_groups": float(len(groups)),
                 "halo_coded": float(halo_context is not None),
             },
             entropy_context=entropy_context(context_streams, collect_context),
         )
-        self.check_error_bound(values, reconstruction)
-        return compressed
 
     # ------------------------------------------------------------------
     def _reconstruct(

@@ -30,8 +30,13 @@ def available_compressors() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def make_compressor(name: str, error_bound: float, **options) -> Compressor:
-    """Instantiate a registered compressor with the given error bound."""
+def make_compressor(name: str, error_bound: float) -> Compressor:
+    """Instantiate a registered compressor with the given error bound.
+
+    Codecs are built with their default settings; a study of another
+    setting builds the codec class itself.  Decoding needs no settings:
+    every container records its own.
+    """
 
     try:
         factory = _REGISTRY[name]
@@ -39,4 +44,4 @@ def make_compressor(name: str, error_bound: float, **options) -> Compressor:
         raise KeyError(
             f"unknown compressor {name!r}; available: {available_compressors()}"
         ) from exc
-    return factory(error_bound=error_bound, **options)
+    return factory(error_bound=error_bound)

@@ -166,10 +166,10 @@ class SZCompressor(Compressor):
         # Verbatim storage (CR ~= 1) when the bound is too small for the
         # integer grid (``None``) or round-off on q*step at extreme
         # magnitude/bound ratios exceeds it by a few ulps.
-        if (
-            encoding is None
-            or np.abs(values - encoding.reconstruction).max(initial=0.0) > self.error_bound
-        ):
+        max_error = None
+        if encoding is not None:
+            max_error = float(np.abs(values - encoding.reconstruction).max(initial=0.0))
+        if max_error is None or max_error > self.error_bound:
             return self._raw_fallback(_header(_FLAG_RAW, values.ndim), values, original_dtype)
 
         halo_coded = halo_planes is not None or halo_context is not None
@@ -192,7 +192,7 @@ class SZCompressor(Compressor):
         payload.varint(encoding.outliers.size)
         payload.blob(encode_signed_varint_array(encoding.outliers))
 
-        compressed = CompressedField(
+        return CompressedField(
             data=bytes(payload),
             original_shape=tuple(encoding.original_shape),
             original_dtype=original_dtype,
@@ -204,11 +204,10 @@ class SZCompressor(Compressor):
                 "regression_block_fraction": encoding.regression_fraction,
                 "n_blocks": float(int(np.prod(encoding.n_blocks))),
                 "halo_coded": float(halo_coded),
+                "max_error": self._require_bound(max_error),
             },
             entropy_context=entropy_context([encoding.symbols.ravel()], collect_context),
         )
-        self.check_error_bound(values, encoding.reconstruction)
-        return compressed
 
     # ------------------------------------------------------------------
     # decompression

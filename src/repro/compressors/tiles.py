@@ -54,8 +54,6 @@ class EncodeTask(NamedTuple):
     error_bound: float
     #: Codecs to try; the smallest payload wins, the first listed a tie.
     candidates: Tuple[str, ...]
-    #: Extra factory kwargs, by codec name.
-    options: Dict[str, Dict]
     #: Attach the tile's moments and variogram range to its stats.
     chunk_stats: bool
     #: Leading axis-0 rows that must reconstruct exactly (0: none).
@@ -110,6 +108,7 @@ def _raw_result(tile: np.ndarray, error_bound: float) -> CompressedField:
         compressor=RAW_CODEC,
         error_bound=error_bound,
         reconstruction=values,
+        extras={"max_error": 0.0},
     )
 
 
@@ -131,22 +130,20 @@ def encode_tile(task: EncodeTask) -> EncodedTile:
     tile = task.tile
     best = None
     for name in task.candidates:
-        codec = make_compressor(name, task.error_bound, **task.options.get(name, {}))
+        codec = make_compressor(name, task.error_bound)
         compressed = codec.compress(tile, halo=task.halo, collect_context=task.lends)
         if best is None or compressed.compressed_nbytes < best.compressed_nbytes:
             best = compressed
     rows = task.exact_rows
     if rows and not np.array_equal(best.reconstruction[:rows], tile[:rows]):
         best = _raw_result(tile, task.error_bound)
-    reconstruction = best.reconstruction
     stats = _statistics(tile) if task.chunk_stats else {}
-    # The max-error formula of repro.pressio.metrics.error_statistics.
-    error = reconstruction - tile
-    stats["max_abs_error"] = float(np.abs(error, out=error).max())
+    # Measured once, by the codec's bound check.
+    stats["max_abs_error"] = best.extras["max_error"]
     return EncodedTile(
         replace(best, reconstruction=None, entropy_context=None),
         stats,
-        reconstruction_faces(reconstruction) if task.lends else {},
+        reconstruction_faces(best.reconstruction) if task.lends else {},
         best.entropy_context if task.lends else None,
     )
 
@@ -162,7 +159,6 @@ class DecodeTask(NamedTuple):
     codec: str
     extent: Tuple[int, ...]
     error_bound: float
-    options: Dict
     halo: Optional[TileHalo]
     #: Decode the entropy context too (borrowers take it, and the caller
     #: takes the faces from the returned values).
@@ -198,7 +194,7 @@ def decode_tile(task: DecodeTask) -> DecodedTile:
             )
         values = np.frombuffer(payload, dtype="<f8").reshape(task.extent)
     else:
-        codec = make_compressor(task.codec, task.error_bound, **task.options)
+        codec = make_compressor(task.codec, task.error_bound)
         compressed = CompressedField(
             data=payload,
             original_shape=task.extent,

@@ -308,7 +308,7 @@ class ZFPCompressor(Compressor):
         reconstruction = merge_field(
             recon_blocks.reshape(counts + (bs,) * ndim), original_shape
         )
-        compressed = CompressedField(
+        return CompressedField(
             data=bytes(payload),
             original_shape=tuple(original_shape),
             original_dtype=original_dtype,
@@ -322,11 +322,10 @@ class ZFPCompressor(Compressor):
                 "n_blocks": float(n_blocks),
                 "coefficient_stream_groups": float(len(groups)),
                 "halo_coded": float(halo_coded),
+                "max_error": self.check_error_bound(values, reconstruction),
             },
             entropy_context=entropy_context(context_streams, collect_context),
         )
-        self.check_error_bound(values, reconstruction)
-        return compressed
 
     # ------------------------------------------------------------------
     def _reconstruct_blocks(

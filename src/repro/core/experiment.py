@@ -9,7 +9,7 @@ drivers (:mod:`repro.core.figures`) slice and fit them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -52,10 +52,6 @@ class ExperimentConfig:
     compute_local_variogram / compute_local_svd / compute_global_range:
         Toggles for the (comparatively expensive) statistics; figure
         drivers enable only what they need.
-    compressor_options:
-        Extra keyword arguments per compressor name, forwarded to the
-        factory (e.g. ``{"sz": {"predictors": ("lorenzo",)}}`` for the
-        predictor ablation).
     """
 
     compressors: Tuple[str, ...] = PAPER_COMPRESSORS
@@ -65,7 +61,6 @@ class ExperimentConfig:
     compute_global_range: bool = True
     compute_local_variogram: bool = True
     compute_local_svd: bool = True
-    compressor_options: Dict[str, Dict] = dataclass_field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.compressors:
@@ -196,11 +191,8 @@ def measure_field(
 
     records: List[CompressionRecord] = []
     for compressor_name in config.compressors:
-        extra = config.compressor_options.get(compressor_name, {})
         for bound in config.error_bounds:
-            compressed, metrics = compress_and_measure(
-                field, compressor_name, bound, **extra
-            )
+            compressed, metrics = compress_and_measure(field, compressor_name, bound)
             records.append(
                 CompressionRecord(
                     dataset=dataset,

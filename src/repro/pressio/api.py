@@ -10,7 +10,7 @@ an absolute one; the CLI's volume paths use it too.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -54,13 +54,11 @@ def compress_and_measure(
     error_bound: float,
     *,
     mode: str = "abs",
-    **extra: Any,
 ) -> Tuple[CompressedField, CompressionMetrics]:
     """Compress a 2D or 3D ``field`` with a registry codec and measure it.
 
-    ``extra`` is forwarded to the codec's constructor.  Raises
-    ``KeyError`` for an unknown codec and ``ValueError`` for a bad bound,
-    a bad mode or 1-D input.
+    Raises ``KeyError`` for an unknown codec and ``ValueError`` for a bad
+    bound, a bad mode or 1-D input.
 
     >>> import numpy as np
     >>> field = np.random.default_rng(0).normal(size=(64, 64))
@@ -70,7 +68,7 @@ def compress_and_measure(
     """
 
     bound = absolute_bound(error_bound, mode, [field])
-    codec = make_compressor(compressor_id, bound, **extra)
+    codec = make_compressor(compressor_id, bound)
     field = ensure_ndim(field, (2, 3), "field")
     compressed = codec.compress(field)
     return compressed, evaluate_metrics(field, compressed)

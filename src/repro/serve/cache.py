@@ -5,9 +5,8 @@ requests every read would still decode the same popular chunks again.
 :class:`HotChunkCache` holds *decoded* chunk values (plus their derived
 entropy context, when one was collected) keyed by payload content hash
 and every parameter the decode depends on — codec, extent, halo digest,
-error bound / compressor options — so byte-identical chunks are shared
-across datasets while configurations that decode differently never
-alias.
+error bound — so byte-identical chunks are shared across datasets while
+configurations that decode differently never alias.
 
 Thread-safe: server reads run on a thread pool, so all bookkeeping is
 done under one lock (the generalisation of

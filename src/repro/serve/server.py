@@ -914,7 +914,6 @@ class ArrayServer:
                         "chunk_shape": meta["chunk_shape"],
                         "error_bound": meta["error_bound"],
                         "codec": meta["codec"],
-                        "compressor_options": meta.get("compressor_options", {}),
                         "halo": meta.get("halo", False),
                         "generation": meta.get("generation", 0),
                         "chunks": [],

@@ -165,7 +165,6 @@ class ArrayStore:
         chunk_shape: Union[int, Sequence[int], None] = None,
         error_bound: float = 1e-3,
         codec: str = "sz",
-        compressor_options: Optional[Dict[str, Dict]] = None,
         chunk_stats: bool = True,
         overwrite: bool = False,
         halo: bool = False,
@@ -174,8 +173,7 @@ class ArrayStore:
 
         ``codec`` is a policy spec (``"sz"``, ``"fixed:zfp"``, ``"best"``,
         ``"best:sz+zfp"``; see :func:`~repro.store.policy.parse_policy`,
-        which raises :class:`ValueError` on a bad one);
-        ``compressor_options`` maps codec names to extra factory kwargs.
+        which raises :class:`ValueError` on a bad one).
         ``chunk_shape`` may be an int (cubic chunks), a full tuple, or
         None for the per-ndim default (128^2 / 64^3) resolved at first
         write.
@@ -211,9 +209,6 @@ class ArrayStore:
             "chunk_shape": chunk_shape,
             "error_bound": float(error_bound),
             "codec": spec,
-            "compressor_options": {
-                str(k): dict(v) for k, v in (compressor_options or {}).items()
-            },
             "chunk_stats": bool(chunk_stats),
             "halo": bool(halo),
             "generation": 0,
@@ -286,7 +281,6 @@ class ArrayStore:
         # A store written under a spec this code no longer accepts still
         # reads; only writing needs the policy, and fails here.
         _, candidates = parse_policy(self.codec_policy)
-        options = {k: dict(v) for k, v in self._meta["compressor_options"].items()}
         with_stats = bool(self._meta["chunk_stats"])
         extents = [chunk.shape for chunk in chunks]
         if self.halo:
@@ -300,7 +294,6 @@ class ArrayStore:
                 chunks[index],
                 self.error_bound,
                 candidates,
-                options,
                 with_stats,
                 exact_rows[index],
                 borrowed_halo(tile, executor.results),

@@ -476,15 +476,10 @@ class StoreSnapshot:
         plan, slot_of, linears = self._read_plan(grid_indices)
         if chunk_cache is not None:
             parallel = None
-        options_of = self._meta.get("compressor_options", {})
         # Everything the decode depends on besides the payload bytes; part
         # of the shared-cache key so two stores serving byte-identical
-        # chunks under different bounds/options never alias.
-        decode_config = (
-            float(self.error_bound),
-            str(self.dtype),
-            repr(sorted((k, sorted(v.items())) for k, v in options_of.items())),
-        )
+        # chunks under different bounds never alias.
+        decode_config = (float(self.error_bound), str(self.dtype))
         error_bound, halo_store = self.error_bound, self.halo
         # Decoded values by slot (hot-cache hits keep the cached array).
         decoded: Dict[int, np.ndarray] = {}
@@ -507,7 +502,6 @@ class StoreSnapshot:
                     codec=record.codec,
                     extent=tile.extent,
                     error_bound=error_bound,
-                    options=dict(options_of.get(record.codec, {})),
                     halo=borrowed_halo(tile, executor.results),
                     # Anchors double as entropy-context references in a
                     # halo store; deriving the context in the same decode

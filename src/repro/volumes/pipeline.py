@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import (
     Callable,
-    Dict,
     Iterator,
     List,
     Optional,
@@ -195,7 +194,6 @@ def _encode_volume(
     compressor: str,
     error_bound: float,
     tile: Tuple[int, int, int],
-    compressor_options: Optional[Dict],
     parallel: Optional[ParallelConfig],
     cache: CacheArg,
     halo: bool,
@@ -211,8 +209,7 @@ def _encode_volume(
     """
 
     ensure_positive(error_bound, "error_bound")
-    options = dict(compressor_options or {})
-    config_key = f"{compressor}:{error_bound!r}:{sorted(options.items())!r}"
+    config_key = f"{compressor}:{error_bound!r}"
     began = time.perf_counter()
     plan = TilePlan.wavefront(shape, tile, halo=halo)
     windows = _windows(plan, shape, tile[0], stream)
@@ -240,7 +237,6 @@ def _encode_volume(
                     window[_local(plan_tile, origin)],
                     error_bound,
                     (compressor,),
-                    {compressor: options},
                     False,
                     0,
                     borrowed_halo(plan_tile, executor.results),
@@ -308,7 +304,6 @@ def _decode_volume(
                 compressed.compressor,
                 tile.extent,
                 compressed.error_bound,
-                {},
                 borrowed_halo(tile, executor.results),
                 compressed.halo,
             )
@@ -344,7 +339,6 @@ def compress_volume(
     error_bound: float = 1e-3,
     *,
     tile_shape: Sequence[int] = DEFAULT_TILE_SHAPE,
-    compressor_options: Optional[Dict] = None,
     parallel: Optional[ParallelConfig] = None,
     cache: CacheArg = None,
     halo: bool = False,
@@ -352,8 +346,8 @@ def compress_volume(
     """Compress a 3D volume tile by tile.
 
     ``cache`` is an optional per-tile memo: with an :class:`ExperimentCache`,
-    tiles are keyed by their content hash plus the (compressor, bound,
-    options) configuration, so byte-identical tiles — constant or repeated
+    tiles are keyed by their content hash plus the (compressor, bound)
+    configuration, so byte-identical tiles — constant or repeated
     regions — compress once.  ``None`` (default) or ``False`` compresses
     every tile.
 
@@ -379,7 +373,6 @@ def compress_volume(
         compressor,
         error_bound,
         _check_tile_shape(tile_shape),
-        compressor_options,
         parallel,
         cache,
         halo,
@@ -439,7 +432,6 @@ def slice_baseline(
     error_bound: float = 1e-3,
     *,
     axis: int = 0,
-    compressor_options: Optional[Dict] = None,
 ) -> float:
     """Compression ratio of the paper's slice-by-slice procedure.
 
@@ -449,9 +441,7 @@ def slice_baseline(
     """
 
     vol = _check_volume(volume)
-    codec = make_compressor(
-        compressor, error_bound, **(compressor_options or {})
-    )
+    codec = make_compressor(compressor, error_bound)
     original = 0
     compressed = 0
     for index in range(vol.shape[axis]):
@@ -495,11 +485,8 @@ def measure_volume_field(
 
     records = []
     for name in config.compressors:
-        options = dict(config.compressor_options.get(name, {}))
         for bound in config.error_bounds:
-            compressed = compress_volume(
-                vol, name, bound, compressor_options=options
-            )
+            compressed = compress_volume(vol, name, bound)
             metrics = volume_metrics(vol, compressed)
             records.append(
                 CompressionRecord(

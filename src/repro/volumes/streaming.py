@@ -28,7 +28,7 @@ memory bound this module exists to provide (and which
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,7 +115,6 @@ def compress_volume_stream(
     error_bound: float = 1e-3,
     *,
     tile_shape: Sequence[int] = DEFAULT_TILE_SHAPE,
-    compressor_options: Optional[Dict] = None,
     parallel: Optional[ParallelConfig] = None,
     cache: CacheArg = None,
     halo: bool = False,
@@ -137,7 +136,6 @@ def compress_volume_stream(
         compressor,
         error_bound,
         _check_tile_shape(tile_shape),
-        compressor_options,
         parallel,
         cache,
         halo,

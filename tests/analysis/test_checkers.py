@@ -89,6 +89,21 @@ class TestExecutorWorkers:
         assert "SharedMemory" in result.unsuppressed[0].message
 
 
+class TestImportedWorkers:
+    """A worker defined in one module and submitted from another (as the
+    tile workers are) has its returns checked in the defining file."""
+
+    def test_bad_fixture_fails_good_fixture_passes(self):
+        root = FIXTURES / "worker_boundary_imported"
+        bad = lint_paths([root / "bad"], "worker-boundary")
+        assert [(pathlib.Path(f.path).name, f.line) for f in bad.unsuppressed] == [
+            ("tiles.py", 10)
+        ]
+        assert "encode_tile" in bad.unsuppressed[0].message
+        good = lint_paths([root / "good"], "worker-boundary")
+        assert good.unsuppressed == []
+
+
 class TestDatasetsCarveOut:
     def test_seed_accepting_generator_is_exempt(self):
         result = lint_paths(

@@ -49,12 +49,6 @@ class TestBlockSamplingEstimate:
         with pytest.raises(ValueError):
             estimate_cr_by_sampling(smooth_field, "sz", 1e-3, n_blocks=0)
 
-    def test_compressor_options_forwarded(self, smooth_field):
-        estimate = estimate_cr_by_sampling(
-            smooth_field, "sz", 1e-3, n_blocks=4, seed=0, predictors=("lorenzo",)
-        )
-        assert estimate.estimated_cr > 0
-
 
 class TestScales:
     def test_small_field_samples_base_and_double_scales(self, smooth_field):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.compressors.base import CompressorError
+from repro.compressors.mgard import MGARDCompressor
 from repro.compressors.sz import SZCompressor
+from repro.compressors.zfp import ZFPCompressor
 
 
 class TestConstruction:
@@ -42,13 +44,22 @@ class TestRoundTrip:
         assert decompressed.shape == (37, 53)
         assert np.abs(decompressed - field).max() <= 1e-3 * (1 + 1e-9)
 
-    def test_decompression_without_original_options(self, smooth_field):
-        # A default-constructed compressor must be able to decode a blob
-        # produced with non-default options (self-describing container).
-        producer = SZCompressor(1e-3, block_size=8, predictors=("lorenzo",), code_radius=64)
-        blob = producer.compress(smooth_field)
-        consumer = SZCompressor(1.0)
-        decompressed = consumer.decompress(blob)
+    @pytest.mark.parametrize(
+        "codec, settings",
+        [
+            (SZCompressor, dict(block_size=8, predictors=("lorenzo",), code_radius=64)),
+            (ZFPCompressor, dict(block_size=8)),
+            (MGARDCompressor, dict(levels=2, budget_ratio=0.25)),
+        ],
+        ids=["sz", "zfp", "mgard"],
+    )
+    def test_decompression_without_original_options(self, smooth_field, codec, settings):
+        # A default-constructed compressor with another bound must decode
+        # a blob produced with non-default settings exactly: the container
+        # describes itself, so no layer has to carry the settings.
+        blob = codec(1e-3, **settings).compress(smooth_field)
+        decompressed = codec(1.0).decompress(blob)
+        np.testing.assert_array_equal(decompressed, blob.reconstruction)
         assert np.abs(decompressed - smooth_field).max() <= 1e-3 * (1 + 1e-9)
 
     def test_constant_field(self):
@@ -124,6 +135,7 @@ class TestCompressionBehaviour:
         field = np.random.default_rng(1).normal(size=(20, 20)) * 1e10
         compressed = SZCompressor(1e-12).compress(field)
         assert compressed.extras.get("raw_fallback") == 1.0
+        assert compressed.extras["max_error"] == 0.0
         decompressed = SZCompressor(1e-12).decompress(compressed)
         np.testing.assert_array_equal(decompressed, field)
 

@@ -57,7 +57,7 @@ def _field(shape=(16, 16, 16), seed=3) -> np.ndarray:
 
 def _encode(tile, codecs=("sz",), *, lends=False, chunk_stats=False, exact_rows=0):
     return encode_tile(
-        EncodeTask(tile, 1e-3, tuple(codecs), {}, chunk_stats, exact_rows, None, lends)
+        EncodeTask(tile, 1e-3, tuple(codecs), chunk_stats, exact_rows, None, lends)
     )
 
 
@@ -69,7 +69,6 @@ def _decode(encoded, extent, *, lends=False, payload=None):
             compressed.compressor,
             tuple(extent),
             compressed.error_bound,
-            {},
             None,
             lends,
         )
@@ -114,6 +113,14 @@ class TestEncodeTile:
         assert encoded.compressed.compressor == RAW_CODEC
         assert encoded.stats["max_abs_error"] == 0.0
         np.testing.assert_array_equal(_decode(encoded, tile.shape).values, tile)
+
+    @pytest.mark.parametrize("codec", ["sz", "zfp", "mgard"])
+    def test_max_abs_error_is_the_decoded_tiles_error(self, codec):
+        # The codec measures it once; it must be the error a reader sees.
+        tile = _field()
+        encoded = _encode(tile, (codec,))
+        values = _decode(encoded, tile.shape).values
+        assert encoded.stats["max_abs_error"] == float(np.abs(values - tile).max())
 
     def test_chunk_stats_switch(self):
         tile = _field()

@@ -138,14 +138,3 @@ class TestMeasureField:
         assert row["compression_ratio"] == pytest.approx(record.compression_ratio)
         assert "metric_psnr" in row
         assert "global_variogram_range" in row
-
-    def test_compressor_options_applied(self, smooth_field):
-        config = ExperimentConfig(
-            compressors=("sz",),
-            error_bounds=(1e-2,),
-            compressor_options={"sz": {"predictors": ("lorenzo",)}},
-            compute_local_variogram=False,
-            compute_local_svd=False,
-        )
-        records = measure_field(smooth_field, dataset="d", field_label="l", config=config)
-        assert records[0].metrics.bound_satisfied

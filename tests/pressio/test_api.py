@@ -66,12 +66,3 @@ class TestCompressAndMeasure:
         compressed, metrics = compress_and_measure(smooth_field, "sz", 1e-3)
         assert metrics.compression_ratio == pytest.approx(compressed.compression_ratio)
         assert metrics.bound_satisfied
-
-    @pytest.mark.parametrize("extra", [{"predictors": ("regression",)}, {"block_size": 8}])
-    def test_kwargs_forwarded_to_compressor(self, smooth_field, extra):
-        compressed, metrics = compress_and_measure(smooth_field, "sz", 1e-3, **extra)
-        direct = make_compressor("sz", 1e-3, **extra).compress(smooth_field)
-        default, _ = compress_and_measure(smooth_field, "sz", 1e-3)
-        assert compressed.data == direct.data
-        assert compressed.data != default.data
-        assert metrics.bound_satisfied

@@ -466,6 +466,66 @@ class TestRetiredPolicySpec:
         np.testing.assert_array_equal(store.read(), expected)
 
 
+#: Codec settings as older stores persisted them in ``meta.json``.
+LEGACY_OPTIONS = {"sz": {"predictors": ["lorenzo"], "code_radius": 64}}
+
+
+def add_legacy_options(path):
+    """Give a store the ``compressor_options`` key older stores carried."""
+
+    meta_path = path / META_NAME
+    meta = json.loads(meta_path.read_text())
+    meta["compressor_options"] = LEGACY_OPTIONS
+    meta_path.write_text(json.dumps(meta, indent=1))
+
+
+class TestLegacyCompressorOptions:
+    """Older stores persisted per-codec settings; readers ignore them,
+    since every chunk's container records its own settings."""
+
+    def test_store_reads_and_appends_like_a_fresh_store(self, tmp_path, volume_3d):
+        fresh = make_store(tmp_path / "fresh", volume_3d[:24], chunk=16)
+        make_store(tmp_path / "old", volume_3d[:24], chunk=16)
+        add_legacy_options(tmp_path / "old")
+        old = ArrayStore.open(tmp_path / "old")
+        np.testing.assert_array_equal(old.read(), fresh.read())
+        old.append(volume_3d[24:])
+        fresh.append(volume_3d[24:])
+        values = ArrayStore.open(tmp_path / "old").read()
+        np.testing.assert_array_equal(values, fresh.read())
+        assert np.abs(values - volume_3d).max() <= TOL
+        assert "compressor_options" in json.loads((tmp_path / "old" / META_NAME).read_text())
+        assert "compressor_options" not in json.loads(
+            (tmp_path / "fresh" / META_NAME).read_text()
+        )
+
+    def test_chunks_written_with_settings_decode_without_them(
+        self, tmp_path, volume_3d, monkeypatch
+    ):
+        from repro.compressors import tiles
+        from repro.compressors.sz import SZCompressor
+
+        settings = {
+            key: tuple(value) if isinstance(value, list) else value
+            for key, value in LEGACY_OPTIONS["sz"].items()
+        }
+        with monkeypatch.context() as patch:
+            # How older stores wrote and read: the codec built with the settings.
+            patch.setattr(
+                tiles, "make_compressor", lambda name, bound: SZCompressor(bound, **settings)
+            )
+            make_store(tmp_path / "old", volume_3d, chunk=16)
+            add_legacy_options(tmp_path / "old")
+            with_settings = ArrayStore.open(tmp_path / "old").read()
+        values = ArrayStore.open(tmp_path / "old").read()
+        np.testing.assert_array_equal(values, with_settings)
+        assert np.abs(values - volume_3d).max() <= TOL
+        # The settings did change the payloads.
+        make_store(tmp_path / "default", volume_3d, chunk=16)
+        payloads = [(tmp_path / name / DATA_NAME).read_bytes() for name in ("old", "default")]
+        assert payloads[0] != payloads[1]
+
+
 class TestHaloStore:
     """Halo-aware chunking: odd-parity chunks borrow their even-parity
     anchor neighbours' reconstructed planes and entropy context."""
