@@ -37,9 +37,9 @@ def peak_kb():
     with open('/proc/self/status') as fh:
         return int([line for line in fh if line.startswith('VmHWM')][0].split()[1])
 
-compress_volume_stream(sys.argv[2], 'sz', 1e-3, tile_shape=(8, 8, 8), cache=False)
+compress_volume_stream(sys.argv[2], 'sz', 1e-3, tile_shape=(8, 8, 8))
 before = peak_kb()
-compress_volume_stream(sys.argv[1], 'sz', 1e-3, tile_shape=(32, 32, 32), cache=False)
+compress_volume_stream(sys.argv[1], 'sz', 1e-3, tile_shape=(32, 32, 32))
 print((peak_kb() - before) * 1024)
 """
 
@@ -79,7 +79,7 @@ def test_vol_decode_speedup():
 
     volume = generate_miranda_like_volume((64, 64, 64), seed=BENCH_SEED)
     compressed = compress_volume(
-        volume, "sz", 1e-3, tile_shape=(32, 32, 32), cache=False, halo=True
+        volume, "sz", 1e-3, tile_shape=(32, 32, 32), halo=True
     )
     parallel = ParallelConfig(workers=min(4, os.cpu_count() or 1))
     best = {}

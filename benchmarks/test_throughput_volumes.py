@@ -90,7 +90,7 @@ def test_tiled_pipeline_beats_slice_baseline(benchmark, bench_volume):
     """The tiled 64^3 pipeline must out-compress the paper's 2D slicing."""
 
     def run():
-        return compress_volume(bench_volume, "sz", ERROR_BOUND, cache=False)
+        return compress_volume(bench_volume, "sz", ERROR_BOUND)
 
     compressed = benchmark.pedantic(run, rounds=1, iterations=1)
     reconstruction = decompress_volume(compressed)

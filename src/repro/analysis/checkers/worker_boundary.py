@@ -32,10 +32,18 @@ Flags:
   task and its result;
 * inside a worker function (a module-level function submitted in the
   same file, or one the submitting file imports from another linted
-  file, as every tiled path imports the tile workers):
-  ``return np.<...>(...)`` /
-  ``return <x>.astype(...)`` bare-ndarray returns where the protocol
-  expects the documented result tuple or a named result object.
+  file, as every tiled path imports the tile workers), a bare-ndarray
+  return where the protocol expects the documented result tuple or a
+  named result object.  A return is bare when it is
+
+  - a numpy call, ``return np.<...>(...)``;
+  - an ``.astype(...)`` call;
+  - a method chain rooted at a numpy call or at such a name, such as
+    ``return np.frombuffer(...).reshape(...)`` (a chain ending in
+    ``.tolist()``, ``.item()`` or ``.tobytes()`` is not an array);
+  - a name that some assignment or tuple unpacking in the worker binds
+    to a bare expression, such as ``values = np.frombuffer(...)`` ...
+    ``return values``.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ __all__ = ["WorkerBoundaryChecker"]
 _SUBMIT_FUNCS = {"parallel_map", "run_waves"}
 _PARALLEL_MODULE_SUFFIX = os.path.join("utils", "parallel.py")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: Array methods whose result is not an ndarray.
+_NON_ARRAY_METHODS = {"tolist", "item", "tobytes"}
 
 
 def _tail(name: Optional[str]) -> str:
@@ -76,6 +86,58 @@ def _submitted(ctx: FileContext) -> Iterator[ast.AST]:
             ):
                 arg = arg.args[0]
             yield arg
+
+
+def _is_bare_array(node: ast.AST, array_names: Set[str]) -> bool:
+    """Whether ``node`` evaluates to a bare ndarray, by the rules above."""
+
+    if isinstance(node, ast.Name):
+        return node.id in array_names
+    if not isinstance(node, ast.Call):
+        return False
+    if (dotted_name(node.func) or "").split(".", 1)[0] in ("np", "numpy"):
+        return True
+    if not isinstance(node.func, ast.Attribute):
+        return False
+    if node.func.attr == "astype":
+        return True
+    return node.func.attr not in _NON_ARRAY_METHODS and _is_bare_array(
+        node.func.value, array_names
+    )
+
+
+def _bindings(target: ast.AST, value: ast.AST) -> Iterator[Tuple[str, ast.AST]]:
+    """``(name, expression)`` for each name an assignment binds; unpacking
+    a non-tuple binds every name to the whole value (the rows of an
+    array are arrays)."""
+
+    if isinstance(target, ast.Name):
+        yield target.id, value
+    elif isinstance(target, ast.Tuple):
+        parts = [value] * len(target.elts)
+        if isinstance(value, ast.Tuple) and len(value.elts) == len(parts):
+            parts = value.elts
+        for elt, part in zip(target.elts, parts):
+            yield from _bindings(elt, part)
+
+
+def _array_names(worker: ast.AST) -> Set[str]:
+    """Names an assignment in ``worker`` binds to a bare ndarray
+    expression, or to another such name."""
+
+    bindings = [
+        binding
+        for node in ast.walk(worker)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for binding in _bindings(target, node.value)
+    ]
+    names: Set[str] = set()
+    while True:
+        found = {name for name, value in bindings if _is_bare_array(value, names)}
+        if found <= names:
+            return names
+        names |= found
 
 
 def _nested_funcs(ctx: FileContext) -> Set[str]:
@@ -196,20 +258,11 @@ class WorkerBoundaryChecker(Checker):
     def _check_worker_returns(
         self, ctx: FileContext, worker: ast.AST
     ) -> Iterable[Finding]:
+        array_names = _array_names(worker)
         for node in ast.walk(worker):
-            if not isinstance(node, ast.Return) or node.value is None:
-                continue
-            value = node.value
-            is_bare_array = False
-            if isinstance(value, ast.Call):
-                name = dotted_name(value.func) or ""
-                if name.split(".", 1)[0] in ("np", "numpy"):
-                    is_bare_array = True
-                if isinstance(value.func, ast.Attribute) and value.func.attr == (
-                    "astype"
-                ):
-                    is_bare_array = True
-            if is_bare_array:
+            if isinstance(node, ast.Return) and node.value is not None and (
+                _is_bare_array(node.value, array_names)
+            ):
                 yield ctx.finding(
                     self.name,
                     node,

@@ -19,7 +19,7 @@ from repro.pressio.metrics import CompressionMetrics
 from repro.stats.local import std_local_variogram_range
 from repro.stats.svd import std_local_svd_truncation
 from repro.stats.variogram_models import estimate_variogram_range
-from repro.utils.validation import ensure_2d, ensure_ndim
+from repro.utils.validation import ensure_ndim
 
 __all__ = [
     "ExperimentConfig",
@@ -178,13 +178,15 @@ def measure_field(
     config: ExperimentConfig | None = None,
     statistics: Optional[CorrelationStatistics] = None,
 ) -> List[CompressionRecord]:
-    """Compress one field with every (compressor, bound) pair in the config.
+    """Compress one 2D field or 3D volume with every (compressor, bound) pair.
 
-    The correlation statistics are computed once per field (they do not
-    depend on the compressor) and shared across the records.
+    A volume is compressed whole, like a field.  The correlation
+    statistics are computed once per field (they do not depend on the
+    compressor) and shared across the records; see
+    :func:`measure_statistics` for what they are on a volume.
     """
 
-    field = ensure_2d(field, "field")
+    field = ensure_ndim(field, (2, 3), "field")
     config = config or ExperimentConfig()
     if statistics is None:
         statistics = measure_statistics(field, config)

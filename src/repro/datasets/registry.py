@@ -138,8 +138,8 @@ def _miranda_volume_factory(
 ) -> DatasetFactory:
     """The Miranda workload as a native 3D volume (no slicing).
 
-    The returned field is 3D; the experiment pipeline routes it through
-    the tiled volume compression path (:mod:`repro.volumes.pipeline`).
+    The returned field is 3D; the experiment pipeline measures it whole,
+    like a 2D field (:func:`repro.core.experiment.measure_field`).
     """
 
     def factory(seed: SeedLike = None) -> List[Tuple[str, np.ndarray]]:

@@ -9,9 +9,7 @@ error bound — so byte-identical chunks are shared across datasets while
 configurations that decode differently never alias.
 
 Thread-safe: server reads run on a thread pool, so all bookkeeping is
-done under one lock (the generalisation of
-:class:`repro.core.pipeline.ExperimentCache`, which is single-threaded
-by design).  Eviction is LRU by decoded byte size, not entry count —
+done under one lock.  Eviction is LRU by decoded byte size, not entry count —
 chunk values dominate memory.  Cached arrays are handed out read-only;
 requests slice them into their own output buffers.
 """

@@ -5,7 +5,6 @@ from repro.volumes.pipeline import (
     VolumeTile,
     compress_volume,
     decompress_volume,
-    measure_volume_field,
     slice_baseline,
     volume_metrics,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "compress_volume_stream",
     "decompress_volume",
     "decompress_volume_stream",
-    "measure_volume_field",
     "npy_volume_info",
     "open_slab_source",
     "slice_baseline",

@@ -10,23 +10,17 @@ around them:
   :class:`~repro.utils.schedule.TilePlan` through the tile encode worker
   the array store runs too (:mod:`repro.compressors.tiles`) on a
   :class:`~repro.utils.schedule.WaveExecutor` — inline, or over a
-  :class:`repro.utils.parallel.ParallelConfig` pool — and, when the
-  caller passes a :class:`repro.core.pipeline.ExperimentCache`, memoizes
-  per-tile results in it (content-hash keyed, so repeated tiles such as
-  quiescent far-field regions are compressed once);
+  :class:`repro.utils.parallel.ParallelConfig` pool;
 * :func:`decompress_volume` replays the same plan into the output volume
   through the tile decode worker, halo tiles borrowing their lenders'
   faces and contexts as on compress;
-* :func:`measure_volume_field` produces the same
-  :class:`~repro.core.experiment.CompressionRecord` rows the 2D pipeline
-  emits, with the 3D variogram range as the correlation statistic, which
-  is what lets :func:`repro.core.pipeline.run_experiment` sweep volume
-  datasets transparently;
 * :func:`slice_baseline` is the paper's original slice-by-slice procedure,
   kept as the comparison baseline for the native volume path.
 
 :mod:`repro.volumes.streaming` runs the same encoder and decoder over the
-same plan grouped slab-major, one slab resident at a time.
+same plan grouped slab-major, one slab resident at a time.  Experiment
+sweeps do not tile: :func:`repro.core.experiment.measure_field` compresses
+a volume whole, like a 2D field.
 """
 
 from __future__ import annotations
@@ -34,14 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import groupby
-from typing import (
-    Callable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Iterator, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +44,6 @@ from repro.compressors.tiles import (
     decode_tile,
     encode_tile,
 )
-from repro.core.pipeline import CacheArg, ExperimentCache, memoized_map
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span as obs_span
 from repro.pressio.metrics import CompressionMetrics, error_statistics
@@ -72,7 +58,6 @@ __all__ = [
     "decompress_volume",
     "volume_metrics",
     "slice_baseline",
-    "measure_volume_field",
 ]
 
 #: Default tile edge; 64^3 float64 tiles are 2 MB — large enough that the
@@ -195,21 +180,18 @@ def _encode_volume(
     error_bound: float,
     tile: Tuple[int, int, int],
     parallel: Optional[ParallelConfig],
-    cache: CacheArg,
     halo: bool,
     *,
     stream: bool,
 ) -> CompressedVolume:
     """Compress a volume window by window: whole (one-shot) or per slab.
 
-    ``read(row_start, rows)`` returns a window's rows.  Memo keys are the
-    same in both modes, so streams and one-shot calls share a tile
-    cache; a window is released before the next one is read, so a
-    stream's peak holds one slab.
+    ``read(row_start, rows)`` returns a window's rows.  A window is
+    released before the next one is read, so a stream's peak holds one
+    slab.
     """
 
     ensure_positive(error_bound, "error_bound")
-    config_key = f"{compressor}:{error_bound!r}"
     began = time.perf_counter()
     plan = TilePlan.wavefront(shape, tile, halo=halo)
     windows = _windows(plan, shape, tile[0], stream)
@@ -243,21 +225,7 @@ def _encode_volume(
                     halo,
                 )
 
-            def key_fn(task: EncodeTask) -> str:
-                if not halo:
-                    return ExperimentCache.key("volume-tile", config_key, task.tile, "")
-                halo_key = task.halo.digest() if task.halo is not None else "-"
-                return ExperimentCache.key(
-                    "volume-tile-halo",
-                    f"{config_key}:{halo_key}",
-                    task.tile,
-                    "",
-                )
-
-            def memo(indices, tasks, compute):
-                return memoized_map(tasks, key_fn, compute, cache)
-
-            executor.run_waves(encode_tile, waves, build, memo=memo, done=done)
+            executor.run_waves(encode_tile, waves, build, done=done)
 
         for row_start, rows, waves in windows:
             run_window(row_start, rows, waves)
@@ -340,16 +308,13 @@ def compress_volume(
     *,
     tile_shape: Sequence[int] = DEFAULT_TILE_SHAPE,
     parallel: Optional[ParallelConfig] = None,
-    cache: CacheArg = None,
+    cache: Literal[False, None] = None,
     halo: bool = False,
 ) -> CompressedVolume:
     """Compress a 3D volume tile by tile.
 
-    ``cache`` is an optional per-tile memo: with an :class:`ExperimentCache`,
-    tiles are keyed by their content hash plus the (compressor, bound)
-    configuration, so byte-identical tiles — constant or repeated
-    regions — compress once.  ``None`` (default) or ``False`` compresses
-    every tile.
+    Every tile is compressed; ``cache`` accepts only ``None`` or
+    ``False``: nothing is memoized.
 
     ``parallel`` runs each wave's tiles over a worker pool; every task
     carries its own tile.  The bytes never depend on the schedule.
@@ -362,10 +327,11 @@ def compress_volume(
     reconstructed faces and entropy context.  This recovers the cross-tile
     correlation and entropy-coder amortisation that independent tiles
     lose; the tiles are then only decodable through
-    :func:`decompress_volume`'s matching replay.  Memo keys include the
-    halo digest, so halo tiles never alias halo-off results.
+    :func:`decompress_volume`'s matching replay.
     """
 
+    if cache is not None and cache is not False:
+        raise TypeError(f"cache must be None or False, got {cache!r}")
     vol = _check_volume(volume)
     return _encode_volume(
         lambda row_start, rows: vol,
@@ -374,7 +340,6 @@ def compress_volume(
         error_bound,
         _check_tile_shape(tile_shape),
         parallel,
-        cache,
         halo,
         stream=False,
     )
@@ -450,53 +415,3 @@ def slice_baseline(
         original += result.original_nbytes
         compressed += result.compressed_nbytes
     return original / compressed if compressed else float("inf")
-
-
-def measure_volume_field(
-    volume: np.ndarray,
-    *,
-    dataset: str,
-    field_label: str,
-    config=None,
-) -> list:
-    """Measure one 3D field under every (compressor, bound) of ``config``.
-
-    Returns the same :class:`~repro.core.experiment.CompressionRecord`
-    rows :func:`repro.core.experiment.measure_field` produces for 2D
-    fields, so volume datasets flow through
-    :func:`repro.core.pipeline.run_experiment` and the CSV/reporting layer
-    unchanged.  The correlation statistics come from
-    :func:`repro.core.experiment.measure_statistics`, which takes volumes
-    directly: the global 3D variogram range and — when the volume admits
-    complete ``window^3`` cubes — the std of the windowed local 3D
-    variogram ranges, the Fig. 7 statistic for volumes.  The local SVD
-    statistic has no 3D analogue here and stays NaN.
-    """
-
-    from repro.core.experiment import (
-        CompressionRecord,
-        ExperimentConfig,
-        measure_statistics,
-    )
-
-    vol = np.asarray(_check_volume(volume), dtype=np.float64)
-    config = config or ExperimentConfig()
-    statistics = measure_statistics(vol, config)
-
-    records = []
-    for name in config.compressors:
-        for bound in config.error_bounds:
-            compressed = compress_volume(vol, name, bound)
-            metrics = volume_metrics(vol, compressed)
-            records.append(
-                CompressionRecord(
-                    dataset=dataset,
-                    field_label=field_label,
-                    compressor=name,
-                    error_bound=float(bound),
-                    compression_ratio=metrics.compression_ratio,
-                    metrics=metrics,
-                    statistics=statistics,
-                )
-            )
-    return records

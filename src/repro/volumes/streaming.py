@@ -32,7 +32,6 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.pipeline import CacheArg
 from repro.utils.parallel import ParallelConfig
 from repro.volumes.pipeline import (
     DEFAULT_TILE_SHAPE,
@@ -116,17 +115,14 @@ def compress_volume_stream(
     *,
     tile_shape: Sequence[int] = DEFAULT_TILE_SHAPE,
     parallel: Optional[ParallelConfig] = None,
-    cache: CacheArg = None,
     halo: bool = False,
 ) -> CompressedVolume:
     """Compress a volume slab by slab; bit-identical to ``compress_volume``.
 
-    ``path`` names a C-order 3D ``.npy`` file.  Memo keys match the
-    one-shot pipeline exactly, so the two paths can share a tile cache.
-    With ``parallel``, each slab's tiles fan out over the pool, every task
-    carrying its own tile; the in-slab schedule is the 2D wavefront over
-    the remaining axes, so the halo chain sees tiles in a valid wavefront
-    order either way.
+    ``path`` names a C-order 3D ``.npy`` file.  With ``parallel``, each
+    slab's tiles fan out over the pool, every task carrying its own tile;
+    the in-slab schedule is the 2D wavefront over the remaining axes, so
+    the halo chain sees tiles in a valid wavefront order either way.
     """
 
     reader = open_slab_source(path)
@@ -137,7 +133,6 @@ def compress_volume_stream(
         error_bound,
         _check_tile_shape(tile_shape),
         parallel,
-        cache,
         halo,
         stream=True,
     )

@@ -89,6 +89,21 @@ class TestExecutorWorkers:
         assert "SharedMemory" in result.unsuppressed[0].message
 
 
+class TestReturnedNames:
+    """A bare ndarray returned through a method chain or a name that an
+    assignment or tuple unpacking binds is flagged like a returned call."""
+
+    def test_bad_fixture_fails_good_fixture_passes(self):
+        bad = lint_paths([FIXTURES / "worker_boundary_names_bad.py"], "worker-boundary")
+        assert [f.line for f in bad.unsuppressed] == [18, 24, 30, 38], [
+            f"{f.line}: {f.message}" for f in bad.findings
+        ]
+        good = lint_paths(
+            [FIXTURES / "worker_boundary_names_good.py"], "worker-boundary"
+        )
+        assert good.unsuppressed == [], [f"{f.line}: {f.message}" for f in good.findings]
+
+
 class TestImportedWorkers:
     """A worker defined in one module and submitted from another (as the
     tile workers are) has its returns checked in the defining file."""

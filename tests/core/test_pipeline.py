@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.experiment import ExperimentConfig
 from repro.core.pipeline import (
-    ExperimentCache,
     records_to_table,
     run_experiment,
     run_experiment_on_fields,
@@ -101,7 +100,7 @@ class TestRunExperimentOnFields:
         result = run_experiment_on_fields([], dataset="empty", config=FAST_CONFIG)
         assert result.records == ()
 
-    def test_repeated_field_in_one_call_is_measured_once(
+    def test_repeated_field_is_measured_every_time(
         self, smooth_field, rough_field, monkeypatch
     ):
         import repro.core.pipeline as pipeline
@@ -115,79 +114,11 @@ class TestRunExperimentOnFields:
 
         monkeypatch.setattr(pipeline, "_measure_one", spy)
         fields = [("a", smooth_field), ("b", rough_field), ("a", smooth_field.copy())]
-        cache = ExperimentCache()
-        result = run_experiment_on_fields(
-            fields, dataset="dup", config=FAST_CONFIG, cache=cache
-        )
-        assert measured == ["a", "b"]
-        counters = cache.counters()
-        assert (counters["misses"], counters["in_call_duplicates"]) == (2, 1)
-        assert [r.field_label for r in result.records] == ["a"] * 4 + ["b"] * 4 + ["a"] * 4
-        assert result.records[8:] == result.records[:4]
-
-        measured.clear()
-        uncached = run_experiment_on_fields(
-            fields, dataset="dup", config=FAST_CONFIG, cache=False
-        )
+        result = run_experiment_on_fields(fields, dataset="dup", config=FAST_CONFIG)
         assert measured == ["a", "b", "a"]
+        assert [r.field_label for r in result.records] == ["a"] * 4 + ["b"] * 4 + ["a"] * 4
         crs = [r.compression_ratio for r in result.records]
-        assert [r.compression_ratio for r in uncached.records] == crs
-
-
-class TestExperimentCache:
-    def test_counters_track_hits_misses_evictions(self):
-        cache = ExperimentCache(max_entries=2)
-        a = ExperimentCache.key("d", "a", np.zeros((4, 4)), "c")
-        b = ExperimentCache.key("d", "b", np.ones((4, 4)), "c")
-        c = ExperimentCache.key("d", "c", np.full((4, 4), 2.0), "c")
-        assert cache.get(a) is None  # miss
-        cache.put(a, (1,))
-        cache.put(b, (2,))
-        assert cache.get(a) == (1,)  # hit
-        cache.put(c, (3,))  # evicts b (a was just used)
-        assert cache.get(b) is None
-        counters = cache.counters()
-        assert counters["hits"] == 1
-        assert counters["misses"] == 2
-        assert counters["evictions"] == 1
-        assert counters["entries"] == 2
-        cache.clear()
-        assert cache.counters() == {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "in_call_duplicates": 0,
-            "entries": 0,
-        }
-
-    def test_no_key_collision_between_2d_and_3d_same_bytes(self):
-        """Same raw bytes, different shape handling: must key apart.
-
-        A (64, 64) plane of zeros and a (16, 16, 16) cube of zeros have
-        byte-identical buffers; a key that hashed only content would
-        silently serve a 2D measurement for a 3D request (and vice versa).
-        """
-
-        plane = np.zeros((64, 64))
-        cube = np.zeros((16, 16, 16))
-        assert plane.tobytes() == cube.tobytes()
-        key_2d = ExperimentCache.key("d", "l", plane, "cfg")
-        key_3d = ExperimentCache.key("d", "l", cube, "cfg")
-        assert key_2d != key_3d
-        cache = ExperimentCache()
-        cache.put(key_2d, ("2d-records",))
-        assert cache.get(key_3d) is None
-
-    def test_key_components_are_delimited(self):
-        """Adjacent string components must not be able to merge."""
-
-        field = np.zeros((4, 4))
-        assert ExperimentCache.key("ab", "c", field, "") != ExperimentCache.key(
-            "a", "bc", field, ""
-        )
-        assert ExperimentCache.key("d", "lcfg", field, "") != ExperimentCache.key(
-            "d", "l", field, "cfg"
-        )
+        assert crs[8:] == crs[:4]
 
 
 class TestMemoIsOptIn:
@@ -204,24 +135,42 @@ class TestMemoIsOptIn:
         assert names.count("volume.tile") == 2 * 8
         assert names.count("store.encode_chunk") == 2 * 8
 
-        # The store has no memo to opt out of; the volume and experiment
-        # entry points still take cache=False and run.
+        # The store has no memo to opt out of.
         with pytest.raises(TypeError):
             store.write(volume, cache=False)
         with pytest.raises(TypeError):
             store.append(volume, cache=False)
-        compressed = compress_volume(
-            volume, "sz", 1e-3, tile_shape=(8, 8, 8), cache=False
-        )
-        assert compressed.n_tiles == 8
-        result = run_experiment_on_fields(
-            [("a", smooth_field)], dataset="t", config=FAST_CONFIG, cache=False
-        )
-        assert len(result.records) == 4
-        with pytest.raises(TypeError):
-            run_experiment_on_fields(
-                [("a", smooth_field)], dataset="t", config=FAST_CONFIG, cache=True
-            )
+
+
+def _sweep(field, cache) -> int:
+    result = run_experiment_on_fields(
+        [("a", field)], dataset="t", config=FAST_CONFIG, cache=cache
+    )
+    return len(result.records)
+
+
+def _volume(field, cache) -> int:
+    volume = generate_miranda_like_volume((16, 16, 16), seed=3)
+    return compress_volume(volume, "sz", 1e-3, tile_shape=(8, 8, 8), cache=cache).n_tiles
+
+
+class TestCacheKeyword:
+    """``run_experiment_on_fields`` and ``compress_volume`` keep a ``cache``
+    keyword that memoizes nothing: ``None`` and ``False`` run, anything
+    else is a ``TypeError``."""
+
+    @pytest.mark.parametrize(
+        "entry,expected", [(_sweep, 4), (_volume, 8)], ids=["sweep", "volume"]
+    )
+    @pytest.mark.parametrize("cache", [None, False], ids=["none", "false"])
+    def test_no_memo_values_run(self, smooth_field, entry, expected, cache):
+        assert entry(smooth_field, cache) == expected
+
+    @pytest.mark.parametrize("entry", [_sweep, _volume], ids=["sweep", "volume"])
+    @pytest.mark.parametrize("cache", [True, object()], ids=["true", "object"])
+    def test_other_values_raise(self, smooth_field, entry, cache):
+        with pytest.raises(TypeError, match="cache must be None or False"):
+            entry(smooth_field, cache)
 
 
 class TestRecordsToTable:

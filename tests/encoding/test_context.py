@@ -245,7 +245,7 @@ class TestPoolCodeMemo:
         builds = _counting_code_builds(monkeypatch)
         volume = generate_miranda_like_volume((64, 64, 64), seed=3)
         compressed = compress_volume(
-            volume, "zfp", 1e-3, tile_shape=(32, 32, 32), halo=True, cache=False
+            volume, "zfp", 1e-3, tile_shape=(32, 32, 32), halo=True
         )
         decompress_volume(compressed)
 

@@ -19,7 +19,7 @@ VOLUME = generate_miranda_like_volume((64, 64, 64), seed=2021)
 
 
 def _compress():
-    return compress_volume(VOLUME, "sz", 1e-3, tile_shape=(32, 32, 32), cache=False)
+    return compress_volume(VOLUME, "sz", 1e-3, tile_shape=(32, 32, 32))
 
 
 def test_disabled_tracing_overhead():

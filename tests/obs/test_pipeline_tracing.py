@@ -31,7 +31,6 @@ def _trace_compress(volume, *, parallel=None, halo=False) -> Tracer:
             tile_shape=(8, 8, 8),
             parallel=parallel,
             halo=halo,
-            cache=False,
         )
     assert compressed.n_tiles == 8
     return tracer
@@ -92,12 +91,12 @@ class TestProcessPool:
 class TestDisabledPathUnchanged:
     def test_results_identical_with_and_without_tracing(self, volume):
         plain = compress_volume(
-            volume, "sz", BOUND, tile_shape=(8, 8, 8), cache=False
+            volume, "sz", BOUND, tile_shape=(8, 8, 8)
         )
         tracer = Tracer()
         with install_tracer(tracer):
             traced = compress_volume(
-                volume, "sz", BOUND, tile_shape=(8, 8, 8), cache=False
+                volume, "sz", BOUND, tile_shape=(8, 8, 8)
             )
         np.testing.assert_array_equal(
             decompress_volume(plain), decompress_volume(traced)
@@ -107,7 +106,7 @@ class TestDisabledPathUnchanged:
 
 def _compressed(volume, *, halo=True):
     return compress_volume(
-        volume, "sz", BOUND, tile_shape=(8, 8, 8), halo=halo, cache=False
+        volume, "sz", BOUND, tile_shape=(8, 8, 8), halo=halo
     )
 
 
@@ -165,7 +164,7 @@ class TestStreamWaveIds:
         tracer = Tracer()
         with install_tracer(tracer):
             compress_volume_stream(
-                str(path), "sz", BOUND, tile_shape=(8, 8, 8), halo=True, cache=False
+                str(path), "sz", BOUND, tile_shape=(8, 8, 8), halo=True
             )
         spans = tracer.spans()
         waves = sorted(

@@ -33,7 +33,7 @@ def _tile_bytes(compressed):
 class TestBitIdentity:
     def test_compress_matches_serial(self, volume, halo):
         serial = compress_volume(
-            volume, "sz", BOUND, tile_shape=(12, 12, 12), halo=halo, cache=False
+            volume, "sz", BOUND, tile_shape=(12, 12, 12), halo=halo
         )
         pooled = compress_volume(
             volume,
@@ -42,13 +42,12 @@ class TestBitIdentity:
             tile_shape=(12, 12, 12),
             halo=halo,
             parallel=PARALLEL,
-            cache=False,
         )
         assert _tile_bytes(pooled) == _tile_bytes(serial)
 
     def test_decompress_matches_serial(self, volume, halo):
         compressed = compress_volume(
-            volume, "sz", BOUND, tile_shape=(12, 12, 12), halo=halo, cache=False
+            volume, "sz", BOUND, tile_shape=(12, 12, 12), halo=halo
         )
         serial = decompress_volume(compressed)
         parallel = decompress_volume(compressed, parallel=PARALLEL)
@@ -63,7 +62,6 @@ class TestWavefrontDecode:
             BOUND,
             tile_shape=(8, 8, 8),
             halo=True,
-            cache=False,
         )
         np.testing.assert_array_equal(
             decompress_volume(compressed, parallel=PARALLEL),
@@ -72,7 +70,7 @@ class TestWavefrontDecode:
 
     def test_serial_config_matches_default(self, volume):
         compressed = compress_volume(
-            volume, "sz", BOUND, tile_shape=(12, 12, 12), cache=False
+            volume, "sz", BOUND, tile_shape=(12, 12, 12)
         )
         np.testing.assert_array_equal(
             decompress_volume(compressed, parallel=ParallelConfig(workers=1)),
@@ -91,7 +89,6 @@ class TestTracingAcrossWorkerBoundary:
                 tile_shape=(12, 12, 12),
                 halo=True,
                 parallel=PARALLEL,
-                cache=False,
             )
         spans = tracer.spans()
         root = [s for s in spans if s.parent_id is None]
@@ -102,7 +99,7 @@ class TestTracingAcrossWorkerBoundary:
 
     def test_decode_spans(self, volume):
         compressed = compress_volume(
-            volume, "sz", BOUND, tile_shape=(12, 12, 12), halo=True, cache=False
+            volume, "sz", BOUND, tile_shape=(12, 12, 12), halo=True
         )
         tracer = Tracer()
         with install_tracer(tracer):

@@ -94,10 +94,10 @@ class TestSlabSources:
 class TestBitIdentity:
     def test_path_source_matches_one_shot(self, volume, volume_path, halo):
         one_shot = compress_volume(
-            volume, "sz", BOUND, tile_shape=TILE, halo=halo, cache=False
+            volume, "sz", BOUND, tile_shape=TILE, halo=halo
         )
         streamed = compress_volume_stream(
-            volume_path, "sz", BOUND, tile_shape=TILE, halo=halo, cache=False
+            volume_path, "sz", BOUND, tile_shape=TILE, halo=halo
         )
         assert _tile_bytes(streamed) == _tile_bytes(one_shot)
         assert streamed.shape == one_shot.shape
@@ -105,7 +105,7 @@ class TestBitIdentity:
 
     def test_streaming_decode_matches_one_shot(self, volume, halo):
         compressed = compress_volume(
-            volume, "sz", BOUND, tile_shape=TILE, halo=halo, cache=False
+            volume, "sz", BOUND, tile_shape=TILE, halo=halo
         )
         full = decompress_volume(compressed)
         slabs = list(decompress_volume_stream(compressed))
@@ -116,7 +116,7 @@ class TestBitIdentity:
 class TestParallelStreaming:
     def test_pool_matches_serial_stream(self, volume_path):
         serial = compress_volume_stream(
-            volume_path, "sz", BOUND, tile_shape=TILE, halo=True, cache=False
+            volume_path, "sz", BOUND, tile_shape=TILE, halo=True
         )
         pooled = compress_volume_stream(
             volume_path,
@@ -125,7 +125,6 @@ class TestParallelStreaming:
             tile_shape=TILE,
             halo=True,
             parallel=ParallelConfig(workers=2),
-            cache=False,
         )
         assert _tile_bytes(pooled) == _tile_bytes(serial)
 
@@ -144,7 +143,6 @@ class TestStreamedDecodeMemory:
             BOUND,
             tile_shape=TILE,
             halo=True,
-            cache=False,
         )
         tracemalloc.start()
         try:
@@ -158,19 +156,3 @@ class TestStreamedDecodeMemory:
         one_slab = self._decode_peak(16)
         eight_slabs = self._decode_peak(128)
         assert eight_slabs < 2 * one_slab, (one_slab, eight_slabs)
-
-
-class TestCacheSharing:
-    def test_stream_and_one_shot_share_tile_cache(self, volume, volume_path):
-        from repro.core.pipeline import ExperimentCache
-
-        cache = ExperimentCache(max_entries=256)
-        compress_volume(
-            volume, "sz", BOUND, tile_shape=TILE, halo=False, cache=cache
-        )
-        misses = cache.misses
-        streamed = compress_volume_stream(
-            volume_path, "sz", BOUND, tile_shape=TILE, halo=False, cache=cache
-        )
-        assert cache.hits == streamed.n_tiles
-        assert cache.misses == misses

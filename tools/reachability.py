@@ -234,7 +234,10 @@ def drive_commands(work: str, fields: Dict[str, str]) -> None:
     for number in ("3", "4", "5", "6", "7"):
         _cli("figure", number, "--size", 32, "--markdown")
     _cli("figure", "3", "--size", 32, "--workers", 2)
-    _cli("profile", "--out", os.path.join(out, "prof.json"), "--", "compress", f2)
+    # One whole-volume zfp tile: long enough for the sampler to take samples,
+    # and its decode reads a run-length (`H`) entropy stream.
+    _cli("profile", "--out", os.path.join(out, "prof.json"), "--", "compress", f3,
+         "--volume", "--tile", 32, "--compressor", "zfp")
     _cli("lint", os.path.join(ROOT, "src"))
     _cli("lint", "--format", "json", os.path.join(PACKAGE, "cli.py"))
     _cli("lint", "--list-rules")
